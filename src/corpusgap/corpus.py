@@ -7,11 +7,16 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import json
+import logging
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+log = logging.getLogger(__name__)
 
 
 class Source(str, Enum):
@@ -70,9 +75,13 @@ class Document:
             parts.append(s.body)
         return word_count(*parts)
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
-        """Canonical full text: title, then each section's heading and body."""
+        """Canonical full text: title, then each section's heading and body.
+
+        Built once per document, so every cache key that holds it shares
+        one string.
+        """
         parts = [self.title]
         for s in self.sections:
             parts.append(f"{s.heading}\n{s.body}")
@@ -198,6 +207,43 @@ def write_records(path: str | Path, records: Iterable[dict]) -> None:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
+
+
+def append_record(path: str | Path, record: dict) -> None:
+    """Append one record to an append-only log with a single write, so a
+    crash can tear at most the last line."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def read_append_log(path: str | Path) -> Iterator[dict]:
+    """Yield the records of an append-only log written by `append_record`.
+
+    A last line that is malformed or lacks its newline is a write cut
+    short by a crash: it is dropped with a warning and cut from the file,
+    so the next append starts on a fresh line. A malformed line with
+    records after it raises.
+    """
+    torn_at = None
+    with open(path, "rb") as fh:
+        offset = 0
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    torn = not line.endswith(b"\n")
+                except ValueError as exc:  # bad JSON, or a multi-byte character cut short
+                    if fh.read().strip():
+                        raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                    torn = True
+                if torn:
+                    log.warning("%s:%d: dropping a torn last record", path, lineno)
+                    torn_at = offset
+                    break
+                yield record
+            offset += len(line)
+    if torn_at is not None:
+        os.truncate(path, torn_at)
 
 
 def _sections_from_record(record: dict, where: str) -> tuple[Section, ...]:

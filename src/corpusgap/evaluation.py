@@ -10,6 +10,7 @@ target ratio (default 0.950).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -67,12 +68,20 @@ class ExperimentResult:
 
 
 class CorpusResources:
-    """Indexes for one corpus, built once and shared across pipelines."""
+    """Indexes for one corpus, built once and shared across pipelines.
+
+    The chunk index is built on first use, so a grid without the
+    hierarchical pipeline never builds it.
+    """
 
     def __init__(self, corpus: Corpus, embedder: Embedder):
         self.corpus = corpus
+        self.embedder = embedder
         self.doc_index: SearchIndex = build_document_index(corpus, embedder)
-        self.chunk_index: SearchIndex = build_chunk_index(corpus, embedder)
+
+    @functools.cached_property
+    def chunk_index(self) -> SearchIndex:
+        return build_chunk_index(self.corpus, self.embedder)
 
 
 def run_query(

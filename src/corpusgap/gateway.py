@@ -1,9 +1,13 @@
 """Single abstraction over all text-model calls.
 
 Prompt templates are data files with {placeholder} syntax. Responses are
-cached in an append-only line-delimited file keyed by (template, bindings,
-provider params); identical requests never hit the provider twice. A
-deterministic mock provider serves tests and offline runs.
+cached in an append-only line-delimited file keyed by (provider id,
+template name, sha256 of the template body, bindings, provider params), so
+identical requests never hit the provider twice and a reply is never served
+under another provider or an edited template. In front of that cache each
+gateway keeps an in-process memo of parsed results, so a repeated
+`complete_parsed` costs one tuple hash instead of a render, a JSON encode
+and a sha256. A deterministic mock provider serves tests and offline runs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, TypeVar
 
-from .corpus import Document
+from .corpus import Document, append_record, read_append_log
 
 JUDGE_MIN = 1
 JUDGE_MAX = 100
@@ -43,10 +47,12 @@ class PromptTemplate:
     name: str
     body: str
     placeholders: tuple[str, ...] = field(init=False)
+    body_sha: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         found = tuple(sorted(set(_PLACEHOLDER_RE.findall(self.body))))
         object.__setattr__(self, "placeholders", found)
+        object.__setattr__(self, "body_sha", hashlib.sha256(self.body.encode("utf-8")).hexdigest())
 
     def render(self, bindings: Mapping[str, str]) -> str:
         missing = [p for p in self.placeholders if p not in bindings]
@@ -89,13 +95,20 @@ class CompletionRequest:
     bindings: Mapping[str, str]
     params: ProviderParams = ProviderParams()
 
-    def cache_key(self) -> str:
+    def cache_key(self, provider_id: str = "", template_sha: str = "") -> str:
+        """sha256 of the request. The gateway stores replies under the key
+        that also names the provider and the template body's sha256; with
+        both left empty the key names the request alone."""
+        fields = {
+            "template": self.template,
+            "bindings": dict(sorted(self.bindings.items())),
+            "params": [self.params.model, self.params.temperature, self.params.max_output_tokens],
+        }
+        if provider_id or template_sha:
+            fields["provider"] = provider_id
+            fields["template_sha"] = template_sha
         payload = json.dumps(
-            {
-                "template": self.template,
-                "bindings": dict(sorted(self.bindings.items())),
-                "params": [self.params.model, self.params.temperature, self.params.max_output_tokens],
-            },
+            fields,
             ensure_ascii=False,
             sort_keys=True,
             separators=(",", ":"),
@@ -123,12 +136,8 @@ class ResponseCache:
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    entry = json.loads(line)
-                    self._entries[entry["key"]] = entry["response"]
+            for entry in read_append_log(self.path):
+                self._entries[entry["key"]] = entry["response"]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -142,19 +151,20 @@ class ResponseCache:
                 return
             self._entries[key] = response
             if self.path is not None:
-                entry = {
-                    "key": key,
-                    "template": request.template,
-                    "response": response,
-                    "parsed": parsed,
-                    "timestamp": time.time(),
-                }
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True))
-                    fh.write("\n")
+                append_record(
+                    self.path,
+                    {
+                        "key": key,
+                        "template": request.template,
+                        "response": response,
+                        "parsed": parsed,
+                        "timestamp": time.time(),
+                    },
+                )
 
 
 T = TypeVar("T")
+_MISSING = object()
 
 
 class Gateway:
@@ -185,6 +195,7 @@ class Gateway:
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_inflight)
+        self._parsed: dict[tuple, object] = {}
 
     def template(self, name: str) -> PromptTemplate:
         try:
@@ -208,8 +219,9 @@ class Gateway:
 
     def complete(self, request: CompletionRequest) -> str:
         """Return the provider response, serving repeats from the cache."""
-        prompt = self.template(request.template).render(request.bindings)
-        key = request.cache_key()
+        template = self.template(request.template)
+        prompt = template.render(request.bindings)
+        key = request.cache_key(self.provider.id, template.body_sha)
         if self.use_cache:
             cached = self.cache.get(key)
             if cached is not None:
@@ -224,18 +236,37 @@ class Gateway:
 
         A malformed response is surfaced without being cached, so a re-run
         reaches the provider again instead of replaying the bad response.
+        With the cache on, parsed results are also memoised per gateway by
+        (provider, template, body sha, bindings, params, parser); a repeat
+        is answered before any render or cache key is computed, and gets
+        the very object the first call returned, so callers must not mutate
+        it. A cache hit skips the render too: its key already pins the
+        template body and the bindings.
         """
-        prompt = self.template(request.template).render(request.bindings)
-        key = request.cache_key()
-        if self.use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return parser(cached)
-        response = self._call_provider(request, prompt)
-        parsed = parser(response)
-        if self.use_cache:
+        template = self.template(request.template)
+        if not self.use_cache:
+            return parser(self._call_provider(request, template.render(request.bindings)))
+        memo_key = (
+            self.provider.id,
+            request.template,
+            template.body_sha,
+            tuple(sorted(request.bindings.items())),
+            request.params,
+            parser,
+        )
+        hit = self._parsed.get(memo_key, _MISSING)
+        if hit is not _MISSING:
+            return hit
+        key = request.cache_key(self.provider.id, template.body_sha)
+        cached = self.cache.get(key)
+        if cached is not None:
+            parsed = parser(cached)
+        else:
+            response = self._call_provider(request, template.render(request.bindings))
+            parsed = parser(response)
             jsonable = parsed if isinstance(parsed, (int, float, str, list, dict)) else None
             self.cache.put(key, request, response, parsed=jsonable)
+        self._parsed[memo_key] = parsed
         return parsed
 
 

@@ -9,6 +9,7 @@ then judge score descending, then doc id ascending.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 import requests
 
-from .corpus import Corpus, Query
+from .corpus import Corpus, Query, append_record, read_append_log
 from .gateway import JudgeFn, ProviderError, RewriteFn
 
 DEFAULT_CANDIDATES = 20
@@ -55,16 +56,17 @@ class HashedBagEmbedder:
         self.id = f"hashed-bag-{dim}"
 
     @staticmethod
+    @functools.lru_cache(maxsize=1 << 16)
     def bucket(token: str, dim: int) -> int:
+        """sha256 of the token mod dim; memoised, as vocabularies repeat."""
         digest = hashlib.sha256(token.encode("utf-8")).hexdigest()
         return int(digest, 16) % dim
 
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():
             raise ValueError("cannot embed empty text")
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in re.findall(r"\w+", text.lower()):
-            vec[self.bucket(token, self.dim)] += 1.0
+        buckets = [self.bucket(token, self.dim) for token in re.findall(r"\w+", text.lower())]
+        vec = np.bincount(buckets, minlength=self.dim).astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValueError("text produced no tokens to embed")
@@ -112,7 +114,10 @@ class HttpEmbedder:
         vec = np.asarray(response.json()["data"][0]["embedding"], dtype=np.float64)
         if vec.shape != (self.dim,):
             raise ProviderError(f"expected dim {self.dim}, got {vec.shape}")
-        return vec / float(np.linalg.norm(vec))
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ProviderError(f"embedding endpoint returned a vector of norm {norm}")
+        return vec / norm
 
 
 class CachedEmbedder:
@@ -126,15 +131,9 @@ class CachedEmbedder:
         self.path = Path(cache_path) if cache_path is not None else None
         self._cache: dict[str, np.ndarray] = {}
         if self.path is not None and self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    entry = json.loads(line)
-                    if entry["provider"] == self.id:
-                        self._cache[entry["text_sha"]] = np.asarray(
-                            entry["vector"], dtype=np.float64
-                        )
+            for entry in read_append_log(self.path):
+                if entry["provider"] == self.id:
+                    self._cache[entry["text_sha"]] = np.asarray(entry["vector"], dtype=np.float64)
 
     def embed(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -144,14 +143,7 @@ class CachedEmbedder:
         vec = self.inner.embed(text)
         self._cache[key] = vec
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"provider": self.id, "text_sha": key, "vector": vec.tolist()},
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
+            append_record(self.path, {"provider": self.id, "text_sha": key, "vector": vec.tolist()})
         return vec
 
 
@@ -193,12 +185,23 @@ class SearchIndex:
         return len(self.keys)
 
     def search(self, query_vec: np.ndarray, k: int) -> list[tuple[object, float]]:
-        """Exact top-k by cosine; ties broken by ascending key."""
+        """Exact top-k by cosine; ties broken by ascending key.
+
+        When k < n, rows below the k-th largest similarity cannot make the
+        cut, so only rows at or above it (every tie at the k-th value
+        included) are sorted.
+        """
         if k < 1:
             raise ValueError("k must be at least 1")
         sims = self.matrix @ query_vec
+        n = len(self.keys)
+        if k < n:
+            cut = np.partition(sims, n - k)[n - k]
+            rows = np.flatnonzero(sims >= cut).tolist()
+        else:
+            rows = range(n)
         ranked = sorted(
-            ((float(sims[i]), self.keys[i]) for i in range(len(self.keys))),
+            ((float(sims[i]), self.keys[i]) for i in rows),
             key=lambda pair: (-pair[0], pair[1]),
         )
         return [(key, sim) for sim, key in ranked[:k]]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from corpusgap import evaluation
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 from corpusgap.evaluation import (
     CorpusInfo,
@@ -126,6 +127,25 @@ class TestRunGrid:
         assert len(results) == 8
         assert all(r.complete for r in results)
         assert (tmp_path / "a__baseline.jsonl").exists()
+
+    def test_chunk_index_built_only_for_hierarchical(self, monkeypatch):
+        built = []
+        build = evaluation.build_chunk_index
+
+        def spy(corpus, embedder):
+            built.append(corpus.name)
+            return build(corpus, embedder)
+
+        monkeypatch.setattr(evaluation, "build_chunk_index", spy)
+        corpora = [
+            Corpus(name="a", documents=(doc("d1", "alpha"), doc("d2", "beta"))),
+            Corpus(name="b", documents=(doc("d3", "alpha"), doc("d4", "gamma"))),
+        ]
+        args = ([tquery("q1", "alpha")], HashedBagEmbedder(dim=64), make_mock_judge(0))
+        results = run_grid(corpora, [Pipeline.BASELINE], *args)
+        assert all(r.complete for r in results) and built == []
+        run_grid(corpora, [Pipeline.BASELINE, Pipeline.HIERARCHICAL], *args)
+        assert built == ["a", "b"]
 
 
 QT_DIRECTED = [

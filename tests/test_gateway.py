@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import logging
+
 import pytest
 
 from corpusgap.corpus import Document, Section, Source
@@ -50,8 +53,8 @@ class TestPromptTemplate:
 
 
 class CountingProvider:
-    def __init__(self, response: str = "ok"):
-        self.id = "counting"
+    def __init__(self, response: str = "ok", id: str = "counting"):
+        self.id = id
         self.calls = 0
         self.response = response
 
@@ -152,6 +155,104 @@ class TestGateway:
         gateway = gw(CountingProvider())
         with pytest.raises(TemplateError, match="word"):
             gateway.complete(CompletionRequest(template="echo", bindings={}))
+
+    def test_provider_switch_misses_persisted_cache(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        gw(CountingProvider("first", id="mock-1"), cache_path=path).complete(req())
+        second = CountingProvider("second", id="mock-2")
+        assert gw(second, cache_path=path).complete(req()) == "second"
+        assert second.calls == 1
+
+    def test_edited_template_misses_persisted_cache(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        gw(CountingProvider("old"), cache_path=path).complete(req())
+        edited = {"echo": PromptTemplate(name="echo", body="please say {word}")}
+        provider = CountingProvider("new")
+        assert gw(provider, cache_path=path, templates=edited).complete(req()) == "new"
+        assert provider.calls == 1
+
+    def test_provider_switch_misses_parsed_memo(self):
+        gateway = gw(CountingProvider("11", id="mock-1"))
+        assert gateway.complete_parsed(req(), parse_judge_score) == 11
+        gateway.provider = CountingProvider("22", id="mock-2")
+        assert gateway.complete_parsed(req(), parse_judge_score) == 22
+
+    def test_bare_cache_key_names_the_request_alone(self):
+        assert req().cache_key() == req().cache_key("", "")
+        assert req().cache_key() != req().cache_key("mock-1", "")
+        assert req().cache_key("mock-1", "a") != req().cache_key("mock-1", "b")
+
+
+class TestParsedMemo:
+    def test_repeat_skips_render_key_and_provider(self, monkeypatch):
+        provider = CountingProvider("42")
+        gateway = gw(provider)
+        assert gateway.complete_parsed(req(), parse_judge_score) == 42
+        spent = []
+        monkeypatch.setattr(PromptTemplate, "render", lambda *a: spent.append("render"))
+        monkeypatch.setattr(CompletionRequest, "cache_key", lambda *a: spent.append("key"))
+        assert gateway.complete_parsed(req(), parse_judge_score) == 42
+        assert spent == [] and provider.calls == 1
+
+    def test_distinct_bindings_and_parsers_miss(self):
+        provider = CountingProvider("42")
+        gateway = gw(provider)
+        gateway.complete_parsed(req("a"), parse_judge_score)
+        gateway.complete_parsed(req("b"), parse_judge_score)
+        assert gateway.complete_parsed(req("a"), str.strip) == "42"
+        assert provider.calls == 2
+
+    def test_use_cache_off_bypasses_memo(self):
+        provider = CountingProvider("42")
+        gateway = gw(provider, use_cache=False)
+        for _ in range(3):
+            assert gateway.complete_parsed(req(), parse_judge_score) == 42
+        assert provider.calls == 3
+
+    def test_parse_failure_never_memoised(self):
+        provider = CountingProvider("no score here")
+        gateway = gw(provider)
+        with pytest.raises(JudgeParseError):
+            gateway.complete_parsed(req(), parse_judge_score)
+        provider.response = "77"
+        assert gateway.complete_parsed(req(), parse_judge_score) == 77
+        assert gateway.complete_parsed(req(), parse_judge_score) == 77
+        assert provider.calls == 2
+
+    def test_memo_serves_what_the_cache_served(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        gw(CountingProvider("63"), cache_path=path).complete_parsed(req(), parse_judge_score)
+        provider = CountingProvider("0")
+        gateway = gw(provider, cache_path=path)
+        assert [gateway.complete_parsed(req(), parse_judge_score) for _ in range(2)] == [63, 63]
+        assert provider.calls == 0
+
+
+class TestTornCacheFile:
+    def test_torn_last_line_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "completions.jsonl"
+        gw(CountingProvider(), cache_path=path).complete(req("a"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "abc", "respo')
+        provider = CountingProvider()
+        with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
+            gateway = gw(provider, cache_path=path)
+        assert "torn" in caplog.text
+        assert gateway.complete(req("a")) == "ok" and provider.calls == 0
+        # The torn bytes were cut, so records appended later stay loadable.
+        gateway.complete(req("b"))
+        assert len(gw(CountingProvider(), cache_path=path).cache) == 2
+        assert all(json.loads(line) for line in path.read_text(encoding="utf-8").splitlines())
+
+    def test_bad_line_in_the_middle_raises(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        gateway = gw(CountingProvider(), cache_path=path)
+        gateway.complete(req("a"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        gateway.complete(req("b"))
+        with pytest.raises(ValueError, match="malformed"):
+            gw(CountingProvider(), cache_path=path)
 
 
 class TestMockProviderDeterminism:

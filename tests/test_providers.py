@@ -101,6 +101,17 @@ class TestHttpEmbedder:
         with pytest.raises(ProviderError, match="dim"):
             embedder.embed("hello")
 
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [float("nan"), 1.0]])
+    def test_zero_or_nan_vector_rejected(self, vector):
+        embedder = HttpEmbedder(
+            "https://api.example",
+            model="e1",
+            dim=2,
+            transport=lambda *a, **k: StubResponse(payload={"data": [{"embedding": vector}]}),
+        )
+        with pytest.raises(ProviderError, match="norm"):
+            embedder.embed("hello")
+
     def test_bad_status_rejected(self):
         embedder = HttpEmbedder(
             "https://api.example", model="e1", dim=2, transport=lambda *a, **k: StubResponse(401)

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, make_mock_judge
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import (
+    CachedEmbedder,
     HashedBagEmbedder,
     IndexManifestError,
     Pipeline,
@@ -65,6 +68,48 @@ class TestHashedBagEmbedder:
         with pytest.raises(ValueError, match="empty"):
             HashedBagEmbedder().embed("   ")
 
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_memoised_bucket_equals_sha256_formula(self, dim):
+        for token in ["calm", "night", "calm", "über", "x", "42"]:
+            want = int(hashlib.sha256(token.encode("utf-8")).hexdigest(), 16) % dim
+            assert HashedBagEmbedder.bucket(token, dim) == want
+            assert HashedBagEmbedder(dim).bucket(token, dim) == want
+
+    def test_vector_equals_per_token_counts(self):
+        dim = 32
+        text = "Calm calm night, night night: über x"
+        want = np.zeros(dim)
+        for token in ["calm", "calm", "night", "night", "night", "über", "x"]:
+            want[int(hashlib.sha256(token.encode("utf-8")).hexdigest(), 16) % dim] += 1.0
+        want /= np.linalg.norm(want)
+        assert np.array_equal(HashedBagEmbedder(dim=dim).embed(text), want)
+
+
+class TestCachedEmbedderFile:
+    def test_torn_last_line_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "embeddings.jsonl"
+        CachedEmbedder(HashedBagEmbedder(dim=16), path).embed("calm night")
+        complete = path.read_text(encoding="utf-8")
+        # A whole record that lost its newline is torn too: the next append
+        # would otherwise run into it.
+        path.write_text(complete + complete.rstrip("\n"), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
+            embedder = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        assert "torn" in caplog.text
+        assert path.read_text(encoding="utf-8") == complete
+        embedder.inner = None  # a miss would fail: the vector must come from the file
+        assert np.array_equal(embedder.embed("calm night"), HashedBagEmbedder(dim=16).embed("calm night"))
+
+    def test_bad_line_in_the_middle_raises(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        embedder = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        embedder.embed("one")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"provider": \n')
+        embedder.embed("two")
+        with pytest.raises(ValueError, match="malformed"):
+            CachedEmbedder(HashedBagEmbedder(dim=16), path)
+
 
 def random_unit_vectors(n: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -112,6 +157,32 @@ class TestSearchIndex:
         matrix = random_unit_vectors(2, 8, seed=6)
         with pytest.raises(ValueError, match="unique"):
             SearchIndex(["a", "a"], matrix, HashedBagEmbedder(dim=8), "h", "document")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 10**6),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_partial_cut_equals_full_sort(self, n, seed, distinct, chunk_keys):
+        # Few distinct rows (some repeated many times) and small integer
+        # vectors force exact ties at and around the k-th similarity.
+        rng = np.random.default_rng(seed)
+        distinct_rows = rng.integers(-2, 3, size=(distinct, 4)).astype(np.float64)
+        matrix = distinct_rows[rng.integers(0, distinct, size=n)]
+        query = rng.integers(-2, 3, size=4).astype(np.float64)
+        if chunk_keys:
+            keys = [(f"d{i // 3:03d}", i % 3) for i in rng.permutation(n)]
+        else:
+            keys = [f"k{i:03d}" for i in rng.permutation(n)]
+        index = SearchIndex(keys, matrix, HashedBagEmbedder(dim=4), "h", "chunk")
+        sims = matrix @ query
+        full = sorted(
+            ((float(sims[i]), keys[i]) for i in range(n)), key=lambda pair: (-pair[0], pair[1])
+        )
+        for k in sorted({1, 3, 20, n - 1, n, n + 1} - {0}):
+            assert index.search(query, k) == [(key, sim) for sim, key in full[:k]]
 
 
 def doc(doc_id: str, body: str, subtopic: str | None = None, sections=None) -> Document:
