@@ -7,7 +7,6 @@ build-corpus, generate, index, eval, thresholds, report. Global flags
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -68,11 +67,6 @@ def main(ctx: click.Context, config_path, seed, provider, cache_dir) -> None:
 
 def _cfg(ctx: click.Context) -> config_mod.Config:
     return ctx.obj
-
-
-def _load_corpus(path: str, source: str, taxonomy_path: str | None) -> Corpus:
-    taxonomy = load_taxonomy(taxonomy_path) if taxonomy_path else None
-    return ingest_documents(path, Source(source), taxonomy)
 
 
 @main.command()

@@ -10,8 +10,8 @@ from pathlib import Path
 import yaml
 
 from .gateway import Gateway, ProviderParams, load_templates
-from .providers import HttpProvider, MockProvider
-from .retrieval import CachedEmbedder, Embedder, HashedBagEmbedder, HttpEmbedder
+from .providers import HttpEmbedder, HttpProvider, MockProvider
+from .retrieval import CachedEmbedder, Embedder, HashedBagEmbedder
 
 DEFAULT_BUDGETS = (50, 162, 288, 500, 898, 1230, 1560, 2097, 2561, 2954)
 
@@ -102,7 +102,7 @@ def provider_params(config: Config) -> ProviderParams:
     )
 
 
-def make_gateway(config: Config, use_cache: bool = True) -> Gateway:
+def make_gateway(config: Config) -> Gateway:
     cache_dir = Path(config.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     if config.provider.kind == "mock":
@@ -118,12 +118,7 @@ def make_gateway(config: Config, use_cache: bool = True) -> Gateway:
     else:
         raise ValueError(f"unknown provider kind {config.provider.kind!r}")
     templates = load_templates(config.prompts_dir)
-    return Gateway(
-        provider,
-        templates=templates,
-        cache_path=cache_dir / "completions.jsonl" if use_cache else None,
-        use_cache=use_cache,
-    )
+    return Gateway(provider, templates=templates, cache_path=cache_dir / "completions.jsonl")
 
 
 def make_embedder(config: Config) -> Embedder:

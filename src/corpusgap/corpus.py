@@ -11,10 +11,11 @@ import functools
 import json
 import logging
 import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -244,6 +245,40 @@ def read_append_log(path: str | Path) -> Iterator[dict]:
             offset += len(line)
     if torn_at is not None:
         os.truncate(path, torn_at)
+
+
+class AppendLog:
+    """A key-value map backed by an optional append-only log file.
+
+    On load, `decode` turns each record of the file into a (key, value)
+    pair, or None to skip it; a torn last record is handled by
+    `read_append_log`. `put` stores a value once and appends its record
+    with a single write, under a lock, so concurrent callers never
+    interleave lines. `get` is the map's own `dict.get`.
+    """
+
+    def __init__(self, path: str | Path | None, decode: Callable[[dict], tuple | None]):
+        self.path = Path(path) if path is not None else None
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+        if self.path is not None and self.path.exists():
+            for record in read_append_log(self.path):
+                item = decode(record)
+                if item is not None:
+                    self._entries[item[0]] = item[1]
+        self.get = self._entries.get
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def put(self, key, value, record: dict) -> None:
+        """Store value under key and append record, unless key is present."""
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = value
+            if self.path is not None:
+                append_record(self.path, record)
 
 
 def _sections_from_record(record: dict, where: str) -> tuple[Section, ...]:

@@ -261,10 +261,6 @@ def analyze_gaps(
     return result
 
 
-def hybrid_scores(gaps: Sequence[SubtopicGap]) -> dict[str, float]:
-    return {g.subtopic: g.hybrid for g in gaps}
-
-
 def reblend(gaps: Sequence[SubtopicGap], weights: GapWeights) -> dict[str, float]:
     """Recompute hybrid scores from stored components under new weights."""
     return {

@@ -1,13 +1,16 @@
 """Single abstraction over all text-model calls.
 
-Prompt templates are data files with {placeholder} syntax. Responses are
-cached in an append-only line-delimited file keyed by (provider id,
-template name, sha256 of the template body, bindings, provider params), so
-identical requests never hit the provider twice and a reply is never served
-under another provider or an edited template. In front of that cache each
-gateway keeps an in-process memo of parsed results, so a repeated
-`complete_parsed` costs one tuple hash instead of a render, a JSON encode
-and a sha256. A deterministic mock provider serves tests and offline runs.
+Prompt templates are data files with {placeholder} syntax. Every request
+goes through `Gateway.complete_parsed`, which renders the template, calls
+the provider with bounded retries and parses the reply. Replies that parse
+are cached in an append-only JSONL store (`corpus.AppendLog`) keyed by
+(provider id, template name, sha256 of the template body, bindings,
+provider params), so identical requests never hit the provider twice and a
+reply is never served under another provider or an edited template. In
+front of that cache each gateway keeps an in-process memo of parsed
+results, so a repeated call costs one tuple hash instead of a render, a
+JSON encode and a sha256. `mock_score` is the one deterministic stand-in
+judge; the mock provider and `mock_judge` both call it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, TypeVar
 
-from .corpus import Document, append_record, read_append_log
+from .corpus import AppendLog, Document
 
 JUDGE_MIN = 1
 JUDGE_MAX = 100
@@ -128,41 +131,6 @@ def stable_hash(*parts: str) -> int:
     return int(digest, 16)
 
 
-class ResponseCache:
-    """Append-only completion cache backed by an optional JSONL file."""
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self._entries: dict[str, str] = {}
-        self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            for entry in read_append_log(self.path):
-                self._entries[entry["key"]] = entry["response"]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> str | None:
-        return self._entries.get(key)
-
-    def put(self, key: str, request: CompletionRequest, response: str, parsed=None) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = response
-            if self.path is not None:
-                append_record(
-                    self.path,
-                    {
-                        "key": key,
-                        "template": request.template,
-                        "response": response,
-                        "parsed": parsed,
-                        "timestamp": time.time(),
-                    },
-                )
-
-
 T = TypeVar("T")
 _MISSING = object()
 
@@ -184,12 +152,10 @@ class Gateway:
         retries: int = 3,
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
-        use_cache: bool = True,
     ):
         self.provider = provider
         self.templates = templates if templates is not None else load_templates()
-        self.cache = ResponseCache(cache_path)
-        self.use_cache = use_cache
+        self.cache = AppendLog(cache_path, lambda record: (record["key"], record["response"]))
         self.max_inflight = max_inflight
         self.retries = retries
         self.backoff_base = backoff_base
@@ -217,35 +183,19 @@ class Gateway:
             f"provider {self.provider.id!r} failed after {self.retries} attempts: {last_error}"
         )
 
-    def complete(self, request: CompletionRequest) -> str:
-        """Return the provider response, serving repeats from the cache."""
-        template = self.template(request.template)
-        prompt = template.render(request.bindings)
-        key = request.cache_key(self.provider.id, template.body_sha)
-        if self.use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        response = self._call_provider(request, prompt)
-        if self.use_cache:
-            self.cache.put(key, request, response)
-        return response
-
     def complete_parsed(self, request: CompletionRequest, parser: Callable[[str], T]) -> T:
         """Complete and parse; only responses that parse are cached.
 
         A malformed response is surfaced without being cached, so a re-run
         reaches the provider again instead of replaying the bad response.
-        With the cache on, parsed results are also memoised per gateway by
-        (provider, template, body sha, bindings, params, parser); a repeat
-        is answered before any render or cache key is computed, and gets
-        the very object the first call returned, so callers must not mutate
-        it. A cache hit skips the render too: its key already pins the
-        template body and the bindings.
+        Parsed results are also memoised per gateway by (provider,
+        template, body sha, bindings, params, parser); a repeat is answered
+        before any render or cache key is computed, and gets the very
+        object the first call returned, so callers must not mutate it. A
+        cache hit skips the render too: its key already pins the template
+        body and the bindings.
         """
         template = self.template(request.template)
-        if not self.use_cache:
-            return parser(self._call_provider(request, template.render(request.bindings)))
         memo_key = (
             self.provider.id,
             request.template,
@@ -264,8 +214,8 @@ class Gateway:
         else:
             response = self._call_provider(request, template.render(request.bindings))
             parsed = parser(response)
-            jsonable = parsed if isinstance(parsed, (int, float, str, list, dict)) else None
-            self.cache.put(key, request, response, parsed=jsonable)
+            record = {"key": key, "template": request.template, "response": response}
+            self.cache.put(key, response, record)
         self._parsed[memo_key] = parsed
         return parsed
 
@@ -327,12 +277,18 @@ def token_overlap(query_text: str, doc_text: str) -> float:
     return matched / total
 
 
-def mock_judge(query_text: str, doc: Document, seed: int) -> int:
+def mock_score(query_text: str, doc_text: str, seed: int, doc_key: str) -> int:
     """Deterministic stand-in judge: scaled token overlap with a small
-    seed-keyed perturbation in [-3, 3], clamped to [1, 100]."""
-    base = round(100 * token_overlap(query_text, doc.text))
-    perturbation = stable_hash(str(seed), query_text, doc.id) % 7 - 3
+    perturbation in [-3, 3] keyed on (seed, query, doc_key), clamped to
+    [1, 100]."""
+    base = round(100 * token_overlap(query_text, doc_text))
+    perturbation = stable_hash(str(seed), query_text, doc_key) % 7 - 3
     return max(JUDGE_MIN, min(JUDGE_MAX, base + perturbation))
+
+
+def mock_judge(query_text: str, doc: Document, seed: int) -> int:
+    """`mock_score` with the perturbation keyed on the document id."""
+    return mock_score(query_text, doc.text, seed, doc.id)
 
 
 JudgeFn = Callable[[str, Document], int]

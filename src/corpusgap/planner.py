@@ -84,7 +84,7 @@ def allocate_quotas(
         raise ValueError(
             f"budget {budget} exceeds total availability {sum(capacity.values())}"
         )
-    raw = {s: budget * v / total_score for s, v in gap_scores.items()}
+    raw = raw_quotas(gap_scores, budget)
     allocations = {s: min(math.floor(raw[s]), capacity[s]) for s in gap_scores}
     order = sorted(gap_scores, key=lambda s: (-(raw[s] - math.floor(raw[s])), s))
     deficit = budget - sum(allocations.values())
@@ -273,6 +273,14 @@ def parse_article(text: str) -> tuple[str, tuple[Section, ...]]:
     return title, tuple(sections)
 
 
+def parse_generation(raw: str) -> tuple[str, tuple[Section, ...]]:
+    """`parse_article` for a provider reply; an empty reply is an error, so
+    the gateway never caches it."""
+    if not raw.strip():
+        raise ValueError("provider returned an empty generation")
+    return parse_article(raw)
+
+
 def generate_synthetic_doc(
     metadata: ArticleMetadata,
     gateway: Gateway,
@@ -304,10 +312,7 @@ def generate_synthetic_doc(
         },
         params=params or ProviderParams(),
     )
-    raw = gateway.complete(request)
-    if not raw.strip():
-        raise ValueError("provider returned an empty generation")
-    title, sections = parse_article(raw)
+    title, sections = gateway.complete_parsed(request, parse_generation)
     document = Document(
         id=doc_id,
         source=Source.SYNTHETIC,

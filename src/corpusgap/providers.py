@@ -1,8 +1,13 @@
-"""Completion providers: a deterministic mock and a minimal HTTP client.
+"""Model providers: a deterministic mock and the HTTP clients.
 
 The mock provider's responses are pure functions of (request, seed). It
 routes on template name so every prompt in the pipeline (classification,
 judging, rewriting, article generation) gets a plausible, parseable reply.
+
+`HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
+an OpenAI-style endpoint through one POST helper, which adds the bearer
+header and turns a transport exception, a bad status or a malformed body
+into `ProviderError`.
 """
 
 from __future__ import annotations
@@ -10,17 +15,21 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Callable
+from typing import Callable, TypeVar
 
+import numpy as np
 import requests
 
 from .gateway import (
     CompletionRequest,
     ProviderError,
     format_judge_score,
+    mock_score,
     stable_hash,
     token_overlap,
 )
+
+T = TypeVar("T")
 
 _FILLER_WORDS = (
     "support care steady gentle practice notice breathe ground pause reflect "
@@ -77,9 +86,7 @@ class MockProvider:
     def _judge(self, request: CompletionRequest) -> str:
         query = request.bindings["user_query"]
         doc_text = request.bindings["retrieved_document"]
-        base = round(100 * token_overlap(query, doc_text))
-        perturbation = stable_hash(str(self.seed), query, doc_text) % 7 - 3
-        return format_judge_score(max(1, min(100, base + perturbation)))
+        return format_judge_score(mock_score(query, doc_text, self.seed, doc_text))
 
     def _rewrite(self, request: CompletionRequest) -> str:
         query = request.bindings["query"].strip()
@@ -108,11 +115,11 @@ class MockProvider:
         return "\n".join(lines)
 
 
-class HttpProvider:
-    """OpenAI-style chat-completions client.
+class _HttpClient:
+    """Shared configuration and POST helper of the HTTP clients.
 
     Endpoint and credentials come from config/environment; the transport is
-    injectable for tests. Transport failures raise ProviderError, which the
+    injectable for tests. Every failure raises ProviderError, which the
     gateway retries with backoff.
     """
 
@@ -131,20 +138,15 @@ class HttpProvider:
         self.id = f"http:{model}"
         self._post = transport or requests.post
 
-    def generate(self, request: CompletionRequest, prompt: str) -> str:
+    def _post_json(self, route: str, payload: dict, extract: Callable[[object], T]) -> T:
+        """POST payload to endpoint/route and return extract(JSON body)."""
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        payload = {
-            "model": request.params.model if request.params.model != "mock" else self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": request.params.temperature,
-            "max_tokens": request.params.max_output_tokens,
-        }
         try:
             response = self._post(
-                f"{self.endpoint}/chat/completions",
+                f"{self.endpoint}/{route}",
                 json=payload,
                 headers=headers,
                 timeout=self.timeout,
@@ -156,6 +158,44 @@ class HttpProvider:
         if response.status_code != 200:
             raise ProviderError(f"unexpected status {response.status_code}: {response.text[:200]}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            return extract(response.json())
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
+
+
+class HttpProvider(_HttpClient):
+    """OpenAI-style chat-completions client."""
+
+    def generate(self, request: CompletionRequest, prompt: str) -> str:
+        payload = {
+            "model": request.params.model if request.params.model != "mock" else self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": request.params.temperature,
+            "max_tokens": request.params.max_output_tokens,
+        }
+        return self._post_json(
+            "chat/completions", payload, lambda body: body["choices"][0]["message"]["content"]
+        )
+
+
+class HttpEmbedder(_HttpClient):
+    """OpenAI-style embeddings client; vectors are re-normalized."""
+
+    def __init__(self, endpoint: str, model: str, dim: int, **kwargs):
+        super().__init__(endpoint, model, **kwargs)
+        self.dim = dim
+
+    def embed(self, text: str) -> np.ndarray:
+        if not text.strip():
+            raise ValueError("cannot embed empty text")
+        vec = self._post_json(
+            "embeddings",
+            {"model": self.model, "input": text},
+            lambda body: np.asarray(body["data"][0]["embedding"], dtype=np.float64),
+        )
+        if vec.shape != (self.dim,):
+            raise ProviderError(f"expected dim {self.dim}, got {vec.shape}")
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ProviderError(f"embedding endpoint returned a vector of norm {norm}")
+        return vec / norm

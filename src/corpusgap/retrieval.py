@@ -1,5 +1,9 @@
 """Embeddings, an exact cosine index, and the four retrieval pipelines.
 
+`CachedEmbedder` keeps vectors in an append-only JSONL store
+(`corpus.AppendLog`) keyed by the sha256 of the text; the HTTP embedding
+client lives in `providers`.
+
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
 testable bit for bit. Vectors are L2-normalized once so cosine similarity
@@ -12,18 +16,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
-from .corpus import Corpus, Query, append_record, read_append_log
-from .gateway import JudgeFn, ProviderError, RewriteFn
+from .corpus import AppendLog, Corpus, Query
+from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
 DEFAULT_TOP_K = 3
@@ -73,77 +75,29 @@ class HashedBagEmbedder:
         return vec / norm
 
 
-class HttpEmbedder:
-    """OpenAI-style embeddings endpoint client; vectors are re-normalized."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        dim: int,
-        api_key_env: str = "CORPUSGAP_API_KEY",
-        timeout: float = 60.0,
-        transport: Callable[..., requests.Response] | None = None,
-    ):
-        self.endpoint = endpoint.rstrip("/")
-        self.model = model
-        self.dim = dim
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.id = f"http:{model}"
-        self._post = transport or requests.post
-
-    def embed(self, text: str) -> np.ndarray:
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        try:
-            response = self._post(
-                f"{self.endpoint}/embeddings",
-                json={"model": self.model, "input": text},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError(f"embedding transport failure: {exc}") from exc
-        if response.status_code != 200:
-            raise ProviderError(f"embedding status {response.status_code}")
-        vec = np.asarray(response.json()["data"][0]["embedding"], dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ProviderError(f"expected dim {self.dim}, got {vec.shape}")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ProviderError(f"embedding endpoint returned a vector of norm {norm}")
-        return vec / norm
-
-
 class CachedEmbedder:
     """Persistent embedding cache keyed by (provider id, text hash), so
-    switching providers never serves stale vectors."""
+    switching providers never serves stale vectors. A hit costs one sha256
+    and one dict lookup."""
 
     def __init__(self, inner: Embedder, cache_path: str | Path | None = None):
         self.inner = inner
         self.id = inner.id
         self.dim = inner.dim
-        self.path = Path(cache_path) if cache_path is not None else None
-        self._cache: dict[str, np.ndarray] = {}
-        if self.path is not None and self.path.exists():
-            for entry in read_append_log(self.path):
-                if entry["provider"] == self.id:
-                    self._cache[entry["text_sha"]] = np.asarray(entry["vector"], dtype=np.float64)
+        self._store = AppendLog(cache_path, self._decode)
+
+    def _decode(self, record: dict) -> tuple[str, np.ndarray] | None:
+        if record["provider"] != self.id:
+            return None
+        return record["text_sha"], np.asarray(record["vector"], dtype=np.float64)
 
     def embed(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        hit = self._cache.get(key)
+        hit = self._store.get(key)
         if hit is not None:
             return hit
         vec = self.inner.embed(text)
-        self._cache[key] = vec
-        if self.path is not None:
-            append_record(self.path, {"provider": self.id, "text_sha": key, "vector": vec.tolist()})
+        self._store.put(key, vec, {"provider": self.id, "text_sha": key, "vector": vec.tolist()})
         return vec
 
 

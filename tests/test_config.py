@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from corpusgap.config import (
@@ -11,6 +14,7 @@ from corpusgap.config import (
     make_gateway,
     provider_params,
 )
+from corpusgap.gateway import CompletionRequest, make_gateway_rewriter
 from corpusgap.providers import MockProvider
 
 CONFIG_YAML = """
@@ -95,3 +99,32 @@ def test_make_embedder_is_cached_and_persistent(tmp_path):
     again = make_embedder(config).embed("hello world")
     assert (first == again).all()
     assert (tmp_path / "cache" / "embeddings.jsonl").exists()
+
+
+def test_older_cache_records_load_and_serve_hits(tmp_path):
+    # completions.jsonl once also stored "parsed" and "timestamp"; both are
+    # ignored on load, so such files keep serving hits.
+    config = apply_overrides(Config(), seed=3, cache_dir=str(tmp_path / "cache"))
+    gateway = make_gateway(config)
+    request = CompletionRequest(template="rewrite_query", bindings={"query": "cant sleep"})
+    key = request.cache_key(gateway.provider.id, gateway.template("rewrite_query").body_sha)
+    text = "hello world"
+    text_sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    cache = tmp_path / "cache"
+    completion = {
+        "key": key,
+        "template": "rewrite_query",
+        "response": "cached rewrite",
+        "parsed": "cached rewrite",
+        "timestamp": 1700000000.0,
+    }
+    vector = {"provider": "hashed-bag-256", "text_sha": text_sha, "vector": [0.6, 0.8]}
+    (cache / "completions.jsonl").write_text(json.dumps(completion) + "\n", encoding="utf-8")
+    (cache / "embeddings.jsonl").write_text(json.dumps(vector) + "\n", encoding="utf-8")
+
+    gateway = make_gateway(config)
+    assert make_gateway_rewriter(gateway)("cant sleep") == "cached rewrite"
+    assert gateway.provider.calls == 0
+    embedder = make_embedder(config)
+    embedder.inner = None  # a miss would fail: the vector must come from the file
+    assert embedder.embed(text).tolist() == [0.6, 0.8]

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from corpusgap.corpus import (
+    AppendLog,
     Corpus,
     Document,
     IngestError,
@@ -205,6 +208,51 @@ LADDER = [
     (2954, 763.3),
     (7640, 1974.2),
 ]
+
+
+def _decode(record: dict) -> tuple:
+    return record["key"], record["value"]
+
+
+class TestAppendLog:
+    def test_put_persists_once_and_reloads(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = AppendLog(path, _decode)
+        log.put("a", 1, {"key": "a", "value": 1})
+        log.put("a", 2, {"key": "a", "value": 2})
+        assert log.get("a") == 1 and len(log) == 1
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        assert AppendLog(path, _decode).get("a") == 1
+
+    def test_decode_can_skip_records(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"key": "a", "value": 1}\n{"key": "b", "value": 2}\n', encoding="utf-8")
+        log = AppendLog(path, lambda r: None if r["key"] == "a" else _decode(r))
+        assert log.get("a") is None and log.get("b") == 2
+
+    def test_concurrent_puts_write_each_key_once(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = AppendLog(path, _decode)
+        keys = [f"k{i % 50}" for i in range(400)]
+
+        def worker(offset):
+            for key in keys[offset:] + keys[:offset]:
+                log.put(key, key, {"key": key, "value": key})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i * 37,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["key"] for line in lines) == sorted(set(keys))
+        assert len(AppendLog(path, _decode)) == 50
 
 
 class TestPercentIncrease:

@@ -18,7 +18,9 @@ from corpusgap.gateway import (
     make_gateway_judge,
     make_gateway_rewriter,
     mock_judge,
+    mock_score,
     parse_judge_score,
+    stable_hash,
     token_overlap,
 )
 from corpusgap.providers import MockProvider
@@ -94,44 +96,37 @@ class TestGateway:
     def test_cache_hit_skips_provider(self):
         provider = CountingProvider()
         gateway = gw(provider)
-        assert gateway.complete(req()) == "ok"
-        assert gateway.complete(req()) == "ok"
+        assert gateway.complete_parsed(req(), str) == "ok"
+        assert gateway.complete_parsed(req(), str) == "ok"
         assert provider.calls == 1
 
     def test_distinct_params_miss_cache(self):
         provider = CountingProvider()
         gateway = gw(provider)
-        gateway.complete(req())
-        gateway.complete(
+        gateway.complete_parsed(req(), str)
+        gateway.complete_parsed(
             CompletionRequest(
                 template="echo",
                 bindings={"word": "hi"},
                 params=ProviderParams(temperature=0.9),
-            )
+            ),
+            str,
         )
         assert provider.calls == 2
 
     def test_cache_persists_across_instances(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         first = CountingProvider()
-        gw(first, cache_path=path).complete(req())
+        gw(first, cache_path=path).complete_parsed(req(), str)
         second = CountingProvider()
-        assert gw(second, cache_path=path).complete(req()) == "ok"
+        assert gw(second, cache_path=path).complete_parsed(req(), str) == "ok"
         assert second.calls == 0
-
-    def test_cache_transparency(self):
-        on = gw(CountingProvider("42"))
-        off = gw(CountingProvider("42"), use_cache=False)
-        request = req("score")
-        assert on.complete_parsed(request, parse_judge_score) == off.complete_parsed(
-            request, parse_judge_score
-        )
 
     def test_retry_then_success(self):
         provider = FlakyProvider(failures=2)
         waits = []
         gateway = gw(provider, sleep=waits.append)
-        assert gateway.complete(req()) == "ok"
+        assert gateway.complete_parsed(req(), str) == "ok"
         assert provider.calls == 3
         assert waits == [1.0, 2.0]
 
@@ -139,7 +134,7 @@ class TestGateway:
         provider = FlakyProvider(failures=5)
         gateway = gw(provider)
         with pytest.raises(ProviderError, match="after 3 attempts"):
-            gateway.complete(req())
+            gateway.complete_parsed(req(), str)
 
     def test_parse_failure_not_cached(self):
         provider = CountingProvider("no score here")
@@ -154,21 +149,21 @@ class TestGateway:
     def test_unbound_placeholder_surfaces(self):
         gateway = gw(CountingProvider())
         with pytest.raises(TemplateError, match="word"):
-            gateway.complete(CompletionRequest(template="echo", bindings={}))
+            gateway.complete_parsed(CompletionRequest(template="echo", bindings={}), str)
 
     def test_provider_switch_misses_persisted_cache(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        gw(CountingProvider("first", id="mock-1"), cache_path=path).complete(req())
+        gw(CountingProvider("first", id="mock-1"), cache_path=path).complete_parsed(req(), str)
         second = CountingProvider("second", id="mock-2")
-        assert gw(second, cache_path=path).complete(req()) == "second"
+        assert gw(second, cache_path=path).complete_parsed(req(), str) == "second"
         assert second.calls == 1
 
     def test_edited_template_misses_persisted_cache(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        gw(CountingProvider("old"), cache_path=path).complete(req())
+        gw(CountingProvider("old"), cache_path=path).complete_parsed(req(), str)
         edited = {"echo": PromptTemplate(name="echo", body="please say {word}")}
         provider = CountingProvider("new")
-        assert gw(provider, cache_path=path, templates=edited).complete(req()) == "new"
+        assert gw(provider, cache_path=path, templates=edited).complete_parsed(req(), str) == "new"
         assert provider.calls == 1
 
     def test_provider_switch_misses_parsed_memo(self):
@@ -202,13 +197,6 @@ class TestParsedMemo:
         assert gateway.complete_parsed(req("a"), str.strip) == "42"
         assert provider.calls == 2
 
-    def test_use_cache_off_bypasses_memo(self):
-        provider = CountingProvider("42")
-        gateway = gw(provider, use_cache=False)
-        for _ in range(3):
-            assert gateway.complete_parsed(req(), parse_judge_score) == 42
-        assert provider.calls == 3
-
     def test_parse_failure_never_memoised(self):
         provider = CountingProvider("no score here")
         gateway = gw(provider)
@@ -231,26 +219,26 @@ class TestParsedMemo:
 class TestTornCacheFile:
     def test_torn_last_line_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "completions.jsonl"
-        gw(CountingProvider(), cache_path=path).complete(req("a"))
+        gw(CountingProvider(), cache_path=path).complete_parsed(req("a"), str)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "abc", "respo')
         provider = CountingProvider()
         with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
             gateway = gw(provider, cache_path=path)
         assert "torn" in caplog.text
-        assert gateway.complete(req("a")) == "ok" and provider.calls == 0
+        assert gateway.complete_parsed(req("a"), str) == "ok" and provider.calls == 0
         # The torn bytes were cut, so records appended later stay loadable.
-        gateway.complete(req("b"))
+        gateway.complete_parsed(req("b"), str)
         assert len(gw(CountingProvider(), cache_path=path).cache) == 2
         assert all(json.loads(line) for line in path.read_text(encoding="utf-8").splitlines())
 
     def test_bad_line_in_the_middle_raises(self, tmp_path):
         path = tmp_path / "completions.jsonl"
         gateway = gw(CountingProvider(), cache_path=path)
-        gateway.complete(req("a"))
+        gateway.complete_parsed(req("a"), str)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
-        gateway.complete(req("b"))
+        gateway.complete_parsed(req("b"), str)
         with pytest.raises(ValueError, match="malformed"):
             gw(CountingProvider(), cache_path=path)
 
@@ -320,6 +308,27 @@ class TestMockJudge:
         for seed in range(20):
             doc = make_doc("d1", "x")
             assert 1 <= mock_judge("y z", doc, seed) <= 100
+
+    def test_provider_and_judge_share_one_formula(self):
+        # The two mock judges differ only in what keys the perturbation:
+        # the document text for the provider, the document id for mock_judge.
+        def reference(query_text, doc_text, seed, doc_key):
+            base = round(100 * token_overlap(query_text, doc_text))
+            return max(1, min(100, base + stable_hash(str(seed), query_text, doc_key) % 7 - 3))
+
+        doc = make_doc("d7", "calm night routine for sleep")
+        for seed in range(5):
+            for query_text in ["calm night", "sleep routine calm", "unrelated words"]:
+                want_by_id = reference(query_text, doc.text, seed, doc.id)
+                want_by_text = reference(query_text, doc.text, seed, doc.text)
+                assert mock_judge(query_text, doc, seed) == want_by_id
+                assert mock_score(query_text, doc.text, seed, doc.id) == want_by_id
+                request = CompletionRequest(
+                    template="usefulness_rubric",
+                    bindings={"user_query": query_text, "retrieved_document": doc.text},
+                )
+                reply = MockProvider(seed=seed).generate(request, "")
+                assert reply == format_judge_score(want_by_text)
 
     def test_overlap_counts_multiplicity(self):
         assert token_overlap("a a b", "a b c") == pytest.approx(2 / 3)

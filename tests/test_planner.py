@@ -291,8 +291,10 @@ class CannedProvider:
     def __init__(self, text: str):
         self.id = "canned"
         self.text = text
+        self.calls = 0
 
     def generate(self, request, prompt):
+        self.calls += 1
         return self.text
 
 
@@ -345,6 +347,17 @@ class TestGenerateSyntheticDoc:
         metadata = ArticleMetadata(title="T", headers=("H",), word_count=100)
         with pytest.raises(ValueError, match="empty generation"):
             generate_synthetic_doc(metadata, gateway, doc_id="syn-1")
+
+    def test_empty_generation_never_cached(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        provider = CannedProvider("")
+        gateway = Gateway(provider, cache_path=path, sleep=lambda s: None)
+        metadata = ArticleMetadata(title="T", headers=("H",), word_count=100)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="empty generation"):
+                generate_synthetic_doc(metadata, gateway, doc_id="syn-1")
+        assert provider.calls == 2
+        assert not path.exists() or path.read_text(encoding="utf-8") == ""
 
     def test_subtopic_passthrough(self):
         metadata = ArticleMetadata(title="T", headers=("H",), word_count=60)

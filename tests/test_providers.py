@@ -7,8 +7,7 @@ import pytest
 import requests
 
 from corpusgap.gateway import CompletionRequest, ProviderError, ProviderParams
-from corpusgap.providers import HttpProvider, MockProvider
-from corpusgap.retrieval import HttpEmbedder
+from corpusgap.providers import HttpEmbedder, HttpProvider, MockProvider
 
 
 class StubResponse:
@@ -117,6 +116,19 @@ class TestHttpEmbedder:
             "https://api.example", model="e1", dim=2, transport=lambda *a, **k: StubResponse(401)
         )
         with pytest.raises(ProviderError, match="status 401"):
+            embedder.embed("hello")
+
+    @pytest.mark.parametrize(
+        "payload", [{"nope": []}, {"data": []}, {"data": [{}]}, {"data": [{"embedding": "x"}]}]
+    )
+    def test_malformed_body_raises(self, payload):
+        embedder = HttpEmbedder(
+            "https://api.example",
+            model="e1",
+            dim=2,
+            transport=lambda *a, **k: StubResponse(payload=payload),
+        )
+        with pytest.raises(ProviderError, match="malformed"):
             embedder.embed("hello")
 
 
