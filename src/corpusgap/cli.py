@@ -291,10 +291,11 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
     else:
         chosen = [Pipeline(p.strip()) for p in pipelines.split(",")]
     entries = [record for _, record in read_records(manifest_path)]
+    manifest_dir = Path(manifest_path).parent
     corpora = []
     info = {}
     for entry in entries:
-        corpus = ingest_documents(entry["path"], Source.BASELINE, name=entry["name"])
+        corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
         corpora.append(corpus)
         info[entry["name"]] = {"arm": entry["arm"], "docs_added": int(entry["docs_added"]), "total_docs": len(corpus)}
     out = Path(out_dir)
@@ -376,8 +377,12 @@ def thresholds(summary_path, reference, ratio, out_dir) -> None:
     }
     if not reference_scores:
         raise click.ClickException(f"no rows for reference corpus {reference!r}")
-    directed = {p: _arm_ladder(rows, info, "directed", p) for p in Pipeline}
-    nondirected = {p: _arm_ladder(rows, info, "nondirected", p) for p in Pipeline}
+    pipelines = [p for p in Pipeline if p in reference_scores]
+    unscored = [f"{reference}/{p.value}" for p in pipelines if reference_scores[p] is None]
+    if unscored:
+        raise click.ClickException("reference cells without a score: " + ", ".join(unscored))
+    directed = {p: _arm_ladder(rows, info, "directed", p) for p in pipelines}
+    nondirected = {p: _arm_ladder(rows, info, "nondirected", p) for p in pipelines}
     try:
         report = doc_reduction_report(directed, nondirected, reference_scores, ratio)
     except ValueError as exc:

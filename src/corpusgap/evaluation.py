@@ -25,14 +25,10 @@ from .retrieval import (
     DEFAULT_TOP_K,
     Embedder,
     Pipeline,
-    RetrievalResult,
     SearchIndex,
     build_chunk_index,
     build_document_index,
-    retrieve_baseline,
-    retrieve_hierarchical,
-    retrieve_query_transformation,
-    retrieve_reranking,
+    retrieve,
 )
 
 THRESHOLD_RULE = "score ratio to reference, rounded half-up to 3 decimals, must reach the target"
@@ -84,34 +80,6 @@ class CorpusResources:
         return build_chunk_index(self.corpus, self.embedder)
 
 
-def run_query(
-    pipeline: Pipeline,
-    query: Query,
-    resources: CorpusResources,
-    judge: JudgeFn,
-    rewriter: RewriteFn | None,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    top_k: int = DEFAULT_TOP_K,
-) -> RetrievalResult:
-    if pipeline is Pipeline.BASELINE:
-        return retrieve_baseline(query, resources.doc_index, k_candidates, top_k)
-    if pipeline is Pipeline.HIERARCHICAL:
-        return retrieve_hierarchical(
-            query, resources.chunk_index, resources.corpus, judge, k_candidates, top_k
-        )
-    if pipeline is Pipeline.RERANKING:
-        return retrieve_reranking(
-            query, resources.doc_index, resources.corpus, judge, k_candidates, top_k
-        )
-    if pipeline is Pipeline.QUERY_TRANSFORMATION:
-        if rewriter is None:
-            raise ValueError("query_transformation needs a rewriter")
-        return retrieve_query_transformation(
-            query, resources.doc_index, resources.corpus, judge, rewriter, k_candidates, top_k
-        )
-    raise ValueError(f"unknown pipeline {pipeline!r}")
-
-
 def run_experiment(
     spec: ExperimentSpec,
     resources: CorpusResources,
@@ -134,9 +102,11 @@ def run_experiment(
         raise ValueError(f"non-test queries in evaluation set: {bad[:5]}")
     outcomes: list[QueryOutcome] = []
     try:
+        hierarchical = spec.pipeline is Pipeline.HIERARCHICAL
+        index = resources.chunk_index if hierarchical else resources.doc_index
         for query in test_queries:
-            result = run_query(
-                spec.pipeline, query, resources, judge, rewriter, k_candidates, top_k
+            result = retrieve(
+                spec.pipeline, query, index, resources.corpus, judge, rewriter, k_candidates, top_k
             )
             doc_scores = tuple(
                 (
@@ -343,14 +313,6 @@ class CorpusInfo:
         return percent_increase(self.total_docs, self.total_docs - self.docs_added)
 
 
-PIPELINE_ORDER = (
-    Pipeline.BASELINE,
-    Pipeline.HIERARCHICAL,
-    Pipeline.RERANKING,
-    Pipeline.QUERY_TRANSFORMATION,
-)
-
-
 def _score_cell(value: float | None) -> str:
     return f"{value:.4f}" if value is not None else ""
 
@@ -377,7 +339,7 @@ def emit_report(
 
     warnings: list[str] = []
     for name in names:
-        for pipeline in PIPELINE_ORDER:
+        for pipeline in Pipeline:
             cell = by_cell.get((name, pipeline))
             if cell is None:
                 warnings.append(f"missing cell: {name}/{pipeline.value}")
@@ -394,7 +356,7 @@ def emit_report(
         )
         for name in names:
             info = corpus_info[name]
-            for pipeline in PIPELINE_ORDER:
+            for pipeline in Pipeline:
                 cell = by_cell.get((name, pipeline))
                 if cell is None:
                     continue
@@ -421,7 +383,7 @@ def emit_report(
             arm_names = [n for n in names if corpus_info[n].arm == arm]
             lines.append(f"== {arm} ==")
             header = f"{'corpus':<28}{'total':>8}{'+%':>10}" + "".join(
-                f"{p.value:>22}" for p in PIPELINE_ORDER
+                f"{p.value:>22}" for p in Pipeline
             )
             lines.append(header)
             for name in arm_names:
@@ -430,7 +392,7 @@ def emit_report(
                     f"{_score_cell(by_cell[(name, p)].avg_score):>22}"
                     if (name, p) in by_cell
                     else f"{'-':>22}"
-                    for p in PIPELINE_ORDER
+                    for p in Pipeline
                 )
                 lines.append(
                     f"{name:<28}{info.total_docs:>8}{info.pct_increase:>9.1f}%" + cells
@@ -444,7 +406,7 @@ def emit_report(
         plot_dir = out / "plot"
         plot_dir.mkdir(exist_ok=True)
         arms = sorted({info.arm for info in corpus_info.values()})
-        for pipeline in PIPELINE_ORDER:
+        for pipeline in Pipeline:
             for arm in arms:
                 series = []
                 for name in names:

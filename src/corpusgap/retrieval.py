@@ -1,4 +1,8 @@
-"""Embeddings, an exact cosine index, and the four retrieval pipelines.
+"""Embeddings, an exact cosine index, and the retrieval pipelines.
+
+One function, `retrieve(pipeline, ...)`, runs all four pipelines; they
+differ only in which index supplies the candidates, which text is
+embedded, and whether a judge ranks the candidates.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
 (`corpus.AppendLog`) keyed by the sha256 of the text; the HTTP embedding
@@ -7,8 +11,9 @@ client lives in `providers`.
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
 testable bit for bit. Vectors are L2-normalized once so cosine similarity
-is a plain dot product. Tie-breaking everywhere: similarity descending,
-then judge score descending, then doc id ascending.
+is a plain dot product. Search ties break by ascending key; judged
+pipelines rank by judge score descending, then similarity descending,
+then doc id ascending.
 """
 
 from __future__ import annotations
@@ -160,9 +165,6 @@ class SearchIndex:
         )
         return [(key, sim) for sim, key in ranked[:k]]
 
-    def search_text(self, text: str, k: int) -> list[tuple[object, float]]:
-        return self.search(self.embedder.embed(text), k)
-
 
 def build_document_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:
     if len(corpus) == 0:
@@ -260,27 +262,6 @@ class RetrievalResult:
             raise ValueError("rewritten_query present iff pipeline is query_transformation")
 
 
-def _require_document_index(index: SearchIndex) -> None:
-    if index.kind != "document":
-        raise ValueError("a document-level index is required here")
-
-
-def retrieve_baseline(
-    query: Query,
-    corpus_index: SearchIndex,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    top_k: int = DEFAULT_TOP_K,
-) -> RetrievalResult:
-    """Pure similarity ranking; the most similar documents win."""
-    _require_document_index(corpus_index)
-    hits = corpus_index.search_text(query.text, k_candidates)
-    top = [
-        RetrievedDoc(doc_id=key, judge_score=None, similarity=sim)
-        for key, sim in hits[:top_k]
-    ]
-    return RetrievalResult(query_id=query.id, pipeline=Pipeline.BASELINE, top_docs=tuple(top))
-
-
 def merge_chunk_candidates(
     chunk_index: SearchIndex,
     query_vec: np.ndarray,
@@ -310,80 +291,54 @@ def merge_chunk_candidates(
     return candidates
 
 
-def _judge_and_rank(
-    query_text: str,
-    candidates: Sequence[Candidate],
-    corpus: Corpus,
-    judge: JudgeFn,
-    top_k: int,
-) -> tuple[RetrievedDoc, ...]:
-    judged = [
-        RetrievedDoc(
-            doc_id=c.doc_id,
-            judge_score=judge(query_text, corpus.document(c.doc_id)),
-            similarity=c.similarity,
-        )
-        for c in candidates
-    ]
-    judged.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
-    return tuple(judged[:top_k])
-
-
-def retrieve_hierarchical(
+def retrieve(
+    pipeline: Pipeline,
     query: Query,
-    chunk_index: SearchIndex,
-    corpus: Corpus,
-    judge: JudgeFn,
+    index: SearchIndex,
+    corpus: Corpus | None = None,
+    judge: JudgeFn | None = None,
+    rewriter: RewriteFn | None = None,
     k_candidates: int = DEFAULT_CANDIDATES,
     top_k: int = DEFAULT_TOP_K,
 ) -> RetrievalResult:
-    """Chunk-level retrieval merged to whole documents, then judge-ranked,
-    avoiding fragmentary results."""
-    query_vec = chunk_index.embedder.embed(query.text)
-    min_docs = min(top_k, len(corpus))
-    candidates = merge_chunk_candidates(chunk_index, query_vec, k_candidates, min_docs)
-    top = _judge_and_rank(query.text, candidates, corpus, judge, top_k)
-    return RetrievalResult(query_id=query.id, pipeline=Pipeline.HIERARCHICAL, top_docs=top)
+    """Run one query through any of the four pipelines.
 
+    - baseline: cosine top-k over a document index.
+    - hierarchical: top chunks of a chunk index merged to their parent
+      documents (avoiding fragmentary results), then judge-ranked.
+    - reranking: cosine candidates for recall, judge scores for precision.
+    - query_transformation: the rewritten query picks the candidates,
+      then they are judge-ranked like reranking.
 
-def retrieve_reranking(
-    query: Query,
-    corpus_index: SearchIndex,
-    corpus: Corpus,
-    judge: JudgeFn,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    top_k: int = DEFAULT_TOP_K,
-) -> RetrievalResult:
-    """Dense retrieval for recall, judge scoring for precision."""
-    _require_document_index(corpus_index)
-    hits = corpus_index.search_text(query.text, k_candidates)
-    candidates = [Candidate(doc_id=key, similarity=sim) for key, sim in hits]
-    top = _judge_and_rank(query.text, candidates, corpus, judge, top_k)
-    return RetrievalResult(query_id=query.id, pipeline=Pipeline.RERANKING, top_docs=top)
-
-
-def retrieve_query_transformation(
-    query: Query,
-    corpus_index: SearchIndex,
-    corpus: Corpus,
-    judge: JudgeFn,
-    rewriter: RewriteFn,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    top_k: int = DEFAULT_TOP_K,
-) -> RetrievalResult:
-    """Rewrite the query for specificity, then retrieve and judge-rank.
-
-    Rewriter failures surface; silently falling back to the raw query
-    would hide a broken pipeline stage.
+    Judged pipelines need the corpus and the judge, and always judge
+    against the original query text. Rewriter failures surface; silently
+    falling back to the raw query would hide a broken pipeline stage.
     """
-    _require_document_index(corpus_index)
-    rewritten = rewriter(query.text)
-    hits = corpus_index.search_text(rewritten, k_candidates)
-    candidates = [Candidate(doc_id=key, similarity=sim) for key, sim in hits]
-    top = _judge_and_rank(query.text, candidates, corpus, judge, top_k)
-    return RetrievalResult(
-        query_id=query.id,
-        pipeline=Pipeline.QUERY_TRANSFORMATION,
-        top_docs=top,
-        rewritten_query=rewritten,
-    )
+    rewritten = None
+    if pipeline is Pipeline.QUERY_TRANSFORMATION:
+        if rewriter is None:
+            raise ValueError("query_transformation needs a rewriter")
+        rewritten = rewriter(query.text)
+    query_vec = index.embedder.embed(query.text if rewritten is None else rewritten)
+    if pipeline is Pipeline.HIERARCHICAL:
+        min_docs = min(top_k, len(corpus))
+        candidates = merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
+    else:
+        if index.kind != "document":
+            raise ValueError("a document-level index is required here")
+        candidates = [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
+    if pipeline is Pipeline.BASELINE:
+        top = [RetrievedDoc(c.doc_id, None, c.similarity) for c in candidates]
+    else:
+        top = [
+            RetrievedDoc(c.doc_id, judge(query.text, corpus.document(c.doc_id)), c.similarity)
+            for c in candidates
+        ]
+        top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
+    return RetrievalResult(query.id, pipeline, tuple(top[:top_k]), rewritten)
+
+
+retrieve_baseline = functools.partial(retrieve, Pipeline.BASELINE)
+retrieve_hierarchical = functools.partial(retrieve, Pipeline.HIERARCHICAL)
+retrieve_reranking = functools.partial(retrieve, Pipeline.RERANKING)
+retrieve_query_transformation = functools.partial(retrieve, Pipeline.QUERY_TRANSFORMATION)

@@ -188,3 +188,78 @@ def test_full_pipeline(runner, tmp_path, world):
     assert (reports_dir / "scores.csv").exists()
     assert (reports_dir / "scores.txt").exists()
     assert (reports_dir / "plot" / "baseline_directed.csv").exists()
+
+
+def _summary(pipelines, reference_overrides=None):
+    """Summary rows for a small ladder: baseline, two rungs per arm and the
+    reference; reference_overrides replaces the reference score per pipeline."""
+    corpora = [
+        ("baseline", "baseline", 0, 60.0),
+        ("directed-10", "directed", 10, 77.0),
+        ("directed-20", "directed", 20, 79.0),
+        ("nondirected-10", "nondirected", 10, 70.0),
+        ("nondirected-20", "nondirected", 20, 78.0),
+        ("reference", "reference", 20, 80.0),
+    ]
+    overrides = reference_overrides or {}
+    rows = []
+    for name, arm, added, score in corpora:
+        for pipeline in pipelines:
+            cell_score = overrides.get(pipeline, score) if name == "reference" else score
+            rows.append(
+                {"corpus": name, "pipeline": pipeline, "avg_score": cell_score,
+                 "complete": cell_score is not None, "arm": arm, "docs_added": added,
+                 "total_docs": 100 + added}
+            )
+    return rows
+
+
+def test_thresholds_on_partial_grid(runner, tmp_path):
+    summary = tmp_path / "summary.jsonl"
+    write_records(summary, _summary(["baseline"]))
+    invoke(runner, tmp_path / "cache", ["thresholds", "--summary", str(summary), "--out", str(tmp_path / "out")])
+    lines = (tmp_path / "out" / "thresholds.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("baseline,")
+
+
+def test_thresholds_names_unscored_reference_cells(runner, tmp_path):
+    summary = tmp_path / "summary.jsonl"
+    pipelines = ["baseline", "hierarchical", "reranking", "query_transformation"]
+    write_records(summary, _summary(pipelines, {"hierarchical": None, "reranking": None}))
+    result = runner.invoke(main, ["thresholds", "--summary", str(summary), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert "reference/hierarchical" in result.output
+    assert "reference/reranking" in result.output
+    assert "reference/baseline" not in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_eval_manifest_paths_resolve_against_manifest(runner, tmp_path, world, monkeypatch):
+    data = tmp_path / "data"
+    (data / "corpora").mkdir(parents=True)
+    write_corpus(world.baseline, data / "baseline.jsonl")
+    write_corpus(reference_corpus(world), data / "corpora" / "reference.jsonl")
+    write_queries(world.test_queries[:3], data / "test.jsonl")
+    write_records(
+        data / "manifest.jsonl",
+        [
+            {"name": "baseline", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0},
+            {"name": "reference", "path": "corpora/reference.jsonl", "arm": "reference", "docs_added": len(world.pool)},
+        ],
+    )
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    invoke(
+        runner,
+        tmp_path / "cache",
+        ["eval", "--manifest", "../data/manifest.jsonl", "--queries", "../data/test.jsonl",
+         "--out", "results", "--pipelines", "baseline"],
+    )
+    rows = [json.loads(line) for line in (elsewhere / "results" / "summary.jsonl").read_text().splitlines()]
+    assert [(r["corpus"], r["total_docs"], r["complete"]) for r in rows] == [
+        ("baseline", len(world.baseline), True),
+        ("reference", len(world.baseline) + len(world.pool), True),
+    ]

@@ -23,6 +23,7 @@ from corpusgap.retrieval import (
     corpus_fingerprint,
     load_index,
     merge_chunk_candidates,
+    retrieve,
     retrieve_baseline,
     retrieve_hierarchical,
     retrieve_query_transformation,
@@ -363,7 +364,7 @@ class TestRerankingPipeline:
         docs.append(doc("d99", "alpha junk1 junk2 junk3 junk4 junk5"))
         corpus = Corpus(name="c", documents=tuple(docs))
         index = build_document_index(corpus, embedder)
-        hits = index.search_text("alpha beta", 20)
+        hits = index.search(embedder.embed("alpha beta"), 20)
         assert ("d99", hits[-1][1]) == hits[-1]  # weakest of the candidate set
         judge = lambda q, d: 99 if d.id == "d99" else 40
         result = retrieve_reranking(query("alpha beta"), index, corpus, judge)
@@ -500,3 +501,29 @@ class TestPipelineInvariants:
         result = retrieve_baseline(query("alpha"), index)
         assert result.pipeline is Pipeline.BASELINE
         assert result.rewritten_query is None
+
+
+class TestRetrieveGuards:
+    @pytest.mark.parametrize(
+        "pipeline, kind, rewriter, message",
+        [
+            (Pipeline.HIERARCHICAL, "document", None, "chunk-level index"),
+            (Pipeline.BASELINE, "chunk", None, "document-level index"),
+            (Pipeline.RERANKING, "chunk", None, "document-level index"),
+            (Pipeline.QUERY_TRANSFORMATION, "chunk", lambda t: t, "document-level index"),
+            (Pipeline.QUERY_TRANSFORMATION, "document", None, "needs a rewriter"),
+        ],
+        ids=[
+            "hierarchical-doc-index",
+            "baseline-chunk-index",
+            "reranking-chunk-index",
+            "query_transformation-chunk-index",
+            "query_transformation-no-rewriter",
+        ],
+    )
+    def test_misconfigured_pipeline_refused(self, embedder, pipeline, kind, rewriter, message):
+        corpus = Corpus(name="c", documents=(doc("d1", "alpha"), doc("d2", "alpha beta")))
+        build = build_chunk_index if kind == "chunk" else build_document_index
+        index = build(corpus, embedder)
+        with pytest.raises(ValueError, match=message):
+            retrieve(pipeline, query("alpha"), index, corpus, make_mock_judge(0), rewriter)
