@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands cover the full pipeline: ingest, annotate, gaps, plan,
-build-corpus, generate, index, eval, thresholds, report. Global flags
+build-corpus, generate, eval, thresholds, report. Global flags
 --config, --seed, --provider, and --cache-dir apply to every subcommand.
 """
 
@@ -30,6 +30,8 @@ from .corpus import (
 )
 from .evaluation import (
     CorpusInfo,
+    ExperimentResult,
+    ExperimentSpec,
     LadderPoint,
     Pipeline,
     doc_reduction_report,
@@ -49,7 +51,6 @@ from .planner import (
     score_external_pool,
     write_plan,
 )
-from .retrieval import build_chunk_index, build_document_index, save_index
 
 
 @click.group()
@@ -252,26 +253,6 @@ def generate(ctx, metadata_path, output, flags_path) -> None:
 
 
 @main.command()
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--out-prefix", required=True, type=click.Path())
-@click.option("--kind", type=click.Choice(["document", "chunk", "both"]), default="both")
-@click.pass_context
-def index(ctx, corpus_path, out_prefix, kind) -> None:
-    """Build and persist vector indexes for a corpus."""
-    cfg = _cfg(ctx)
-    corpus = ingest_documents(corpus_path, Source.BASELINE)
-    embedder = config_mod.make_embedder(cfg)
-    prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    written = []
-    if kind in ("document", "both"):
-        written += save_index(build_document_index(corpus, embedder), f"{prefix}.doc")
-    if kind in ("chunk", "both"):
-        written += save_index(build_chunk_index(corpus, embedder), f"{prefix}.chunk")
-    click.echo(f"indexed {len(corpus)} docs -> " + ", ".join(str(p) for p in written))
-
-
-@main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True), help="JSONL of {name, path, arm, docs_added}.")
 @click.option("--queries", "queries_path", required=True, type=click.Path(exists=True), help="Held-out test queries.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -285,19 +266,15 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
     judge = make_gateway_judge(gateway, params)
     rewriter = make_gateway_rewriter(gateway, params)
     embedder = config_mod.make_embedder(cfg)
-    queries = ingest_queries(queries_path, Split.TEST)
+    try:
+        queries = ingest_queries(queries_path, Split.TEST)
+        corpora, info = _load_manifest(manifest_path)
+    except (IngestError, OSError) as exc:
+        raise click.ClickException(str(exc))
     if pipelines == "all":
         chosen = list(Pipeline)
     else:
         chosen = [Pipeline(p.strip()) for p in pipelines.split(",")]
-    entries = [record for _, record in read_records(manifest_path)]
-    manifest_dir = Path(manifest_path).parent
-    corpora = []
-    info = {}
-    for entry in entries:
-        corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
-        corpora.append(corpus)
-        info[entry["name"]] = {"arm": entry["arm"], "docs_added": int(entry["docs_added"]), "total_docs": len(corpus)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = run_grid(
@@ -321,9 +298,9 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
                 "pipeline": result.spec.pipeline.value,
                 "avg_score": result.avg_score,
                 "complete": result.complete,
-                "arm": meta["arm"],
-                "docs_added": meta["docs_added"],
-                "total_docs": meta["total_docs"],
+                "arm": meta.arm,
+                "docs_added": meta.docs_added,
+                "total_docs": meta.total_docs,
             }
         )
     rows.sort(key=lambda r: (r["corpus"], r["pipeline"]))
@@ -334,32 +311,42 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
         sys.exit(1)
 
 
-def _load_summary(summary_path: str) -> tuple[list[dict], dict[str, CorpusInfo]]:
-    rows = [record for _, record in read_records(summary_path)]
+def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusInfo]]:
+    """The corpora an `eval` manifest names, with paths relative to the
+    manifest, and the facts the summary records about each."""
+    manifest_dir = Path(manifest_path).parent
+    corpora = []
     info = {}
-    for row in rows:
-        info[row["corpus"]] = CorpusInfo(
-            arm=row["arm"], docs_added=int(row["docs_added"]), total_docs=int(row["total_docs"])
-        )
-    return rows, info
+    for lineno, entry in read_records(manifest_path):
+        missing = [key for key in ("name", "path", "arm", "docs_added") if key not in entry]
+        if missing:
+            raise IngestError(f"{manifest_path}:{lineno}: manifest entry lacks {', '.join(missing)}")
+        corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
+        corpora.append(corpus)
+        info[corpus.name] = CorpusInfo(entry["arm"], int(entry["docs_added"]), len(corpus))
+    return corpora, info
 
 
-def _arm_ladder(rows: list[dict], info: dict[str, CorpusInfo], arm: str, pipeline: Pipeline) -> list[LadderPoint]:
+def _load_summary(summary_path: str) -> tuple[list[ExperimentResult], dict[str, CorpusInfo]]:
+    """The cells of an `eval` summary, without per-query scores, and the
+    facts it records about each corpus."""
+    results = []
+    info = {}
+    for _, row in read_records(summary_path):
+        spec = ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"]))
+        results.append(ExperimentResult(spec, row["avg_score"], per_query=(), complete=row["complete"]))
+        info[row["corpus"]] = CorpusInfo(row["arm"], int(row["docs_added"]), int(row["total_docs"]))
+    return results, info
+
+
+def _arm_ladder(
+    results: list[ExperimentResult], info: dict[str, CorpusInfo], arm: str, pipeline: Pipeline
+) -> list[LadderPoint]:
     points = []
-    for row in rows:
-        if row["pipeline"] != pipeline.value or row["avg_score"] is None:
-            continue
-        if row["arm"] not in (arm, "baseline"):
-            continue
-        meta = info[row["corpus"]]
-        baseline_size = meta.total_docs - meta.docs_added
-        points.append(
-            LadderPoint(
-                docs_added=meta.docs_added,
-                percent_increase=percent_increase(meta.total_docs, baseline_size),
-                avg_score=row["avg_score"],
-            )
-        )
+    for result in results:
+        meta = info[result.spec.corpus_name]
+        if result.spec.pipeline is pipeline and result.avg_score is not None and meta.arm in (arm, "baseline"):
+            points.append(LadderPoint(meta.docs_added, meta.pct_increase, result.avg_score))
     points.sort(key=lambda p: p.docs_added)
     return points
 
@@ -371,9 +358,9 @@ def _arm_ladder(rows: list[dict], info: dict[str, CorpusInfo], arm: str, pipelin
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def thresholds(summary_path, reference, ratio, out_dir) -> None:
     """Smallest corpus per pipeline reaching the reference-score threshold."""
-    rows, info = _load_summary(summary_path)
+    results, info = _load_summary(summary_path)
     reference_scores = {
-        Pipeline(r["pipeline"]): r["avg_score"] for r in rows if r["corpus"] == reference
+        r.spec.pipeline: r.avg_score for r in results if r.spec.corpus_name == reference
     }
     if not reference_scores:
         raise click.ClickException(f"no rows for reference corpus {reference!r}")
@@ -381,8 +368,8 @@ def thresholds(summary_path, reference, ratio, out_dir) -> None:
     unscored = [f"{reference}/{p.value}" for p in pipelines if reference_scores[p] is None]
     if unscored:
         raise click.ClickException("reference cells without a score: " + ", ".join(unscored))
-    directed = {p: _arm_ladder(rows, info, "directed", p) for p in pipelines}
-    nondirected = {p: _arm_ladder(rows, info, "nondirected", p) for p in pipelines}
+    directed = {p: _arm_ladder(results, info, "directed", p) for p in pipelines}
+    nondirected = {p: _arm_ladder(results, info, "nondirected", p) for p in pipelines}
     try:
         report = doc_reduction_report(directed, nondirected, reference_scores, ratio)
     except ValueError as exc:
@@ -397,18 +384,7 @@ def thresholds(summary_path, reference, ratio, out_dir) -> None:
 @click.option("--formats", default="csv,table,plot")
 def report(summary_path, out_dir, formats) -> None:
     """Emit score reports (CSV, aligned tables, plot series)."""
-    from .evaluation import ExperimentResult, ExperimentSpec
-
-    rows, info = _load_summary(summary_path)
-    results = [
-        ExperimentResult(
-            spec=ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"])),
-            avg_score=row["avg_score"],
-            per_query=(),
-            complete=row["complete"],
-        )
-        for row in rows
-    ]
+    results, info = _load_summary(summary_path)
     written = emit_report(results, info, out_dir, formats=tuple(formats.split(",")))
     click.echo("wrote " + ", ".join(str(p) for p in written))
 

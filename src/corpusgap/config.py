@@ -4,14 +4,14 @@ weights, 20 candidates, top 3, the standard budget ladder)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .gateway import Gateway, ProviderParams, load_templates
 from .providers import HttpEmbedder, HttpProvider, MockProvider
-from .retrieval import CachedEmbedder, Embedder, HashedBagEmbedder
+from .retrieval import DEFAULT_CANDIDATES, DEFAULT_TOP_K, CachedEmbedder, Embedder, HashedBagEmbedder
 
 DEFAULT_BUDGETS = (50, 162, 288, 500, 898, 1230, 1560, 2097, 2561, 2954)
 
@@ -35,8 +35,8 @@ class Config:
     exponent: float = 1.5
     coverage_weight: float = 0.5
     usefulness_weight: float = 0.5
-    candidates: int = 20
-    top_k: int = 3
+    candidates: int = DEFAULT_CANDIDATES
+    top_k: int = DEFAULT_TOP_K
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     ladder_seed: int = 7
     provider: ProviderConfig = field(default_factory=ProviderConfig)
@@ -44,39 +44,40 @@ class Config:
     prompts_dir: str | None = None
 
 
+# YAML section -> {YAML key: Config field}; "" is the top level. Each
+# ProviderConfig field is read under `provider:` by its own name.
+_YAML_FIELDS = {
+    "gap": {"smoothing": "smoothing", "exponent": "exponent"},
+    "weights": {"coverage": "coverage_weight", "usefulness": "usefulness_weight"},
+    "retrieval": {"candidates": "candidates", "top_k": "top_k"},
+    "ladder": {"budgets": "budgets", "seed": "ladder_seed"},
+    "": {"cache_dir": "cache_dir", "prompts_dir": "prompts_dir"},
+}
+# Field type -> coercion; str and optional fields keep the raw YAML value.
+_COERCE = {"float": float, "int": int, "tuple[int, ...]": lambda v: tuple(int(b) for b in v)}
+
+
+def _fields_from(cls, section: dict, keys: dict[str, str]) -> dict:
+    types = {f.name: f.type for f in fields(cls)}
+    return {
+        name: _COERCE.get(types[name], lambda v: v)(section[key])
+        for key, name in keys.items()
+        if key in section
+    }
+
+
 def load_config(path: str | Path | None = None) -> Config:
+    """Config from a YAML file; keys it leaves out keep the dataclass
+    defaults and unknown keys are ignored."""
     if path is None:
         return Config()
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    provider_raw = raw.get("provider", {})
-    provider = ProviderConfig(
-        kind=provider_raw.get("kind", "mock"),
-        seed=int(provider_raw.get("seed", 0)),
-        model=provider_raw.get("model", "mock"),
-        temperature=float(provider_raw.get("temperature", 0.0)),
-        max_output_tokens=int(provider_raw.get("max_output_tokens", 2048)),
-        endpoint=provider_raw.get("endpoint", ""),
-        api_key_env=provider_raw.get("api_key_env", "CORPUSGAP_API_KEY"),
-        embed_model=provider_raw.get("embed_model", ""),
-        embed_dim=int(provider_raw.get("embed_dim", 256)),
-    )
-    gap_raw = raw.get("gap", {})
-    weights_raw = raw.get("weights", {})
-    retrieval_raw = raw.get("retrieval", {})
-    ladder_raw = raw.get("ladder", {})
-    return Config(
-        smoothing=float(gap_raw.get("smoothing", 1.0)),
-        exponent=float(gap_raw.get("exponent", 1.5)),
-        coverage_weight=float(weights_raw.get("coverage", 0.5)),
-        usefulness_weight=float(weights_raw.get("usefulness", 0.5)),
-        candidates=int(retrieval_raw.get("candidates", 20)),
-        top_k=int(retrieval_raw.get("top_k", 3)),
-        budgets=tuple(int(b) for b in ladder_raw.get("budgets", DEFAULT_BUDGETS)),
-        ladder_seed=int(ladder_raw.get("seed", 7)),
-        provider=provider,
-        cache_dir=raw.get("cache_dir", ".corpusgap-cache"),
-        prompts_dir=raw.get("prompts_dir"),
-    )
+    values = {}
+    for section, keys in _YAML_FIELDS.items():
+        values.update(_fields_from(Config, raw.get(section, {}) if section else raw, keys))
+    provider_keys = {f.name: f.name for f in fields(ProviderConfig)}
+    provider = ProviderConfig(**_fields_from(ProviderConfig, raw.get("provider", {}), provider_keys))
+    return Config(provider=provider, **values)
 
 
 def apply_overrides(

@@ -46,20 +46,6 @@ class ScoredExternalDoc:
     avg_score: float
 
 
-@dataclass(frozen=True)
-class CorpusLadderSpec:
-    budgets: tuple[int, ...]
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.budgets:
-            raise ValueError("ladder needs at least one budget")
-        if any(b <= 0 for b in self.budgets):
-            raise ValueError("budgets must be positive")
-        if any(b >= a for b, a in zip(self.budgets, self.budgets[1:])):
-            raise ValueError("budgets must be strictly increasing")
-
-
 def allocate_quotas(
     gap_scores: Mapping[str, float],
     budget: int,

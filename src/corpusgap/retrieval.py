@@ -5,8 +5,9 @@ differ only in which index supplies the candidates, which text is
 embedded, and whether a judge ranks the candidates.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
-(`corpus.AppendLog`) keyed by the sha256 of the text; the HTTP embedding
-client lives in `providers`.
+(`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
+only copy of them on disk, and every index is rebuilt from it in-process
+on each run. The HTTP embedding client lives in `providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -41,10 +41,6 @@ class Pipeline(str, Enum):
     HIERARCHICAL = "hierarchical"
     RERANKING = "reranking"
     QUERY_TRANSFORMATION = "query_transformation"
-
-
-class IndexManifestError(ValueError):
-    """Persisted index does not match the expected provider or corpus."""
 
 
 class Embedder(Protocol):
@@ -106,16 +102,6 @@ class CachedEmbedder:
         return vec
 
 
-def corpus_fingerprint(corpus: Corpus) -> str:
-    hasher = hashlib.sha256()
-    for doc in sorted(corpus.documents, key=lambda d: d.id):
-        hasher.update(doc.id.encode("utf-8"))
-        hasher.update(b"\x1f")
-        hasher.update(doc.text.encode("utf-8"))
-        hasher.update(b"\x1e")
-    return hasher.hexdigest()
-
-
 @dataclass(frozen=True)
 class Candidate:
     doc_id: str
@@ -126,10 +112,10 @@ class SearchIndex:
     """Exact cosine index over unit vectors.
 
     Keys are doc ids (document level) or (doc id, section index) pairs
-    (chunk level) and must be unique.
+    (chunk level) and must be unique. `name` names the corpus in errors.
     """
 
-    def __init__(self, keys: Sequence, matrix: np.ndarray, embedder: Embedder, corpus_hash: str, kind: str):
+    def __init__(self, keys: Sequence, matrix: np.ndarray, embedder: Embedder, name: str, kind: str):
         if len(keys) == 0:
             raise ValueError("index must contain at least one entry")
         if len(set(keys)) != len(keys):
@@ -137,7 +123,7 @@ class SearchIndex:
         self.keys = list(keys)
         self.matrix = matrix
         self.embedder = embedder
-        self.corpus_hash = corpus_hash
+        self.name = name
         self.kind = kind
 
     def __len__(self) -> int:
@@ -171,7 +157,7 @@ def build_document_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:
         raise ValueError(f"corpus {corpus.name!r} is empty")
     keys = [doc.id for doc in corpus.documents]
     matrix = np.stack([embedder.embed(doc.text) for doc in corpus.documents])
-    return SearchIndex(keys, matrix, embedder, corpus_fingerprint(corpus), kind="document")
+    return SearchIndex(keys, matrix, embedder, corpus.name, kind="document")
 
 
 def build_chunk_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:
@@ -184,58 +170,7 @@ def build_chunk_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:
         for i in range(len(doc.sections)):
             keys.append((doc.id, i))
             vectors.append(embedder.embed(doc.section_text(i)))
-    return SearchIndex(keys, np.stack(vectors), embedder, corpus_fingerprint(corpus), kind="chunk")
-
-
-def save_index(index: SearchIndex, prefix: str | Path) -> tuple[Path, Path]:
-    entries_path = Path(f"{prefix}.entries.jsonl")
-    manifest_path = Path(f"{prefix}.manifest.json")
-    with open(entries_path, "w", encoding="utf-8") as fh:
-        for key, row in zip(index.keys, index.matrix):
-            key_json = list(key) if isinstance(key, tuple) else key
-            fh.write(json.dumps({"key": key_json, "vector": row.tolist()}, sort_keys=True))
-            fh.write("\n")
-    manifest = {
-        "provider_id": index.embedder.id,
-        "dim": index.embedder.dim,
-        "corpus_hash": index.corpus_hash,
-        "entry_count": len(index),
-        "kind": index.kind,
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return entries_path, manifest_path
-
-
-def load_index(
-    prefix: str | Path,
-    embedder: Embedder,
-    expected_corpus_hash: str | None = None,
-) -> SearchIndex:
-    manifest = json.loads(Path(f"{prefix}.manifest.json").read_text(encoding="utf-8"))
-    if manifest["provider_id"] != embedder.id:
-        raise IndexManifestError(
-            f"index built with provider {manifest['provider_id']!r}, not {embedder.id!r}"
-        )
-    if manifest["dim"] != embedder.dim:
-        raise IndexManifestError(f"index dim {manifest['dim']} != embedder dim {embedder.dim}")
-    if expected_corpus_hash is not None and manifest["corpus_hash"] != expected_corpus_hash:
-        raise IndexManifestError("index corpus hash does not match the given corpus")
-    keys = []
-    vectors = []
-    with open(Path(f"{prefix}.entries.jsonl"), encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            key = entry["key"]
-            keys.append(tuple(key) if isinstance(key, list) else key)
-            vectors.append(entry["vector"])
-    if len(keys) != manifest["entry_count"]:
-        raise IndexManifestError(
-            f"index has {len(keys)} entries, manifest says {manifest['entry_count']}"
-        )
-    matrix = np.asarray(vectors, dtype=np.float64)
-    return SearchIndex(keys, matrix, embedder, manifest["corpus_hash"], kind=manifest["kind"])
+    return SearchIndex(keys, np.stack(vectors), embedder, corpus.name, kind="chunk")
 
 
 # --- pipelines --------------------------------------------------------------
@@ -275,7 +210,9 @@ def merge_chunk_candidates(
     is doubled until enough parents are found or the index is exhausted.
     """
     if chunk_index.kind != "chunk":
-        raise ValueError("a chunk-level index is required here")
+        raise ValueError(
+            f"a chunk-level index is required here, not the {chunk_index.kind} index of {chunk_index.name!r}"
+        )
     k = k_candidates
     while True:
         hits = chunk_index.search(query_vec, k)
@@ -325,7 +262,9 @@ def retrieve(
         candidates = merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
     else:
         if index.kind != "document":
-            raise ValueError("a document-level index is required here")
+            raise ValueError(
+                f"a document-level index is required here, not the {index.kind} index of {index.name!r}"
+            )
         candidates = [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
     if pipeline is Pipeline.BASELINE:
         top = [RetrievedDoc(c.doc_id, None, c.similarity) for c in candidates]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -30,11 +32,24 @@ def invoke(runner, cache_dir, args, **kwargs):
 
 @pytest.mark.parametrize(
     "command",
-    ["ingest", "annotate", "gaps", "plan", "build-corpus", "generate", "index", "eval", "thresholds", "report"],
+    ["ingest", "annotate", "gaps", "plan", "build-corpus", "generate", "eval", "thresholds", "report"],
 )
 def test_subcommand_help(runner, command):
     result = runner.invoke(main, [command, "--help"])
     assert result.exit_code == 0
+
+
+def test_index_command_is_gone(runner):
+    result = runner.invoke(main, ["index", "--help"])
+    assert result.exit_code != 0
+    assert "No such command" in result.output
+
+
+def test_readme_cli_table_lists_every_subcommand():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE))
+    assert documented == set(main.commands)
 
 
 def test_ingest_error_is_clean(runner, tmp_path):
@@ -157,10 +172,6 @@ def test_full_pipeline(runner, tmp_path, world):
     assert len(generated) == 2 and generated[0]["source"] == "synthetic"
     assert all(not json.loads(line)["flagged"] for line in flags_path.read_text().splitlines())
 
-    invoke(runner, cache, ["index", "--corpus", str(baseline_path), "--out-prefix", str(work / "idx" / "baseline")])
-    assert (work / "idx" / "baseline.doc.manifest.json").exists()
-    assert (work / "idx" / "baseline.chunk.entries.jsonl").exists()
-
     manifest_path = work / "manifest.jsonl"
     write_records(
         manifest_path,
@@ -263,3 +274,42 @@ def test_eval_manifest_paths_resolve_against_manifest(runner, tmp_path, world, m
         ("baseline", len(world.baseline), True),
         ("reference", len(world.baseline) + len(world.pool), True),
     ]
+
+
+def _eval_inputs(tmp_path, world, entry):
+    """`eval` arguments for a one-corpus manifest holding entry, plus test
+    queries, all under tmp_path."""
+    write_corpus(world.baseline, tmp_path / "baseline.jsonl")
+    write_queries(world.test_queries[:2], tmp_path / "test.jsonl")
+    write_records(tmp_path / "manifest.jsonl", [entry])
+    return ["--cache-dir", str(tmp_path / "cache"), "eval", "--manifest", str(tmp_path / "manifest.jsonl"),
+            "--queries", str(tmp_path / "test.jsonl"), "--out", str(tmp_path / "results")]
+
+
+def _assert_clean_failure(result, *fragments):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+def test_eval_missing_corpus_file_is_clean(runner, tmp_path, world):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "missing.jsonl", "arm": "baseline", "docs_added": 0})
+    result = runner.invoke(main, args)
+    _assert_clean_failure(result, "missing.jsonl")
+
+
+@pytest.mark.parametrize("bad", ["manifest", "corpus", "queries"])
+def test_eval_ingest_error_is_clean(runner, tmp_path, world, bad):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
+    broken = tmp_path / {"manifest": "manifest.jsonl", "corpus": "baseline.jsonl", "queries": "test.jsonl"}[bad]
+    broken.write_text(broken.read_text() + "{not json\n")
+    result = runner.invoke(main, args)
+    _assert_clean_failure(result, broken.name, "malformed record")
+
+
+def test_eval_manifest_entry_missing_field_is_clean(runner, tmp_path, world):
+    args = _eval_inputs(tmp_path, world, {"path": "baseline.jsonl", "docs_added": 0})
+    result = runner.invoke(main, args)
+    _assert_clean_failure(result, "manifest.jsonl:1: manifest entry lacks name, arm")

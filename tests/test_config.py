@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ import pytest
 from corpusgap.config import (
     DEFAULT_BUDGETS,
     Config,
+    ProviderConfig,
     apply_overrides,
     load_config,
     make_embedder,
@@ -64,6 +66,62 @@ def test_yaml_values_loaded(tmp_path):
     assert config.cache_dir == "cachehere"
     assert provider_params(config).model == "test-model"
     assert provider_params(config).temperature == 0.4
+
+
+@pytest.mark.parametrize(
+    "yaml_text, field, value",
+    [
+        ("gap: {smoothing: 2}", "smoothing", 2.0),
+        ("gap: {exponent: 1.2}", "exponent", 1.2),
+        ("weights: {coverage: 1}", "coverage_weight", 1.0),
+        ("weights: {usefulness: 0.3}", "usefulness_weight", 0.3),
+        ("retrieval: {candidates: 10}", "candidates", 10),
+        ("retrieval: {top_k: 2}", "top_k", 2),
+        ("ladder: {budgets: [5, 10]}", "budgets", (5, 10)),
+        ("ladder: {seed: 99}", "ladder_seed", 99),
+        ("cache_dir: here", "cache_dir", "here"),
+        ("prompts_dir: prompts", "prompts_dir", "prompts"),
+    ],
+)
+def test_one_yaml_key_changes_one_field(tmp_path, yaml_text, field, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml_text + "\nunknown: {key: 1}\n")
+    config = load_config(path)
+    assert config == dataclasses.replace(Config(), **{field: value})
+    assert type(getattr(config, field)) is type(value)
+
+
+@pytest.mark.parametrize(
+    "key, raw, value",
+    [
+        ("kind", "http", "http"),
+        ("seed", 4, 4),
+        ("model", "m", "m"),
+        ("temperature", 1, 1.0),
+        ("max_output_tokens", 64, 64),
+        ("endpoint", "http://localhost:1", "http://localhost:1"),
+        ("api_key_env", "KEY", "KEY"),
+        ("embed_model", "e", "e"),
+        ("embed_dim", 32, 32),
+    ],
+)
+def test_one_provider_key_changes_one_field(tmp_path, key, raw, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(json.dumps({"provider": {key: raw, "unknown": 1}}))
+    config = load_config(path)
+    assert config == Config(provider=dataclasses.replace(ProviderConfig(), **{key: value}))
+    assert type(getattr(config.provider, key)) is type(value)
+
+
+def test_integer_temperature_keeps_the_cache_key(tmp_path):
+    keys = []
+    for temperature in ("0", "0.0"):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"provider:\n  temperature: {temperature}\n")
+        params = provider_params(load_config(path))
+        keys.append(CompletionRequest("rewrite_query", {"query": "q"}, params).cache_key("mock-0", "sha"))
+    assert keys[0] == keys[1]
+    assert keys[0] == CompletionRequest("rewrite_query", {"query": "q"}).cache_key("mock-0", "sha")
 
 
 def test_overrides_win():

@@ -8,7 +8,6 @@ from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 from corpusgap.gateway import Gateway, make_mock_judge, mock_judge
 from corpusgap.planner import (
     ArticleMetadata,
-    CorpusLadderSpec,
     QuotaPlan,
     ScoredExternalDoc,
     allocate_quotas,
@@ -259,16 +258,6 @@ class TestLadderContract:
             assert len(d_corpus) == len(nd_corpus) == len(world.baseline) + budget
             assert baseline_ids <= {d.id for d in d_corpus.documents}
             assert baseline_ids <= {d.id for d in nd_corpus.documents}
-
-
-class TestLadderSpec:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            CorpusLadderSpec(budgets=(50, 50), seed=0)
-
-    def test_valid_spec(self):
-        spec = CorpusLadderSpec(budgets=(50, 162, 288), seed=7)
-        assert spec.budgets == (50, 162, 288)
 
 
 class TestParseArticle:
