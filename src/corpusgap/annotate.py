@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Taxonomy, write_records, read_records
-from .gateway import CompletionRequest, Gateway, ProviderParams
+from .gateway import CompletionRequest, Gateway, ProviderError, ProviderParams
 
 SUM_TOLERANCE = 0.01
 MAX_SUBTOPICS = 3
@@ -72,19 +71,23 @@ def parse_labeling(raw: str, taxonomy: Taxonomy) -> WeightedLabeling:
     return WeightedLabeling(weights=weights, primary=primary_of(weights, taxonomy))
 
 
+def _request(text: str, taxonomy: Taxonomy, params: ProviderParams | None) -> CompletionRequest:
+    if not text.strip():
+        raise ValueError("cannot label empty text")
+    return CompletionRequest(
+        template="classify_subtopics",
+        bindings={"subtopics": "\n".join(taxonomy.subtopic_ids), "text": text},
+        params=params or ProviderParams(),
+    )
+
+
 def label(
     text: str,
     taxonomy: Taxonomy,
     gateway: Gateway,
     params: ProviderParams | None = None,
 ) -> WeightedLabeling:
-    if not text.strip():
-        raise ValueError("cannot label empty text")
-    request = CompletionRequest(
-        template="classify_subtopics",
-        bindings={"subtopics": "\n".join(taxonomy.subtopic_ids), "text": text},
-        params=params or ProviderParams(),
-    )
+    request = _request(text, taxonomy, params)
     return gateway.complete_parsed(request, lambda raw: parse_labeling(raw, taxonomy))
 
 
@@ -94,36 +97,38 @@ def label_batch(
     gateway: Gateway,
     params: ProviderParams | None = None,
 ) -> tuple[dict[str, WeightedLabeling], list[tuple[str, str]]]:
-    """Label (id, text) pairs; partial success allowed.
+    """Label (id, text) pairs in one `Gateway.complete_many` batch;
+    partial success allowed.
 
-    Returns successes keyed by id plus a failure list of (id, reason).
-    Successes are served from the gateway cache on re-runs, so only
-    previously failed items reach the provider again.
+    Returns successes keyed by id plus a failure list of (id, reason): an
+    empty text, an unusable reply, or a provider that failed after its
+    retries. Successes are served from the gateway cache on re-runs, so
+    only previously failed items reach the provider again.
     """
     ids = [item_id for item_id, _ in items]
     if len(set(ids)) != len(ids):
         raise ValueError("item ids must be unique")
-
-    def one(item: tuple[str, str]):
-        item_id, text = item
+    outcomes: dict[str, object] = {}
+    todo: list[tuple[str, CompletionRequest]] = []
+    for item_id, text in items:
         try:
-            return item_id, label(text, taxonomy, gateway, params), None
-        except (LabelingError, ValueError) as exc:
-            return item_id, None, str(exc)
-
-    if gateway.max_inflight > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=gateway.max_inflight) as pool:
-            outcomes = list(pool.map(one, items))
-    else:
-        outcomes = [one(item) for item in items]
-
+            todo.append((item_id, _request(text, taxonomy, params)))
+        except ValueError as exc:
+            outcomes[item_id] = exc
+    replies = gateway.complete_many(
+        [request for _, request in todo], lambda raw: parse_labeling(raw, taxonomy)
+    )
+    outcomes.update((item_id, reply) for (item_id, _), reply in zip(todo, replies))
     labelings: dict[str, WeightedLabeling] = {}
     failures: list[tuple[str, str]] = []
-    for item_id, labeling, error in outcomes:
-        if labeling is not None:
-            labelings[item_id] = labeling
+    for item_id in ids:
+        outcome = outcomes[item_id]
+        if isinstance(outcome, (ValueError, ProviderError)):
+            failures.append((item_id, str(outcome)))
+        elif isinstance(outcome, Exception):
+            raise outcome
         else:
-            failures.append((item_id, error))
+            labelings[item_id] = outcome
     return labelings, failures
 
 

@@ -70,6 +70,13 @@ def _cfg(ctx: click.Context) -> config_mod.Config:
     return ctx.obj
 
 
+def _gateway(ctx: click.Context):
+    """The configured gateway; its cache file is closed with the command."""
+    gateway = config_mod.make_gateway(_cfg(ctx))
+    ctx.call_on_close(gateway.close)
+    return gateway
+
+
 @main.command()
 @click.argument("kind", type=click.Choice(["documents", "queries"]))
 @click.argument("input_path", type=click.Path(exists=True))
@@ -105,7 +112,7 @@ def annotate(ctx, kind, input_path, output, taxonomy_path, labelings_path, relab
     """Assign taxonomy subtopics to records via the classification prompt."""
     cfg = _cfg(ctx)
     taxonomy = load_taxonomy(taxonomy_path)
-    gateway = config_mod.make_gateway(cfg)
+    gateway = _gateway(ctx)
     params = config_mod.provider_params(cfg)
     records = [record for _, record in read_records(input_path)]
     todo = []
@@ -148,7 +155,7 @@ def gaps(ctx, corpus_path, queries_path, taxonomy_path, output, coverage_only) -
     queries = ingest_queries(queries_path, Split.TRAIN, taxonomy)
     judge = None
     if not coverage_only:
-        gateway = config_mod.make_gateway(cfg)
+        gateway = _gateway(ctx)
         judge = make_gateway_judge(gateway, config_mod.provider_params(cfg))
     params = GapParams(total_docs=len(corpus), smoothing=cfg.smoothing, exponent=cfg.exponent)
     weights = GapWeights(coverage=cfg.coverage_weight, usefulness=cfg.usefulness_weight)
@@ -197,7 +204,7 @@ def build_corpus(ctx, arm, baseline_path, pool_path, plan_path, queries_path, si
             raise click.ClickException("directed builds need --plan and --queries")
         quota_plan = read_plan(plan_path)
         queries = ingest_queries(queries_path, Split.TRAIN)
-        gateway = config_mod.make_gateway(cfg)
+        gateway = _gateway(ctx)
         judge = make_gateway_judge(gateway, config_mod.provider_params(cfg))
         scored, skipped = score_external_pool(pool.documents, queries, judge)
         if skipped:
@@ -221,7 +228,7 @@ def build_corpus(ctx, arm, baseline_path, pool_path, plan_path, queries_path, si
 def generate(ctx, metadata_path, output, flags_path) -> None:
     """Generate synthetic articles from metadata records."""
     cfg = _cfg(ctx)
-    gateway = config_mod.make_gateway(cfg)
+    gateway = _gateway(ctx)
     params = config_mod.provider_params(cfg)
     docs = []
     flags = []
@@ -252,34 +259,44 @@ def generate(ctx, metadata_path, output, flags_path) -> None:
     click.echo(f"generated {len(docs)} articles ({flagged} length-flagged) -> {output}")
 
 
+def _parse_pipelines(ctx: click.Context, param: click.Parameter, value: str) -> list[Pipeline]:
+    """'all' or comma-separated pipeline names, checked as `click.Choice`
+    would check one name, before the command reads any input."""
+    if value == "all":
+        return list(Pipeline)
+    names = [name.strip() for name in value.split(",")]
+    unknown = [name for name in names if name not in {p.value for p in Pipeline}]
+    if unknown:
+        choices = ", ".join(["all"] + [p.value for p in Pipeline])
+        raise click.BadParameter(f"unknown pipeline(s) {', '.join(map(repr, unknown))}; choose from {choices}")
+    return [Pipeline(name) for name in names]
+
+
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True), help="JSONL of {name, path, arm, docs_added}.")
 @click.option("--queries", "queries_path", required=True, type=click.Path(exists=True), help="Held-out test queries.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--pipelines", default="all", help="Comma-separated pipeline names or 'all'.")
+@click.option("--pipelines", default="all", callback=_parse_pipelines, help="Comma-separated pipeline names or 'all'.")
 @click.pass_context
 def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
     """Run the (corpus x pipeline) experiment grid over test queries."""
     cfg = _cfg(ctx)
-    gateway = config_mod.make_gateway(cfg)
+    gateway = _gateway(ctx)
     params = config_mod.provider_params(cfg)
     judge = make_gateway_judge(gateway, params)
     rewriter = make_gateway_rewriter(gateway, params)
     embedder = config_mod.make_embedder(cfg)
+    ctx.call_on_close(embedder.close)
     try:
         queries = ingest_queries(queries_path, Split.TEST)
         corpora, info = _load_manifest(manifest_path)
     except (IngestError, OSError) as exc:
         raise click.ClickException(str(exc))
-    if pipelines == "all":
-        chosen = list(Pipeline)
-    else:
-        chosen = [Pipeline(p.strip()) for p in pipelines.split(",")]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = run_grid(
         corpora,
-        chosen,
+        pipelines,
         queries,
         embedder,
         judge,

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -210,15 +211,8 @@ def write_records(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def append_record(path: str | Path, record: dict) -> None:
-    """Append one record to an append-only log with a single write, so a
-    crash can tear at most the last line."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def read_append_log(path: str | Path) -> Iterator[dict]:
-    """Yield the records of an append-only log written by `append_record`.
+    """Yield the records of an append-only log written by `AppendLog.put`.
 
     A last line that is malformed or lacks its newline is a write cut
     short by a crash: it is dropped with a warning and cut from the file,
@@ -252,15 +246,20 @@ class AppendLog:
 
     On load, `decode` turns each record of the file into a (key, value)
     pair, or None to skip it; a torn last record is handled by
-    `read_append_log`. `put` stores a value once and appends its record
-    with a single write, under a lock, so concurrent callers never
-    interleave lines. `get` is the map's own `dict.get`.
+    `read_append_log`. `put` stores a value once and appends its record as
+    one line, under a lock, through a file handle that stays open and is
+    flushed after every record: concurrent callers never interleave lines,
+    readers see each record as soon as `put` returns, and a crash can tear
+    at most the last line. `close` closes the handle (a later `put` opens
+    it again); a store dropped unclosed has it closed by a finalizer. `get`
+    is the map's own `dict.get`.
     """
 
     def __init__(self, path: str | Path | None, decode: Callable[[dict], tuple | None]):
         self.path = Path(path) if path is not None else None
         self._entries: dict = {}
         self._lock = threading.Lock()
+        self._fh = None
         if self.path is not None and self.path.exists():
             for record in read_append_log(self.path):
                 item = decode(record)
@@ -278,7 +277,17 @@ class AppendLog:
                 return
             self._entries[key] = value
             if self.path is not None:
-                append_record(self.path, record)
+                if self._fh is None:
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                    self._closer = weakref.finalize(self, self._fh.close)
+                self._fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+                self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._closer()
+                self._fh = None
 
 
 def _sections_from_record(record: dict, where: str) -> tuple[Section, ...]:

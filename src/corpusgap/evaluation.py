@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Query, Split, percent_increase
-from .gateway import JudgeFn, RewriteFn
+from .gateway import JudgeFn, RewriteFn, judge_many
 from .retrieval import (
     DEFAULT_CANDIDATES,
     DEFAULT_TOP_K,
@@ -28,7 +28,8 @@ from .retrieval import (
     SearchIndex,
     build_chunk_index,
     build_document_index,
-    retrieve,
+    find_candidates,
+    rank,
 )
 
 THRESHOLD_RULE = "score ratio to reference, rounded half-up to 3 decimals, must reach the target"
@@ -93,31 +94,47 @@ def run_experiment(
     """Run one (corpus, pipeline) cell over the held-out test queries.
 
     The aggregate is the mean judge score over all queries and their top
-    retrieved documents. Judge scores already attached by a judged
-    pipeline are reused; baseline results are judged here. On a pipeline
-    error the partial result is persisted, marked incomplete, and raised.
+    retrieved documents. Every query's candidates are found first; then
+    the (query, document) pairs the cell needs are judged in one
+    `judge_many` batch (for baseline, its top-k after the fact; the
+    gateway sends a repeated pair once), and each query is ranked from
+    those scores. A rewrite or judge failure surfaces at the query it
+    belongs to: the earlier queries are persisted as a partial result,
+    marked incomplete, and the error is raised.
     """
     bad = [q.id for q in test_queries if q.split is not Split.TEST]
     if bad:
         raise ValueError(f"non-test queries in evaluation set: {bad[:5]}")
     outcomes: list[QueryOutcome] = []
     try:
-        hierarchical = spec.pipeline is Pipeline.HIERARCHICAL
-        index = resources.chunk_index if hierarchical else resources.doc_index
+        baseline = spec.pipeline is Pipeline.BASELINE
+        index = resources.chunk_index if spec.pipeline is Pipeline.HIERARCHICAL else resources.doc_index
+        found = []
+        error: Exception | None = None
         for query in test_queries:
-            result = retrieve(
-                spec.pipeline, query, index, resources.corpus, judge, rewriter, k_candidates, top_k
-            )
-            doc_scores = tuple(
-                (
-                    d.doc_id,
-                    d.judge_score
-                    if d.judge_score is not None
-                    else judge(query.text, resources.corpus.document(d.doc_id)),
+            try:
+                rewritten, candidates = find_candidates(
+                    spec.pipeline, query, index, resources.corpus, rewriter, k_candidates, top_k
                 )
-                for d in result.top_docs
-            )
+            except Exception as exc:
+                error = exc
+                break
+            found.append((query, rewritten, candidates, candidates[:top_k] if baseline else candidates))
+        replies = iter(judge_many(judge, [
+            (query.text, resources.corpus.document(c.doc_id))
+            for query, _, _, judged in found
+            for c in judged
+        ]))
+        for query, rewritten, candidates, judged in found:
+            scores = {c.doc_id: next(replies) for c in judged}
+            failure = next((s for s in scores.values() if isinstance(s, Exception)), None)
+            if failure is not None:
+                raise failure
+            result = rank(spec.pipeline, query, candidates, scores.__getitem__, rewritten, top_k)
+            doc_scores = tuple((d.doc_id, scores[d.doc_id]) for d in result.top_docs)
             outcomes.append(QueryOutcome(query_id=query.id, doc_scores=doc_scores))
+        if error is not None:
+            raise error
     except Exception as exc:
         partial = ExperimentResult(
             spec=spec, avg_score=None, per_query=tuple(outcomes), complete=False

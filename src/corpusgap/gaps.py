@@ -15,6 +15,7 @@ components are commensurate.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -24,6 +25,8 @@ from typing import Mapping, Sequence
 from . import planner
 from .corpus import Corpus, Document, Query, Taxonomy, read_records, write_records
 from .gateway import JudgeFn
+
+log = logging.getLogger(__name__)
 
 TOP_DOCS_PER_QUERY = 3
 
@@ -150,8 +153,12 @@ def score_query_against_subtopic_docs(
     """
     if not docs:
         raise ValueError(f"no documents to score for query {query.id!r}")
-    scores = sorted((judge(query.text, doc) for doc in docs), reverse=True)
-    top = scores[: min(TOP_DOCS_PER_QUERY, len(scores))]
+    return top_mean([judge(query.text, doc) for doc in docs])
+
+
+def top_mean(scores: Sequence[float]) -> float:
+    """Mean of the best min(3, n) of a non-empty list of scores."""
+    top = sorted(scores, reverse=True)[:TOP_DOCS_PER_QUERY]
     return fsum(top) / len(top)
 
 
@@ -194,22 +201,26 @@ def usefulness_inputs(
 ) -> dict[str, list[float]]:
     """Per-subtopic lists of per-query usefulness values.
 
-    Pairs are judged only within matching subtopic; subtopics with no
-    documents or no queries produce no entry.
+    Pairs are judged only within matching subtopic, one batch per
+    subtopic (`planner.judge_pairs`); subtopics with no documents or no
+    queries produce no entry. A pair whose judge call fails is logged and
+    left out, so a query with no judged document contributes no value.
     """
     docs_by_subtopic: dict[str, list[Document]] = {}
     for doc in corpus.documents:
         if doc.subtopic is not None:
             docs_by_subtopic.setdefault(doc.subtopic, []).append(doc)
-    per_query: dict[str, list[float]] = {}
+    queries_by_subtopic: dict[str, list[Query]] = {}
     for query in sorted(queries, key=lambda q: q.id):
-        if query.subtopic is None:
-            continue
-        docs = docs_by_subtopic.get(query.subtopic)
-        if not docs:
-            continue
-        value = score_query_against_subtopic_docs(query, docs, judge)
-        per_query.setdefault(query.subtopic, []).append(value)
+        if query.subtopic in docs_by_subtopic:
+            queries_by_subtopic.setdefault(query.subtopic, []).append(query)
+    per_query: dict[str, list[float]] = {}
+    for subtopic, subtopic_queries in queries_by_subtopic.items():
+        rows = planner.judge_pairs(judge, subtopic_queries, docs_by_subtopic[subtopic], log)
+        for row in rows:
+            scores = [score for score in row if score is not None]
+            if scores:
+                per_query.setdefault(subtopic, []).append(top_mean(scores))
     return per_query
 
 

@@ -9,8 +9,20 @@ provider params), so identical requests never hit the provider twice and a
 reply is never served under another provider or an edited template. In
 front of that cache each gateway keeps an in-process memo of parsed
 results, so a repeated call costs one tuple hash instead of a render, a
-JSON encode and a sha256. `mock_score` is the one deterministic stand-in
-judge; the mock provider and `mock_judge` both call it.
+JSON encode and a sha256.
+
+`Gateway.complete_many` is the batch form. It answers memo and cache hits
+in the calling thread, sends each distinct miss once (duplicates share one
+provider request), and returns every request's result or exception in
+place. Misses go out on up to `max_inflight` worker threads that drain one
+shared list, unless the provider declares `in_process = True` (it computes
+its reply in this process, like `MockProvider`, so threads would only
+contend for the GIL); then they run in order on the calling thread. The
+gateway judge has a batch form `judge.many`, and `judge_many` uses it
+whenever a judge has one.
+
+`mock_score` is the one deterministic stand-in judge; the mock provider
+and `mock_judge` both call it.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, TypeVar
+from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .corpus import AppendLog, Document
 
@@ -120,6 +132,10 @@ class CompletionRequest:
 
 
 class Provider(Protocol):
+    """A text model. One that computes replies in this process, with no
+    I/O to wait on, sets the class attribute `in_process = True`, so the
+    gateway never spreads its requests over threads."""
+
     id: str
 
     def generate(self, request: CompletionRequest, prompt: str) -> str: ...
@@ -183,6 +199,10 @@ class Gateway:
             f"provider {self.provider.id!r} failed after {self.retries} attempts: {last_error}"
         )
 
+    def close(self) -> None:
+        """Close the completion cache's file; a later miss reopens it."""
+        self.cache.close()
+
     def complete_parsed(self, request: CompletionRequest, parser: Callable[[str], T]) -> T:
         """Complete and parse; only responses that parse are cached.
 
@@ -195,6 +215,76 @@ class Gateway:
         cache hit skips the render too: its key already pins the template
         body and the bindings.
         """
+        template, memo_key, key, hit = self._resolve(request, parser)
+        if hit is not _MISSING:
+            return hit
+        return self._fetch(request, template, memo_key, key, parser)
+
+    def complete_many(
+        self, requests: Sequence[CompletionRequest], parser: Callable[[str], T]
+    ) -> list[T | Exception]:
+        """`complete_parsed` for a batch; each result or exception in place.
+
+        Memo and cache hits are answered in the calling thread. The misses
+        are deduplicated by memo key, so a request repeated in the batch
+        reaches the provider once. They are sent through the same path as
+        `complete_parsed` (retries, cache append, memo): in order on the
+        calling thread for an `in_process` provider or a one-wide gateway,
+        otherwise on up to `max_inflight` threads draining one shared list.
+        Nothing is raised; a failed request's exception is its result.
+        """
+        results: list = [None] * len(requests)
+        waiting: dict[tuple, list[int]] = {}
+        misses: list[tuple] = []
+        for i, request in enumerate(requests):
+            try:
+                template, memo_key, key, hit = self._resolve(request, parser)
+            except Exception as exc:
+                results[i] = exc
+                continue
+            if hit is not _MISSING:
+                results[i] = hit
+            elif memo_key in waiting:
+                waiting[memo_key].append(i)
+            else:
+                waiting[memo_key] = [i]
+                misses.append((request, template, memo_key, key))
+
+        def send(miss: tuple) -> None:
+            try:
+                outcome = self._fetch(*miss, parser)
+            except Exception as exc:
+                outcome = exc
+            for i in waiting[miss[2]]:
+                results[i] = outcome
+
+        workers = min(self.max_inflight, len(misses))
+        if workers <= 1 or getattr(self.provider, "in_process", False):
+            for miss in misses:
+                send(miss)
+            return results
+        pending = iter(misses)
+        lock = threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with lock:
+                    miss = next(pending, None)
+                if miss is None:
+                    return
+                send(miss)
+
+        threads = [threading.Thread(target=drain, name=f"gateway-{n}") for n in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return results
+
+    def _resolve(self, request: CompletionRequest, parser: Callable[[str], T]) -> tuple:
+        """(template, memo key, cache key, parsed hit or _MISSING). A memo
+        hit computes no cache key (None); a cache hit is parsed and
+        memoised."""
         template = self.template(request.template)
         memo_key = (
             self.provider.id,
@@ -206,16 +296,26 @@ class Gateway:
         )
         hit = self._parsed.get(memo_key, _MISSING)
         if hit is not _MISSING:
-            return hit
+            return template, memo_key, None, hit
         key = request.cache_key(self.provider.id, template.body_sha)
         cached = self.cache.get(key)
         if cached is not None:
-            parsed = parser(cached)
-        else:
-            response = self._call_provider(request, template.render(request.bindings))
-            parsed = parser(response)
-            record = {"key": key, "template": request.template, "response": response}
-            self.cache.put(key, response, record)
+            hit = self._parsed[memo_key] = parser(cached)
+        return template, memo_key, key, hit
+
+    def _fetch(
+        self,
+        request: CompletionRequest,
+        template: PromptTemplate,
+        memo_key: tuple,
+        key: str,
+        parser: Callable[[str], T],
+    ) -> T:
+        """A miss: call the provider, parse, then cache and memoise."""
+        response = self._call_provider(request, template.render(request.bindings))
+        parsed = parser(response)
+        record = {"key": key, "template": request.template, "response": response}
+        self.cache.put(key, response, record)
         self._parsed[memo_key] = parsed
         return parsed
 
@@ -294,6 +394,24 @@ def mock_judge(query_text: str, doc: Document, seed: int) -> int:
 JudgeFn = Callable[[str, Document], int]
 
 
+def judge_many(judge: JudgeFn, pairs: Sequence[tuple[str, Document]]) -> list[int | Exception]:
+    """Scores of (query text, document) pairs, each failure in place.
+
+    Uses the judge's batch form `judge.many` when it has one (the gateway
+    judge does); any other judge is called pair by pair, in order.
+    """
+    many = getattr(judge, "many", None)
+    if many is not None:
+        return many(pairs)
+    outcomes: list[int | Exception] = []
+    for query_text, doc in pairs:
+        try:
+            outcomes.append(judge(query_text, doc))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def make_mock_judge(seed: int) -> JudgeFn:
     def judge(query_text: str, doc: Document) -> int:
         return mock_judge(query_text, doc, seed)
@@ -305,18 +423,25 @@ def make_gateway_judge(gateway: Gateway, params: ProviderParams | None = None) -
     """Judge that applies the usefulness rubric through the gateway.
 
     Cached by (query text, document text) via the gateway cache, so
-    re-judging a pair is free.
+    re-judging a pair is free. `judge.many(pairs)` judges a batch through
+    `Gateway.complete_many`.
     """
     params = params or ProviderParams()
 
-    def judge(query_text: str, doc: Document) -> int:
-        request = CompletionRequest(
+    def request(query_text: str, doc: Document) -> CompletionRequest:
+        return CompletionRequest(
             template="usefulness_rubric",
             bindings={"user_query": query_text, "retrieved_document": doc.text},
             params=params,
         )
-        return gateway.complete_parsed(request, parse_judge_score)
 
+    def judge(query_text: str, doc: Document) -> int:
+        return gateway.complete_parsed(request(query_text, doc), parse_judge_score)
+
+    def many(pairs: Sequence[tuple[str, Document]]) -> list[int | Exception]:
+        return gateway.complete_many([request(q, d) for q, d in pairs], parse_judge_score)
+
+    judge.many = many
     return judge
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Document, Query, Section, Source, read_records, write_records
-from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams
+from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams, judge_many
 
 log = logging.getLogger(__name__)
 
@@ -116,6 +116,29 @@ def read_plan(path: str | Path) -> QuotaPlan:
     return QuotaPlan(budget=sum(allocations.values()), allocations=allocations)
 
 
+def judge_pairs(
+    judge: JudgeFn,
+    queries: Sequence[Query],
+    docs: Sequence[Document],
+    logger: logging.Logger = log,
+) -> list[list[int | None]]:
+    """Scores of every (query, doc) pair, one row per query and one column
+    per doc, judged in one `judge_many` batch. A pair whose judge call
+    fails is logged on `logger` and scores None."""
+    outcomes = iter(judge_many(judge, [(query.text, doc) for query in queries for doc in docs]))
+    rows = []
+    for query in queries:
+        row: list[int | None] = []
+        for doc in docs:
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                logger.warning("judge failed for query %s doc %s: %s", query.id, doc.id, outcome)
+                outcome = None
+            row.append(outcome)
+        rows.append(row)
+    return rows
+
+
 def score_external_pool(
     pool: Sequence[Document],
     train_queries: Sequence[Query],
@@ -124,25 +147,28 @@ def score_external_pool(
     """Score each pool document against the training queries of its subtopic.
 
     Returns (scored docs, ids skipped because their subtopic has no
-    training queries or no label). Per-pair judge failures are logged and
-    excluded from the mean.
+    training queries or no label). Each subtopic's pairs are judged in one
+    batch (`judge_pairs`), which bounds the memory a batch holds. Per-pair
+    judge failures are logged and excluded from the mean; a document with
+    no judged pair is skipped.
     """
     queries_by_subtopic: dict[str, list[Query]] = {}
     for query in sorted(train_queries, key=lambda q: q.id):
         if query.subtopic is not None:
             queries_by_subtopic.setdefault(query.subtopic, []).append(query)
+    docs_by_subtopic: dict[str, list[Document]] = {}
+    for doc in sorted(pool, key=lambda d: d.id):
+        if doc.subtopic in queries_by_subtopic:
+            docs_by_subtopic.setdefault(doc.subtopic, []).append(doc)
+    scores_by_doc: dict[str, list[int]] = {}
+    for subtopic, docs in docs_by_subtopic.items():
+        rows = judge_pairs(judge, queries_by_subtopic[subtopic], docs)
+        for j, doc in enumerate(docs):
+            scores_by_doc[doc.id] = [row[j] for row in rows if row[j] is not None]
     scored: list[ScoredExternalDoc] = []
     skipped: list[str] = []
     for doc in sorted(pool, key=lambda d: d.id):
-        if doc.subtopic is None or doc.subtopic not in queries_by_subtopic:
-            skipped.append(doc.id)
-            continue
-        scores: list[int] = []
-        for query in queries_by_subtopic[doc.subtopic]:
-            try:
-                scores.append(judge(query.text, doc))
-            except Exception as exc:
-                log.warning("judge failed for query %s doc %s: %s", query.id, doc.id, exc)
+        scores = scores_by_doc.get(doc.id)
         if not scores:
             skipped.append(doc.id)
             continue

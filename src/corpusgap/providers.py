@@ -39,7 +39,11 @@ _FILLER_WORDS = (
 
 
 class MockProvider:
-    """Seeded offline provider for tests and dry runs."""
+    """Seeded offline provider for tests and dry runs. Its replies are
+    computed in this process, so the gateway sends its misses in order on
+    the calling thread instead of spreading them over threads."""
+
+    in_process = True
 
     def __init__(self, seed: int = 0):
         self.seed = seed

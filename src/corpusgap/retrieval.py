@@ -2,7 +2,9 @@
 
 One function, `retrieve(pipeline, ...)`, runs all four pipelines; they
 differ only in which index supplies the candidates, which text is
-embedded, and whether a judge ranks the candidates.
+embedded, and whether a judge ranks the candidates. Its two halves,
+`find_candidates` and `rank`, are public so that the grid can find every
+query's candidates first and judge them all in one batch.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
 (`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
@@ -25,7 +27,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -86,6 +88,10 @@ class CachedEmbedder:
         self.id = inner.id
         self.dim = inner.dim
         self._store = AppendLog(cache_path, self._decode)
+
+    def close(self) -> None:
+        """Close the vector cache's file; a later miss reopens it."""
+        self._store.close()
 
     def _decode(self, record: dict) -> tuple[str, np.ndarray] | None:
         if record["provider"] != self.id:
@@ -228,6 +234,52 @@ def merge_chunk_candidates(
     return candidates
 
 
+def find_candidates(
+    pipeline: Pipeline,
+    query: Query,
+    index: SearchIndex,
+    corpus: Corpus | None = None,
+    rewriter: RewriteFn | None = None,
+    k_candidates: int = DEFAULT_CANDIDATES,
+    top_k: int = DEFAULT_TOP_K,
+) -> tuple[str | None, list[Candidate]]:
+    """The first half of `retrieve`: (rewritten query or None, candidates
+    in similarity order). Nothing is judged yet."""
+    rewritten = None
+    if pipeline is Pipeline.QUERY_TRANSFORMATION:
+        if rewriter is None:
+            raise ValueError("query_transformation needs a rewriter")
+        rewritten = rewriter(query.text)
+    query_vec = index.embedder.embed(query.text if rewritten is None else rewritten)
+    if pipeline is Pipeline.HIERARCHICAL:
+        min_docs = min(top_k, len(corpus))
+        return rewritten, merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
+    if index.kind != "document":
+        raise ValueError(
+            f"a document-level index is required here, not the {index.kind} index of {index.name!r}"
+        )
+    return rewritten, [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
+
+
+def rank(
+    pipeline: Pipeline,
+    query: Query,
+    candidates: Sequence[Candidate],
+    score: Callable[[str], int],
+    rewritten: str | None = None,
+    top_k: int = DEFAULT_TOP_K,
+) -> RetrievalResult:
+    """The second half of `retrieve`: baseline keeps the similarity order
+    and judges nothing; the judged pipelines take `score(doc_id)` for
+    every candidate and sort by (-score, -similarity, doc id)."""
+    if pipeline is Pipeline.BASELINE:
+        top = [RetrievedDoc(c.doc_id, None, c.similarity) for c in candidates]
+    else:
+        top = [RetrievedDoc(c.doc_id, score(c.doc_id), c.similarity) for c in candidates]
+        top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
+    return RetrievalResult(query.id, pipeline, tuple(top[:top_k]), rewritten)
+
+
 def retrieve(
     pipeline: Pipeline,
     query: Query,
@@ -251,30 +303,17 @@ def retrieve(
     against the original query text. Rewriter failures surface; silently
     falling back to the raw query would hide a broken pipeline stage.
     """
-    rewritten = None
-    if pipeline is Pipeline.QUERY_TRANSFORMATION:
-        if rewriter is None:
-            raise ValueError("query_transformation needs a rewriter")
-        rewritten = rewriter(query.text)
-    query_vec = index.embedder.embed(query.text if rewritten is None else rewritten)
-    if pipeline is Pipeline.HIERARCHICAL:
-        min_docs = min(top_k, len(corpus))
-        candidates = merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
-    else:
-        if index.kind != "document":
-            raise ValueError(
-                f"a document-level index is required here, not the {index.kind} index of {index.name!r}"
-            )
-        candidates = [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
-    if pipeline is Pipeline.BASELINE:
-        top = [RetrievedDoc(c.doc_id, None, c.similarity) for c in candidates]
-    else:
-        top = [
-            RetrievedDoc(c.doc_id, judge(query.text, corpus.document(c.doc_id)), c.similarity)
-            for c in candidates
-        ]
-        top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
-    return RetrievalResult(query.id, pipeline, tuple(top[:top_k]), rewritten)
+    rewritten, candidates = find_candidates(
+        pipeline, query, index, corpus, rewriter, k_candidates, top_k
+    )
+    return rank(
+        pipeline,
+        query,
+        candidates,
+        lambda doc_id: judge(query.text, corpus.document(doc_id)),
+        rewritten,
+        top_k,
+    )
 
 
 retrieve_baseline = functools.partial(retrieve, Pipeline.BASELINE)

@@ -16,7 +16,7 @@ from corpusgap.annotate import (
     write_labelings,
 )
 from corpusgap.corpus import MainTopic, Taxonomy
-from corpusgap.gateway import Gateway
+from corpusgap.gateway import Gateway, ProviderError
 from corpusgap.providers import MockProvider
 
 
@@ -122,6 +122,21 @@ class SometimesGarbageProvider:
         return self.inner.generate(request, prompt)
 
 
+class FailsOnMarkerProvider:
+    """Raises ProviderError on every request whose text holds the marker;
+    not `in_process`, so the gateway sends a batch's misses on threads."""
+
+    def __init__(self, marker: str = "DOOMED"):
+        self.inner = MockProvider(seed=0)
+        self.id = "fails-on-marker"
+        self.marker = marker
+
+    def generate(self, request, prompt):
+        if self.marker in request.bindings.get("text", ""):
+            raise ProviderError("endpoint unavailable")
+        return self.inner.generate(request, prompt)
+
+
 class TestLabelViaGateway:
     def test_mock_label_matches_vocabulary(self, taxonomy):
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
@@ -177,6 +192,14 @@ class TestLabelBatch:
         assert failures == []
         assert set(labelings) == {"a", "bad", "c"}
         assert provider.calls == calls_before + 1
+
+    def test_provider_error_fails_only_its_item(self, taxonomy):
+        gateway = Gateway(FailsOnMarkerProvider(), sleep=lambda s: None, max_inflight=4)
+        items = [("a", "panic attacks"), ("doomed", "DOOMED insomnia"), ("c", "nightmares"), ("e", " ")]
+        labelings, failures = label_batch(items, taxonomy, gateway)
+        assert set(labelings) == {"a", "c"}
+        assert [item_id for item_id, _ in failures] == ["doomed", "e"]
+        assert "failed after 3 attempts" in failures[0][1] and "empty" in failures[1][1]
 
     def test_duplicate_ids_rejected(self, taxonomy):
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)

@@ -313,3 +313,17 @@ def test_eval_manifest_entry_missing_field_is_clean(runner, tmp_path, world):
     args = _eval_inputs(tmp_path, world, {"path": "baseline.jsonl", "docs_added": 0})
     result = runner.invoke(main, args)
     _assert_clean_failure(result, "manifest.jsonl:1: manifest entry lacks name, arm")
+
+
+def test_eval_unknown_pipeline_rejected_before_any_input_is_read(runner, tmp_path, world, monkeypatch):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("a corpus was read")
+
+    monkeypatch.setattr("corpusgap.cli.ingest_documents", no_ingest)
+    result = runner.invoke(main, args + ["--pipelines", "baseline,bogus"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "unknown pipeline(s) 'bogus'" in result.output and "query_transformation" in result.output
+    assert not (tmp_path / "cache").exists()

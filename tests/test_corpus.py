@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import threading
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
+from corpusgap import corpus as corpus_module
 from corpusgap.corpus import (
     AppendLog,
     Corpus,
@@ -253,6 +256,38 @@ class TestAppendLog:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["key"] for line in lines) == sorted(set(keys))
         assert len(AppendLog(path, _decode)) == 50
+
+
+    def test_puts_share_one_handle_and_are_readable_at_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        opened = []
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_module, "open", spy_open, raising=False)
+        log = AppendLog(path, _decode)
+        for i in range(25):
+            log.put(f"k{i}", i, {"key": f"k{i}", "value": i})
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == i + 1 and json.loads(lines[-1]) == {"key": f"k{i}", "value": i}
+        assert opened == [path]
+        assert len(AppendLog(path, _decode)) == 25
+        log.close()
+        log.put("late", 1, {"key": "late", "value": 1})
+        assert len(opened) == 2 and AppendLog(path, _decode).get("late") == 1
+        log.close()
+
+    def test_unclosed_store_leaves_no_resource_warning(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            log = AppendLog(tmp_path / "log.jsonl", _decode)
+            log.put("a", 1, {"key": "a", "value": 1})
+            del log
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestPercentIncrease:

@@ -22,7 +22,8 @@ from corpusgap.evaluation import (
     run_experiment,
     run_grid,
 )
-from corpusgap.gateway import make_mock_judge
+from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_mock_judge
+from corpusgap.providers import MockProvider
 from corpusgap.retrieval import HashedBagEmbedder
 
 
@@ -99,6 +100,26 @@ class TestRunExperiment:
         assert not partial.complete
         assert partial.avg_score is None
         assert len(partial.per_query) == 1
+
+    def test_batched_judge_failure_surfaces_at_its_query(self, resources, tmp_path):
+        class DownForOneQuery(MockProvider):
+            in_process = False
+
+            def generate(self, request, prompt):
+                if request.bindings.get("user_query") == "beta":
+                    raise ProviderError("endpoint unavailable")
+                return super().generate(request, prompt)
+
+        judge = make_gateway_judge(Gateway(DownForOneQuery(seed=0), sleep=lambda s: None))
+        queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta")]
+        for pipeline in (Pipeline.BASELINE, Pipeline.RERANKING):
+            out = tmp_path / f"{pipeline.value}.jsonl"
+            spec = ExperimentSpec(corpus_name="tiny", pipeline=pipeline)
+            with pytest.raises(ExperimentError, match="endpoint unavailable"):
+                run_experiment(spec, resources, queries, judge, out_path=out)
+            partial = load_experiment(out)
+            assert not partial.complete
+            assert [o.query_id for o in partial.per_query] == ["q1"]
 
     def test_save_load_round_trip(self, resources, tmp_path):
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE, seed=2)

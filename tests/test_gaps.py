@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import random
 from itertools import combinations
@@ -21,9 +22,11 @@ from corpusgap.gaps import (
     score_query_against_subtopic_docs,
     sensitivity_sweep,
     usefulness_gap,
+    usefulness_inputs,
     write_gap_report,
 )
-from corpusgap.gateway import make_mock_judge
+from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_mock_judge
+from corpusgap.providers import MockProvider
 
 
 def oracle_coverage(query_count, doc_count, total_docs, max_query_count, c=1.0, alpha=1.5):
@@ -287,6 +290,53 @@ class TestAnalyzeGaps:
         path = tmp_path / "gaps.jsonl"
         write_gap_report(gaps, path)
         assert read_gap_report(path) == gaps
+
+
+class TestJudgeFailures:
+    def world(self):
+        docs = (
+            make_doc("d1", "one two", "T: a"),
+            make_doc("d2", "two three", "T: a"),
+            make_doc("d3", "four", "T: b"),
+        )
+        queries = [
+            Query(id="q1", text="one", split=Split.TRAIN, subtopic="T: a"),
+            Query(id="q2", text="two", split=Split.TRAIN, subtopic="T: a"),
+            Query(id="q3", text="four", split=Split.TRAIN, subtopic="T: b"),
+        ]
+        return Corpus(name="c", documents=docs), queries
+
+    def test_failed_pair_is_logged_and_left_out(self, caplog):
+        corpus, queries = self.world()
+        table = {("one", "d1"): 90, ("one", "d2"): 40, ("two", "d1"): 70, ("two", "d2"): 30}
+
+        def judge(query_text, doc):
+            if (query_text, doc.id) == ("one", "d1") or query_text == "four":
+                raise ProviderError("judge unavailable")
+            return table[query_text, doc.id]
+
+        with caplog.at_level(logging.WARNING, logger="corpusgap.gaps"):
+            per_query = usefulness_inputs(corpus, queries, judge)
+        # q1 keeps only d2; q3 has no judged document, so "T: b" gets no value.
+        assert per_query == {"T: a": [40.0, 50.0]}
+        assert "query q1 doc d1" in caplog.text and "query q3 doc d3" in caplog.text
+
+    def test_gateway_judge_failure_does_not_end_gaps(self):
+        corpus, queries = self.world()
+
+        class DownForOneDoc(MockProvider):
+            in_process = False
+
+            def generate(self, request, prompt):
+                if request.template == "usefulness_rubric" and request.bindings["user_query"] == "four":
+                    raise ProviderError("endpoint unavailable")
+                return super().generate(request, prompt)
+
+        gateway = Gateway(DownForOneDoc(seed=0), sleep=lambda s: None)
+        gaps = analyze_gaps(corpus, queries, tiny_taxonomy(), judge=make_gateway_judge(gateway))
+        by_subtopic = {g.subtopic: g for g in gaps}
+        assert by_subtopic["T: a"].usefulness_gap is not None
+        assert by_subtopic["T: b"].usefulness_gap == 0.0
 
 
 class TestMinMaxScale:

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
+import threading
+import time
 
 import pytest
 
+from corpusgap.annotate import label_batch, write_labelings
 from corpusgap.corpus import Document, Section, Source
+from corpusgap.evaluation import CorpusInfo, emit_report, run_grid
 from corpusgap.gateway import (
     CompletionRequest,
     Gateway,
@@ -15,6 +20,7 @@ from corpusgap.gateway import (
     ProviderParams,
     TemplateError,
     format_judge_score,
+    judge_many,
     make_gateway_judge,
     make_gateway_rewriter,
     mock_judge,
@@ -24,6 +30,9 @@ from corpusgap.gateway import (
     token_overlap,
 )
 from corpusgap.providers import MockProvider
+from corpusgap.retrieval import CachedEmbedder, Pipeline
+
+from .world import build_ladders, build_world, reference_corpus, world_embedder
 
 
 def make_doc(doc_id: str, text: str) -> Document:
@@ -348,3 +357,215 @@ class TestGatewayJudgeAndRewriter:
         rewriter = make_gateway_rewriter(gateway)
         out = rewriter("cant sleep, mind racing")
         assert "\n" not in out and out
+
+
+class SleepingProvider:
+    """Wraps a provider that is not `in_process`: sleeps a seeded
+    `ms`/2..`ms` milliseconds per request, keyed on the request, and
+    records the call count and the peak number of requests in flight."""
+
+    def __init__(self, inner, ms: float = 0.2):
+        self.inner = inner
+        self.id = inner.id
+        self.ms = ms
+        self.calls = 0
+        self.peak = 0
+        self._inflight = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request, prompt):
+        with self._lock:
+            self.calls += 1
+            self._inflight += 1
+            self.peak = max(self.peak, self._inflight)
+        try:
+            share = 0.5 + stable_hash(request.cache_key()) % 1000 / 2000
+            time.sleep(self.ms * share / 1000)
+            return self.inner.generate(request, prompt)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+
+
+class ScriptedProvider:
+    """Replies by the request's word; a word without a reply fails."""
+
+    def __init__(self, replies: dict[str, str]):
+        self.id = "scripted"
+        self.replies = dict(replies)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request, prompt):
+        with self._lock:
+            self.calls += 1
+        reply = self.replies.get(request.bindings["word"])
+        if reply is None:
+            raise ProviderError("no reply")
+        return reply
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", SpyThread)
+    return started
+
+
+class TestCompleteMany:
+    def test_duplicates_reach_the_provider_once(self, started):
+        provider = SleepingProvider(CountingProvider("42"))
+        gateway = gw(provider, max_inflight=4)
+        batch = [req("a"), req("b"), req("a"), req("a"), req("b")]
+        assert gateway.complete_many(batch, parse_judge_score) == [42] * 5
+        assert provider.calls == 2
+        assert len(started) == 2  # one worker per distinct miss, at most max_inflight
+
+    def test_hits_start_no_thread(self, started, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        words = [str(i) for i in range(12)]
+        provider = SleepingProvider(CountingProvider("42"))
+        gateway = gw(provider, cache_path=path, max_inflight=4)
+        assert gateway.complete_many([req(w) for w in words], parse_judge_score) == [42] * 12
+        assert len(started) == 4
+        # Memo hits, then completion-cache hits in a fresh gateway.
+        assert gateway.complete_many([req(w) for w in words], parse_judge_score) == [42] * 12
+        fresh = gw(SleepingProvider(CountingProvider("0")), cache_path=path, max_inflight=4)
+        assert fresh.complete_many([req(w) for w in words], parse_judge_score) == [42] * 12
+        assert len(started) == 4 and provider.calls == 12 and fresh.provider.calls == 0
+
+    def test_in_process_provider_starts_no_thread(self, started):
+        provider = MockProvider(seed=0)
+        gateway = Gateway(provider, max_inflight=8, sleep=lambda s: None)
+        judge = make_gateway_judge(gateway)
+        docs = [make_doc(f"d{i}", f"calm night {i}") for i in range(10)]
+        scores = judge_many(judge, [("calm night", d) for d in docs])
+        assert scores == [mock_score("calm night", d.text, 0, d.text) for d in docs]
+        assert provider.calls == 10 and started == []
+
+    @pytest.mark.parametrize("max_inflight", [1, 3])
+    def test_peak_in_flight_within_max_inflight(self, max_inflight):
+        provider = SleepingProvider(CountingProvider("42"), ms=4.0)
+        gateway = gw(provider, max_inflight=max_inflight)
+        results = gateway.complete_many([req(str(i)) for i in range(24)], parse_judge_score)
+        assert results == [42] * 24 and provider.calls == 24
+        assert provider.peak <= max_inflight
+        if max_inflight > 1:
+            assert provider.peak > 1
+
+    def test_failures_in_place_never_cached_or_memoised(self, tmp_path):
+        provider = ScriptedProvider({"a": "42", "b": "no score here", "c": "7"})
+        gateway = gw(provider, cache_path=tmp_path / "cache.jsonl", max_inflight=4)
+        results = gateway.complete_many(
+            [req("a"), req("b"), req("c"), req("down"), req("b")], parse_judge_score
+        )
+        assert results[0] == 42 and results[2] == 7
+        assert isinstance(results[1], JudgeParseError) and results[4] is results[1]
+        assert isinstance(results[3], ProviderError) and "after 3 attempts" in str(results[3])
+        assert len(gateway.cache) == 2
+        calls = provider.calls
+        provider.replies["b"] = "55"
+        assert gateway.complete_many([req("b")], parse_judge_score) == [55]
+        assert provider.calls == calls + 1
+        assert gw(ScriptedProvider({}), cache_path=tmp_path / "cache.jsonl").cache.get(
+            req("b").cache_key("scripted", TEMPLATES["echo"].body_sha)
+        ) == "55"
+
+    def test_stress_each_distinct_miss_sent_once(self):
+        words = [f"w{i % 97}" for i in range(600)]
+        sent: dict[str, int] = {}
+        lock = threading.Lock()
+
+        class Tally:
+            id = "tally"
+
+            def generate(self, request, prompt):
+                word = request.bindings["word"]
+                with lock:
+                    sent[word] = sent.get(word, 0) + 1
+                return str(int(word[1:]) + 1)
+
+        gateway = gw(Tally(), max_inflight=16)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: out.append(gateway.complete_many([req(w) for w in words], parse_judge_score))
+            )
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert out[0] == [int(w[1:]) + 1 for w in words]
+        assert sent == {f"w{i}": 1 for i in range(97)}
+
+    def test_unknown_template_in_place(self):
+        gateway = gw(CountingProvider("42"))
+        results = gateway.complete_many([req("a"), CompletionRequest("nope", {})], parse_judge_score)
+        assert results[0] == 42 and isinstance(results[1], TemplateError)
+
+    def test_batch_fills_the_memo_of_single_calls(self):
+        provider = CountingProvider("42")
+        gateway = gw(provider)
+        gateway.complete_many([req("a")], parse_judge_score)
+        assert gateway.complete_parsed(req("a"), parse_judge_score) == 42
+        assert provider.calls == 1
+
+
+def run_mini_study(out, cache_dir, max_inflight: int) -> int:
+    """Label, gaps, pool scoring, both ladders, and the grid over the
+    smallest and largest rung of each arm plus baseline and reference, on
+    the tests' world through a sleeping provider; returns its call count."""
+    world = build_world(seed=0)
+    out.mkdir()
+    cache_dir.mkdir()
+    provider = SleepingProvider(MockProvider(seed=0))
+    gateway = Gateway(
+        provider, cache_path=cache_dir / "completions.jsonl", max_inflight=max_inflight,
+        sleep=lambda s: None,
+    )
+    labelings, failures = label_batch(
+        [(q.id, q.text) for q in world.train_queries], world.taxonomy, gateway
+    )
+    assert not failures
+    write_labelings(labelings, out / "labels.jsonl")
+    judge = make_gateway_judge(gateway)
+    directed, nondirected = build_ladders(world, judge, sample_seed=7)
+    rungs = [directed[0], directed[-1], nondirected[0], nondirected[-1]]
+    corpora = [world.baseline] + rungs + [reference_corpus(world)]
+    results = run_grid(
+        corpora, list(Pipeline), list(world.test_queries), CachedEmbedder(world_embedder()),
+        judge, make_gateway_rewriter(gateway), out_dir=out / "cells",
+    )
+    assert len(results) == 24 and all(r.complete for r in results)
+    base = len(world.baseline)
+    info = {
+        c.name: CorpusInfo(c.name.split("-")[0], len(c) - base, len(c)) for c in corpora
+    }
+    emit_report(results, info, out / "report")
+    gateway.close()
+    assert provider.peak <= max_inflight
+    return provider.calls
+
+
+def test_mini_study_identical_at_any_max_inflight(tmp_path):
+    outputs = {}
+    for max_inflight in (1, 4, 16):
+        out = tmp_path / f"out-{max_inflight}"
+        calls = run_mini_study(out, tmp_path / f"cache-{max_inflight}", max_inflight)
+        files = {
+            str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+        }
+        outputs[max_inflight] = (calls, files)
+    assert outputs[1][0] > 0 and len(outputs[1][1]) > 24
+    assert outputs[4] == outputs[1]
+    assert outputs[16] == outputs[1]
