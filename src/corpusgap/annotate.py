@@ -81,16 +81,6 @@ def _request(text: str, taxonomy: Taxonomy, params: ProviderParams | None) -> Co
     )
 
 
-def label(
-    text: str,
-    taxonomy: Taxonomy,
-    gateway: Gateway,
-    params: ProviderParams | None = None,
-) -> WeightedLabeling:
-    request = _request(text, taxonomy, params)
-    return gateway.complete_parsed(request, lambda raw: parse_labeling(raw, taxonomy))
-
-
 def label_batch(
     items: Sequence[tuple[str, str]],
     taxonomy: Taxonomy,

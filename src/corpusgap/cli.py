@@ -346,13 +346,22 @@ def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusIn
 
 def _load_summary(summary_path: str) -> tuple[list[ExperimentResult], dict[str, CorpusInfo]]:
     """The cells of an `eval` summary, without per-query scores, and the
-    facts it records about each corpus."""
+    facts it records about each corpus; a bad row is one error naming
+    its line."""
     results = []
     info = {}
-    for _, row in read_records(summary_path):
-        spec = ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"]))
-        results.append(ExperimentResult(spec, row["avg_score"], per_query=(), complete=row["complete"]))
-        info[row["corpus"]] = CorpusInfo(row["arm"], int(row["docs_added"]), int(row["total_docs"]))
+    try:
+        for lineno, row in read_records(summary_path):
+            where = f"{summary_path}:{lineno}"
+            spec = ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"]))
+            results.append(ExperimentResult(spec, row["avg_score"], per_query=(), complete=row["complete"]))
+            info[row["corpus"]] = CorpusInfo(row["arm"], int(row["docs_added"]), int(row["total_docs"]))
+    except IngestError as exc:
+        raise click.ClickException(str(exc))
+    except KeyError as exc:
+        raise click.ClickException(f"{where}: summary row lacks {exc}")
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"{where}: {exc}")
     return results, info
 
 

@@ -374,7 +374,11 @@ def ingest_queries(
     split: Split,
     taxonomy: Taxonomy | None = None,
 ) -> list[Query]:
-    """Load a queries file; every returned query carries the given split tag."""
+    """Load a queries file; every returned query carries the given split tag.
+
+    A record that already stores a split (as `write_queries` does) must
+    store this one, so a train file is never read as test queries.
+    """
     queries: list[Query] = []
     seen: set[str] = set()
     for lineno, record in read_records(path):
@@ -385,6 +389,9 @@ def ingest_queries(
         if query_id in seen:
             raise IngestError(f"{where}: duplicate query id {query_id!r}")
         seen.add(query_id)
+        stored = record.get("split")
+        if stored is not None and stored != split.value:
+            raise IngestError(f"{where}: query {query_id!r} is stored as split {stored!r}, not {split.value!r}")
         text = record.get("text")
         if not isinstance(text, str) or not text.strip():
             raise IngestError(f"{where}: query {query_id!r} has empty text")
@@ -404,17 +411,6 @@ def check_split_disjoint(train: Sequence[Query], test: Sequence[Query]) -> None:
     overlap = {q.id for q in train} & {q.id for q in test}
     if overlap:
         raise IngestError(f"query ids present in both splits: {sorted(overlap)}")
-
-
-def ingest_query_split(
-    train_path: str | Path,
-    test_path: str | Path,
-    taxonomy: Taxonomy | None = None,
-) -> tuple[list[Query], list[Query]]:
-    train = ingest_queries(train_path, Split.TRAIN, taxonomy)
-    test = ingest_queries(test_path, Split.TEST, taxonomy)
-    check_split_disjoint(train, test)
-    return train, test
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:

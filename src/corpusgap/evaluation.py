@@ -2,6 +2,10 @@
 threshold analysis of how small an augmented corpus can get while staying
 within a fixed fraction of the reference corpus score.
 
+Each cell is one `retrieval.retrieve` call over the held-out test
+queries, on indexes built once per corpus (`CorpusResources`); its score
+is the mean judge score of every query's top documents.
+
 Threshold semantics, recorded in every report: a rung qualifies when its
 score ratio to the reference, rounded half-up to 3 decimals, is >= the
 target ratio (default 0.950).
@@ -19,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Query, Split, percent_increase
-from .gateway import JudgeFn, RewriteFn, judge_many
+from .gateway import JudgeFn, RewriteFn
 from .retrieval import (
     DEFAULT_CANDIDATES,
     DEFAULT_TOP_K,
@@ -28,8 +32,7 @@ from .retrieval import (
     SearchIndex,
     build_chunk_index,
     build_document_index,
-    find_candidates,
-    rank,
+    retrieve,
 )
 
 THRESHOLD_RULE = "score ratio to reference, rounded half-up to 3 decimals, must reach the target"
@@ -94,47 +97,24 @@ def run_experiment(
     """Run one (corpus, pipeline) cell over the held-out test queries.
 
     The aggregate is the mean judge score over all queries and their top
-    retrieved documents. Every query's candidates are found first; then
-    the (query, document) pairs the cell needs are judged in one
-    `judge_many` batch (for baseline, its top-k after the fact; the
-    gateway sends a repeated pair once), and each query is ranked from
-    those scores. A rewrite or judge failure surfaces at the query it
-    belongs to: the earlier queries are persisted as a partial result,
-    marked incomplete, and the error is raised.
+    retrieved documents. The cell is one `retrieval.retrieve` call, which
+    judges the (query, document) pairs it needs in one batch (for
+    baseline, its top-k after the fact; the gateway sends a repeated pair
+    once). A rewrite or judge failure surfaces at the query it belongs
+    to: the earlier queries are persisted as a partial result, marked
+    incomplete, and the error is raised.
     """
     bad = [q.id for q in test_queries if q.split is not Split.TEST]
     if bad:
         raise ValueError(f"non-test queries in evaluation set: {bad[:5]}")
     outcomes: list[QueryOutcome] = []
     try:
-        baseline = spec.pipeline is Pipeline.BASELINE
         index = resources.chunk_index if spec.pipeline is Pipeline.HIERARCHICAL else resources.doc_index
-        found = []
-        error: Exception | None = None
-        for query in test_queries:
-            try:
-                rewritten, candidates = find_candidates(
-                    spec.pipeline, query, index, resources.corpus, rewriter, k_candidates, top_k
-                )
-            except Exception as exc:
-                error = exc
-                break
-            found.append((query, rewritten, candidates, candidates[:top_k] if baseline else candidates))
-        replies = iter(judge_many(judge, [
-            (query.text, resources.corpus.document(c.doc_id))
-            for query, _, _, judged in found
-            for c in judged
-        ]))
-        for query, rewritten, candidates, judged in found:
-            scores = {c.doc_id: next(replies) for c in judged}
-            failure = next((s for s in scores.values() if isinstance(s, Exception)), None)
-            if failure is not None:
-                raise failure
-            result = rank(spec.pipeline, query, candidates, scores.__getitem__, rewritten, top_k)
-            doc_scores = tuple((d.doc_id, scores[d.doc_id]) for d in result.top_docs)
-            outcomes.append(QueryOutcome(query_id=query.id, doc_scores=doc_scores))
-        if error is not None:
-            raise error
+        for result in retrieve(
+            spec.pipeline, test_queries, index, resources.corpus, judge, rewriter, k_candidates, top_k
+        ):
+            doc_scores = tuple((d.doc_id, d.judge_score) for d in result.top_docs)
+            outcomes.append(QueryOutcome(query_id=result.query_id, doc_scores=doc_scores))
     except Exception as exc:
         partial = ExperimentResult(
             spec=spec, avg_score=None, per_query=tuple(outcomes), complete=False

@@ -141,23 +141,11 @@ def usefulness_gap(per_query_scores: Mapping[str, Sequence[float]]) -> dict[str,
     return {s: 100.0 - v for s, v in scaled.items()}
 
 
-def score_query_against_subtopic_docs(
-    query: Query,
-    docs: Sequence[Document],
-    judge: JudgeFn,
-) -> float:
-    """Judge the query against each document and average the top scores.
-
-    Uses the best min(3, n) scores; fewer than three documents means all
-    of them count.
-    """
-    if not docs:
-        raise ValueError(f"no documents to score for query {query.id!r}")
-    return top_mean([judge(query.text, doc) for doc in docs])
-
-
 def top_mean(scores: Sequence[float]) -> float:
-    """Mean of the best min(3, n) of a non-empty list of scores."""
+    """A query's usefulness: the mean of its best min(3, n) document
+    scores; fewer than three documents means all of them count."""
+    if not scores:
+        raise ValueError("no documents scored")
     top = sorted(scores, reverse=True)[:TOP_DOCS_PER_QUERY]
     return fsum(top) / len(top)
 

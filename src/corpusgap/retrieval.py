@@ -1,10 +1,10 @@
 """Embeddings, an exact cosine index, and the retrieval pipelines.
 
-One function, `retrieve(pipeline, ...)`, runs all four pipelines; they
-differ only in which index supplies the candidates, which text is
-embedded, and whether a judge ranks the candidates. Its two halves,
-`find_candidates` and `rank`, are public so that the grid can find every
-query's candidates first and judge them all in one batch.
+One function, `retrieve(pipeline, queries, ...)`, runs all four
+pipelines; they differ only in which index supplies the candidates, which
+text is embedded, and whether a judge ranks the candidates. It finds
+every query's candidates first and judges them all in one batch; the
+experiment grid runs each (corpus, pipeline) cell through it.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
 (`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import AppendLog, Corpus, Query
-from .gateway import JudgeFn, RewriteFn
+from .gateway import JudgeFn, RewriteFn, judge_many
 
 DEFAULT_CANDIDATES = 20
 DEFAULT_TOP_K = 3
@@ -234,17 +235,17 @@ def merge_chunk_candidates(
     return candidates
 
 
-def find_candidates(
+def _candidates(
     pipeline: Pipeline,
     query: Query,
     index: SearchIndex,
-    corpus: Corpus | None = None,
-    rewriter: RewriteFn | None = None,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    top_k: int = DEFAULT_TOP_K,
+    corpus: Corpus | None,
+    rewriter: RewriteFn | None,
+    k_candidates: int,
+    top_k: int,
 ) -> tuple[str | None, list[Candidate]]:
-    """The first half of `retrieve`: (rewritten query or None, candidates
-    in similarity order). Nothing is judged yet."""
+    """(rewritten query or None, candidates in similarity order) for one
+    query; nothing is judged yet."""
     rewritten = None
     if pipeline is Pipeline.QUERY_TRANSFORMATION:
         if rewriter is None:
@@ -261,36 +262,18 @@ def find_candidates(
     return rewritten, [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
 
 
-def rank(
-    pipeline: Pipeline,
-    query: Query,
-    candidates: Sequence[Candidate],
-    score: Callable[[str], int],
-    rewritten: str | None = None,
-    top_k: int = DEFAULT_TOP_K,
-) -> RetrievalResult:
-    """The second half of `retrieve`: baseline keeps the similarity order
-    and judges nothing; the judged pipelines take `score(doc_id)` for
-    every candidate and sort by (-score, -similarity, doc id)."""
-    if pipeline is Pipeline.BASELINE:
-        top = [RetrievedDoc(c.doc_id, None, c.similarity) for c in candidates]
-    else:
-        top = [RetrievedDoc(c.doc_id, score(c.doc_id), c.similarity) for c in candidates]
-        top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
-    return RetrievalResult(query.id, pipeline, tuple(top[:top_k]), rewritten)
-
-
 def retrieve(
     pipeline: Pipeline,
-    query: Query,
+    queries: Sequence[Query],
     index: SearchIndex,
     corpus: Corpus | None = None,
     judge: JudgeFn | None = None,
     rewriter: RewriteFn | None = None,
     k_candidates: int = DEFAULT_CANDIDATES,
     top_k: int = DEFAULT_TOP_K,
-) -> RetrievalResult:
-    """Run one query through any of the four pipelines.
+) -> Iterator[RetrievalResult]:
+    """Run queries through any of the four pipelines; yields one result
+    per query, in order.
 
     - baseline: cosine top-k over a document index.
     - hierarchical: top chunks of a chunk index merged to their parent
@@ -299,24 +282,44 @@ def retrieve(
     - query_transformation: the rewritten query picks the candidates,
       then they are judge-ranked like reranking.
 
-    Judged pipelines need the corpus and the judge, and always judge
-    against the original query text. Rewriter failures surface; silently
+    Every query's candidates are found first; then every (query,
+    document) pair is judged in one `judge_many` batch, and each query is
+    ranked from those scores. Judged pipelines judge all candidates;
+    baseline, given a judge, judges only its similarity top-k, so its top
+    documents carry scores (None without a judge). Judged pipelines need
+    the corpus and the judge, and always judge against the original query
+    text. A rewrite, guard or judge failure is raised at the query it
+    belongs to, after the results of the queries before it; silently
     falling back to the raw query would hide a broken pipeline stage.
     """
-    rewritten, candidates = find_candidates(
-        pipeline, query, index, corpus, rewriter, k_candidates, top_k
-    )
-    return rank(
-        pipeline,
-        query,
-        candidates,
-        lambda doc_id: judge(query.text, corpus.document(doc_id)),
-        rewritten,
-        top_k,
-    )
-
-
-retrieve_baseline = functools.partial(retrieve, Pipeline.BASELINE)
-retrieve_hierarchical = functools.partial(retrieve, Pipeline.HIERARCHICAL)
-retrieve_reranking = functools.partial(retrieve, Pipeline.RERANKING)
-retrieve_query_transformation = functools.partial(retrieve, Pipeline.QUERY_TRANSFORMATION)
+    baseline = pipeline is Pipeline.BASELINE
+    found = []
+    error: Exception | None = None
+    for query in queries:
+        try:
+            rewritten, candidates = _candidates(
+                pipeline, query, index, corpus, rewriter, k_candidates, top_k
+            )
+        except Exception as exc:
+            error = exc
+            break
+        found.append((query, rewritten, candidates[:top_k] if baseline else candidates))
+    if baseline and judge is None:
+        replies = itertools.repeat(None)
+    else:
+        replies = iter(judge_many(judge, [
+            (query.text, corpus.document(c.doc_id))
+            for query, _, candidates in found
+            for c in candidates
+        ]))
+    for query, rewritten, candidates in found:
+        scores = [next(replies) for _ in candidates]
+        failure = next((s for s in scores if isinstance(s, Exception)), None)
+        if failure is not None:
+            raise failure
+        top = [RetrievedDoc(c.doc_id, s, c.similarity) for c, s in zip(candidates, scores)]
+        if not baseline:
+            top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
+        yield RetrievalResult(query.id, pipeline, tuple(top[:top_k]), rewritten)
+    if error is not None:
+        raise error

@@ -35,10 +35,7 @@ from corpusgap.retrieval import (
     build_chunk_index,
     build_document_index,
     merge_chunk_candidates,
-    retrieve_baseline,
-    retrieve_hierarchical,
-    retrieve_query_transformation,
-    retrieve_reranking,
+    retrieve,
 )
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 
@@ -315,9 +312,9 @@ def test_c08_pipeline_equivalences():
             id=f"q{i}", text=" ".join(rng.sample(vocab, 5)), split=Split.TEST
         )
         # identity rewriter makes query transformation reproduce reranking
-        rerank = retrieve_reranking(query, doc_index, corpus, judge)
-        transformed = retrieve_query_transformation(
-            query, doc_index, corpus, judge, rewriter=lambda t: t
+        [rerank] = retrieve(Pipeline.RERANKING, [query], doc_index, corpus, judge)
+        [transformed] = retrieve(
+            Pipeline.QUERY_TRANSFORMATION, [query], doc_index, corpus, judge, rewriter=lambda t: t
         )
         assert transformed.top_docs == rerank.top_docs
         assert transformed.query_id == rerank.query_id
@@ -334,11 +331,11 @@ def test_c08_pipeline_equivalences():
         small_chunk_index = build_chunk_index(small, embedder)
         query = Query(id="q", text=" ".join(rng.sample(vocab, 5)), split=Split.TEST)
         results = [
-            retrieve_baseline(query, small_doc_index),
-            retrieve_hierarchical(query, small_chunk_index, small, judge),
-            retrieve_reranking(query, small_doc_index, small, judge),
-            retrieve_query_transformation(
-                query, small_doc_index, small, judge, rewriter=lambda t: t
+            *retrieve(Pipeline.BASELINE, [query], small_doc_index),
+            *retrieve(Pipeline.HIERARCHICAL, [query], small_chunk_index, small, judge),
+            *retrieve(Pipeline.RERANKING, [query], small_doc_index, small, judge),
+            *retrieve(
+                Pipeline.QUERY_TRANSFORMATION, [query], small_doc_index, small, judge, rewriter=lambda t: t
             ),
         ]
         for result in results:

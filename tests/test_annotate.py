@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from corpusgap.annotate import (
     LabelingError,
     WeightedLabeling,
-    label,
     label_batch,
     parse_labeling,
     primary_of,
@@ -140,22 +139,23 @@ class FailsOnMarkerProvider:
 class TestLabelViaGateway:
     def test_mock_label_matches_vocabulary(self, taxonomy):
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
-        labeling = label("cannot stop panic attacks", taxonomy, gateway)
-        assert labeling.primary == C
+        labelings, _ = label_batch([("q", "cannot stop panic attacks")], taxonomy, gateway)
+        assert labelings["q"].primary == C
 
     def test_empty_text_rejected(self, taxonomy):
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
-        with pytest.raises(ValueError, match="empty"):
-            label("  ", taxonomy, gateway)
+        labelings, [(item_id, reason)] = label_batch([("q", "  ")], taxonomy, gateway)
+        assert labelings == {} and item_id == "q"
+        assert "empty" in reason
 
     def test_deterministic_under_seed(self, taxonomy):
-        first = label(
-            "nightmares every night",
+        first, _ = label_batch(
+            [("q", "nightmares every night")],
             taxonomy,
             Gateway(MockProvider(seed=5), sleep=lambda s: None),
         )
-        second = label(
-            "nightmares every night",
+        second, _ = label_batch(
+            [("q", "nightmares every night")],
             taxonomy,
             Gateway(MockProvider(seed=5), sleep=lambda s: None),
         )

@@ -327,3 +327,40 @@ def test_eval_unknown_pipeline_rejected_before_any_input_is_read(runner, tmp_pat
     assert "Traceback" not in result.output
     assert "unknown pipeline(s) 'bogus'" in result.output and "query_transformation" in result.output
     assert not (tmp_path / "cache").exists()
+
+
+def test_eval_refuses_queries_ingested_as_train(runner, tmp_path, world):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
+    raw = tmp_path / "raw.jsonl"
+    write_records(raw, [{"id": q.id, "text": q.text} for q in world.train_queries[:2]])
+    invoke(runner, tmp_path / "cache", ["ingest", "queries", str(raw), "-o", str(tmp_path / "test.jsonl"), "--split", "train"])
+    result = runner.invoke(main, args)
+    _assert_clean_failure(result, "test.jsonl:1", "'train'", "'test'")
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["thresholds", "report"])
+def test_summary_unknown_pipeline_is_clean(runner, tmp_path, command):
+    rows = _summary(["baseline"])
+    rows[2]["pipeline"] = "bogus"
+    write_records(tmp_path / "summary.jsonl", rows)
+    result = runner.invoke(main, [command, "--summary", str(tmp_path / "summary.jsonl"), "--out", str(tmp_path / "out")])
+    _assert_clean_failure(result, "summary.jsonl:3", "'bogus'")
+
+
+@pytest.mark.parametrize("command", ["thresholds", "report"])
+def test_summary_row_missing_field_is_clean(runner, tmp_path, command):
+    rows = _summary(["baseline"])
+    del rows[1]["total_docs"]
+    write_records(tmp_path / "summary.jsonl", rows)
+    result = runner.invoke(main, [command, "--summary", str(tmp_path / "summary.jsonl"), "--out", str(tmp_path / "out")])
+    _assert_clean_failure(result, "summary.jsonl:2", "'total_docs'")
+
+
+@pytest.mark.parametrize("command", ["thresholds", "report"])
+def test_summary_malformed_line_is_clean(runner, tmp_path, command):
+    write_records(tmp_path / "summary.jsonl", _summary(["baseline"]))
+    with open(tmp_path / "summary.jsonl", "a") as fh:
+        fh.write("{not json\n")
+    result = runner.invoke(main, [command, "--summary", str(tmp_path / "summary.jsonl"), "--out", str(tmp_path / "out")])
+    _assert_clean_failure(result, "summary.jsonl:7", "malformed record")

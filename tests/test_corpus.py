@@ -24,7 +24,6 @@ from corpusgap.corpus import (
     check_split_disjoint,
     ingest_documents,
     ingest_queries,
-    ingest_query_split,
     load_taxonomy,
     percent_increase,
     write_corpus,
@@ -167,6 +166,13 @@ class TestIngestQueries:
         assert len(queries) == 978
         assert all(q.split is Split.TRAIN for q in queries)
 
+    def test_stored_split_must_match(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        write_queries([Query(id="q1", text="a", split=Split.TRAIN)], path)
+        assert ingest_queries(path, Split.TRAIN)[0].split is Split.TRAIN
+        with pytest.raises(IngestError, match=r"q\.jsonl:1: .*'train', not 'test'"):
+            ingest_queries(path, Split.TEST)
+
     def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "q.jsonl"
         path.write_text(json.dumps({"id": "q1", "text": "   "}) + "\n")
@@ -179,7 +185,7 @@ class TestIngestQueries:
         train.write_text(json.dumps({"id": "q1", "text": "a"}) + "\n")
         test.write_text(json.dumps({"id": "q1", "text": "b"}) + "\n")
         with pytest.raises(IngestError, match="both splits"):
-            ingest_query_split(train, test)
+            check_split_disjoint(ingest_queries(train, Split.TRAIN), ingest_queries(test, Split.TEST))
 
     def test_disjoint_split_ok(self):
         train = [Query(id="q1", text="a", split=Split.TRAIN)]

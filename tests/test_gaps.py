@@ -19,8 +19,8 @@ from corpusgap.gaps import (
     hybrid_score,
     min_max_scale,
     read_gap_report,
-    score_query_against_subtopic_docs,
     sensitivity_sweep,
+    top_mean,
     usefulness_gap,
     usefulness_inputs,
     write_gap_report,
@@ -168,46 +168,33 @@ def make_doc(doc_id: str, text: str, subtopic: str | None = None) -> Document:
 
 
 class TestScoreQueryAgainstDocs:
-    def scripted_judge(self, scores):
-        table = dict(scores)
-        return lambda _query, doc: table[doc.id]
+    """A query's usefulness against its subtopic's documents is `top_mean`
+    of their judge scores."""
 
     def test_top_three_of_five(self):
-        docs = [make_doc(f"d{i}", "x") for i in range(5)]
-        judge = self.scripted_judge({f"d{i}": s for i, s in enumerate([90, 80, 70, 60, 50])})
-        query = Query(id="q", text="x", split=Split.TRAIN)
-        assert score_query_against_subtopic_docs(query, docs, judge) == pytest.approx(80.0)
+        assert top_mean([90, 80, 70, 60, 50]) == pytest.approx(80.0)
 
     def test_two_docs_uses_both(self):
-        docs = [make_doc("d0", "x"), make_doc("d1", "x")]
-        judge = self.scripted_judge({"d0": 60, "d1": 40})
-        query = Query(id="q", text="x", split=Split.TRAIN)
-        assert score_query_against_subtopic_docs(query, docs, judge) == pytest.approx(50.0)
+        assert top_mean([60, 40]) == pytest.approx(50.0)
 
     def test_singleton(self):
-        query = Query(id="q", text="x", split=Split.TRAIN)
-        judge = self.scripted_judge({"d0": 77})
-        assert score_query_against_subtopic_docs(query, [make_doc("d0", "x")], judge) == 77.0
+        assert top_mean([77]) == 77.0
 
     def test_matches_best_subset_brute_force(self):
         rng = random.Random(4)
-        query = Query(id="q", text="x", split=Split.TRAIN)
         for _ in range(50):
             n = rng.randint(1, 7)
-            scores = {f"d{i}": rng.randint(1, 100) for i in range(n)}
-            docs = [make_doc(d, "x") for d in scores]
-            judge = self.scripted_judge(scores)
-            got = score_query_against_subtopic_docs(query, docs, judge)
+            scores = [rng.randint(1, 100) for _ in range(n)]
+            got = top_mean(scores)
             k = min(3, n)
             want = max(
-                sum(combo) / k for combo in combinations(scores.values(), k)
+                sum(combo) / k for combo in combinations(scores, k)
             )
             assert got == pytest.approx(want)
 
     def test_empty_docs_rejected(self):
-        query = Query(id="q", text="x", split=Split.TRAIN)
         with pytest.raises(ValueError, match="no documents"):
-            score_query_against_subtopic_docs(query, [], lambda q, d: 50)
+            top_mean([])
 
 
 class TestHybridScore:

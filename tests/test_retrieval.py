@@ -21,10 +21,6 @@ from corpusgap.retrieval import (
     build_document_index,
     merge_chunk_candidates,
     retrieve,
-    retrieve_baseline,
-    retrieve_hierarchical,
-    retrieve_query_transformation,
-    retrieve_reranking,
 )
 
 
@@ -206,7 +202,7 @@ class TestBaselinePipeline:
             documents=(doc("d1", "alpha beta"), doc("d2", "alpha"), doc("d3", "zeta")),
         )
         index = build_document_index(corpus, embedder)
-        result = retrieve_baseline(query("alpha beta"), index)
+        [result] = retrieve(Pipeline.BASELINE, [query("alpha beta")], index)
         assert len(result.top_docs) == 3
         sims = [d.similarity for d in result.top_docs]
         assert sims == sorted(sims, reverse=True)
@@ -219,7 +215,7 @@ class TestBaselinePipeline:
         )
         corpus = Corpus(name="c", documents=(exact, doc("d2", "alpha delta epsilon")))
         index = build_document_index(corpus, embedder)
-        result = retrieve_baseline(query("alpha beta gamma"), index)
+        [result] = retrieve(Pipeline.BASELINE, [query("alpha beta gamma")], index)
         assert result.top_docs[0].doc_id == "d1"
         assert result.top_docs[0].similarity == pytest.approx(1.0, abs=1e-9)
 
@@ -232,7 +228,7 @@ class TestBaselinePipeline:
         corpus = Corpus(name="c", documents=docs)
         index = build_document_index(corpus, embedder)
         q = query(" ".join(rng.sample(vocab, 5)))
-        result = retrieve_baseline(q, index)
+        [result] = retrieve(Pipeline.BASELINE, [q], index)
         qvec = embedder.embed(q.text)
         want = brute_force_search(index.keys, index.matrix, qvec, 3)
         assert [d.doc_id for d in result.top_docs] == [k for k, _ in want]
@@ -277,7 +273,7 @@ class TestHierarchicalPipeline:
         )
         chunk_index = build_chunk_index(corpus, embedder)
         judge = make_mock_judge(0)
-        result = retrieve_hierarchical(query("alpha beta"), chunk_index, corpus, judge)
+        [result] = retrieve(Pipeline.HIERARCHICAL, [query("alpha beta")], chunk_index, corpus, judge)
         expected = sorted(
             (
                 (judge("alpha beta", corpus.document(d)), d)
@@ -301,7 +297,7 @@ class TestHierarchicalPipeline:
             ),
         )
         chunk_index = build_chunk_index(corpus, embedder)
-        result = retrieve_hierarchical(query("alpha beta"), chunk_index, corpus, make_mock_judge(0))
+        [result] = retrieve(Pipeline.HIERARCHICAL, [query("alpha beta")], chunk_index, corpus, make_mock_judge(0))
         assert len({d.doc_id for d in result.top_docs}) == 3
 
 
@@ -313,8 +309,8 @@ class TestRerankingPipeline:
         )
         index = build_document_index(corpus, embedder)
         scripted = {"d1": 10, "d2": 90, "d3": 50}
-        result = retrieve_reranking(
-            query("alpha"), index, corpus, lambda q, d: scripted[d.id]
+        [result] = retrieve(
+            Pipeline.RERANKING, [query("alpha")], index, corpus, lambda q, d: scripted[d.id]
         )
         assert [d.doc_id for d in result.top_docs] == ["d2", "d3", "d1"]
 
@@ -328,7 +324,7 @@ class TestRerankingPipeline:
         hits = index.search(embedder.embed("alpha beta"), 20)
         assert ("d99", hits[-1][1]) == hits[-1]  # weakest of the candidate set
         judge = lambda q, d: 99 if d.id == "d99" else 40
-        result = retrieve_reranking(query("alpha beta"), index, corpus, judge)
+        [result] = retrieve(Pipeline.RERANKING, [query("alpha beta")], index, corpus, judge)
         assert result.top_docs[0].doc_id == "d99"
 
     def test_matches_two_stage_brute_force(self, embedder):
@@ -339,7 +335,7 @@ class TestRerankingPipeline:
         index = build_document_index(corpus, embedder)
         judge = make_mock_judge(3)
         q = query(" ".join(rng.sample(vocab, 5)))
-        result = retrieve_reranking(q, index, corpus, judge)
+        [result] = retrieve(Pipeline.RERANKING, [q], index, corpus, judge)
 
         qvec = embedder.embed(q.text)
         stage_one = brute_force_search(index.keys, index.matrix, qvec, 20)
@@ -361,9 +357,9 @@ class TestQueryTransformationPipeline:
         index = build_document_index(corpus, embedder)
         judge = make_mock_judge(1)
         q = query(" ".join(rng.sample(vocab, 5)))
-        rerank = retrieve_reranking(q, index, corpus, judge)
-        transformed = retrieve_query_transformation(
-            q, index, corpus, judge, rewriter=lambda text: text
+        [rerank] = retrieve(Pipeline.RERANKING, [q], index, corpus, judge)
+        [transformed] = retrieve(
+            Pipeline.QUERY_TRANSFORMATION, [q], index, corpus, judge, rewriter=lambda text: text
         )
         assert transformed.top_docs == rerank.top_docs
         assert transformed.query_id == rerank.query_id
@@ -380,8 +376,8 @@ class TestQueryTransformationPipeline:
         )
         index = build_document_index(corpus, embedder)
         mapping = {"cant sleep, mind racing": "strategies for insomnia and nighttime anxiety"}
-        result = retrieve_query_transformation(
-            query("cant sleep, mind racing"),
+        [result] = retrieve(
+            Pipeline.QUERY_TRANSFORMATION, [query("cant sleep, mind racing")],
             index,
             corpus,
             judge=lambda q, d: 50,
@@ -398,9 +394,9 @@ class TestQueryTransformationPipeline:
             raise RuntimeError("rewriter down")
 
         with pytest.raises(RuntimeError, match="rewriter down"):
-            retrieve_query_transformation(
-                query("alpha"), index, corpus, judge=lambda q, d: 50, rewriter=broken
-            )
+            list(retrieve(
+                Pipeline.QUERY_TRANSFORMATION, [query("alpha")], index, corpus, judge=lambda q, d: 50, rewriter=broken
+            ))
 
     def test_end_to_end_determinism_with_gateway(self, embedder):
         corpus = Corpus(
@@ -411,13 +407,13 @@ class TestQueryTransformationPipeline:
 
         def run():
             gateway = Gateway(MockProvider(seed=6), sleep=lambda s: None)
-            return retrieve_query_transformation(
-                query("alpha gamma"),
+            return list(retrieve(
+                Pipeline.QUERY_TRANSFORMATION, [query("alpha gamma")],
                 index,
                 corpus,
                 judge=make_gateway_judge(gateway),
                 rewriter=make_gateway_rewriter(gateway),
-            )
+            ))
 
         assert run() == run()
 
@@ -432,10 +428,10 @@ class TestPipelineInvariants:
         judge = make_mock_judge(0)
         q = query("alpha")
         results = [
-            retrieve_baseline(q, doc_index),
-            retrieve_hierarchical(q, chunk_index, corpus, judge),
-            retrieve_reranking(q, doc_index, corpus, judge),
-            retrieve_query_transformation(q, doc_index, corpus, judge, rewriter=lambda t: t),
+            *retrieve(Pipeline.BASELINE, [q], doc_index),
+            *retrieve(Pipeline.HIERARCHICAL, [q], chunk_index, corpus, judge),
+            *retrieve(Pipeline.RERANKING, [q], doc_index, corpus, judge),
+            *retrieve(Pipeline.QUERY_TRANSFORMATION, [q], doc_index, corpus, judge, rewriter=lambda t: t),
         ]
         for result in results:
             ids = [d.doc_id for d in result.top_docs]
@@ -450,8 +446,8 @@ class TestPipelineInvariants:
         judge = make_mock_judge(2)
         q = query("alpha tok1 tok2")
         for result in (
-            retrieve_hierarchical(q, chunk_index, corpus, judge),
-            retrieve_reranking(q, doc_index, corpus, judge),
+            *retrieve(Pipeline.HIERARCHICAL, [q], chunk_index, corpus, judge),
+            *retrieve(Pipeline.RERANKING, [q], doc_index, corpus, judge),
         ):
             scores = [d.judge_score for d in result.top_docs]
             assert scores == sorted(scores, reverse=True)
@@ -459,7 +455,7 @@ class TestPipelineInvariants:
     def test_rewritten_query_only_on_transformation(self, embedder):
         corpus = Corpus(name="c", documents=(doc("d1", "alpha"),))
         index = build_document_index(corpus, embedder)
-        result = retrieve_baseline(query("alpha"), index)
+        [result] = retrieve(Pipeline.BASELINE, [query("alpha")], index)
         assert result.pipeline is Pipeline.BASELINE
         assert result.rewritten_query is None
 
@@ -487,4 +483,71 @@ class TestRetrieveGuards:
         build = build_chunk_index if kind == "chunk" else build_document_index
         index = build(corpus, embedder)
         with pytest.raises(ValueError, match=message):
-            retrieve(pipeline, query("alpha"), index, corpus, make_mock_judge(0), rewriter)
+            list(retrieve(pipeline, [query("alpha")], index, corpus, make_mock_judge(0), rewriter))
+
+
+class CountingJudge:
+    """A gateway judge that records each batch handed to `many`."""
+
+    def __init__(self, gateway):
+        self.inner = make_gateway_judge(gateway)
+        self.batches = []
+
+    def __call__(self, query_text, doc):
+        return self.inner(query_text, doc)
+
+    def many(self, pairs):
+        self.batches.append([(query_text, doc.id) for query_text, doc in pairs])
+        return self.inner.many(pairs)
+
+
+class TestBatchRetrieve:
+    @pytest.fixture
+    def setting(self, embedder):
+        rng = random.Random(12)
+        vocab = [f"tok{i}" for i in range(40)]
+        docs = tuple(
+            doc(
+                f"d{i:02d}",
+                "x",
+                sections=tuple(Section(f"h{j}", " ".join(rng.sample(vocab, 5))) for j in range(1 + i % 3)),
+            )
+            for i in range(30)
+        )
+        corpus = Corpus(name="c", documents=docs)
+        texts = [" ".join(rng.sample(vocab, 4)) for _ in range(6)]
+        # q6 repeats q1's text, so the batch holds repeated pairs
+        queries = [query(text, f"q{i}") for i, text in enumerate(texts)] + [query(texts[1], "q6")]
+        indexes = {
+            pipeline: build_chunk_index(corpus, embedder)
+            if pipeline is Pipeline.HIERARCHICAL
+            else build_document_index(corpus, embedder)
+            for pipeline in Pipeline
+        }
+        return corpus, queries, indexes
+
+    @pytest.mark.parametrize("pipeline", list(Pipeline))
+    def test_batch_equals_single_query_runs(self, setting, pipeline):
+        corpus, queries, indexes = setting
+        judge = make_mock_judge(4)
+        rewriter = lambda text: text + " tok7"
+        args = (indexes[pipeline], corpus, judge, rewriter)
+        batch = list(retrieve(pipeline, queries, *args))
+        singles = [result for q in queries for result in retrieve(pipeline, [q], *args)]
+        assert [r.query_id for r in batch] == [q.id for q in queries]
+        assert batch == singles
+        for result in batch:
+            assert len(result.top_docs) == 3
+            assert all(isinstance(d.judge_score, int) for d in result.top_docs)
+
+    @pytest.mark.parametrize("pipeline", list(Pipeline))
+    def test_each_distinct_pair_judged_once_per_batch(self, setting, pipeline):
+        corpus, queries, indexes = setting
+        provider = MockProvider(seed=3)
+        judge = CountingJudge(Gateway(provider, sleep=lambda s: None))
+        results = list(retrieve(pipeline, queries, indexes[pipeline], corpus, judge, lambda t: t))
+        [batch] = judge.batches
+        assert len(set(batch)) < len(batch)
+        assert provider.calls_by_template["usefulness_rubric"] == len(set(batch))
+        text = {q.id: q.text for q in queries}
+        assert {(text[r.query_id], d.doc_id) for r in results for d in r.top_docs} <= set(batch)
