@@ -53,7 +53,18 @@ from .planner import (
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Turns an input error from any command into one line naming its
+    file and line, instead of a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except IngestError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="YAML config file.")
 @click.option("--seed", type=int, default=None, help="Override the provider seed.")
 @click.option("--provider", type=click.Choice(["mock", "http"]), default=None, help="Override the provider kind.")
@@ -87,17 +98,14 @@ def _gateway(ctx: click.Context):
 def ingest(kind, input_path, output, source, split, taxonomy_path) -> None:
     """Validate and normalize a documents or queries file."""
     taxonomy = load_taxonomy(taxonomy_path) if taxonomy_path else None
-    try:
-        if kind == "documents":
-            corpus = ingest_documents(input_path, Source(source), taxonomy)
-            write_corpus(corpus, output)
-            click.echo(f"ingested {len(corpus)} documents -> {output}")
-        else:
-            queries = ingest_queries(input_path, Split(split), taxonomy)
-            write_queries(queries, output)
-            click.echo(f"ingested {len(queries)} queries -> {output}")
-    except IngestError as exc:
-        raise click.ClickException(str(exc))
+    if kind == "documents":
+        corpus = ingest_documents(input_path, Source(source), taxonomy)
+        write_corpus(corpus, output)
+        click.echo(f"ingested {len(corpus)} documents -> {output}")
+    else:
+        queries = ingest_queries(input_path, Split(split), taxonomy)
+        write_queries(queries, output)
+        click.echo(f"ingested {len(queries)} queries -> {output}")
 
 
 @main.command()
@@ -290,7 +298,7 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
     try:
         queries = ingest_queries(queries_path, Split.TEST)
         corpora, info = _load_manifest(manifest_path)
-    except (IngestError, OSError) as exc:
+    except OSError as exc:
         raise click.ClickException(str(exc))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,18 +358,16 @@ def _load_summary(summary_path: str) -> tuple[list[ExperimentResult], dict[str, 
     its line."""
     results = []
     info = {}
-    try:
-        for lineno, row in read_records(summary_path):
-            where = f"{summary_path}:{lineno}"
+    for lineno, row in read_records(summary_path):
+        where = f"{summary_path}:{lineno}"
+        try:
             spec = ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"]))
             results.append(ExperimentResult(spec, row["avg_score"], per_query=(), complete=row["complete"]))
             info[row["corpus"]] = CorpusInfo(row["arm"], int(row["docs_added"]), int(row["total_docs"]))
-    except IngestError as exc:
-        raise click.ClickException(str(exc))
-    except KeyError as exc:
-        raise click.ClickException(f"{where}: summary row lacks {exc}")
-    except (TypeError, ValueError) as exc:
-        raise click.ClickException(f"{where}: {exc}")
+        except KeyError as exc:
+            raise click.ClickException(f"{where}: summary row lacks {exc}")
+        except (TypeError, ValueError) as exc:
+            raise click.ClickException(f"{where}: {exc}")
     return results, info
 
 

@@ -1,15 +1,15 @@
 """Single abstraction over all text-model calls.
 
 Prompt templates are data files with {placeholder} syntax. Every request
-goes through `Gateway.complete_parsed`, which renders the template, calls
-the provider with bounded retries and parses the reply. Replies that parse
-are cached in an append-only JSONL store (`corpus.AppendLog`) keyed by
-(provider id, template name, sha256 of the template body, bindings,
-provider params), so identical requests never hit the provider twice and a
-reply is never served under another provider or an edited template. In
-front of that cache each gateway keeps an in-process memo of parsed
-results, so a repeated call costs one tuple hash instead of a render, a
-JSON encode and a sha256.
+goes through `Gateway.complete_parsed` or its batch form, which render the
+template, call the provider with bounded retries and parse the reply.
+Replies that parse are cached in an append-only JSONL store
+(`corpus.AppendLog`) keyed by (provider id, template name, sha256 of the
+template body, bindings, provider params), so identical requests never hit
+the provider twice and a reply is never served under another provider or
+an edited template. In front of that cache each gateway keeps an
+in-process memo of parsed results, so a repeated call costs one tuple hash
+instead of a render, a JSON encode and a sha256.
 
 `Gateway.complete_many` is the batch form. It answers memo and cache hits
 in the calling thread, sends each distinct miss once (duplicates share one
@@ -17,12 +17,15 @@ provider request), and returns every request's result or exception in
 place. Misses go out on up to `max_inflight` worker threads that drain one
 shared list, unless the provider declares `in_process = True` (it computes
 its reply in this process, like `MockProvider`, so threads would only
-contend for the GIL); then they run in order on the calling thread. The
-gateway judge has a batch form `judge.many`, and `judge_many` uses it
-whenever a judge has one.
+contend for the GIL); then they run in order on the calling thread.
 
-`mock_score` is the one deterministic stand-in judge; the mock provider
-and `mock_judge` both call it.
+The model-backed functions built on it share that shape: the judge takes
+a batch of (query text, document) pairs and the rewriter a batch of query
+texts, each makes one `complete_many` call, and each result or exception
+comes back in its place.
+
+`mock_score` is the deterministic stand-in judge that `MockProvider`
+answers usefulness prompts with.
 """
 
 from __future__ import annotations
@@ -377,75 +380,39 @@ def token_overlap(query_text: str, doc_text: str) -> float:
     return matched / total
 
 
-def mock_score(query_text: str, doc_text: str, seed: int, doc_key: str) -> int:
+def mock_score(query_text: str, doc_text: str, seed: int) -> int:
     """Deterministic stand-in judge: scaled token overlap with a small
-    perturbation in [-3, 3] keyed on (seed, query, doc_key), clamped to
-    [1, 100]."""
+    perturbation in [-3, 3] keyed on (seed, query, document text), clamped
+    to [1, 100]."""
     base = round(100 * token_overlap(query_text, doc_text))
-    perturbation = stable_hash(str(seed), query_text, doc_key) % 7 - 3
+    perturbation = stable_hash(str(seed), query_text, doc_text) % 7 - 3
     return max(JUDGE_MIN, min(JUDGE_MAX, base + perturbation))
 
 
-def mock_judge(query_text: str, doc: Document, seed: int) -> int:
-    """`mock_score` with the perturbation keyed on the document id."""
-    return mock_score(query_text, doc.text, seed, doc.id)
-
-
-JudgeFn = Callable[[str, Document], int]
-
-
-def judge_many(judge: JudgeFn, pairs: Sequence[tuple[str, Document]]) -> list[int | Exception]:
-    """Scores of (query text, document) pairs, each failure in place.
-
-    Uses the judge's batch form `judge.many` when it has one (the gateway
-    judge does); any other judge is called pair by pair, in order.
-    """
-    many = getattr(judge, "many", None)
-    if many is not None:
-        return many(pairs)
-    outcomes: list[int | Exception] = []
-    for query_text, doc in pairs:
-        try:
-            outcomes.append(judge(query_text, doc))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def make_mock_judge(seed: int) -> JudgeFn:
-    def judge(query_text: str, doc: Document) -> int:
-        return mock_judge(query_text, doc, seed)
-
-    return judge
+# A judge scores a batch of (query text, document) pairs; a rewriter
+# rewrites a batch of query texts. Each returns one result or exception
+# per input, in order.
+JudgeFn = Callable[[Sequence[tuple[str, Document]]], list[int | Exception]]
+RewriteFn = Callable[[Sequence[str]], list[str | Exception]]
 
 
 def make_gateway_judge(gateway: Gateway, params: ProviderParams | None = None) -> JudgeFn:
-    """Judge that applies the usefulness rubric through the gateway.
+    """Judge that applies the usefulness rubric through the gateway, one
+    `Gateway.complete_many` call per batch.
 
     Cached by (query text, document text) via the gateway cache, so
-    re-judging a pair is free. `judge.many(pairs)` judges a batch through
-    `Gateway.complete_many`.
+    re-judging a pair is free.
     """
     params = params or ProviderParams()
 
-    def request(query_text: str, doc: Document) -> CompletionRequest:
-        return CompletionRequest(
-            template="usefulness_rubric",
-            bindings={"user_query": query_text, "retrieved_document": doc.text},
-            params=params,
-        )
+    def judge(pairs: Sequence[tuple[str, Document]]) -> list[int | Exception]:
+        requests = [
+            CompletionRequest("usefulness_rubric", {"user_query": query_text, "retrieved_document": doc.text}, params)
+            for query_text, doc in pairs
+        ]
+        return gateway.complete_many(requests, parse_judge_score)
 
-    def judge(query_text: str, doc: Document) -> int:
-        return gateway.complete_parsed(request(query_text, doc), parse_judge_score)
-
-    def many(pairs: Sequence[tuple[str, Document]]) -> list[int | Exception]:
-        return gateway.complete_many([request(q, d) for q, d in pairs], parse_judge_score)
-
-    judge.many = many
     return judge
-
-
-RewriteFn = Callable[[str], str]
 
 
 def _parse_rewrite(raw: str) -> str:
@@ -456,14 +423,12 @@ def _parse_rewrite(raw: str) -> str:
 
 
 def make_gateway_rewriter(gateway: Gateway, params: ProviderParams | None = None) -> RewriteFn:
+    """Rewriter that applies the rewrite prompt through the gateway, one
+    `Gateway.complete_many` call per batch."""
     params = params or ProviderParams()
 
-    def rewrite(query_text: str) -> str:
-        request = CompletionRequest(
-            template="rewrite_query",
-            bindings={"query": query_text},
-            params=params,
-        )
-        return gateway.complete_parsed(request, _parse_rewrite)
+    def rewrite(query_texts: Sequence[str]) -> list[str | Exception]:
+        requests = [CompletionRequest("rewrite_query", {"query": text}, params) for text in query_texts]
+        return gateway.complete_many(requests, _parse_rewrite)
 
     return rewrite

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Document, Query, Section, Source, read_records, write_records
-from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams, judge_many
+from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams
 
 log = logging.getLogger(__name__)
 
@@ -123,9 +123,9 @@ def judge_pairs(
     logger: logging.Logger = log,
 ) -> list[list[int | None]]:
     """Scores of every (query, doc) pair, one row per query and one column
-    per doc, judged in one `judge_many` batch. A pair whose judge call
-    fails is logged on `logger` and scores None."""
-    outcomes = iter(judge_many(judge, [(query.text, doc) for query in queries for doc in docs]))
+    per doc, judged in one judge call. A pair whose judge call fails is
+    logged on `logger` and scores None."""
+    outcomes = iter(judge([(query.text, doc) for query in queries for doc in docs]))
     rows = []
     for query in queries:
         row: list[int | None] = []

@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
-import requests
 
 from .gateway import (
     CompletionRequest,
@@ -28,6 +27,9 @@ from .gateway import (
     stable_hash,
     token_overlap,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 T = TypeVar("T")
 
@@ -90,7 +92,7 @@ class MockProvider:
     def _judge(self, request: CompletionRequest) -> str:
         query = request.bindings["user_query"]
         doc_text = request.bindings["retrieved_document"]
-        return format_judge_score(mock_score(query, doc_text, self.seed, doc_text))
+        return format_judge_score(mock_score(query, doc_text, self.seed))
 
     def _rewrite(self, request: CompletionRequest) -> str:
         query = request.bindings["query"].strip()
@@ -124,7 +126,8 @@ class _HttpClient:
 
     Endpoint and credentials come from config/environment; the transport is
     injectable for tests. Every failure raises ProviderError, which the
-    gateway retries with backoff.
+    gateway retries with backoff. `requests` is imported only here, as it
+    is slow to import and no other part of the program needs it.
     """
 
     def __init__(
@@ -140,10 +143,16 @@ class _HttpClient:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.id = f"http:{model}"
-        self._post = transport or requests.post
+        if transport is None:
+            import requests
+
+            transport = requests.post
+        self._post = transport
 
     def _post_json(self, route: str, payload: dict, extract: Callable[[object], T]) -> T:
         """POST payload to endpoint/route and return extract(JSON body)."""
+        import requests
+
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:

@@ -2,9 +2,10 @@
 
 One function, `retrieve(pipeline, queries, ...)`, runs all four
 pipelines; they differ only in which index supplies the candidates, which
-text is embedded, and whether a judge ranks the candidates. It finds
-every query's candidates first and judges them all in one batch; the
-experiment grid runs each (corpus, pipeline) cell through it.
+text is embedded, and whether a judge ranks the candidates. It asks for
+all of its queries' rewrites in one rewriter call, finds every query's
+candidates, and judges them all in one judge call; the experiment grid
+runs each (corpus, pipeline) cell through it.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
 (`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
@@ -33,7 +34,7 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import AppendLog, Corpus, Query
-from .gateway import JudgeFn, RewriteFn, judge_many
+from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
 DEFAULT_TOP_K = 3
@@ -237,29 +238,23 @@ def merge_chunk_candidates(
 
 def _candidates(
     pipeline: Pipeline,
-    query: Query,
+    search_text: str,
     index: SearchIndex,
     corpus: Corpus | None,
-    rewriter: RewriteFn | None,
     k_candidates: int,
     top_k: int,
-) -> tuple[str | None, list[Candidate]]:
-    """(rewritten query or None, candidates in similarity order) for one
-    query; nothing is judged yet."""
-    rewritten = None
-    if pipeline is Pipeline.QUERY_TRANSFORMATION:
-        if rewriter is None:
-            raise ValueError("query_transformation needs a rewriter")
-        rewritten = rewriter(query.text)
-    query_vec = index.embedder.embed(query.text if rewritten is None else rewritten)
+) -> list[Candidate]:
+    """Candidates in similarity order for one search text; nothing is
+    judged yet."""
+    query_vec = index.embedder.embed(search_text)
     if pipeline is Pipeline.HIERARCHICAL:
         min_docs = min(top_k, len(corpus))
-        return rewritten, merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
+        return merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
     if index.kind != "document":
         raise ValueError(
             f"a document-level index is required here, not the {index.kind} index of {index.name!r}"
         )
-    return rewritten, [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
+    return [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
 
 
 def retrieve(
@@ -282,24 +277,31 @@ def retrieve(
     - query_transformation: the rewritten query picks the candidates,
       then they are judge-ranked like reranking.
 
-    Every query's candidates are found first; then every (query,
-    document) pair is judged in one `judge_many` batch, and each query is
-    ranked from those scores. Judged pipelines judge all candidates;
-    baseline, given a judge, judges only its similarity top-k, so its top
-    documents carry scores (None without a judge). Judged pipelines need
-    the corpus and the judge, and always judge against the original query
-    text. A rewrite, guard or judge failure is raised at the query it
-    belongs to, after the results of the queries before it; silently
-    falling back to the raw query would hide a broken pipeline stage.
+    query_transformation first rewrites every query in one rewriter call.
+    Then every query's candidates are found, every (query, document) pair
+    is judged in one judge call, and each query is ranked from those
+    scores. Judged pipelines judge all candidates; baseline, given a
+    judge, judges only its similarity top-k, so its top documents carry
+    scores (None without a judge). Judged pipelines need the corpus and
+    the judge, and always judge against the original query text. A
+    rewrite, guard or judge failure is raised at the query it belongs to,
+    after the results of the queries before it; silently falling back to
+    the raw query would hide a broken pipeline stage.
     """
     baseline = pipeline is Pipeline.BASELINE
+    rewrites: Sequence[str | Exception | None] = [None] * len(queries)
+    if pipeline is Pipeline.QUERY_TRANSFORMATION:
+        if rewriter is None:
+            raise ValueError("query_transformation needs a rewriter")
+        rewrites = rewriter([query.text for query in queries])
     found = []
     error: Exception | None = None
-    for query in queries:
+    for query, rewritten in zip(queries, rewrites, strict=True):
         try:
-            rewritten, candidates = _candidates(
-                pipeline, query, index, corpus, rewriter, k_candidates, top_k
-            )
+            if isinstance(rewritten, Exception):
+                raise rewritten
+            search_text = query.text if rewritten is None else rewritten
+            candidates = _candidates(pipeline, search_text, index, corpus, k_candidates, top_k)
         except Exception as exc:
             error = exc
             break
@@ -307,7 +309,7 @@ def retrieve(
     if baseline and judge is None:
         replies = itertools.repeat(None)
     else:
-        replies = iter(judge_many(judge, [
+        replies = iter(judge([
             (query.text, corpus.document(c.doc_id))
             for query, _, candidates in found
             for c in candidates

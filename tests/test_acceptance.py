@@ -25,7 +25,7 @@ from corpusgap.evaluation import (
     run_grid,
 )
 from corpusgap.gaps import GapParams, SubtopicStats, coverage_gap, usefulness_gap
-from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, make_mock_judge
+from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter
 from corpusgap.planner import allocate_quotas, build_nondirected_corpus
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import (
@@ -39,7 +39,7 @@ from corpusgap.retrieval import (
 )
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 
-from .world import build_world, build_ladders, reference_corpus, world_embedder
+from .world import build_ladders, build_world, mock_gateway_judge, reference_corpus, world_embedder
 
 
 def criterion(label):
@@ -305,7 +305,7 @@ def test_c08_pipeline_equivalences():
     embedder = HashedBagEmbedder(dim=512)
     doc_index = build_document_index(corpus, embedder)
     chunk_index = build_chunk_index(corpus, embedder)
-    judge = make_mock_judge(9)
+    judge = mock_gateway_judge(9)
 
     for i in range(12):
         query = Query(
@@ -314,7 +314,7 @@ def test_c08_pipeline_equivalences():
         # identity rewriter makes query transformation reproduce reranking
         [rerank] = retrieve(Pipeline.RERANKING, [query], doc_index, corpus, judge)
         [transformed] = retrieve(
-            Pipeline.QUERY_TRANSFORMATION, [query], doc_index, corpus, judge, rewriter=lambda t: t
+            Pipeline.QUERY_TRANSFORMATION, [query], doc_index, corpus, judge, rewriter=list
         )
         assert transformed.top_docs == rerank.top_docs
         assert transformed.query_id == rerank.query_id
@@ -335,7 +335,7 @@ def test_c08_pipeline_equivalences():
             *retrieve(Pipeline.HIERARCHICAL, [query], small_chunk_index, small, judge),
             *retrieve(Pipeline.RERANKING, [query], small_doc_index, small, judge),
             *retrieve(
-                Pipeline.QUERY_TRANSFORMATION, [query], small_doc_index, small, judge, rewriter=lambda t: t
+                Pipeline.QUERY_TRANSFORMATION, [query], small_doc_index, small, judge, rewriter=list
             ),
         ]
         for result in results:
@@ -351,22 +351,14 @@ def test_c08_pipeline_equivalences():
 def test_c09_directed_beats_random():
     start = time.perf_counter()
     world = build_world(seed=0)
-    raw_judge = make_mock_judge(0)
-    memo: dict = {}
-
-    def judge(query_text, doc):
-        key = (query_text, doc.id)
-        if key not in memo:
-            memo[key] = raw_judge(query_text, doc)
-        return memo[key]
-
+    judge = mock_gateway_judge(0)
     embedder = CachedEmbedder(world_embedder())
     test_queries = list(world.test_queries)
 
     def cell_score(corpus, resources, pipeline):
         spec = ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline)
         result = run_experiment(
-            spec, resources, test_queries, judge, rewriter=lambda t: t
+            spec, resources, test_queries, judge, rewriter=list
         )
         return result.avg_score
 

@@ -364,3 +364,27 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
         fh.write("{not json\n")
     result = runner.invoke(main, [command, "--summary", str(tmp_path / "summary.jsonl"), "--out", str(tmp_path / "out")])
     _assert_clean_failure(result, "summary.jsonl:7", "malformed record")
+
+
+@pytest.mark.parametrize("command", ["ingest", "annotate", "gaps", "plan", "build-corpus"])
+def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, command):
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("taxonomy", "baseline", "pool", "train", "gaps")}
+    write_taxonomy(world.taxonomy, paths["taxonomy"])
+    write_corpus(world.baseline, paths["baseline"])
+    write_corpus(Corpus(name="pool", documents=world.pool), paths["pool"])
+    write_queries(world.train_queries[:4], paths["train"])
+    write_records(paths["gaps"], [])
+    args, broken = {
+        "ingest": (["ingest", "documents", paths["baseline"], "--taxonomy", paths["taxonomy"]], "taxonomy"),
+        "annotate": (["annotate", "queries", paths["train"], "--taxonomy", paths["taxonomy"]], "taxonomy"),
+        "gaps": (["gaps", "--corpus", paths["baseline"], "--queries", paths["train"], "--taxonomy", paths["taxonomy"]], "train"),
+        "plan": (["plan", "--gaps", paths["gaps"], "--pool", paths["pool"], "--budget", "4"], "gaps"),
+        "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool"),
+    }[command]
+    with open(paths[broken], "a") as fh:
+        fh.write("{not json\n")
+    lineno = len(paths[broken].read_text().splitlines())
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path / "cache"), *map(str, args), "-o", str(out)])
+    _assert_clean_failure(result, f"{broken}.jsonl:{lineno}: malformed record")
+    assert not out.exists()

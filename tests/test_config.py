@@ -181,7 +181,7 @@ def test_older_cache_records_load_and_serve_hits(tmp_path):
     (cache / "embeddings.jsonl").write_text(json.dumps(vector) + "\n", encoding="utf-8")
 
     gateway = make_gateway(config)
-    assert make_gateway_rewriter(gateway)("cant sleep") == "cached rewrite"
+    assert make_gateway_rewriter(gateway)(["cant sleep"]) == ["cached rewrite"]
     assert gateway.provider.calls == 0
     embedder = make_embedder(config)
     embedder.inner = None  # a miss would fail: the vector must come from the file

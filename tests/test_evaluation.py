@@ -22,9 +22,11 @@ from corpusgap.evaluation import (
     run_experiment,
     run_grid,
 )
-from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_mock_judge
+from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_gateway_rewriter
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import HashedBagEmbedder
+
+from .world import mock_gateway_judge
 
 
 def doc(doc_id: str, body: str) -> Document:
@@ -51,7 +53,7 @@ class TestRunExperiment:
         scripted = {"d1": 70, "d2": 50, "d3": 90}
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE)
         result = run_experiment(
-            spec, resources, [tquery("q1", "alpha")], judge=lambda q, d: scripted[d.id]
+            spec, resources, [tquery("q1", "alpha")], judge=lambda pairs: [scripted[d.id] for _, d in pairs]
         )
         assert result.avg_score == pytest.approx(70.0)
         assert result.complete
@@ -61,14 +63,14 @@ class TestRunExperiment:
     def test_deterministic_repeat(self, resources):
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING, seed=5)
         runs = [
-            run_experiment(spec, resources, [tquery("q1", "alpha beta")], make_mock_judge(5))
+            run_experiment(spec, resources, [tquery("q1", "alpha beta")], mock_gateway_judge(5))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_aggregate_invariant_to_query_order(self, resources):
         queries = [tquery(f"q{i}", f"alpha tok{i}") for i in range(6)]
-        judge = make_mock_judge(1)
+        judge = mock_gateway_judge(1)
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING)
         forward = run_experiment(spec, resources, queries, judge)
         shuffled = list(queries)
@@ -80,16 +82,11 @@ class TestRunExperiment:
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE)
         train = Query(id="q1", text="alpha", split=Split.TRAIN)
         with pytest.raises(ValueError, match="non-test"):
-            run_experiment(spec, resources, [train], judge=lambda q, d: 50)
+            run_experiment(spec, resources, [train], judge=lambda pairs: [50] * len(pairs))
 
     def test_pipeline_error_saves_partial_and_flags(self, resources, tmp_path):
-        calls = {"n": 0}
-
-        def judge(q, d):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise RuntimeError("judge quota exhausted")
-            return 60
+        def judge(pairs):
+            return [60 if i < 3 else RuntimeError("judge quota exhausted") for i in range(len(pairs))]
 
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING)
         out = tmp_path / "cell.jsonl"
@@ -121,11 +118,51 @@ class TestRunExperiment:
             assert not partial.complete
             assert [o.query_id for o in partial.per_query] == ["q1"]
 
+    def test_rewrites_sent_as_one_complete_many_batch(self, resources, monkeypatch):
+        gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
+        batches = []
+        complete_many = gateway.complete_many
+
+        def spy(requests, parser):
+            batches.append([r.template for r in requests])
+            return complete_many(requests, parser)
+
+        monkeypatch.setattr(gateway, "complete_many", spy)
+        spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.QUERY_TRANSFORMATION)
+        queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta")]
+        result = run_experiment(
+            spec, resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway)
+        )
+        assert result.complete
+        assert batches == [["rewrite_query"] * 3, ["usefulness_rubric"] * 9]
+        assert gateway.provider.calls_by_template["rewrite_query"] == 3
+
+    def test_rewrite_failure_keeps_earlier_queries(self, resources, tmp_path):
+        class RewriteDownForOneQuery(MockProvider):
+            def generate(self, request, prompt):
+                if request.bindings.get("query") == "delta":
+                    raise ProviderError("rewrite endpoint unavailable")
+                return super().generate(request, prompt)
+
+        gateway = Gateway(RewriteDownForOneQuery(seed=0), sleep=lambda s: None)
+        spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.QUERY_TRANSFORMATION)
+        queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta"), tquery("q4", "gamma")]
+        out = tmp_path / "cell.jsonl"
+        with pytest.raises(ExperimentError, match="rewrite endpoint unavailable"):
+            run_experiment(
+                spec, resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway),
+                out_path=out,
+            )
+        partial = load_experiment(out)
+        assert not partial.complete and partial.avg_score is None
+        assert [o.query_id for o in partial.per_query] == ["q1", "q2"]
+        assert all(len(o.doc_scores) == 3 for o in partial.per_query)
+
     def test_save_load_round_trip(self, resources, tmp_path):
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE, seed=2)
         out = tmp_path / "cell.jsonl"
         result = run_experiment(
-            spec, resources, [tquery("q1", "alpha")], make_mock_judge(2), out_path=out
+            spec, resources, [tquery("q1", "alpha")], mock_gateway_judge(2), out_path=out
         )
         assert load_experiment(out) == result
 
@@ -141,8 +178,8 @@ class TestRunGrid:
             list(Pipeline),
             [tquery("q1", "alpha")],
             HashedBagEmbedder(dim=64),
-            make_mock_judge(0),
-            rewriter=lambda t: t,
+            mock_gateway_judge(0),
+            rewriter=list,
             out_dir=tmp_path,
         )
         assert len(results) == 8
@@ -162,7 +199,7 @@ class TestRunGrid:
             Corpus(name="a", documents=(doc("d1", "alpha"), doc("d2", "beta"))),
             Corpus(name="b", documents=(doc("d3", "alpha"), doc("d4", "gamma"))),
         ]
-        args = ([tquery("q1", "alpha")], HashedBagEmbedder(dim=64), make_mock_judge(0))
+        args = ([tquery("q1", "alpha")], HashedBagEmbedder(dim=64), mock_gateway_judge(0))
         results = run_grid(corpora, [Pipeline.BASELINE], *args)
         assert all(r.complete for r in results) and built == []
         run_grid(corpora, [Pipeline.BASELINE, Pipeline.HIERARCHICAL], *args)
@@ -282,8 +319,8 @@ def grid_results(tmp_path):
         list(Pipeline),
         [tquery("q1", "alpha beta")],
         HashedBagEmbedder(dim=64),
-        make_mock_judge(0),
-        rewriter=lambda t: t,
+        mock_gateway_judge(0),
+        rewriter=list,
     )
     info = {
         "base": CorpusInfo(arm="baseline", docs_added=0, total_docs=2),

@@ -25,8 +25,10 @@ from corpusgap.gaps import (
     usefulness_inputs,
     write_gap_report,
 )
-from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_mock_judge
+from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge
 from corpusgap.providers import MockProvider
+
+from .world import mock_gateway_judge
 
 
 def oracle_coverage(query_count, doc_count, total_docs, max_query_count, c=1.0, alpha=1.5):
@@ -240,7 +242,7 @@ class TestAnalyzeGaps:
 
     def test_usefulness_absent_iff_no_docs(self):
         taxonomy, corpus, queries = self.build_world()
-        gaps = analyze_gaps(corpus, queries, taxonomy, judge=make_mock_judge(0))
+        gaps = analyze_gaps(corpus, queries, taxonomy, judge=mock_gateway_judge(0))
         by_subtopic = {g.subtopic: g for g in gaps}
         assert by_subtopic["T: c"].usefulness_gap is None  # zero docs
         assert by_subtopic["T: a"].usefulness_gap is not None
@@ -249,7 +251,7 @@ class TestAnalyzeGaps:
 
     def test_sorted_descending_by_hybrid(self):
         taxonomy, corpus, queries = self.build_world()
-        gaps = analyze_gaps(corpus, queries, taxonomy, judge=make_mock_judge(0))
+        gaps = analyze_gaps(corpus, queries, taxonomy, judge=mock_gateway_judge(0))
         hybrids = [g.hybrid for g in gaps]
         assert hybrids == sorted(hybrids, reverse=True)
 
@@ -267,13 +269,13 @@ class TestAnalyzeGaps:
             documents=(make_doc("d1", "alpha", "T: a"), make_doc("d2", "beta", "T: b")),
         )
         queries = [Query(id="q1", text="alpha", split=Split.TRAIN, subtopic="T: a")]
-        gaps = analyze_gaps(corpus, queries, taxonomy, judge=make_mock_judge(0))
+        gaps = analyze_gaps(corpus, queries, taxonomy, judge=mock_gateway_judge(0))
         by_subtopic = {g.subtopic: g for g in gaps}
         assert by_subtopic["T: b"].usefulness_gap == 0.0
 
     def test_report_round_trip(self, tmp_path):
         taxonomy, corpus, queries = self.build_world()
-        gaps = analyze_gaps(corpus, queries, taxonomy, judge=make_mock_judge(0))
+        gaps = analyze_gaps(corpus, queries, taxonomy, judge=mock_gateway_judge(0))
         path = tmp_path / "gaps.jsonl"
         write_gap_report(gaps, path)
         assert read_gap_report(path) == gaps
@@ -297,10 +299,13 @@ class TestJudgeFailures:
         corpus, queries = self.world()
         table = {("one", "d1"): 90, ("one", "d2"): 40, ("two", "d1"): 70, ("two", "d2"): 30}
 
-        def judge(query_text, doc):
-            if (query_text, doc.id) == ("one", "d1") or query_text == "four":
-                raise ProviderError("judge unavailable")
-            return table[query_text, doc.id]
+        def judge(pairs):
+            return [
+                ProviderError("judge unavailable")
+                if (query_text, doc.id) == ("one", "d1") or query_text == "four"
+                else table[query_text, doc.id]
+                for query_text, doc in pairs
+            ]
 
         with caplog.at_level(logging.WARNING, logger="corpusgap.gaps"):
             per_query = usefulness_inputs(corpus, queries, judge)

@@ -20,10 +20,8 @@ from corpusgap.gateway import (
     ProviderParams,
     TemplateError,
     format_judge_score,
-    judge_many,
     make_gateway_judge,
     make_gateway_rewriter,
-    mock_judge,
     mock_score,
     parse_judge_score,
     stable_hash,
@@ -32,7 +30,7 @@ from corpusgap.gateway import (
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import CachedEmbedder, Pipeline
 
-from .world import build_ladders, build_world, reference_corpus, world_embedder
+from .world import build_ladders, build_world, mock_gateway_judge, reference_corpus, world_embedder
 
 
 def make_doc(doc_id: str, text: str) -> Document:
@@ -302,42 +300,38 @@ class TestParseJudgeScore:
 class TestMockJudge:
     def test_identical_text_scores_high(self):
         text = "calm evening routine helps sleep"
-        doc = make_doc("d1", text)
-        assert mock_judge(text, doc, seed=0) >= 97
+        assert mock_score(text, text, seed=0) >= 97
 
     def test_disjoint_text_scores_low(self):
-        doc = make_doc("d1", "gamma delta epsilon")
-        assert mock_judge("alpha beta", doc, seed=0) <= 4
+        assert mock_score("alpha beta", "gamma delta epsilon", seed=0) <= 4
 
     def test_deterministic(self):
-        doc = make_doc("d1", "a b c d")
-        assert mock_judge("a b", doc, seed=3) == mock_judge("a b", doc, seed=3)
+        assert mock_score("a b", "a b c d", seed=3) == mock_score("a b", "a b c d", seed=3)
 
     def test_always_in_range(self):
         for seed in range(20):
-            doc = make_doc("d1", "x")
-            assert 1 <= mock_judge("y z", doc, seed) <= 100
+            assert 1 <= mock_score("y z", "x", seed) <= 100
 
     def test_provider_and_judge_share_one_formula(self):
-        # The two mock judges differ only in what keys the perturbation:
-        # the document text for the provider, the document id for mock_judge.
-        def reference(query_text, doc_text, seed, doc_key):
+        # The perturbation is keyed on the document text, so the provider's
+        # reply and the gateway judge over it both follow one formula.
+        def reference(query_text, doc_text, seed):
             base = round(100 * token_overlap(query_text, doc_text))
-            return max(1, min(100, base + stable_hash(str(seed), query_text, doc_key) % 7 - 3))
+            return max(1, min(100, base + stable_hash(str(seed), query_text, doc_text) % 7 - 3))
 
         doc = make_doc("d7", "calm night routine for sleep")
         for seed in range(5):
-            for query_text in ["calm night", "sleep routine calm", "unrelated words"]:
-                want_by_id = reference(query_text, doc.text, seed, doc.id)
-                want_by_text = reference(query_text, doc.text, seed, doc.text)
-                assert mock_judge(query_text, doc, seed) == want_by_id
-                assert mock_score(query_text, doc.text, seed, doc.id) == want_by_id
+            queries = ["calm night", "sleep routine calm", "unrelated words"]
+            want = [reference(query_text, doc.text, seed) for query_text in queries]
+            assert [mock_score(query_text, doc.text, seed) for query_text in queries] == want
+            assert mock_gateway_judge(seed)([(query_text, doc) for query_text in queries]) == want
+            for query_text, score in zip(queries, want):
                 request = CompletionRequest(
                     template="usefulness_rubric",
                     bindings={"user_query": query_text, "retrieved_document": doc.text},
                 )
                 reply = MockProvider(seed=seed).generate(request, "")
-                assert reply == format_judge_score(want_by_text)
+                assert reply == format_judge_score(score)
 
     def test_overlap_counts_multiplicity(self):
         assert token_overlap("a a b", "a b c") == pytest.approx(2 / 3)
@@ -349,13 +343,30 @@ class TestGatewayJudgeAndRewriter:
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
         judge = make_gateway_judge(gateway)
         doc = make_doc("d1", "breathing exercise for panic")
-        score = judge("breathing exercise for panic", doc)
+        [score] = judge([("breathing exercise for panic", doc)])
         assert score >= 97
+
+    def test_mock_judge_scores_a_batch_by_text(self):
+        # A repeated pair, and two documents with different ids but the
+        # same text, which must score the same.
+        provider = MockProvider(seed=4)
+        judge = make_gateway_judge(Gateway(provider, sleep=lambda s: None))
+        calm, twin, other = (
+            make_doc("d1", "calm night routine for sleep"),
+            make_doc("d2", "calm night routine for sleep"),
+            make_doc("d3", "panic breathing exercise"),
+        )
+        pairs = [("calm night", calm), ("calm night", twin), ("calm night", other),
+                 ("calm night", calm), ("panic at night", twin)]
+        scores = judge(pairs)
+        assert scores == [mock_score(q, d.text, 4) for q, d in pairs]
+        assert scores[0] == scores[1] == scores[3]
+        assert provider.calls == 3
 
     def test_rewriter_returns_single_line(self):
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
         rewriter = make_gateway_rewriter(gateway)
-        out = rewriter("cant sleep, mind racing")
+        [out] = rewriter(["cant sleep, mind racing"])
         assert "\n" not in out and out
 
 
@@ -446,8 +457,8 @@ class TestCompleteMany:
         gateway = Gateway(provider, max_inflight=8, sleep=lambda s: None)
         judge = make_gateway_judge(gateway)
         docs = [make_doc(f"d{i}", f"calm night {i}") for i in range(10)]
-        scores = judge_many(judge, [("calm night", d) for d in docs])
-        assert scores == [mock_score("calm night", d.text, 0, d.text) for d in docs]
+        scores = judge([("calm night", d) for d in docs])
+        assert scores == [mock_score("calm night", d.text, 0) for d in docs]
         assert provider.calls == 10 and started == []
 
     @pytest.mark.parametrize("max_inflight", [1, 3])

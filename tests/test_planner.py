@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
-from corpusgap.gateway import Gateway, make_mock_judge, mock_judge
+from corpusgap.gateway import Gateway, mock_score
 from corpusgap.planner import (
     ArticleMetadata,
     QuotaPlan,
@@ -20,6 +20,8 @@ from corpusgap.planner import (
     write_plan,
 )
 from corpusgap.providers import MockProvider
+
+from .world import mock_gateway_judge
 
 
 class TestAllocateQuotas:
@@ -203,7 +205,7 @@ class TestScoreExternalPool:
             Query(id="q2", text="b", split=Split.TRAIN, subtopic="A"),
         ]
         table = {"q1-p1": 80, "q2-p1": 90}
-        judge = lambda q, d: table[f"{'q1' if q == 'a' else 'q2'}-{d.id}"]
+        judge = lambda pairs: [table[f"{'q1' if q == 'a' else 'q2'}-{d.id}"] for q, d in pairs]
         results, skipped = score_external_pool([doc], queries, judge)
         assert skipped == []
         assert results[0].avg_score == pytest.approx(85.0)
@@ -211,7 +213,7 @@ class TestScoreExternalPool:
     def test_doc_without_matching_queries_skipped(self):
         docs = [external_doc("p1", "A"), external_doc("p2", "B")]
         queries = [Query(id="q1", text="a", split=Split.TRAIN, subtopic="A")]
-        results, skipped = score_external_pool(docs, queries, lambda q, d: 50)
+        results, skipped = score_external_pool(docs, queries, lambda pairs: [50] * len(pairs))
         assert [r.doc.id for r in results] == ["p1"]
         assert skipped == ["p2"]
 
@@ -222,10 +224,8 @@ class TestScoreExternalPool:
             Query(id="q2", text="fine", split=Split.TRAIN, subtopic="A"),
         ]
 
-        def judge(q, d):
-            if q == "boom":
-                raise RuntimeError("provider down")
-            return 70
+        def judge(pairs):
+            return [RuntimeError("provider down") if q == "boom" else 70 for q, _ in pairs]
 
         results, skipped = score_external_pool([doc], queries, judge)
         assert results[0].avg_score == 70.0
@@ -240,19 +240,18 @@ class TestScoreExternalPool:
             Query(id=f"q{i}", text=t, split=Split.TRAIN, subtopic="A")
             for i, t in enumerate(["alpha beta", "gamma delta", "epsilon alpha"])
         ]
-        results, _ = score_external_pool(docs, queries, make_mock_judge(0))
+        results, _ = score_external_pool(docs, queries, mock_gateway_judge(0))
         for result in results:
-            expected = sum(mock_judge(q.text, result.doc, 0) for q in queries) / len(queries)
+            expected = sum(mock_score(q.text, result.doc.text, 0) for q in queries) / len(queries)
             assert result.avg_score == pytest.approx(expected)
 
 
 class TestLadderContract:
     def test_same_rung_same_size_and_baseline_preserved(self):
-        from corpusgap.gateway import make_mock_judge as _judge
-        from .world import build_world, build_ladders
+        from .world import build_ladders, build_world
 
         world = build_world(seed=0)
-        directed, nondirected = build_ladders(world, _judge(0), sample_seed=3)
+        directed, nondirected = build_ladders(world, mock_gateway_judge(0), sample_seed=3)
         baseline_ids = {d.id for d in world.baseline.documents}
         for d_corpus, nd_corpus, budget in zip(directed, nondirected, world.budgets):
             assert len(d_corpus) == len(nd_corpus) == len(world.baseline) + budget

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,3 +149,12 @@ class TestMockProviderRouting:
         provider.generate(CompletionRequest(template="rewrite_query", bindings={"query": "y"}), "")
         assert provider.calls == 2
         assert provider.calls_by_template == {"rewrite_query": 2}
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # Only the HTTP clients need `requests`, and it is slow to import.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, corpusgap.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
-from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, make_mock_judge
+from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, mock_score
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import (
     CachedEmbedder,
@@ -22,6 +22,8 @@ from corpusgap.retrieval import (
     merge_chunk_candidates,
     retrieve,
 )
+
+from .world import mock_gateway_judge
 
 
 def brute_force_search(keys, matrix, query_vec, k):
@@ -272,11 +274,10 @@ class TestHierarchicalPipeline:
             documents=(doc("d1", "alpha beta"), doc("d2", "alpha gamma"), doc("d3", "alpha")),
         )
         chunk_index = build_chunk_index(corpus, embedder)
-        judge = make_mock_judge(0)
-        [result] = retrieve(Pipeline.HIERARCHICAL, [query("alpha beta")], chunk_index, corpus, judge)
+        [result] = retrieve(Pipeline.HIERARCHICAL, [query("alpha beta")], chunk_index, corpus, mock_gateway_judge(0))
         expected = sorted(
             (
-                (judge("alpha beta", corpus.document(d)), d)
+                (mock_score("alpha beta", corpus.document(d).text, 0), d)
                 for d in ("d1", "d2", "d3")
             ),
             key=lambda pair: -pair[0],
@@ -297,7 +298,7 @@ class TestHierarchicalPipeline:
             ),
         )
         chunk_index = build_chunk_index(corpus, embedder)
-        [result] = retrieve(Pipeline.HIERARCHICAL, [query("alpha beta")], chunk_index, corpus, make_mock_judge(0))
+        [result] = retrieve(Pipeline.HIERARCHICAL, [query("alpha beta")], chunk_index, corpus, mock_gateway_judge(0))
         assert len({d.doc_id for d in result.top_docs}) == 3
 
 
@@ -310,7 +311,7 @@ class TestRerankingPipeline:
         index = build_document_index(corpus, embedder)
         scripted = {"d1": 10, "d2": 90, "d3": 50}
         [result] = retrieve(
-            Pipeline.RERANKING, [query("alpha")], index, corpus, lambda q, d: scripted[d.id]
+            Pipeline.RERANKING, [query("alpha")], index, corpus, lambda pairs: [scripted[d.id] for _, d in pairs]
         )
         assert [d.doc_id for d in result.top_docs] == ["d2", "d3", "d1"]
 
@@ -323,7 +324,7 @@ class TestRerankingPipeline:
         index = build_document_index(corpus, embedder)
         hits = index.search(embedder.embed("alpha beta"), 20)
         assert ("d99", hits[-1][1]) == hits[-1]  # weakest of the candidate set
-        judge = lambda q, d: 99 if d.id == "d99" else 40
+        judge = lambda pairs: [99 if d.id == "d99" else 40 for _, d in pairs]
         [result] = retrieve(Pipeline.RERANKING, [query("alpha beta")], index, corpus, judge)
         assert result.top_docs[0].doc_id == "d99"
 
@@ -333,15 +334,14 @@ class TestRerankingPipeline:
         docs = tuple(doc(f"d{i:02d}", " ".join(rng.sample(vocab, 6))) for i in range(35))
         corpus = Corpus(name="c", documents=docs)
         index = build_document_index(corpus, embedder)
-        judge = make_mock_judge(3)
         q = query(" ".join(rng.sample(vocab, 5)))
-        [result] = retrieve(Pipeline.RERANKING, [q], index, corpus, judge)
+        [result] = retrieve(Pipeline.RERANKING, [q], index, corpus, mock_gateway_judge(3))
 
         qvec = embedder.embed(q.text)
         stage_one = brute_force_search(index.keys, index.matrix, qvec, 20)
         stage_two = sorted(
             (
-                (-judge(q.text, corpus.document(k)), -sim, k)
+                (-mock_score(q.text, corpus.document(k).text, 3), -sim, k)
                 for k, sim in stage_one
             )
         )[:3]
@@ -355,11 +355,11 @@ class TestQueryTransformationPipeline:
         docs = tuple(doc(f"d{i:02d}", " ".join(rng.sample(vocab, 6))) for i in range(25))
         corpus = Corpus(name="c", documents=docs)
         index = build_document_index(corpus, embedder)
-        judge = make_mock_judge(1)
+        judge = mock_gateway_judge(1)
         q = query(" ".join(rng.sample(vocab, 5)))
         [rerank] = retrieve(Pipeline.RERANKING, [q], index, corpus, judge)
         [transformed] = retrieve(
-            Pipeline.QUERY_TRANSFORMATION, [q], index, corpus, judge, rewriter=lambda text: text
+            Pipeline.QUERY_TRANSFORMATION, [q], index, corpus, judge, rewriter=list
         )
         assert transformed.top_docs == rerank.top_docs
         assert transformed.query_id == rerank.query_id
@@ -380,8 +380,8 @@ class TestQueryTransformationPipeline:
             Pipeline.QUERY_TRANSFORMATION, [query("cant sleep, mind racing")],
             index,
             corpus,
-            judge=lambda q, d: 50,
-            rewriter=lambda text: mapping[text],
+            judge=lambda pairs: [50] * len(pairs),
+            rewriter=lambda texts: [mapping[t] for t in texts],
         )
         assert result.rewritten_query == "strategies for insomnia and nighttime anxiety"
         assert result.top_docs[0].doc_id == "d1"
@@ -390,12 +390,13 @@ class TestQueryTransformationPipeline:
         corpus = Corpus(name="c", documents=(doc("d1", "alpha"),))
         index = build_document_index(corpus, embedder)
 
-        def broken(text):
-            raise RuntimeError("rewriter down")
+        def broken(texts):
+            return [RuntimeError("rewriter down") for _ in texts]
 
         with pytest.raises(RuntimeError, match="rewriter down"):
             list(retrieve(
-                Pipeline.QUERY_TRANSFORMATION, [query("alpha")], index, corpus, judge=lambda q, d: 50, rewriter=broken
+                Pipeline.QUERY_TRANSFORMATION, [query("alpha")], index, corpus,
+                judge=lambda pairs: [50] * len(pairs), rewriter=broken,
             ))
 
     def test_end_to_end_determinism_with_gateway(self, embedder):
@@ -425,13 +426,13 @@ class TestPipelineInvariants:
         corpus = Corpus(name="c", documents=docs)
         doc_index = build_document_index(corpus, embedder)
         chunk_index = build_chunk_index(corpus, embedder)
-        judge = make_mock_judge(0)
+        judge = mock_gateway_judge(0)
         q = query("alpha")
         results = [
             *retrieve(Pipeline.BASELINE, [q], doc_index),
             *retrieve(Pipeline.HIERARCHICAL, [q], chunk_index, corpus, judge),
             *retrieve(Pipeline.RERANKING, [q], doc_index, corpus, judge),
-            *retrieve(Pipeline.QUERY_TRANSFORMATION, [q], doc_index, corpus, judge, rewriter=lambda t: t),
+            *retrieve(Pipeline.QUERY_TRANSFORMATION, [q], doc_index, corpus, judge, rewriter=list),
         ]
         for result in results:
             ids = [d.doc_id for d in result.top_docs]
@@ -443,7 +444,7 @@ class TestPipelineInvariants:
         corpus = Corpus(name="c", documents=docs)
         doc_index = build_document_index(corpus, embedder)
         chunk_index = build_chunk_index(corpus, embedder)
-        judge = make_mock_judge(2)
+        judge = mock_gateway_judge(2)
         q = query("alpha tok1 tok2")
         for result in (
             *retrieve(Pipeline.HIERARCHICAL, [q], chunk_index, corpus, judge),
@@ -467,7 +468,7 @@ class TestRetrieveGuards:
             (Pipeline.HIERARCHICAL, "document", None, "chunk-level index .* document index of 'c'"),
             (Pipeline.BASELINE, "chunk", None, "document-level index .* chunk index of 'c'"),
             (Pipeline.RERANKING, "chunk", None, "document-level index .* chunk index of 'c'"),
-            (Pipeline.QUERY_TRANSFORMATION, "chunk", lambda t: t, "document-level index .* chunk index of 'c'"),
+            (Pipeline.QUERY_TRANSFORMATION, "chunk", list, "document-level index .* chunk index of 'c'"),
             (Pipeline.QUERY_TRANSFORMATION, "document", None, "needs a rewriter"),
         ],
         ids=[
@@ -483,22 +484,19 @@ class TestRetrieveGuards:
         build = build_chunk_index if kind == "chunk" else build_document_index
         index = build(corpus, embedder)
         with pytest.raises(ValueError, match=message):
-            list(retrieve(pipeline, [query("alpha")], index, corpus, make_mock_judge(0), rewriter))
+            list(retrieve(pipeline, [query("alpha")], index, corpus, mock_gateway_judge(0), rewriter))
 
 
 class CountingJudge:
-    """A gateway judge that records each batch handed to `many`."""
+    """A gateway judge that records each batch it is handed."""
 
     def __init__(self, gateway):
         self.inner = make_gateway_judge(gateway)
         self.batches = []
 
-    def __call__(self, query_text, doc):
-        return self.inner(query_text, doc)
-
-    def many(self, pairs):
+    def __call__(self, pairs):
         self.batches.append([(query_text, doc.id) for query_text, doc in pairs])
-        return self.inner.many(pairs)
+        return self.inner(pairs)
 
 
 class TestBatchRetrieve:
@@ -529,8 +527,8 @@ class TestBatchRetrieve:
     @pytest.mark.parametrize("pipeline", list(Pipeline))
     def test_batch_equals_single_query_runs(self, setting, pipeline):
         corpus, queries, indexes = setting
-        judge = make_mock_judge(4)
-        rewriter = lambda text: text + " tok7"
+        judge = mock_gateway_judge(4)
+        rewriter = lambda texts: [text + " tok7" for text in texts]
         args = (indexes[pipeline], corpus, judge, rewriter)
         batch = list(retrieve(pipeline, queries, *args))
         singles = [result for q in queries for result in retrieve(pipeline, [q], *args)]
@@ -545,7 +543,7 @@ class TestBatchRetrieve:
         corpus, queries, indexes = setting
         provider = MockProvider(seed=3)
         judge = CountingJudge(Gateway(provider, sleep=lambda s: None))
-        results = list(retrieve(pipeline, queries, indexes[pipeline], corpus, judge, lambda t: t))
+        results = list(retrieve(pipeline, queries, indexes[pipeline], corpus, judge, list))
         [batch] = judge.batches
         assert len(set(batch)) < len(batch)
         assert provider.calls_by_template["usefulness_rubric"] == len(set(batch))

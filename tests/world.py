@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 from corpusgap.corpus import Corpus, Document, MainTopic, Query, Section, Source, Split, Taxonomy
 from corpusgap.gaps import GapParams, GapWeights, analyze_gaps
-from corpusgap.gateway import JudgeFn
+from corpusgap.gateway import Gateway, JudgeFn, make_gateway_judge
 from corpusgap.planner import (
     allocate_quotas,
     build_directed_corpus,
     build_nondirected_corpus,
     score_external_pool,
 )
+from corpusgap.providers import MockProvider
 from corpusgap.retrieval import HashedBagEmbedder
 
 EMBED_DIM = 4096
@@ -194,6 +195,12 @@ def build_world(seed: int = 0) -> World:
         test_queries=tuple(test),
         budgets=LADDER_BUDGETS,
     )
+
+
+def mock_gateway_judge(seed: int = 0) -> JudgeFn:
+    """The mock judge: the gateway judge over `MockProvider(seed)`, with
+    its own in-memory cache."""
+    return make_gateway_judge(Gateway(MockProvider(seed)))
 
 
 def world_embedder() -> HashedBagEmbedder:
