@@ -122,13 +122,19 @@ def annotate(ctx, kind, input_path, output, taxonomy_path, labelings_path, relab
     taxonomy = load_taxonomy(taxonomy_path)
     gateway = _gateway(ctx)
     params = config_mod.provider_params(cfg)
-    records = [record for _, record in read_records(input_path)]
+    records = []
     todo = []
-    for record in records:
+    for lineno, record in read_records(input_path):
+        where = f"{input_path}:{lineno}"
+        if not isinstance(record.get("id"), str):
+            raise IngestError(f"{where}: missing or invalid 'id'")
+        records.append(record)
         if record.get("subtopic") and not relabel:
             continue
         if kind == "queries":
-            text = record["text"]
+            text = record.get("text")
+            if not isinstance(text, str):
+                raise IngestError(f"{where}: missing or invalid 'text'")
         else:
             bodies = [s.get("body", "") for s in record.get("sections", [])]
             if "body" in record:
@@ -216,7 +222,7 @@ def build_corpus(ctx, arm, baseline_path, pool_path, plan_path, queries_path, si
         judge = make_gateway_judge(gateway, config_mod.provider_params(cfg))
         scored, skipped = score_external_pool(pool.documents, queries, judge)
         if skipped:
-            click.echo(f"skipped {len(skipped)} pool docs without scoreable queries", err=True)
+            click.echo(f"skipped {len(skipped)} pool docs that are unlabeled or whose every judge call failed", err=True)
         corpus = build_directed_corpus(baseline, scored, quota_plan, name)
     else:
         if size is None:
@@ -241,10 +247,17 @@ def generate(ctx, metadata_path, output, flags_path) -> None:
     docs = []
     flags = []
     for lineno, record in read_records(metadata_path):
+        where = f"{metadata_path}:{lineno}"
+        if not isinstance(record.get("title"), str):
+            raise IngestError(f"{where}: missing or invalid 'title'")
+        try:
+            word_count = int(record["word_count"])
+        except (KeyError, TypeError, ValueError):
+            raise IngestError(f"{where}: missing or non-integer 'word_count'") from None
         metadata = ArticleMetadata(
             title=record["title"],
             headers=tuple(record.get("headers", [])),
-            word_count=int(record["word_count"]),
+            word_count=word_count,
         )
         doc_id = record.get("id") or f"synthetic-{lineno:05d}"
         result = generate_synthetic_doc(
@@ -316,6 +329,8 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
     )
     rows = []
     for result in results:
+        if not result.complete:
+            click.echo(f"incomplete: {result.spec.corpus_name}/{result.spec.pipeline.value}: {result.error}", err=True)
         meta = info[result.spec.corpus_name]
         rows.append(
             {
@@ -413,11 +428,10 @@ def thresholds(summary_path, reference, ratio, out_dir) -> None:
 @main.command()
 @click.option("--summary", "summary_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--formats", default="csv,table,plot")
-def report(summary_path, out_dir, formats) -> None:
+def report(summary_path, out_dir) -> None:
     """Emit score reports (CSV, aligned tables, plot series)."""
     results, info = _load_summary(summary_path)
-    written = emit_report(results, info, out_dir, formats=tuple(formats.split(",")))
+    written = emit_report(results, info, out_dir)
     click.echo("wrote " + ", ".join(str(p) for p in written))
 
 

@@ -4,7 +4,10 @@ within a fixed fraction of the reference corpus score.
 
 Each cell is one `retrieval.retrieve` call over the held-out test
 queries, on indexes built once per corpus (`CorpusResources`); its score
-is the mean judge score of every query's top documents.
+is the mean judge score of every query's top documents. A cell that fails
+is returned, not raised: it keeps the queries before the failure, is
+marked incomplete and carries the failure as its `error`, so the grid runs
+every cell and each failure stays with the cell it belongs to.
 
 Threshold semantics, recorded in every report: a rung qualifies when its
 score ratio to the reference, rounded half-up to 3 decimals, is >= the
@@ -17,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -37,13 +41,7 @@ from .retrieval import (
 
 THRESHOLD_RULE = "score ratio to reference, rounded half-up to 3 decimals, must reach the target"
 
-
-class ExperimentError(RuntimeError):
-    """A pipeline failure aborted an experiment; partial results were kept."""
-
-    def __init__(self, message: str, partial: "ExperimentResult"):
-        super().__init__(message)
-        self.partial = partial
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,7 @@ class ExperimentResult:
     avg_score: float | None
     per_query: tuple[QueryOutcome, ...]
     complete: bool = True
+    error: str | None = None
 
 
 class CorpusResources:
@@ -101,13 +100,15 @@ def run_experiment(
     judges the (query, document) pairs it needs in one batch (for
     baseline, its top-k after the fact; the gateway sends a repeated pair
     once). A rewrite or judge failure surfaces at the query it belongs
-    to: the earlier queries are persisted as a partial result, marked
-    incomplete, and the error is raised.
+    to: the earlier queries are kept, and the cell is returned (and
+    saved) with no score, marked incomplete, with `error` "<Type>:
+    <message>".
     """
     bad = [q.id for q in test_queries if q.split is not Split.TEST]
     if bad:
         raise ValueError(f"non-test queries in evaluation set: {bad[:5]}")
     outcomes: list[QueryOutcome] = []
+    error = None
     try:
         index = resources.chunk_index if spec.pipeline is Pipeline.HIERARCHICAL else resources.doc_index
         for result in retrieve(
@@ -116,15 +117,11 @@ def run_experiment(
             doc_scores = tuple((d.doc_id, d.judge_score) for d in result.top_docs)
             outcomes.append(QueryOutcome(query_id=result.query_id, doc_scores=doc_scores))
     except Exception as exc:
-        partial = ExperimentResult(
-            spec=spec, avg_score=None, per_query=tuple(outcomes), complete=False
-        )
-        if out_path is not None:
-            save_experiment(partial, out_path)
-        raise ExperimentError(f"experiment {spec.corpus_name}/{spec.pipeline.value} aborted: {exc}", partial) from exc
+        log.debug("cell %s/%s failed", spec.corpus_name, spec.pipeline.value, exc_info=True)
+        error = f"{type(exc).__name__}: {exc}"
     all_scores = [score for outcome in outcomes for _, score in outcome.doc_scores]
-    avg = sum(all_scores) / len(all_scores) if all_scores else None
-    result = ExperimentResult(spec=spec, avg_score=avg, per_query=tuple(outcomes))
+    avg = sum(all_scores) / len(all_scores) if all_scores and error is None else None
+    result = ExperimentResult(spec, avg, tuple(outcomes), complete=error is None, error=error)
     if out_path is not None:
         save_experiment(result, out_path)
     return result
@@ -140,6 +137,8 @@ def save_experiment(result: ExperimentResult, path: str | Path) -> None:
             "avg_score": result.avg_score,
             "complete": result.complete,
         }
+        if not result.complete:
+            meta["error"] = result.error
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for outcome in result.per_query:
             row = {
@@ -170,6 +169,7 @@ def load_experiment(path: str | Path) -> ExperimentResult:
         avg_score=meta["avg_score"],
         per_query=outcomes,
         complete=meta["complete"],
+        error=meta.get("error"),
     )
 
 
@@ -185,7 +185,8 @@ def run_grid(
     seed: int = 0,
     out_dir: str | Path | None = None,
 ) -> list[ExperimentResult]:
-    """Every (corpus, pipeline) cell; incomplete cells are kept and flagged."""
+    """Every (corpus, pipeline) cell, in order; a failed cell is returned
+    incomplete with its error, and the grid goes on."""
     results: list[ExperimentResult] = []
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -195,14 +196,9 @@ def run_grid(
         for pipeline in pipelines:
             spec = ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline, seed=seed)
             path = out / f"{corpus.name}__{pipeline.value}.jsonl" if out is not None else None
-            try:
-                results.append(
-                    run_experiment(
-                        spec, resources, test_queries, judge, rewriter, k_candidates, top_k, path
-                    )
-                )
-            except ExperimentError as exc:
-                results.append(exc.partial)
+            results.append(
+                run_experiment(spec, resources, test_queries, judge, rewriter, k_candidates, top_k, path)
+            )
     return results
 
 
@@ -318,7 +314,6 @@ def emit_report(
     results: Sequence[ExperimentResult],
     corpus_info: Mapping[str, CorpusInfo],
     out_dir: str | Path,
-    formats: Sequence[str] = ("csv", "table", "plot"),
 ) -> list[Path]:
     """Write score reports; byte-identical for identical inputs.
 
@@ -345,81 +340,77 @@ def emit_report(
     if not results:
         warnings.insert(0, "no experiment results were provided")
 
-    if "csv" in formats:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["corpus", "arm", "docs_added", "total_docs", "pct_increase", "pipeline", "avg_score", "complete"]
-        )
-        for name in names:
-            info = corpus_info[name]
-            for pipeline in Pipeline:
-                cell = by_cell.get((name, pipeline))
-                if cell is None:
-                    continue
-                writer.writerow(
-                    [
-                        name,
-                        info.arm,
-                        info.docs_added,
-                        info.total_docs,
-                        f"{info.pct_increase:.1f}",
-                        pipeline.value,
-                        _score_cell(cell.avg_score),
-                        str(cell.complete).lower(),
-                    ]
-                )
-        path = out / "scores.csv"
-        path.write_text(buffer.getvalue(), encoding="utf-8")
-        written.append(path)
-
-    if "table" in formats:
-        lines = []
-        arms = sorted({info.arm for info in corpus_info.values()})
-        for arm in arms:
-            arm_names = [n for n in names if corpus_info[n].arm == arm]
-            lines.append(f"== {arm} ==")
-            header = f"{'corpus':<28}{'total':>8}{'+%':>10}" + "".join(
-                f"{p.value:>22}" for p in Pipeline
-            )
-            lines.append(header)
-            for name in arm_names:
-                info = corpus_info[name]
-                cells = "".join(
-                    f"{_score_cell(by_cell[(name, p)].avg_score):>22}"
-                    if (name, p) in by_cell
-                    else f"{'-':>22}"
-                    for p in Pipeline
-                )
-                lines.append(
-                    f"{name:<28}{info.total_docs:>8}{info.pct_increase:>9.1f}%" + cells
-                )
-            lines.append("")
-        path = out / "scores.txt"
-        path.write_text("\n".join(lines), encoding="utf-8")
-        written.append(path)
-
-    if "plot" in formats:
-        plot_dir = out / "plot"
-        plot_dir.mkdir(exist_ok=True)
-        arms = sorted({info.arm for info in corpus_info.values()})
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["corpus", "arm", "docs_added", "total_docs", "pct_increase", "pipeline", "avg_score", "complete"]
+    )
+    for name in names:
+        info = corpus_info[name]
         for pipeline in Pipeline:
-            for arm in arms:
-                series = []
-                for name in names:
-                    info = corpus_info[name]
-                    cell = by_cell.get((name, pipeline))
-                    if info.arm == arm and cell is not None and cell.avg_score is not None:
-                        series.append((info.total_docs, cell.avg_score))
-                series.sort()
-                buffer = io.StringIO()
-                writer = csv.writer(buffer, lineterminator="\n")
-                writer.writerow(["total_docs", "avg_score"])
-                for total, score in series:
-                    writer.writerow([total, f"{score:.4f}"])
-                path = plot_dir / f"{pipeline.value}_{arm}.csv"
-                path.write_text(buffer.getvalue(), encoding="utf-8")
-                written.append(path)
+            cell = by_cell.get((name, pipeline))
+            if cell is None:
+                continue
+            writer.writerow(
+                [
+                    name,
+                    info.arm,
+                    info.docs_added,
+                    info.total_docs,
+                    f"{info.pct_increase:.1f}",
+                    pipeline.value,
+                    _score_cell(cell.avg_score),
+                    str(cell.complete).lower(),
+                ]
+            )
+    path = out / "scores.csv"
+    path.write_text(buffer.getvalue(), encoding="utf-8")
+    written.append(path)
+
+    lines = []
+    arms = sorted({info.arm for info in corpus_info.values()})
+    for arm in arms:
+        arm_names = [n for n in names if corpus_info[n].arm == arm]
+        lines.append(f"== {arm} ==")
+        header = f"{'corpus':<28}{'total':>8}{'+%':>10}" + "".join(
+            f"{p.value:>22}" for p in Pipeline
+        )
+        lines.append(header)
+        for name in arm_names:
+            info = corpus_info[name]
+            cells = "".join(
+                f"{_score_cell(by_cell[(name, p)].avg_score):>22}"
+                if (name, p) in by_cell
+                else f"{'-':>22}"
+                for p in Pipeline
+            )
+            lines.append(
+                f"{name:<28}{info.total_docs:>8}{info.pct_increase:>9.1f}%" + cells
+            )
+        lines.append("")
+    path = out / "scores.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    written.append(path)
+
+    plot_dir = out / "plot"
+    plot_dir.mkdir(exist_ok=True)
+    for pipeline in Pipeline:
+        for arm in arms:
+            series = []
+            for name in names:
+                info = corpus_info[name]
+                cell = by_cell.get((name, pipeline))
+                if info.arm == arm and cell is not None and cell.avg_score is not None:
+                    series.append((info.total_docs, cell.avg_score))
+            series.sort()
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(["total_docs", "avg_score"])
+            for total, score in series:
+                writer.writerow([total, f"{score:.4f}"])
+            path = plot_dir / f"{pipeline.value}_{arm}.csv"
+            path.write_text(buffer.getvalue(), encoding="utf-8")
+            written.append(path)
 
     if warnings:
         path = out / "warnings.txt"

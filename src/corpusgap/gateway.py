@@ -1,23 +1,19 @@
 """Single abstraction over all text-model calls.
 
 Prompt templates are data files with {placeholder} syntax. Every request
-goes through `Gateway.complete_parsed` or its batch form, which render the
-template, call the provider with bounded retries and parse the reply.
-Replies that parse are cached in an append-only JSONL store
-(`corpus.AppendLog`) keyed by (provider id, template name, sha256 of the
-template body, bindings, provider params), so identical requests never hit
-the provider twice and a reply is never served under another provider or
-an edited template. In front of that cache each gateway keeps an
-in-process memo of parsed results, so a repeated call costs one tuple hash
-instead of a render, a JSON encode and a sha256.
-
-`Gateway.complete_many` is the batch form. It answers memo and cache hits
-in the calling thread, sends each distinct miss once (duplicates share one
-provider request), and returns every request's result or exception in
-place. Misses go out on up to `max_inflight` worker threads that drain one
+goes through `Gateway.complete_many`, which takes a batch and returns each
+request's result or exception in place; `Gateway.complete_parsed` is the
+same call for one request, raising its exception. A request is answered
+from an in-process memo of parsed results (one tuple hash), else from an
+append-only JSONL cache (`corpus.AppendLog`) keyed by (provider id,
+template name, sha256 of the template body, bindings, provider params),
+else rendered and sent to the provider with bounded retries. A reply is
+cached only once it parses, and is never served under another provider or
+an edited template. Each distinct miss is sent once (duplicates share one
+provider request), on up to `max_inflight` worker threads that drain one
 shared list, unless the provider declares `in_process = True` (it computes
 its reply in this process, like `MockProvider`, so threads would only
-contend for the GIL); then they run in order on the calling thread.
+contend for the GIL); then the misses run in order on the calling thread.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
@@ -207,41 +203,49 @@ class Gateway:
         self.cache.close()
 
     def complete_parsed(self, request: CompletionRequest, parser: Callable[[str], T]) -> T:
-        """Complete and parse; only responses that parse are cached.
-
-        A malformed response is surfaced without being cached, so a re-run
-        reaches the provider again instead of replaying the bad response.
-        Parsed results are also memoised per gateway by (provider,
-        template, body sha, bindings, params, parser); a repeat is answered
-        before any render or cache key is computed, and gets the very
-        object the first call returned, so callers must not mutate it. A
-        cache hit skips the render too: its key already pins the template
-        body and the bindings.
-        """
-        template, memo_key, key, hit = self._resolve(request, parser)
-        if hit is not _MISSING:
-            return hit
-        return self._fetch(request, template, memo_key, key, parser)
+        """`complete_many` for one request: its result, or its exception
+        raised."""
+        (result,) = self.complete_many([request], parser)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def complete_many(
         self, requests: Sequence[CompletionRequest], parser: Callable[[str], T]
     ) -> list[T | Exception]:
-        """`complete_parsed` for a batch; each result or exception in place.
+        """Complete and parse a batch; each result or exception in place.
 
-        Memo and cache hits are answered in the calling thread. The misses
-        are deduplicated by memo key, so a request repeated in the batch
-        reaches the provider once. They are sent through the same path as
-        `complete_parsed` (retries, cache append, memo): in order on the
-        calling thread for an `in_process` provider or a one-wide gateway,
-        otherwise on up to `max_inflight` threads draining one shared list.
-        Nothing is raised; a failed request's exception is its result.
+        Nothing is raised: a failed request's exception is its result.
+        Hits are answered in the calling thread; a memo hit is the very
+        object the first call returned, so callers must not mutate it. A
+        cache hit skips the render, as its key already pins the template
+        body and the bindings. A request repeated in the batch reaches the
+        provider once. A malformed reply is returned as its parse error
+        and neither cached nor memoised, so a rerun asks the provider again.
+        Misses run in order on the calling thread for an `in_process`
+        provider or a one-wide gateway, otherwise on up to `max_inflight`
+        threads draining one shared list.
         """
         results: list = [None] * len(requests)
         waiting: dict[tuple, list[int]] = {}
         misses: list[tuple] = []
         for i, request in enumerate(requests):
             try:
-                template, memo_key, key, hit = self._resolve(request, parser)
+                template = self.template(request.template)
+                memo_key = (
+                    self.provider.id,
+                    request.template,
+                    template.body_sha,
+                    tuple(sorted(request.bindings.items())),
+                    request.params,
+                    parser,
+                )
+                hit = self._parsed.get(memo_key, _MISSING)
+                if hit is _MISSING:
+                    key = request.cache_key(self.provider.id, template.body_sha)
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        hit = self._parsed[memo_key] = parser(cached)
             except Exception as exc:
                 results[i] = exc
                 continue
@@ -254,11 +258,15 @@ class Gateway:
                 misses.append((request, template, memo_key, key))
 
         def send(miss: tuple) -> None:
+            request, template, memo_key, key = miss
             try:
-                outcome = self._fetch(*miss, parser)
+                response = self._call_provider(request, template.render(request.bindings))
+                outcome = parser(response)
+                self.cache.put(key, response, {"key": key, "template": request.template, "response": response})
+                self._parsed[memo_key] = outcome
             except Exception as exc:
                 outcome = exc
-            for i in waiting[miss[2]]:
+            for i in waiting[memo_key]:
                 results[i] = outcome
 
         workers = min(self.max_inflight, len(misses))
@@ -283,44 +291,6 @@ class Gateway:
         for thread in threads:
             thread.join()
         return results
-
-    def _resolve(self, request: CompletionRequest, parser: Callable[[str], T]) -> tuple:
-        """(template, memo key, cache key, parsed hit or _MISSING). A memo
-        hit computes no cache key (None); a cache hit is parsed and
-        memoised."""
-        template = self.template(request.template)
-        memo_key = (
-            self.provider.id,
-            request.template,
-            template.body_sha,
-            tuple(sorted(request.bindings.items())),
-            request.params,
-            parser,
-        )
-        hit = self._parsed.get(memo_key, _MISSING)
-        if hit is not _MISSING:
-            return template, memo_key, None, hit
-        key = request.cache_key(self.provider.id, template.body_sha)
-        cached = self.cache.get(key)
-        if cached is not None:
-            hit = self._parsed[memo_key] = parser(cached)
-        return template, memo_key, key, hit
-
-    def _fetch(
-        self,
-        request: CompletionRequest,
-        template: PromptTemplate,
-        memo_key: tuple,
-        key: str,
-        parser: Callable[[str], T],
-    ) -> T:
-        """A miss: call the provider, parse, then cache and memoise."""
-        response = self._call_provider(request, template.render(request.bindings))
-        parsed = parser(response)
-        record = {"key": key, "template": request.template, "response": response}
-        self.cache.put(key, response, record)
-        self._parsed[memo_key] = parsed
-        return parsed
 
 
 # --- judge scores ----------------------------------------------------------
@@ -428,6 +398,8 @@ def make_gateway_rewriter(gateway: Gateway, params: ProviderParams | None = None
     params = params or ProviderParams()
 
     def rewrite(query_texts: Sequence[str]) -> list[str | Exception]:
+        if isinstance(query_texts, str):
+            raise TypeError("a rewriter takes a batch of query texts, not one str")
         requests = [CompletionRequest("rewrite_query", {"query": text}, params) for text in query_texts]
         return gateway.complete_many(requests, _parse_rewrite)
 

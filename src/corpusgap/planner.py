@@ -3,7 +3,8 @@
 Budgets are apportioned across subtopics in proportion to hybrid gap scores
 using the largest-remainder method, capped by per-subtopic availability
 with surplus redistributed to the next-largest remainders. Directed corpora
-take the judge-ranked best external documents per subtopic; Non-Directed
+take the judge-ranked best external documents per subtopic (unjudged ones,
+of a subtopic no training query asks about, last by id); Non-Directed
 corpora take a size-matched seeded random sample.
 """
 
@@ -43,7 +44,7 @@ class QuotaPlan:
 class ScoredExternalDoc:
     doc: Document
     subtopic: str
-    avg_score: float
+    avg_score: float | None  # None: no training query in its subtopic
 
 
 def allocate_quotas(
@@ -146,11 +147,13 @@ def score_external_pool(
 ) -> tuple[list[ScoredExternalDoc], list[str]]:
     """Score each pool document against the training queries of its subtopic.
 
-    Returns (scored docs, ids skipped because their subtopic has no
-    training queries or no label). Each subtopic's pairs are judged in one
-    batch (`judge_pairs`), which bounds the memory a batch holds. Per-pair
-    judge failures are logged and excluded from the mean; a document with
-    no judged pair is skipped.
+    Returns (scored docs, ids skipped). Every labeled document is scored;
+    one whose subtopic has no training queries gets `avg_score=None`.
+    Unlabeled documents are skipped, and so are documents whose every
+    judge call failed: a failure is not filled in. Each subtopic's pairs
+    are judged in one batch (`judge_pairs`), which bounds the memory a
+    batch holds. Per-pair judge failures are logged and excluded from the
+    mean.
     """
     queries_by_subtopic: dict[str, list[Query]] = {}
     for query in sorted(train_queries, key=lambda q: q.id):
@@ -169,12 +172,11 @@ def score_external_pool(
     skipped: list[str] = []
     for doc in sorted(pool, key=lambda d: d.id):
         scores = scores_by_doc.get(doc.id)
-        if not scores:
+        if doc.subtopic is None or scores == []:
             skipped.append(doc.id)
             continue
-        scored.append(
-            ScoredExternalDoc(doc=doc, subtopic=doc.subtopic, avg_score=fsum(scores) / len(scores))
-        )
+        avg = fsum(scores) / len(scores) if scores else None
+        scored.append(ScoredExternalDoc(doc=doc, subtopic=doc.subtopic, avg_score=avg))
     return scored, skipped
 
 
@@ -186,7 +188,8 @@ def build_directed_corpus(
 ) -> Corpus:
     """Baseline plus the top-quota pool documents per subtopic.
 
-    Ranking is by average judge score descending, ties by ascending doc id.
+    Ranking is by average judge score descending, ties by ascending doc
+    id; unjudged documents (`avg_score` None) come last, by id.
     """
     by_subtopic: dict[str, list[ScoredExternalDoc]] = {}
     for entry in pool:
@@ -197,7 +200,8 @@ def build_directed_corpus(
         if quota == 0:
             continue
         candidates = sorted(
-            by_subtopic.get(subtopic, []), key=lambda e: (-e.avg_score, e.doc.id)
+            by_subtopic.get(subtopic, []),
+            key=lambda e: (e.avg_score is None, -(e.avg_score or 0.0), e.doc.id),
         )
         if len(candidates) < quota:
             raise ValueError(

@@ -49,4 +49,5 @@ def test_study_runs_and_passes_its_checks(inputs, tmp_path, traced):
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert result["checks"] and all(result["checks"].values()), result["checks"]
+    assert result["failed"] == 0, result["failures"]
     assert ("layers" in result) == traced

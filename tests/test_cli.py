@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from corpusgap.cli import main
 from corpusgap.corpus import write_corpus, write_queries, write_taxonomy, write_records, Corpus
+from corpusgap.gateway import ProviderError
 
 from .world import build_world, reference_corpus
 
@@ -329,6 +330,22 @@ def test_eval_unknown_pipeline_rejected_before_any_input_is_read(runner, tmp_pat
     assert not (tmp_path / "cache").exists()
 
 
+def test_eval_reports_each_incomplete_cell_and_its_reason(runner, tmp_path, world, monkeypatch):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
+    down = lambda pairs: [ProviderError("endpoint unavailable")] * len(pairs)
+    monkeypatch.setattr("corpusgap.cli.make_gateway_judge", lambda gateway, params: down)
+    result = runner.invoke(main, args + ["--pipelines", "baseline,reranking"])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [
+        "incomplete: b/baseline: ProviderError: endpoint unavailable",
+        "incomplete: b/reranking: ProviderError: endpoint unavailable",
+    ]
+    assert "ran 2 experiments (2 incomplete)" in result.stdout
+    cell = (tmp_path / "results" / "cells" / "b__baseline.jsonl").read_text().splitlines()
+    meta = json.loads(cell[0])
+    assert meta["complete"] is False and meta["error"] == "ProviderError: endpoint unavailable"
+
+
 def test_eval_refuses_queries_ingested_as_train(runner, tmp_path, world):
     args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
     raw = tmp_path / "raw.jsonl"
@@ -366,25 +383,37 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
     _assert_clean_failure(result, "summary.jsonl:7", "malformed record")
 
 
-@pytest.mark.parametrize("command", ["ingest", "annotate", "gaps", "plan", "build-corpus"])
+@pytest.mark.parametrize(
+    "command",
+    ["ingest", "annotate", "gaps", "plan", "build-corpus",
+     "annotate-no-id", "annotate-no-text", "generate-no-title", "generate-word-count"],
+)
 def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, command):
-    paths = {name: tmp_path / f"{name}.jsonl" for name in ("taxonomy", "baseline", "pool", "train", "gaps")}
+    names = ("taxonomy", "baseline", "pool", "train", "gaps", "metadata")
+    paths = {name: tmp_path / f"{name}.jsonl" for name in names}
     write_taxonomy(world.taxonomy, paths["taxonomy"])
     write_corpus(world.baseline, paths["baseline"])
     write_corpus(Corpus(name="pool", documents=world.pool), paths["pool"])
     write_queries(world.train_queries[:4], paths["train"])
     write_records(paths["gaps"], [])
-    args, broken = {
-        "ingest": (["ingest", "documents", paths["baseline"], "--taxonomy", paths["taxonomy"]], "taxonomy"),
-        "annotate": (["annotate", "queries", paths["train"], "--taxonomy", paths["taxonomy"]], "taxonomy"),
-        "gaps": (["gaps", "--corpus", paths["baseline"], "--queries", paths["train"], "--taxonomy", paths["taxonomy"]], "train"),
-        "plan": (["plan", "--gaps", paths["gaps"], "--pool", paths["pool"], "--budget", "4"], "gaps"),
-        "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool"),
+    write_records(paths["metadata"], [{"title": "Sleep Help", "headers": ["One"], "word_count": 40}])
+    annotate = ["annotate", "queries", paths["train"], "--taxonomy", paths["taxonomy"]]
+    generate = ["generate", "--metadata", paths["metadata"]]
+    args, broken, line, error = {
+        "ingest": (["ingest", "documents", paths["baseline"], "--taxonomy", paths["taxonomy"]], "taxonomy", "{not json", "malformed record"),
+        "annotate": (annotate, "taxonomy", "{not json", "malformed record"),
+        "gaps": (["gaps", "--corpus", paths["baseline"], "--queries", paths["train"], "--taxonomy", paths["taxonomy"]], "train", "{not json", "malformed record"),
+        "plan": (["plan", "--gaps", paths["gaps"], "--pool", paths["pool"], "--budget", "4"], "gaps", "{not json", "malformed record"),
+        "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool", "{not json", "malformed record"),
+        "annotate-no-id": (annotate, "train", '{"text": "cant sleep"}', "missing or invalid 'id'"),
+        "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "missing or invalid 'text'"),
+        "generate-no-title": (generate, "metadata", '{"headers": ["A"], "word_count": 50}', "missing or invalid 'title'"),
+        "generate-word-count": (generate, "metadata", '{"title": "T", "word_count": "many"}', "missing or non-integer 'word_count'"),
     }[command]
     with open(paths[broken], "a") as fh:
-        fh.write("{not json\n")
+        fh.write(line + "\n")
     lineno = len(paths[broken].read_text().splitlines())
     out = tmp_path / "out.jsonl"
     result = runner.invoke(main, ["--cache-dir", str(tmp_path / "cache"), *map(str, args), "-o", str(out)])
-    _assert_clean_failure(result, f"{broken}.jsonl:{lineno}: malformed record")
+    _assert_clean_failure(result, f"{broken}.jsonl:{lineno}: {error}")
     assert not out.exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 from corpusgap.evaluation import (
     CorpusInfo,
     CorpusResources,
-    ExperimentError,
     ExperimentSpec,
     LadderPoint,
     Pipeline,
@@ -91,10 +91,11 @@ class TestRunExperiment:
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING)
         out = tmp_path / "cell.jsonl"
         queries = [tquery("q1", "alpha"), tquery("q2", "beta")]
-        with pytest.raises(ExperimentError):
-            run_experiment(spec, resources, queries, judge, out_path=out)
+        result = run_experiment(spec, resources, queries, judge, out_path=out)
+        assert result.complete is False
+        assert result.error == "RuntimeError: judge quota exhausted"
         partial = load_experiment(out)
-        assert not partial.complete
+        assert partial == result
         assert partial.avg_score is None
         assert len(partial.per_query) == 1
 
@@ -112,10 +113,11 @@ class TestRunExperiment:
         for pipeline in (Pipeline.BASELINE, Pipeline.RERANKING):
             out = tmp_path / f"{pipeline.value}.jsonl"
             spec = ExperimentSpec(corpus_name="tiny", pipeline=pipeline)
-            with pytest.raises(ExperimentError, match="endpoint unavailable"):
-                run_experiment(spec, resources, queries, judge, out_path=out)
+            result = run_experiment(spec, resources, queries, judge, out_path=out)
+            assert result.complete is False
+            assert result.error.startswith("ProviderError: ") and "endpoint unavailable" in result.error
             partial = load_experiment(out)
-            assert not partial.complete
+            assert partial == result
             assert [o.query_id for o in partial.per_query] == ["q1"]
 
     def test_rewrites_sent_as_one_complete_many_batch(self, resources, monkeypatch):
@@ -148,15 +150,22 @@ class TestRunExperiment:
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.QUERY_TRANSFORMATION)
         queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta"), tquery("q4", "gamma")]
         out = tmp_path / "cell.jsonl"
-        with pytest.raises(ExperimentError, match="rewrite endpoint unavailable"):
-            run_experiment(
-                spec, resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway),
-                out_path=out,
-            )
+        result = run_experiment(
+            spec, resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway),
+            out_path=out,
+        )
+        assert result.complete is False
+        assert result.error.startswith("ProviderError: ") and "rewrite endpoint unavailable" in result.error
         partial = load_experiment(out)
-        assert not partial.complete and partial.avg_score is None
+        assert partial == result and partial.avg_score is None
         assert [o.query_id for o in partial.per_query] == ["q1", "q2"]
         assert all(len(o.doc_scores) == 3 for o in partial.per_query)
+
+    def test_gateway_rewriter_refuses_a_bare_string(self):
+        rewrite = make_gateway_rewriter(Gateway(MockProvider(seed=0), sleep=lambda s: None))
+        with pytest.raises(TypeError, match="batch"):
+            rewrite("cant sleep")
+        assert len(rewrite(["cant sleep"])) == 1
 
     def test_save_load_round_trip(self, resources, tmp_path):
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE, seed=2)
@@ -165,6 +174,7 @@ class TestRunExperiment:
             spec, resources, [tquery("q1", "alpha")], mock_gateway_judge(2), out_path=out
         )
         assert load_experiment(out) == result
+        assert "error" not in out.read_text(encoding="utf-8")
 
 
 class TestRunGrid:
@@ -185,6 +195,26 @@ class TestRunGrid:
         assert len(results) == 8
         assert all(r.complete for r in results)
         assert (tmp_path / "a__baseline.jsonl").exists()
+
+    def test_failed_cell_returns_its_reason_and_the_grid_goes_on(self, tmp_path):
+        def judge(pairs):
+            return [ProviderError("endpoint unavailable") if d.id == "d4" else 50 for _, d in pairs]
+
+        corpora = [
+            Corpus(name="a", documents=(doc("d1", "alpha"), doc("d2", "beta"))),
+            Corpus(name="b", documents=(doc("d3", "alpha"), doc("d4", "gamma"))),
+        ]
+        results = run_grid(
+            corpora, [Pipeline.BASELINE], [tquery("q1", "alpha")], HashedBagEmbedder(dim=64), judge,
+            out_dir=tmp_path,
+        )
+        assert [(r.spec.corpus_name, r.complete, r.error) for r in results] == [
+            ("a", True, None),
+            ("b", False, "ProviderError: endpoint unavailable"),
+        ]
+        meta = json.loads((tmp_path / "b__baseline.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert meta["error"] == "ProviderError: endpoint unavailable"
+        assert load_experiment(tmp_path / "b__baseline.jsonl") == results[1]
 
     def test_chunk_index_built_only_for_hierarchical(self, monkeypatch):
         built = []

@@ -104,7 +104,7 @@ class TestAllocateQuotas:
             QuotaPlan(budget=3, allocations={"A": 1})
 
 
-def external_doc(doc_id: str, subtopic: str, text: str = "x") -> Document:
+def external_doc(doc_id: str, subtopic: str | None, text: str = "x") -> Document:
     return Document(
         id=doc_id,
         source=Source.REFERENCE,
@@ -114,7 +114,7 @@ def external_doc(doc_id: str, subtopic: str, text: str = "x") -> Document:
     )
 
 
-def scored(doc_id: str, subtopic: str, score: float) -> ScoredExternalDoc:
+def scored(doc_id: str, subtopic: str, score: float | None) -> ScoredExternalDoc:
     return ScoredExternalDoc(doc=external_doc(doc_id, subtopic), subtopic=subtopic, avg_score=score)
 
 
@@ -150,6 +150,14 @@ class TestBuildDirected:
         corpus = build_directed_corpus(baseline, pool, plan)
         added = {d.id for d in corpus.documents} - {d.id for d in baseline.documents}
         assert added == {"p1", "p5"}
+
+    def test_unjudged_ranks_after_judged_by_id(self):
+        baseline = tiny_baseline()
+        pool = [scored("p0", "A", None), scored("p2", "A", 1), scored("p1", "A", None)]
+        plan = QuotaPlan(budget=2, allocations={"A": 2})
+        corpus = build_directed_corpus(baseline, pool, plan)
+        added = {d.id for d in corpus.documents} - {d.id for d in baseline.documents}
+        assert added == {"p2", "p0"}
 
     def test_size_is_baseline_plus_budget(self):
         baseline = tiny_baseline(387)
@@ -210,12 +218,19 @@ class TestScoreExternalPool:
         assert skipped == []
         assert results[0].avg_score == pytest.approx(85.0)
 
-    def test_doc_without_matching_queries_skipped(self):
-        docs = [external_doc("p1", "A"), external_doc("p2", "B")]
+    def test_doc_without_matching_queries_is_unjudged(self):
+        docs = [external_doc("p1", "A"), external_doc("p2", "B"), external_doc("p3", None), external_doc("p4", "A")]
         queries = [Query(id="q1", text="a", split=Split.TRAIN, subtopic="A")]
-        results, skipped = score_external_pool(docs, queries, lambda pairs: [50] * len(pairs))
-        assert [r.doc.id for r in results] == ["p1"]
-        assert skipped == ["p2"]
+        asked = []
+
+        def judge(pairs):
+            asked.extend(d.id for _, d in pairs)
+            return [RuntimeError("provider down") if d.id == "p4" else 50 for _, d in pairs]
+
+        results, skipped = score_external_pool(docs, queries, judge)
+        assert [(r.doc.id, r.subtopic, r.avg_score) for r in results] == [("p1", "A", 50.0), ("p2", "B", None)]
+        assert skipped == ["p3", "p4"]
+        assert asked == ["p1", "p4"]
 
     def test_judge_failures_excluded_from_mean(self):
         doc = external_doc("p1", "A")
@@ -257,6 +272,32 @@ class TestLadderContract:
             assert len(d_corpus) == len(nd_corpus) == len(world.baseline) + budget
             assert baseline_ids <= {d.id for d in d_corpus.documents}
             assert baseline_ids <= {d.id for d in nd_corpus.documents}
+
+
+    def test_unasked_subtopic_builds_every_rung_up_to_the_full_pool(self):
+        baseline = tiny_baseline()
+        pool = Corpus(
+            name="pool",
+            documents=(
+                external_doc("p1", "A", "alpha"),
+                external_doc("p2", "A", "alpha beta"),
+                external_doc("p3", "A", "gamma"),
+                external_doc("p5", "B"),
+                external_doc("p4", "B"),
+            ),
+        )
+        queries = [Query(id="q1", text="alpha", split=Split.TRAIN, subtopic="A")]
+        scored_pool, skipped = score_external_pool(pool.documents, queries, mock_gateway_judge(0))
+        assert skipped == []
+        availability = pool.doc_count_by_subtopic()
+        added = []
+        for budget in range(1, len(pool) + 1):
+            plan = allocate_quotas({"A": 3.0, "B": 1.0}, budget, availability)
+            corpus = build_directed_corpus(baseline, scored_pool, plan)
+            added.append({d.id for d in corpus.documents[len(baseline):]})
+        assert [len(ids) for ids in added] == [1, 2, 3, 4, 5]
+        assert added[2] - added[1] == {"p4"}  # the first unjudged pick is the lowest id
+        assert added[-1] == {d.id for d in pool.documents}
 
 
 class TestParseArticle:
