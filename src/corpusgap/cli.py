@@ -248,17 +248,19 @@ def generate(ctx, metadata_path, output, flags_path) -> None:
     flags = []
     for lineno, record in read_records(metadata_path):
         where = f"{metadata_path}:{lineno}"
-        if not isinstance(record.get("title"), str):
+        title = record.get("title")
+        if not isinstance(title, str) or not title.strip():
             raise IngestError(f"{where}: missing or invalid 'title'")
         try:
             word_count = int(record["word_count"])
         except (KeyError, TypeError, ValueError):
             raise IngestError(f"{where}: missing or non-integer 'word_count'") from None
-        metadata = ArticleMetadata(
-            title=record["title"],
-            headers=tuple(record.get("headers", [])),
-            word_count=word_count,
-        )
+        if word_count <= 0:
+            raise IngestError(f"{where}: 'word_count' must be positive")
+        headers = record.get("headers", [])
+        if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
+            raise IngestError(f"{where}: 'headers' must be a list of strings")
+        metadata = ArticleMetadata(title=title, headers=tuple(headers), word_count=word_count)
         doc_id = record.get("id") or f"synthetic-{lineno:05d}"
         result = generate_synthetic_doc(
             metadata, gateway, doc_id, subtopic=record.get("subtopic"), params=params
@@ -315,18 +317,21 @@ def eval(ctx, manifest_path, queries_path, out_dir, pipelines) -> None:
         raise click.ClickException(str(exc))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_grid(
-        corpora,
-        pipelines,
-        queries,
-        embedder,
-        judge,
-        rewriter,
-        k_candidates=cfg.candidates,
-        top_k=cfg.top_k,
-        seed=cfg.provider.seed,
-        out_dir=out / "cells",
-    )
+    try:
+        results = run_grid(
+            corpora,
+            pipelines,
+            queries,
+            embedder,
+            judge,
+            rewriter,
+            k_candidates=cfg.candidates,
+            top_k=cfg.top_k,
+            seed=cfg.provider.seed,
+            out_dir=out / "cells",
+        )
+    except ValueError as exc:  # corpora that run_grid refuses before any cell
+        raise click.ClickException(str(exc))
     rows = []
     for result in results:
         if not result.complete:

@@ -3,8 +3,11 @@ threshold analysis of how small an augmented corpus can get while staying
 within a fixed fraction of the reference corpus score.
 
 Each cell is one `retrieval.retrieve` call over the held-out test
-queries, on indexes built once per corpus (`CorpusResources`); its score
-is the mean judge score of every query's top documents. A cell that fails
+queries; its score is the mean judge score of every query's top
+documents. The grid builds one document index and one chunk index over
+the union of its corpora, and each corpus's cells search that corpus's
+rows of them (`CorpusResources`), so every document and chunk is
+embedded once and every query is ranked once per grid. A cell that fails
 is returned, not raised: it keeps the queries before the failure, is
 marked incomplete and carries the failure as its `error`, so the grid runs
 every cell and each failure stays with the cell it belongs to.
@@ -26,7 +29,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Query, Split, percent_increase
+from .corpus import Corpus, Document, Query, Split, percent_increase
 from .gateway import JudgeFn, RewriteFn
 from .retrieval import (
     DEFAULT_CANDIDATES,
@@ -67,20 +70,50 @@ class ExperimentResult:
 
 
 class CorpusResources:
-    """Indexes for one corpus, built once and shared across pipelines.
+    """A corpus's document and chunk indexes, each made on first use, so a
+    grid without the hierarchical pipeline never builds a chunk index.
 
-    The chunk index is built on first use, so a grid without the
-    hierarchical pipeline never builds it.
+    Alone, the indexes are built over this corpus. Given the resources of
+    a union of corpora, they are that union's indexes cut to this
+    corpus's rows (`SearchIndex.subset`), so corpora that share documents
+    embed them and rank each query over them once.
     """
 
-    def __init__(self, corpus: Corpus, embedder: Embedder):
+    def __init__(self, corpus: Corpus, embedder: Embedder, union: CorpusResources | None = None):
         self.corpus = corpus
         self.embedder = embedder
-        self.doc_index: SearchIndex = build_document_index(corpus, embedder)
+        self.union = union
+
+    @functools.cached_property
+    def doc_index(self) -> SearchIndex:
+        if self.union is None:
+            return build_document_index(self.corpus, self.embedder)
+        return self.union.doc_index.subset(self.corpus)
 
     @functools.cached_property
     def chunk_index(self) -> SearchIndex:
-        return build_chunk_index(self.corpus, self.embedder)
+        if self.union is None:
+            return build_chunk_index(self.corpus, self.embedder)
+        return self.union.chunk_index.subset(self.corpus)
+
+
+def union_corpus(corpora: Sequence[Corpus]) -> Corpus:
+    """Every document of `corpora` once, in first-seen order.
+
+    Raises ValueError for an empty corpus, or for a doc id that two
+    corpora give different documents: the union holds one document per id.
+    """
+    seen: dict[str, tuple[Document, str]] = {}
+    for corpus in corpora:
+        if len(corpus) == 0:
+            raise ValueError(f"corpus {corpus.name!r} is empty")
+        for doc in corpus.documents:
+            first, owner = seen.setdefault(doc.id, (doc, corpus.name))
+            if first != doc:
+                raise ValueError(
+                    f"doc id {doc.id!r} names different documents in corpora {owner!r} and {corpus.name!r}"
+                )
+    return Corpus(name="union", documents=tuple(doc for doc, _ in seen.values()))
 
 
 def run_experiment(
@@ -186,13 +219,19 @@ def run_grid(
     out_dir: str | Path | None = None,
 ) -> list[ExperimentResult]:
     """Every (corpus, pipeline) cell, in order; a failed cell is returned
-    incomplete with its error, and the grid goes on."""
+    incomplete with its error, and the grid goes on.
+
+    Every corpus searches its rows of one document index and one chunk
+    index over the union of `corpora` (see `union_corpus`, whose checks
+    run before any cell).
+    """
+    union = CorpusResources(union_corpus(corpora), embedder)
     results: list[ExperimentResult] = []
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     for corpus in corpora:
-        resources = CorpusResources(corpus, embedder)
+        resources = CorpusResources(corpus, embedder, union)
         for pipeline in pipelines:
             spec = ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline, seed=seed)
             path = out / f"{corpus.name}__{pipeline.value}.jsonl" if out is not None else None

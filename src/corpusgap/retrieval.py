@@ -9,15 +9,17 @@ runs each (corpus, pipeline) cell through it.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
 (`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
-only copy of them on disk, and every index is rebuilt from it in-process
-on each run. The HTTP embedding client lives in `providers`.
+only copy of them on disk, and indexes are built from it in-process. The
+HTTP embedding client lives in `providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
 testable bit for bit. Vectors are L2-normalized once so cosine similarity
-is a plain dot product. Search ties break by ascending key; judged
-pipelines rank by judge score descending, then similarity descending,
-then doc id ascending.
+is a plain dot product. An index ranks each query vector once and keeps
+the ranking; `SearchIndex.subset` serves one corpus from an index over
+several, with the results of an index built over that corpus alone.
+Search ties break by ascending key; judged pipelines rank by judge score
+descending, then similarity descending, then doc id ascending.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
 DEFAULT_TOP_K = 3
+_ROW_BLOCK = 16  # see SearchIndex.__init__
 
 
 class Pipeline(str, Enum):
@@ -121,6 +124,12 @@ class SearchIndex:
 
     Keys are doc ids (document level) or (doc id, section index) pairs
     (chunk level) and must be unique. `name` names the corpus in errors.
+
+    Each query vector is ranked once over every row, by similarity
+    descending then key ascending, and that ranking is kept for the
+    index's lifetime. `subset` gives one corpus's rows of the index: it
+    shares the vectors and the rankings, and its search takes the first k
+    rows of the ranking that fall inside it.
     """
 
     def __init__(self, keys: Sequence, matrix: np.ndarray, embedder: Embedder, name: str, kind: str):
@@ -129,35 +138,66 @@ class SearchIndex:
         if len(set(keys)) != len(keys):
             raise ValueError("index keys must be unique")
         self.keys = list(keys)
-        self.matrix = matrix
+        # Zero rows pad the matrix to a multiple of _ROW_BLOCK rows. BLAS
+        # matrix-vector kernels take rows in blocks and may round the rows
+        # of a short last block differently; with none, a row's similarity
+        # does not depend on its position or on how many rows share the
+        # matrix, so a subset ranks exactly as an index of its rows alone
+        # (TestSubsetIndex checks this).
+        n, dim = matrix.shape
+        self._padded = np.zeros((n + -n % _ROW_BLOCK, dim))
+        self._padded[:n] = matrix
+        self.matrix = self._padded[:n]
         self.embedder = embedder
         self.name = name
         self.kind = kind
+        self.rows: np.ndarray | None = None  # boolean mask of the rows searched; None is every row
+        self._size = len(self.keys)
+        by_key = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        self._key_rank = np.empty(len(by_key), dtype=np.intp)
+        self._key_rank[by_key] = np.arange(len(by_key))
+        self._rankings: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._size
 
     def search(self, query_vec: np.ndarray, k: int) -> list[tuple[object, float]]:
-        """Exact top-k by cosine; ties broken by ascending key.
-
-        When k < n, rows below the k-th largest similarity cannot make the
-        cut, so only rows at or above it (every tie at the k-th value
-        included) are sorted.
-        """
+        """Exact top-k by cosine; ties broken by ascending key."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        sims = self.matrix @ query_vec
-        n = len(self.keys)
-        if k < n:
-            cut = np.partition(sims, n - k)[n - k]
-            rows = np.flatnonzero(sims >= cut).tolist()
-        else:
-            rows = range(n)
-        ranked = sorted(
-            ((float(sims[i]), self.keys[i]) for i in rows),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        return [(key, sim) for sim, key in ranked[:k]]
+        order, sims = self._ranking(query_vec)
+        if self.rows is not None:
+            order = order[self.rows[order]]
+        return [(self.keys[i], float(sims[i])) for i in order[:k].tolist()]
+
+    def _ranking(self, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row in (-similarity, key) order, and the similarities."""
+        memo_key = query_vec.tobytes()
+        ranking = self._rankings.get(memo_key)
+        if ranking is None:
+            sims = (self._padded @ query_vec)[: len(self.keys)]
+            ranking = self._rankings[memo_key] = (np.lexsort((self._key_rank, -sims)), sims)
+        return ranking
+
+    def subset(self, corpus: Corpus) -> SearchIndex:
+        """The rows of this index that belong to `corpus`'s documents, as
+        an index named after `corpus` that shares these vectors and
+        rankings. Documents are matched by id only."""
+        if len(corpus) == 0:
+            raise ValueError(f"corpus {corpus.name!r} is empty")
+        doc_ids = self.keys if self.kind == "document" else [key[0] for key in self.keys]
+        rows = np.fromiter((doc_id in corpus for doc_id in doc_ids), dtype=bool, count=len(doc_ids))
+        missing = {doc.id for doc in corpus.documents}.difference(itertools.compress(doc_ids, rows))
+        if missing:
+            raise ValueError(f"index {self.name!r} lacks documents of corpus {corpus.name!r}: {sorted(missing)[:5]}")
+        # Built field by field: a view shares exactly these with its index.
+        view = object.__new__(SearchIndex)
+        for shared in ("keys", "_padded", "matrix", "embedder", "kind", "_key_rank", "_rankings"):
+            setattr(view, shared, getattr(self, shared))
+        view.name = corpus.name
+        view.rows = rows
+        view._size = int(rows.sum())
+        return view
 
 
 def build_document_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:

@@ -2,7 +2,8 @@
 
 Generates a small workload with `bench/workloadgen.py`, then runs
 `bench/study.py` in a fresh process once untraced and once traced, so a
-library change that breaks the benchmark's calls fails here.
+library change that breaks the benchmark's calls, or that tracing would
+change the reports of, fails here.
 """
 
 from __future__ import annotations
@@ -35,19 +36,39 @@ def inputs(tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_study_runs_and_passes_its_checks(inputs, tmp_path, traced):
-    result_path = tmp_path / "result.json"
-    cmd = [
-        sys.executable, str(BENCH / "study.py"), "--inputs", str(inputs),
-        "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out"),
-        "--seed", "5", "--result", str(result_path),
-    ]
-    if traced:
-        cmd += ["--trace", str(tmp_path / "trace.jsonl")]
-    proc = subprocess.run(cmd, env=ENV, capture_output=True, text=True, timeout=300)
+@pytest.fixture(scope="module")
+def studies(inputs, tmp_path_factory):
+    """One untraced and one traced study: {traced: (process, result path)}."""
+    runs = {}
+    for traced in (False, True):
+        work = tmp_path_factory.mktemp("traced" if traced else "untraced")
+        cmd = [
+            sys.executable, str(BENCH / "study.py"), "--inputs", str(inputs),
+            "--cache", str(work / "cache"), "--out", str(work / "out"),
+            "--seed", "5", "--result", str(work / "result.json"),
+        ]
+        if traced:
+            cmd += ["--trace", str(work / "trace.jsonl")]
+        runs[traced] = (subprocess.run(cmd, env=ENV, capture_output=True, text=True, timeout=300), work / "result.json")
+    return runs
+
+
+def study_result(studies, traced) -> dict:
+    proc, result_path = studies[traced]
     assert proc.returncode == 0, proc.stderr[-3000:]
-    result = json.loads(result_path.read_text(encoding="utf-8"))
+    return json.loads(result_path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_study_runs_and_passes_its_checks(studies, traced):
+    result = study_result(studies, traced)
     assert result["checks"] and all(result["checks"].values()), result["checks"]
     assert result["failed"] == 0, result["failures"]
     assert ("layers" in result) == traced
+
+
+def test_tracing_leaves_the_reports_unchanged(studies):
+    # Tracing replaces the index builders and the grid cell that
+    # `corpusgap.evaluation` looks up by name; the reports must not notice.
+    untraced, traced = study_result(studies, False), study_result(studies, True)
+    assert traced["reports_sha256"] == untraced["reports_sha256"]

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from corpusgap.cli import main
-from corpusgap.corpus import write_corpus, write_queries, write_taxonomy, write_records, Corpus
+from corpusgap.corpus import write_corpus, write_queries, write_taxonomy, write_records, Corpus, Document
 from corpusgap.gateway import ProviderError
 
 from .world import build_world, reference_corpus
@@ -346,6 +346,20 @@ def test_eval_reports_each_incomplete_cell_and_its_reason(runner, tmp_path, worl
     assert meta["complete"] is False and meta["error"] == "ProviderError: endpoint unavailable"
 
 
+def test_eval_doc_id_with_two_documents_is_clean(runner, tmp_path, world):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
+    first = world.baseline.documents[0]
+    changed = Document(id=first.id, source=first.source, title=first.title + " changed", sections=first.sections)
+    write_corpus(Corpus(name="other", documents=(changed,)), tmp_path / "other.jsonl")
+    write_records(tmp_path / "manifest.jsonl", [
+        {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0},
+        {"name": "other", "path": "other.jsonl", "arm": "reference", "docs_added": 0},
+    ])
+    result = runner.invoke(main, args)
+    _assert_clean_failure(result, f"doc id {first.id!r} names different documents in corpora 'b' and 'other'")
+    assert not (tmp_path / "results" / "cells").exists()
+
+
 def test_eval_refuses_queries_ingested_as_train(runner, tmp_path, world):
     args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
     raw = tmp_path / "raw.jsonl"
@@ -386,7 +400,8 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
 @pytest.mark.parametrize(
     "command",
     ["ingest", "annotate", "gaps", "plan", "build-corpus",
-     "annotate-no-id", "annotate-no-text", "generate-no-title", "generate-word-count"],
+     "annotate-no-id", "annotate-no-text", "generate-no-title", "generate-word-count",
+     "generate-empty-title", "generate-zero-words", "generate-headers-string"],
 )
 def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, command):
     names = ("taxonomy", "baseline", "pool", "train", "gaps", "metadata")
@@ -409,6 +424,9 @@ def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, comma
         "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "missing or invalid 'text'"),
         "generate-no-title": (generate, "metadata", '{"headers": ["A"], "word_count": 50}', "missing or invalid 'title'"),
         "generate-word-count": (generate, "metadata", '{"title": "T", "word_count": "many"}', "missing or non-integer 'word_count'"),
+        "generate-empty-title": (generate, "metadata", '{"title": "  ", "word_count": 50}', "missing or invalid 'title'"),
+        "generate-zero-words": (generate, "metadata", '{"title": "T", "word_count": 0}', "'word_count' must be positive"),
+        "generate-headers-string": (generate, "metadata", '{"title": "T", "headers": "Intro", "word_count": 50}', "'headers' must be a list of strings"),
     }[command]
     with open(paths[broken], "a") as fh:
         fh.write(line + "\n")

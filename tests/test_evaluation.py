@@ -232,8 +232,64 @@ class TestRunGrid:
         args = ([tquery("q1", "alpha")], HashedBagEmbedder(dim=64), mock_gateway_judge(0))
         results = run_grid(corpora, [Pipeline.BASELINE], *args)
         assert all(r.complete for r in results) and built == []
-        run_grid(corpora, [Pipeline.BASELINE, Pipeline.HIERARCHICAL], *args)
-        assert built == ["a", "b"]
+        results = run_grid(corpora, [Pipeline.BASELINE, Pipeline.HIERARCHICAL], *args)
+        assert all(r.complete for r in results) and len(built) == 1
+
+    def test_every_cell_equals_its_corpus_run_alone(self):
+        rng = random.Random(31)
+        vocab = [f"tok{i}" for i in range(30)]
+
+        def sections(n):
+            return tuple(Section(f"h{j}", " ".join(rng.sample(vocab, 4))) for j in range(n))
+
+        docs = [
+            Document(id=f"d{i:02d}", source=Source.BASELINE, title="t", sections=sections(1 + i % 3))
+            for i in range(24)
+        ]
+        # A small embedding dimension makes bucket collisions, and so tied
+        # similarities, common.
+        embedder = HashedBagEmbedder(dim=16)
+        corpora = [
+            Corpus(name="base", documents=tuple(docs[:10])),
+            Corpus(name="rung", documents=tuple(docs[:10] + docs[17:20] + docs[12:14])),
+            Corpus(name="all", documents=tuple(reversed(docs))),
+        ]
+        queries = [tquery(f"q{i}", " ".join(rng.sample(vocab, 3))) for i in range(6)]
+        gateway = Gateway(MockProvider(seed=2), sleep=lambda s: None)
+        judge, rewriter = make_gateway_judge(gateway), make_gateway_rewriter(gateway)
+        results = run_grid(corpora, list(Pipeline), queries, embedder, judge, rewriter, k_candidates=4)
+        want = [
+            run_experiment(
+                ExperimentSpec(corpus.name, pipeline), CorpusResources(corpus, embedder),
+                queries, judge, rewriter, k_candidates=4,
+            )
+            for corpus in corpora
+            for pipeline in Pipeline
+        ]
+        assert results == want and all(r.complete for r in results)
+
+    def test_one_doc_id_with_two_documents_refused_before_any_cell(self, tmp_path):
+        judged = []
+        corpora = [
+            Corpus(name="a", documents=(doc("d1", "alpha"), doc("d2", "beta"))),
+            Corpus(name="b", documents=(doc("d1", "alpha"),)),
+            Corpus(name="c", documents=(doc("d3", "gamma"), doc("d2", "beta prime"))),
+        ]
+        with pytest.raises(ValueError, match="doc id 'd2' names different documents in corpora 'a' and 'c'"):
+            run_grid(
+                corpora, list(Pipeline), [tquery("q1", "alpha")], HashedBagEmbedder(dim=64),
+                lambda pairs: judged.extend(pairs) or [50] * len(pairs), rewriter=list, out_dir=tmp_path,
+            )
+        assert judged == [] and list(tmp_path.iterdir()) == []
+
+    def test_empty_corpus_refused_before_any_cell(self, tmp_path):
+        corpora = [Corpus(name="a", documents=(doc("d1", "alpha"),)), Corpus(name="none", documents=())]
+        with pytest.raises(ValueError, match="corpus 'none' is empty"):
+            run_grid(
+                corpora, [Pipeline.BASELINE], [tquery("q1", "alpha")], HashedBagEmbedder(dim=64),
+                mock_gateway_judge(0), out_dir=tmp_path,
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 QT_DIRECTED = [

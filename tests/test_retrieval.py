@@ -23,6 +23,7 @@ from corpusgap.retrieval import (
     retrieve,
 )
 
+from .test_acceptance import brute_force
 from .world import mock_gateway_judge
 
 
@@ -178,6 +179,95 @@ class TestSearchIndex:
         )
         for k in sorted({1, 3, 20, n - 1, n, n + 1} - {0}):
             assert index.search(query, k) == [(key, sim) for sim, key in full[:k]]
+
+
+def id_only_corpus(name: str, doc_ids) -> Corpus:
+    """A corpus of stand-in documents whose only use is their ids."""
+    return Corpus(
+        name=name,
+        documents=tuple(Document(id=d, source=Source.BASELINE, title="", sections=(Section("", "x"),)) for d in doc_ids),
+    )
+
+
+class TestSubsetIndex:
+    """A corpus's rows of a shared index search exactly like an index
+    built from that corpus alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_subset_equals_standalone_index_and_brute_force(self, seed, integer_rows):
+        rng = np.random.default_rng(seed)
+        n_docs, dim = int(rng.integers(1, 40)), 48
+        # Few distinct rows, each used many times: duplicate vectors and,
+        # for small integer rows, exactly tied similarities.
+        if integer_rows:
+            distinct = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), dim)).astype(np.float64)
+        else:
+            distinct = random_unit_vectors(int(rng.integers(1, 8)), dim, seed)
+        doc_ids = [f"d{i:03d}" for i in rng.permutation(n_docs)]
+        sections = {d: int(rng.integers(1, 5)) for d in doc_ids}
+        doc_vecs = {d: distinct[rng.integers(len(distinct))] for d in doc_ids}
+        chunk_vecs = {(d, j): distinct[rng.integers(len(distinct))] for d in doc_ids for j in range(sections[d])}
+        embedder = HashedBagEmbedder(dim=dim)
+
+        def indexes(ids, name):
+            chunk_keys = [key for key in chunk_vecs if key[0] in ids]
+            return (
+                SearchIndex(ids, np.stack([doc_vecs[d] for d in ids]), embedder, name, "document"),
+                SearchIndex(chunk_keys, np.stack([chunk_vecs[k] for k in chunk_keys]), embedder, name, "chunk"),
+            )
+
+        union_docs, union_chunks = indexes(doc_ids, "union")
+        for trial in range(3):
+            size = int(rng.integers(1, n_docs + 1))
+            # The corpus lists its documents in an order of its own.
+            ids = [doc_ids[i] for i in rng.choice(n_docs, size=size, replace=False)]
+            corpus = id_only_corpus(f"c{trial}", ids)
+            alone_docs, alone_chunks = indexes(ids, corpus.name)
+            sub_docs, sub_chunks = union_docs.subset(corpus), union_chunks.subset(corpus)
+            assert (len(sub_docs), len(sub_chunks)) == (len(alone_docs), len(alone_chunks))
+            query = (
+                distinct[rng.integers(len(distinct))] if rng.random() < 0.5
+                else rng.integers(-2, 3, size=dim).astype(np.float64)
+            )
+            for sub, alone in ((sub_docs, alone_docs), (sub_chunks, alone_chunks)):
+                for k in sorted({1, 3, 20, len(alone), len(alone) + 1}):
+                    got = sub.search(query, k)
+                    assert got == alone.search(query, k)
+                    assert [key for key, _ in got] == brute_force(alone.keys, alone.matrix, query, k)
+            for k_candidates in (1, 2, 20):
+                min_docs = min(3, size)
+                assert merge_chunk_candidates(sub_chunks, query, k_candidates, min_docs) == (
+                    merge_chunk_candidates(alone_chunks, query, k_candidates, min_docs)
+                )
+
+    def test_chunk_merge_doubles_its_depth_inside_the_subset(self):
+        # d0 holds the eight chunks nearest the query; the subset needs the
+        # doubling loop to reach d1 and d2, and must not return d9.
+        embedder = HashedBagEmbedder(dim=2)
+        keys = [("d0", j) for j in range(8)] + [("d9", 0), ("d1", 0), ("d2", 0)]
+        matrix = np.array([[1.0, 0.0]] * 8 + [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]])
+        union = SearchIndex(keys, matrix, embedder, "union", "chunk")
+        corpus = id_only_corpus("c", ["d0", "d1", "d2"])
+        merged = merge_chunk_candidates(union.subset(corpus), np.array([1.0, 0.0]), 2, 3)
+        assert [c.doc_id for c in merged] == ["d0", "d1", "d2"]
+
+    def test_rankings_are_shared_and_memoised(self):
+        matrix = random_unit_vectors(12, 8, seed=7)
+        index = vector_index(matrix)
+        corpus = id_only_corpus("c", index.keys[::2])
+        subset = index.subset(corpus)
+        subset.search(matrix[3], 4)
+        index.search(matrix[3], 4)
+        index.search(matrix[5], 4)
+        assert len(index._rankings) == 2 and subset._rankings is index._rankings
+
+    def test_empty_or_foreign_corpus_refused(self):
+        index = vector_index(random_unit_vectors(3, 8, seed=8))
+        with pytest.raises(ValueError, match="corpus 'none' is empty"):
+            index.subset(Corpus(name="none", documents=()))
+        with pytest.raises(ValueError, match="lacks documents of corpus 'c'"):
+            index.subset(id_only_corpus("c", ["v0000", "zz"]))
 
 
 def doc(doc_id: str, body: str, subtopic: str | None = None, sections=None) -> Document:
