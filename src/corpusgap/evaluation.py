@@ -2,15 +2,19 @@
 threshold analysis of how small an augmented corpus can get while staying
 within a fixed fraction of the reference corpus score.
 
-Each cell is one `retrieval.retrieve` call over the held-out test
+A cell is one (corpus, pipeline) pair run over the held-out test
 queries; its score is the mean judge score of every query's top
 documents. The grid builds one document index and one chunk index over
 the union of its corpora, and each corpus's cells search that corpus's
 rows of them (`CorpusResources`), so every document and chunk is
-embedded once and every query is ranked once per grid. A cell that fails
-is returned, not raised: it keeps the queries before the failure, is
-marked incomplete and carries the failure as its `error`, so the grid runs
-every cell and each failure stays with the cell it belongs to.
+embedded once and every query is ranked once per grid. It runs its cells
+`GRID_CHUNK_CELLS` at a time through one `retrieval.Retriever`, so each
+distinct (query text, doc id) pair is judged once per grid, and each
+chunk's new pairs go to the judge in one batch. A cell that fails is
+returned, not raised: it keeps the queries before the failure, is marked
+incomplete and carries the failure as its `error`, so the grid runs every
+cell and each failure stays with the cell it belongs to. A failure is
+never kept as a score: the next chunk that needs the same pair asks again.
 
 Threshold semantics, recorded in every report: a rung qualifies when its
 score ratio to the reference, rounded half-up to 3 decimals, is >= the
@@ -34,14 +38,19 @@ from .gateway import JudgeFn, RewriteFn
 from .retrieval import (
     DEFAULT_CANDIDATES,
     DEFAULT_TOP_K,
+    Cell,
+    CellRun,
     Embedder,
     Pipeline,
+    Retriever,
     SearchIndex,
     build_chunk_index,
     build_document_index,
-    retrieve,
 )
 
+# Cells per `Retriever.run` in `run_grid`: it bounds a grid's judge batches
+# and the candidates held at once.
+GRID_CHUNK_CELLS = 16
 THRESHOLD_RULE = "score ratio to reference, rounded half-up to 3 decimals, must reach the target"
 
 log = logging.getLogger(__name__)
@@ -116,6 +125,47 @@ def union_corpus(corpora: Sequence[Corpus]) -> Corpus:
     return Corpus(name="union", documents=tuple(doc for doc, _ in seen.values()))
 
 
+def _require_test_split(queries: Sequence[Query]) -> None:
+    bad = [q.id for q in queries if q.split is not Split.TEST]
+    if bad:
+        raise ValueError(f"non-test queries in evaluation set: {bad[:5]}")
+
+
+def _run_cells(
+    retriever: Retriever,
+    cells: Sequence[tuple[ExperimentSpec, CorpusResources]],
+    test_queries: Sequence[Query],
+) -> list[ExperimentResult]:
+    """One `Retriever.run` over the cells whose index could be made; a cell
+    whose index could not is failed by that error."""
+    failed: list[CellRun | None] = []
+    indexed: list[Cell] = []
+    for spec, resources in cells:
+        try:
+            index = resources.chunk_index if spec.pipeline is Pipeline.HIERARCHICAL else resources.doc_index
+        except Exception as exc:
+            failed.append(CellRun((), exc))
+        else:
+            failed.append(None)
+            indexed.append(Cell(spec.pipeline, index, resources.corpus))
+    runs = iter(retriever.run(indexed, test_queries))
+    return [_experiment_result(spec, run or next(runs)) for (spec, _), run in zip(cells, failed)]
+
+
+def _experiment_result(spec: ExperimentSpec, run: CellRun) -> ExperimentResult:
+    outcomes = tuple(
+        QueryOutcome(result.query_id, tuple((d.doc_id, d.judge_score) for d in result.top_docs))
+        for result in run.results
+    )
+    error = None
+    if run.error is not None:
+        log.debug("cell %s/%s failed", spec.corpus_name, spec.pipeline.value, exc_info=run.error)
+        error = f"{type(run.error).__name__}: {run.error}"
+    all_scores = [score for outcome in outcomes for _, score in outcome.doc_scores]
+    avg = sum(all_scores) / len(all_scores) if all_scores and error is None else None
+    return ExperimentResult(spec, avg, outcomes, complete=error is None, error=error)
+
+
 def run_experiment(
     spec: ExperimentSpec,
     resources: CorpusResources,
@@ -129,32 +179,16 @@ def run_experiment(
     """Run one (corpus, pipeline) cell over the held-out test queries.
 
     The aggregate is the mean judge score over all queries and their top
-    retrieved documents. The cell is one `retrieval.retrieve` call, which
-    judges the (query, document) pairs it needs in one batch (for
-    baseline, its top-k after the fact; the gateway sends a repeated pair
-    once). A rewrite or judge failure surfaces at the query it belongs
-    to: the earlier queries are kept, and the cell is returned (and
-    saved) with no score, marked incomplete, with `error` "<Type>:
-    <message>".
+    retrieved documents. The cell is one `Retriever.run`, as a grid chunk
+    is, which judges the distinct (query, document) pairs it needs in one
+    batch (for baseline, its top-k). A rewrite or judge failure surfaces
+    at the query it belongs to: the earlier queries are kept, and the cell
+    is returned (and saved) with no score, marked incomplete, with `error`
+    "<Type>: <message>".
     """
-    bad = [q.id for q in test_queries if q.split is not Split.TEST]
-    if bad:
-        raise ValueError(f"non-test queries in evaluation set: {bad[:5]}")
-    outcomes: list[QueryOutcome] = []
-    error = None
-    try:
-        index = resources.chunk_index if spec.pipeline is Pipeline.HIERARCHICAL else resources.doc_index
-        for result in retrieve(
-            spec.pipeline, test_queries, index, resources.corpus, judge, rewriter, k_candidates, top_k
-        ):
-            doc_scores = tuple((d.doc_id, d.judge_score) for d in result.top_docs)
-            outcomes.append(QueryOutcome(query_id=result.query_id, doc_scores=doc_scores))
-    except Exception as exc:
-        log.debug("cell %s/%s failed", spec.corpus_name, spec.pipeline.value, exc_info=True)
-        error = f"{type(exc).__name__}: {exc}"
-    all_scores = [score for outcome in outcomes for _, score in outcome.doc_scores]
-    avg = sum(all_scores) / len(all_scores) if all_scores and error is None else None
-    result = ExperimentResult(spec, avg, tuple(outcomes), complete=error is None, error=error)
+    _require_test_split(test_queries)
+    retriever = Retriever(judge, rewriter, k_candidates, top_k)
+    [result] = _run_cells(retriever, [(spec, resources)], test_queries)
     if out_path is not None:
         save_experiment(result, out_path)
     return result
@@ -223,21 +257,30 @@ def run_grid(
 
     Every corpus searches its rows of one document index and one chunk
     index over the union of `corpora` (see `union_corpus`, whose checks
-    run before any cell).
+    run before any cell). Cells run `GRID_CHUNK_CELLS` at a time through
+    one `Retriever` for the grid, so each chunk makes at most one rewriter
+    and one judge call, and a (query text, doc id) pair is judged once
+    per grid; a pair that failed is asked again by the next chunk that
+    holds it.
     """
+    _require_test_split(test_queries)
     union = CorpusResources(union_corpus(corpora), embedder)
-    results: list[ExperimentResult] = []
+    retriever = Retriever(judge, rewriter, k_candidates, top_k)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    for corpus in corpora:
-        resources = CorpusResources(corpus, embedder, union)
-        for pipeline in pipelines:
-            spec = ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline, seed=seed)
-            path = out / f"{corpus.name}__{pipeline.value}.jsonl" if out is not None else None
-            results.append(
-                run_experiment(spec, resources, test_queries, judge, rewriter, k_candidates, top_k, path)
-            )
+    cells = [
+        (ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline, seed=seed), resources)
+        for corpus in corpora
+        for resources in [CorpusResources(corpus, embedder, union)]
+        for pipeline in pipelines
+    ]
+    results: list[ExperimentResult] = []
+    for start in range(0, len(cells), GRID_CHUNK_CELLS):
+        for result in _run_cells(retriever, cells[start : start + GRID_CHUNK_CELLS], test_queries):
+            if out is not None:
+                save_experiment(result, out / f"{result.spec.corpus_name}__{result.spec.pipeline.value}.jsonl")
+            results.append(result)
     return results
 
 

@@ -9,11 +9,19 @@ append-only JSONL cache (`corpus.AppendLog`) keyed by (provider id,
 template name, sha256 of the template body, bindings, provider params),
 else rendered and sent to the provider with bounded retries. A reply is
 cached only once it parses, and is never served under another provider or
-an edited template. Each distinct miss is sent once (duplicates share one
-provider request), on up to `max_inflight` worker threads that drain one
-shared list, unless the provider declares `in_process = True` (it computes
-its reply in this process, like `MockProvider`, so threads would only
-contend for the GIL); then the misses run in order on the calling thread.
+an edited template. Each distinct miss is keyed and sent once (a repeat in
+the batch waits on the first), on up to `max_inflight` worker threads that
+drain one shared list, unless the provider declares `in_process = True`
+(it computes its reply in this process, like `MockProvider`, so threads
+would only contend for the GIL); then the misses run in order on the
+calling thread.
+
+The cache key is the sha256 of the compact, key-sorted JSON of the
+request's fields. `CompletionRequest.cache_key` writes that JSON from
+memoised fragments (each text's JSON string once, while it stays in a
+bounded memo), byte for byte what `json.dumps` writes, so caches written
+before the fragments were memoised keep their keys. `with_retries` is the
+retry policy that provider and embedder calls share.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
@@ -26,6 +34,7 @@ answers usefulness prompts with.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -50,6 +59,11 @@ class TemplateError(ValueError):
 
 class ProviderError(RuntimeError):
     """Transport-level provider failure; the gateway retries these."""
+
+
+class TransientProviderError(ProviderError):
+    """A transport failure or a server error: another attempt may succeed,
+    unlike a reply that arrived malformed."""
 
 
 class JudgeParseError(ValueError):
@@ -103,6 +117,24 @@ class ProviderParams:
     max_output_tokens: int = 2048
 
 
+# The encoder of every cache key; one instance, as `json.dumps` with these
+# arguments builds a new encoder on every call.
+_KEY_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _json_fragment(value) -> str:
+    """`value` as `_KEY_ENCODER` writes it inside a key. Memoised, as
+    document and query texts recur across keys; typed, so 1, 1.0 and True
+    (equal as dict keys) keep their own JSON."""
+    return _KEY_ENCODER.encode(value)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _params_fragment(model, temperature, max_output_tokens) -> str:
+    return _KEY_ENCODER.encode([model, temperature, max_output_tokens])
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     template: str
@@ -112,21 +144,30 @@ class CompletionRequest:
     def cache_key(self, provider_id: str = "", template_sha: str = "") -> str:
         """sha256 of the request. The gateway stores replies under the key
         that also names the provider and the template body's sha256; with
-        both left empty the key names the request alone."""
-        fields = {
-            "template": self.template,
-            "bindings": dict(sorted(self.bindings.items())),
-            "params": [self.params.model, self.params.temperature, self.params.max_output_tokens],
-        }
-        if provider_id or template_sha:
-            fields["provider"] = provider_id
-            fields["template_sha"] = template_sha
-        payload = json.dumps(
-            fields,
-            ensure_ascii=False,
-            sort_keys=True,
-            separators=(",", ":"),
+        both left empty the key names the request alone.
+
+        The hashed payload is the request's fields as `json.dumps(fields,
+        ensure_ascii=False, sort_keys=True, separators=(",", ":"))` writes
+        them, assembled from memoised fragments. Binding names must be
+        str and binding values hashable."""
+        bindings = []
+        for name, value in sorted(self.bindings.items()):
+            if not isinstance(name, str):
+                raise TypeError(f"binding name {name!r} is not a str")
+            bindings.append(f"{_json_fragment(name)}:{_json_fragment(value)}")
+        params = self.params
+        payload = (
+            f'{{"bindings":{{{",".join(bindings)}}},'
+            f'"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
         )
+        template = _json_fragment(self.template)
+        if provider_id or template_sha:
+            payload += (
+                f'"provider":{_json_fragment(provider_id)},"template":{template},'
+                f'"template_sha":{_json_fragment(template_sha)}}}'
+            )
+        else:
+            payload += f'"template":{template}}}'
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -149,6 +190,33 @@ def stable_hash(*parts: str) -> int:
 T = TypeVar("T")
 _MISSING = object()
 
+# The retry policy of every provider call: attempts, and the first backoff,
+# which doubles after each failed attempt.
+RETRIES = 3
+BACKOFF_BASE_S = 1.0
+
+
+def with_retries(
+    call: Callable[[], T],
+    what: str,
+    retry_on: type[Exception] = ProviderError,
+    attempts: int = RETRIES,
+    backoff_base: float = BACKOFF_BASE_S,
+    sleep: Callable[[float], None] = time.sleep,
+) -> T:
+    """call(), tried up to `attempts` times while it raises `retry_on`,
+    sleeping backoff_base * 2**n after failed attempt n; then one
+    ProviderError naming `what` and the attempt count."""
+    last_error: Exception | None = None
+    for attempt in range(attempts):
+        try:
+            return call()
+        except retry_on as exc:
+            last_error = exc
+            if attempt < attempts - 1:
+                sleep(backoff_base * 2**attempt)
+    raise ProviderError(f"{what} failed after {attempts} attempts: {last_error}") from last_error
+
 
 class Gateway:
     """Routes completion requests through templating, caching, and retries.
@@ -164,8 +232,8 @@ class Gateway:
         templates: dict[str, PromptTemplate] | None = None,
         cache_path: str | Path | None = None,
         max_inflight: int = 4,
-        retries: int = 3,
-        backoff_base: float = 1.0,
+        retries: int = RETRIES,
+        backoff_base: float = BACKOFF_BASE_S,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.provider = provider
@@ -185,17 +253,13 @@ class Gateway:
             raise TemplateError(f"unknown template {name!r}") from None
 
     def _call_provider(self, request: CompletionRequest, prompt: str) -> str:
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            try:
-                with self._semaphore:
-                    return self.provider.generate(request, prompt)
-            except ProviderError as exc:
-                last_error = exc
-                if attempt < self.retries - 1:
-                    self._sleep(self.backoff_base * 2**attempt)
-        raise ProviderError(
-            f"provider {self.provider.id!r} failed after {self.retries} attempts: {last_error}"
+        def attempt() -> str:
+            with self._semaphore:
+                return self.provider.generate(request, prompt)
+
+        return with_retries(
+            attempt, f"provider {self.provider.id!r}", attempts=self.retries,
+            backoff_base=self.backoff_base, sleep=self._sleep,
         )
 
     def close(self) -> None:
@@ -242,6 +306,9 @@ class Gateway:
                 )
                 hit = self._parsed.get(memo_key, _MISSING)
                 if hit is _MISSING:
+                    if memo_key in waiting:  # a repeat of a miss: no key, no lookup
+                        waiting[memo_key].append(i)
+                        continue
                     key = request.cache_key(self.provider.id, template.body_sha)
                     cached = self.cache.get(key)
                     if cached is not None:
@@ -251,8 +318,6 @@ class Gateway:
                 continue
             if hit is not _MISSING:
                 results[i] = hit
-            elif memo_key in waiting:
-                waiting[memo_key].append(i)
             else:
                 waiting[memo_key] = [i]
                 misses.append((request, template, memo_key, key))

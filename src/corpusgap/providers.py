@@ -7,7 +7,8 @@ judging, rewriting, article generation) gets a plausible, parseable reply.
 `HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
 an OpenAI-style endpoint through one POST helper, which adds the bearer
 header and turns a transport exception, a bad status or a malformed body
-into `ProviderError`.
+into `ProviderError` (`TransientProviderError` for a transport failure or a
+server error, which the embedder retries).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
@@ -22,10 +24,12 @@ import numpy as np
 from .gateway import (
     CompletionRequest,
     ProviderError,
+    TransientProviderError,
     format_judge_score,
     mock_score,
     stable_hash,
     token_overlap,
+    with_retries,
 )
 
 if TYPE_CHECKING:
@@ -126,7 +130,8 @@ class _HttpClient:
 
     Endpoint and credentials come from config/environment; the transport is
     injectable for tests. Every failure raises ProviderError, which the
-    gateway retries with backoff. `requests` is imported only here, as it
+    gateway retries with backoff; `HttpEmbedder` retries only the
+    transient ones. `requests` is imported only here, as it
     is slow to import and no other part of the program needs it.
     """
 
@@ -165,9 +170,9 @@ class _HttpClient:
                 timeout=self.timeout,
             )
         except requests.RequestException as exc:
-            raise ProviderError(f"transport failure: {exc}") from exc
+            raise TransientProviderError(f"transport failure: {exc}") from exc
         if response.status_code >= 500:
-            raise ProviderError(f"server error {response.status_code}")
+            raise TransientProviderError(f"server error {response.status_code}")
         if response.status_code != 200:
             raise ProviderError(f"unexpected status {response.status_code}: {response.text[:200]}")
         try:
@@ -192,19 +197,28 @@ class HttpProvider(_HttpClient):
 
 
 class HttpEmbedder(_HttpClient):
-    """OpenAI-style embeddings client; vectors are re-normalized."""
+    """OpenAI-style embeddings client; vectors are re-normalized.
 
-    def __init__(self, endpoint: str, model: str, dim: int, **kwargs):
+    A transport failure or server error is retried with the gateway's
+    policy (`gateway.with_retries`); a malformed reply is not."""
+
+    def __init__(self, endpoint: str, model: str, dim: int, sleep: Callable[[float], None] = time.sleep, **kwargs):
         super().__init__(endpoint, model, **kwargs)
         self.dim = dim
+        self._sleep = sleep
 
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():
             raise ValueError("cannot embed empty text")
-        vec = self._post_json(
-            "embeddings",
-            {"model": self.model, "input": text},
-            lambda body: np.asarray(body["data"][0]["embedding"], dtype=np.float64),
+        vec = with_retries(
+            lambda: self._post_json(
+                "embeddings",
+                {"model": self.model, "input": text},
+                lambda body: np.asarray(body["data"][0]["embedding"], dtype=np.float64),
+            ),
+            f"embedder {self.id!r}",
+            retry_on=TransientProviderError,
+            sleep=self._sleep,
         )
         if vec.shape != (self.dim,):
             raise ProviderError(f"expected dim {self.dim}, got {vec.shape}")

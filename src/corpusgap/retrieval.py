@@ -1,11 +1,17 @@
 """Embeddings, an exact cosine index, and the retrieval pipelines.
 
-One function, `retrieve(pipeline, queries, ...)`, runs all four
-pipelines; they differ only in which index supplies the candidates, which
-text is embedded, and whether a judge ranks the candidates. It asks for
-all of its queries' rewrites in one rewriter call, finds every query's
-candidates, and judges them all in one judge call; the experiment grid
-runs each (corpus, pipeline) cell through it.
+One implementation, `Retriever.run(cells, queries)`, runs all four
+pipelines over any number of (pipeline, index, corpus) cells; pipelines
+differ only in which index supplies the candidates, which text is
+embedded, and whether a judge ranks the candidates. Its find half makes
+one rewriter call over the distinct query texts, embeds each distinct
+search text once and finds every cell's candidates; its rank half makes
+one judge call over the (query text, doc id) pairs not scored before,
+each pair once, and ranks every query from those scores. A Retriever
+keeps its scores, rewrites and query vectors, so the experiment grid,
+which runs its cells through one Retriever in bounded chunks, judges each
+distinct pair once per grid. `retrieve(pipeline, queries, ...)` is one
+cell.
 
 `CachedEmbedder` keeps vectors in an append-only JSONL store
 (`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
@@ -35,7 +41,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AppendLog, Corpus, Query
+from .corpus import AppendLog, Corpus, Document, Query
 from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
@@ -276,25 +282,184 @@ def merge_chunk_candidates(
     return candidates
 
 
-def _candidates(
-    pipeline: Pipeline,
-    search_text: str,
-    index: SearchIndex,
-    corpus: Corpus | None,
-    k_candidates: int,
-    top_k: int,
-) -> list[Candidate]:
-    """Candidates in similarity order for one search text; nothing is
-    judged yet."""
-    query_vec = index.embedder.embed(search_text)
-    if pipeline is Pipeline.HIERARCHICAL:
-        min_docs = min(top_k, len(corpus))
-        return merge_chunk_candidates(index, query_vec, k_candidates, min_docs)
-    if index.kind != "document":
-        raise ValueError(
-            f"a document-level index is required here, not the {index.kind} index of {index.name!r}"
-        )
-    return [Candidate(key, sim) for key, sim in index.search(query_vec, k_candidates)]
+@dataclass(frozen=True)
+class Cell:
+    """One pipeline over one index. Judged pipelines, and baseline given a
+    judge, also need the corpus whose documents the index holds."""
+
+    pipeline: Pipeline
+    index: SearchIndex
+    corpus: Corpus | None = None
+
+
+@dataclass(frozen=True)
+class CellRun:
+    """A cell's results, one per query up to its first failure, and that
+    failure (None when every query succeeded)."""
+
+    results: tuple[RetrievalResult, ...]
+    error: Exception | None = None
+
+
+def _ask(fn, items: list) -> list:
+    """fn's replies to a batch, one per item. An exception fn raises, or a
+    reply count that does not match, becomes every item's reply."""
+    try:
+        replies = list(fn(items))
+        if len(replies) != len(items):
+            raise ValueError(f"expected {len(items)} replies, got {len(replies)}")
+    except Exception as exc:
+        return [exc] * len(items)
+    return replies
+
+
+class Retriever:
+    """Runs cells of queries through the pipelines; `run` takes any number
+    of cells and `retrieve` is one cell.
+
+    `run` has a find half and a rank half. Find: one rewriter call over the
+    distinct query texts not rewritten before (if a cell is
+    query_transformation), each distinct search text embedded once, and
+    every cell's candidates. Then one judge call over the (query text, doc
+    id) pairs that no earlier call scored, each pair once. Rank: each
+    cell's queries from those scores.
+
+    A Retriever keeps every rewrite, search-text vector and judge score
+    for its lifetime, keyed by text and doc id; so all the cells it runs
+    must give one document per doc id (`evaluation.run_grid` runs cells
+    over `union_corpus`, which guarantees it). A failure is never kept: it
+    is the error of each cell of this call that holds it, at that cell's
+    own query, and a later call asks again.
+    """
+
+    def __init__(
+        self,
+        judge: JudgeFn | None = None,
+        rewriter: RewriteFn | None = None,
+        k_candidates: int = DEFAULT_CANDIDATES,
+        top_k: int = DEFAULT_TOP_K,
+    ):
+        self.judge = judge
+        self.rewriter = rewriter
+        self.k_candidates = k_candidates
+        self.top_k = top_k
+        self._scores: dict[tuple[str, str], int] = {}
+        self._rewrites: dict[str, str] = {}
+        self._vectors: dict[tuple[str, str], np.ndarray] = {}
+
+    def run(self, cells: Sequence[Cell], queries: Sequence[Query]) -> list[CellRun]:
+        """Every cell over `queries`, in order."""
+        rewrites = {}
+        if self.rewriter is not None and any(c.pipeline is Pipeline.QUERY_TRANSFORMATION for c in cells):
+            rewrites = self._rewrite([query.text for query in queries])
+        found = [self._find(cell, queries, rewrites) for cell in cells]
+        failures = self._judge_new_pairs(cells, found)
+        return [self._rank(cell, *cell_found, failures) for cell, cell_found in zip(cells, found)]
+
+    def _scored(self, cell: Cell) -> bool:
+        return cell.pipeline is not Pipeline.BASELINE or self.judge is not None
+
+    def _rewrite(self, texts: list[str]) -> dict[str, str | Exception]:
+        """Each text's rewrite or failure; only texts not rewritten before
+        are asked, in one rewriter call."""
+        new = [text for text in dict.fromkeys(texts) if text not in self._rewrites]
+        asked = dict(zip(new, _ask(self.rewriter, new))) if new else {}
+        self._rewrites.update((t, r) for t, r in asked.items() if not isinstance(r, Exception))
+        return {text: self._rewrites.get(text, asked.get(text)) for text in texts}
+
+    def _check(self, cell: Cell) -> None:
+        pipeline, index = cell.pipeline, cell.index
+        if pipeline is Pipeline.QUERY_TRANSFORMATION and self.rewriter is None:
+            raise ValueError("query_transformation needs a rewriter")
+        wanted = "chunk" if pipeline is Pipeline.HIERARCHICAL else "document"
+        if index.kind != wanted:
+            raise ValueError(
+                f"a {wanted}-level index is required here, not the {index.kind} index of {index.name!r}"
+            )
+        if self._scored(cell) and (self.judge is None or cell.corpus is None):
+            raise ValueError(f"{pipeline.value} needs a judge and the corpus of its index")
+
+    def _find(
+        self, cell: Cell, queries: Sequence[Query], rewrites: dict[str, str | Exception]
+    ) -> tuple[list, Exception | None]:
+        """(query, rewrite, candidates) for each query up to the first
+        failure, and that failure."""
+        found: list[tuple[Query, str | None, list[Candidate]]] = []
+        try:
+            self._check(cell)
+        except ValueError as exc:
+            return found, exc
+        transform = cell.pipeline is Pipeline.QUERY_TRANSFORMATION
+        for query in queries:
+            rewritten = rewrites[query.text] if transform else None
+            if isinstance(rewritten, Exception):
+                return found, rewritten
+            try:
+                candidates = self._candidates(cell, query.text if rewritten is None else rewritten)
+            except Exception as exc:
+                return found, exc
+            found.append((query, rewritten, candidates))
+        return found, None
+
+    def _candidates(self, cell: Cell, search_text: str) -> list[Candidate]:
+        """Candidates in similarity order for one search text; baseline's
+        are its similarity top-k."""
+        index = cell.index
+        key = (index.embedder.id, search_text)
+        query_vec = self._vectors.get(key)
+        if query_vec is None:
+            query_vec = self._vectors[key] = index.embedder.embed(search_text)
+        if cell.pipeline is Pipeline.HIERARCHICAL:
+            min_docs = min(self.top_k, len(cell.corpus))
+            return merge_chunk_candidates(index, query_vec, self.k_candidates, min_docs)
+        k = min(self.k_candidates, self.top_k) if cell.pipeline is Pipeline.BASELINE else self.k_candidates
+        return [Candidate(doc_id, sim) for doc_id, sim in index.search(query_vec, k)]
+
+    def _judge_new_pairs(self, cells: Sequence[Cell], found: list) -> dict[tuple[str, str], Exception]:
+        """Judge, in one call, each pair the cells hold that is not scored
+        yet; keep the scores and return the failures."""
+        pending: dict[tuple[str, str], tuple[str, Document]] = {}
+        for cell, (cell_found, _) in zip(cells, found):
+            if not self._scored(cell):
+                continue
+            for query, _, candidates in cell_found:
+                for c in candidates:
+                    pair = (query.text, c.doc_id)
+                    if pair not in self._scores and pair not in pending:
+                        pending[pair] = (query.text, cell.corpus.document(c.doc_id))
+        failures = {}
+        if pending:
+            for pair, reply in zip(pending, _ask(self.judge, list(pending.values()))):
+                if isinstance(reply, Exception):
+                    failures[pair] = reply
+                else:
+                    self._scores[pair] = reply
+        return failures
+
+    def _rank(
+        self,
+        cell: Cell,
+        found: list,
+        error: Exception | None,
+        failures: dict[tuple[str, str], Exception],
+    ) -> CellRun:
+        scored = self._scored(cell)
+        judged = cell.pipeline is not Pipeline.BASELINE
+        results = []
+        for query, rewritten, candidates in found:
+            top = []
+            for c in candidates:
+                score = None
+                if scored:
+                    try:
+                        score = self._scores[query.text, c.doc_id]
+                    except KeyError:
+                        return CellRun(tuple(results), failures[query.text, c.doc_id])
+                top.append(RetrievedDoc(c.doc_id, score, c.similarity))
+            if judged:
+                top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
+            results.append(RetrievalResult(query.id, cell.pipeline, tuple(top[: self.top_k]), rewritten))
+        return CellRun(tuple(results), error)
 
 
 def retrieve(
@@ -317,51 +482,17 @@ def retrieve(
     - query_transformation: the rewritten query picks the candidates,
       then they are judge-ranked like reranking.
 
-    query_transformation first rewrites every query in one rewriter call.
-    Then every query's candidates are found, every (query, document) pair
-    is judged in one judge call, and each query is ranked from those
-    scores. Judged pipelines judge all candidates; baseline, given a
-    judge, judges only its similarity top-k, so its top documents carry
-    scores (None without a judge). Judged pipelines need the corpus and
-    the judge, and always judge against the original query text. A
-    rewrite, guard or judge failure is raised at the query it belongs to,
-    after the results of the queries before it; silently falling back to
-    the raw query would hide a broken pipeline stage.
+    This is `Retriever.run` with one cell: one rewriter call, one judge
+    call over the distinct (query text, doc id) pairs, then each query
+    ranked from those scores. Judged pipelines judge all candidates;
+    baseline, given a judge, judges only its similarity top-k, so its top
+    documents carry scores (None without a judge). Judged pipelines need
+    the corpus and the judge, and always judge against the original query
+    text. A rewrite, guard or judge failure is raised at the query it
+    belongs to, after the results of the queries before it; silently
+    falling back to the raw query would hide a broken pipeline stage.
     """
-    baseline = pipeline is Pipeline.BASELINE
-    rewrites: Sequence[str | Exception | None] = [None] * len(queries)
-    if pipeline is Pipeline.QUERY_TRANSFORMATION:
-        if rewriter is None:
-            raise ValueError("query_transformation needs a rewriter")
-        rewrites = rewriter([query.text for query in queries])
-    found = []
-    error: Exception | None = None
-    for query, rewritten in zip(queries, rewrites, strict=True):
-        try:
-            if isinstance(rewritten, Exception):
-                raise rewritten
-            search_text = query.text if rewritten is None else rewritten
-            candidates = _candidates(pipeline, search_text, index, corpus, k_candidates, top_k)
-        except Exception as exc:
-            error = exc
-            break
-        found.append((query, rewritten, candidates[:top_k] if baseline else candidates))
-    if baseline and judge is None:
-        replies = itertools.repeat(None)
-    else:
-        replies = iter(judge([
-            (query.text, corpus.document(c.doc_id))
-            for query, _, candidates in found
-            for c in candidates
-        ]))
-    for query, rewritten, candidates in found:
-        scores = [next(replies) for _ in candidates]
-        failure = next((s for s in scores if isinstance(s, Exception)), None)
-        if failure is not None:
-            raise failure
-        top = [RetrievedDoc(c.doc_id, s, c.similarity) for c, s in zip(candidates, scores)]
-        if not baseline:
-            top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
-        yield RetrievalResult(query.id, pipeline, tuple(top[:top_k]), rewritten)
-    if error is not None:
-        raise error
+    [run] = Retriever(judge, rewriter, k_candidates, top_k).run([Cell(pipeline, index, corpus)], queries)
+    yield from run.results
+    if run.error is not None:
+        raise run.error

@@ -268,6 +268,85 @@ class TestRunGrid:
         ]
         assert results == want and all(r.complete for r in results)
 
+    def test_each_pair_judged_once_per_grid_in_chunk_bounded_calls(self, monkeypatch):
+        rng = random.Random(5)
+        vocab = [f"tok{i}" for i in range(20)]
+        docs = [doc(f"d{i:02d}", " ".join(rng.sample(vocab, 4))) for i in range(16)]
+        corpora = [
+            Corpus(name="base", documents=tuple(docs[:6])),
+            Corpus(name="rung", documents=tuple(docs[:6] + docs[9:12])),
+            Corpus(name="all", documents=tuple(docs)),
+        ]
+        texts = [" ".join(rng.sample(vocab, 3)) for _ in range(4)]
+        queries = [tquery(f"q{i}", text) for i, text in enumerate(texts + texts[:1])]
+        embedder = HashedBagEmbedder(dim=32)
+        inner = mock_gateway_judge(3)
+
+        def needs(corpus, pipeline):
+            pairs = []
+            run_experiment(
+                ExperimentSpec(corpus.name, pipeline), CorpusResources(corpus, embedder), queries,
+                lambda batch: pairs.extend((t, d.id) for t, d in batch) or inner(batch), list, k_candidates=5,
+            )
+            return set(pairs)
+
+        cell_pairs = [needs(corpus, pipeline) for corpus in corpora for pipeline in Pipeline]
+        calls_by_run = []
+
+        class RecordingRetriever(evaluation.Retriever):
+            def run(self, cells, queries):
+                calls_by_run.append((len(cells), []))
+                return super().run(cells, queries)
+
+        def judge(batch):
+            calls_by_run[-1][1].append([(t, d.id) for t, d in batch])
+            return inner(batch)
+
+        monkeypatch.setattr(evaluation, "Retriever", RecordingRetriever)
+        monkeypatch.setattr(evaluation, "GRID_CHUNK_CELLS", 3)
+        results = run_grid(corpora, list(Pipeline), queries, embedder, judge, list, k_candidates=5)
+        assert all(r.complete for r in results)
+        assert [n for n, _ in calls_by_run] == [3, 3, 3, 3]
+        judged = [pair for _, calls in calls_by_run for batch in calls for pair in batch]
+        assert len(judged) == len(set(judged)) == len(set().union(*cell_pairs))
+        for chunk, (_, calls) in enumerate(calls_by_run):
+            assert len(calls) <= 1
+            for batch in calls:
+                assert set(batch) <= set().union(*cell_pairs[3 * chunk : 3 * chunk + 3])
+
+    @pytest.mark.parametrize("chunk_cells, asked", [(16, 1), (2, 2)])
+    def test_failed_pair_fails_every_cell_holding_it_at_its_query(self, monkeypatch, tmp_path, chunk_cells, asked):
+        monkeypatch.setattr(evaluation, "GRID_CHUNK_CELLS", chunk_cells)
+        inner = mock_gateway_judge(0)
+        bad = ("beta gamma", "bad")
+        seen = []
+
+        def judge(pairs):
+            seen.extend((t, d.id) for t, d in pairs)
+            return [ProviderError("judge down") if (t, d.id) == bad else s for (t, d), s in zip(pairs, inner(pairs))]
+
+        corpora = [
+            Corpus(name="a", documents=(doc("d1", "alpha beta"), doc("bad", "beta gamma"))),
+            Corpus(name="b", documents=(doc("bad", "beta gamma"), doc("d2", "gamma delta"), doc("d3", "alpha"))),
+            Corpus(name="c", documents=(doc("d1", "alpha beta"), doc("d2", "gamma delta"))),
+        ]
+        queries = [tquery("q1", "alpha"), tquery("q2", "beta gamma"), tquery("q3", "delta")]
+        results = run_grid(
+            corpora, [Pipeline.RERANKING, Pipeline.QUERY_TRANSFORMATION], queries, HashedBagEmbedder(dim=64),
+            judge, rewriter=list, out_dir=tmp_path,
+        )
+        by_cell = {(r.spec.corpus_name, r.spec.pipeline): r for r in results}
+        for name in ("a", "b"):
+            for pipeline in (Pipeline.RERANKING, Pipeline.QUERY_TRANSFORMATION):
+                cell = by_cell[name, pipeline]
+                assert (cell.complete, cell.error, cell.avg_score) == (False, "ProviderError: judge down", None)
+                assert [o.query_id for o in cell.per_query] == ["q1"]
+                assert load_experiment(tmp_path / f"{name}__{pipeline.value}.jsonl") == cell
+        for pipeline in (Pipeline.RERANKING, Pipeline.QUERY_TRANSFORMATION):
+            assert by_cell["c", pipeline].complete and len(by_cell["c", pipeline].per_query) == 3
+        # Asked again by each chunk that holds it (a's two cells, then b's), never once per cell.
+        assert seen.count(bad) == asked
+
     def test_one_doc_id_with_two_documents_refused_before_any_cell(self, tmp_path):
         judged = []
         corpora = [

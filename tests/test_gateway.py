@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import sys
@@ -7,6 +8,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpusgap.annotate import label_batch, write_labelings
 from corpusgap.corpus import Document, Section, Source
@@ -183,6 +185,95 @@ class TestGateway:
         assert req().cache_key() == req().cache_key("", "")
         assert req().cache_key() != req().cache_key("mock-1", "")
         assert req().cache_key("mock-1", "a") != req().cache_key("mock-1", "b")
+
+
+def json_dumps_key(request: CompletionRequest, provider_id: str = "", template_sha: str = "") -> str:
+    """The cache key as the gateway first defined it: sha256 of json.dumps."""
+    fields = {
+        "template": request.template,
+        "bindings": dict(sorted(request.bindings.items())),
+        "params": [request.params.model, request.params.temperature, request.params.max_output_tokens],
+    }
+    if provider_id or template_sha:
+        fields["provider"] = provider_id
+        fields["template_sha"] = template_sha
+    payload = json.dumps(fields, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+key_text = st.text(alphabet=st.sampled_from(list('aé"\\\n\t\x00\x1f\u2028\U0001f600 {}:,') + ["b"]), max_size=12)
+key_params = st.builds(
+    ProviderParams,
+    model=key_text,
+    temperature=st.one_of(st.integers(-3, 3), st.floats(), st.booleans()),
+    max_output_tokens=st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=False), st.booleans()),
+)
+key_requests = st.builds(
+    CompletionRequest,
+    template=key_text,
+    bindings=st.dictionaries(key_text, key_text, max_size=4),
+    params=key_params,
+)
+
+
+class TestCacheKey:
+    @settings(max_examples=400, derandomize=True)
+    @given(request=key_requests, provider_id=st.sampled_from(["", "mock-5", "prov\u00e9\"1"]),
+           template_sha=st.sampled_from(["", "ab" * 32]))
+    def test_equals_the_json_dumps_key(self, request, provider_id, template_sha):
+        assert request.cache_key(provider_id, template_sha) == json_dumps_key(request, provider_id, template_sha)
+
+    def test_int_float_and_bool_params_keep_their_own_keys(self):
+        keys = set()
+        for value in (1, 1.0, True, 0, 0.0, False):
+            request = CompletionRequest("echo", {"word": "hi"}, ProviderParams(temperature=value))
+            for _ in range(2):  # the second call is answered from the fragment memo
+                assert request.cache_key("p", "s") == json_dumps_key(request, "p", "s")
+            keys.add(request.cache_key("p", "s"))
+        assert len(keys) == 6
+
+    def test_non_str_values_keyed_as_json_dumps_and_non_str_names_refused(self):
+        for value in (2.5, 2, None, True):
+            request = CompletionRequest("echo", {"word": value})
+            assert request.cache_key("p", "s") == json_dumps_key(request, "p", "s")
+        with pytest.raises(TypeError, match="binding name 1"):
+            CompletionRequest("echo", {1: "x"}).cache_key()
+
+    # Keys computed by the json.dumps implementation of cache_key.
+    GOLDEN = [
+        (
+            CompletionRequest(
+                "usefulness_rubric",
+                {"user_query": "cant sleep, mind racing", "retrieved_document": 'Insomnia "tips"\n\\ café — \x01 end'},
+            ),
+            "1871c9ab3fecaa525f5539b3d7b38d7e44ab0a3b9a30e8fd154e15b1a559ee62",
+            "5ea807ece24dc6d65bb5b840c3f6ce983f03492579ba9b882a8b771ae123fed2",
+        ),
+        (
+            CompletionRequest("rewrite_query", {"query": "über worry"}, ProviderParams("m1", 1, 64)),
+            "302d4a95dee6e7e2e7dda44976793b263db0d14ce6a873ee693bf9694cb808f0",
+            "fa0bba296b2fe8b8a8e69db0c861f500aec7c17069e3c340b1acc185569b583b",
+        ),
+        (
+            CompletionRequest("mystery", {}, ProviderParams(temperature=1.0)),
+            "4e2c10a112ab57ac1b5683694435bd6c61ed8968d5453e37df8946b44eb5f2a8",
+            "a77811009a16dcf49390232a3ef2b3ee29bc294c6f445019bc7bf972489e48ef",
+        ),
+    ]
+
+    @pytest.mark.parametrize("request_, bare, named", GOLDEN, ids=["judge", "rewrite-int-temperature", "empty"])
+    def test_golden_keys(self, request_, bare, named):
+        assert request_.cache_key() == bare
+        assert request_.cache_key("mock-5", "ab" * 32) == named
+
+    def test_cache_written_under_the_json_dumps_key_is_read_without_a_call(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = "e2dd3417da5096c4a6a60b951be58564da0f8e14d7343f64ec4a7e2f94510058"
+        path.write_text(json.dumps({"key": key, "template": "echo", "response": "42"}) + "\n", encoding="utf-8")
+        provider = CountingProvider("0")
+        gateway = gw(provider, cache_path=path)
+        assert gateway.complete_parsed(req('héllo "q" \\ \t'), parse_judge_score) == 42
+        assert provider.calls == 0
 
 
 class TestParsedMemo:
@@ -518,6 +609,20 @@ class TestCompleteMany:
         assert not worker.is_alive()
         assert out[0] == [int(w[1:]) + 1 for w in words]
         assert sent == {f"w{i}": 1 for i in range(97)}
+
+    def test_repeats_of_a_miss_are_keyed_once(self, monkeypatch):
+        provider = CountingProvider("42")
+        gateway = gw(provider)
+        keyed = []
+        cache_key = CompletionRequest.cache_key
+
+        def spy(request, *args):
+            keyed.append(request.bindings["word"])
+            return cache_key(request, *args)
+
+        monkeypatch.setattr(CompletionRequest, "cache_key", spy)
+        assert gateway.complete_many([req("a")] * 50, parse_judge_score) == [42] * 50
+        assert keyed == ["a"] and provider.calls == 1
 
     def test_unknown_template_in_place(self):
         gateway = gw(CountingProvider("42"))

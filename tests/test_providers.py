@@ -136,6 +136,60 @@ class TestHttpEmbedder:
             embedder.embed("hello")
 
 
+class FlakyTransport:
+    """Fails its first `failures` posts with `error`, then answers [3, 4]."""
+
+    def __init__(self, failures: int, error=None):
+        self.failures = failures
+        self.error = error or requests.ConnectionError("blip")
+        self.posts = 0
+
+    def __call__(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        if self.posts <= self.failures:
+            if isinstance(self.error, Exception):
+                raise self.error
+            return self.error
+        return StubResponse(payload={"data": [{"embedding": [3.0, 4.0]}]})
+
+
+class TestHttpEmbedderRetries:
+    @pytest.mark.parametrize("error", [requests.ConnectionError("blip"), StubResponse(503)], ids=["transport", "5xx"])
+    def test_one_failure_then_the_clean_vector(self, error):
+        clean = HttpEmbedder("https://api.example", model="e1", dim=2, transport=FlakyTransport(0)).embed("hi")
+        waits = []
+        transport = FlakyTransport(1, error)
+        embedder = HttpEmbedder("https://api.example", model="e1", dim=2, transport=transport, sleep=waits.append)
+        assert np.array_equal(embedder.embed("hi"), clean)
+        assert transport.posts == 2 and waits == [1.0]
+
+    def test_three_failures_give_one_error_naming_the_attempts(self):
+        waits = []
+        transport = FlakyTransport(3)
+        embedder = HttpEmbedder("https://api.example", model="e1", dim=2, transport=transport, sleep=waits.append)
+        with pytest.raises(ProviderError, match="embedder 'http:e1' failed after 3 attempts: transport failure: blip"):
+            embedder.embed("hi")
+        assert transport.posts == 3 and waits == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            StubResponse(payload={"data": [{"embedding": [1.0, 0.0, 0.0]}]}),
+            StubResponse(payload={"data": [{"embedding": [0.0, 0.0]}]}),
+            StubResponse(payload={"data": []}),
+            StubResponse(401),
+        ],
+        ids=["wrong-dim", "zero-norm", "malformed", "401"],
+    )
+    def test_a_malformed_or_refused_reply_is_not_retried(self, reply):
+        waits = []
+        transport = FlakyTransport(1, reply)
+        embedder = HttpEmbedder("https://api.example", model="e1", dim=2, transport=transport, sleep=waits.append)
+        with pytest.raises(ProviderError):
+            embedder.embed("hi")
+        assert transport.posts == 1 and waits == []
+
+
 class TestMockProviderRouting:
     def test_unknown_template_is_deterministic(self):
         request = CompletionRequest(template="mystery", bindings={})
