@@ -211,8 +211,9 @@ def write_records(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_append_log(path: str | Path) -> Iterator[dict]:
-    """Yield the records of an append-only log written by `AppendLog.put`.
+def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, record) for the records of an append-only log
+    written by `AppendLog.put`.
 
     A last line that is malformed or lacks its newline is a write cut
     short by a crash: it is dropped with a warning and cut from the file,
@@ -235,7 +236,7 @@ def read_append_log(path: str | Path) -> Iterator[dict]:
                     log.warning("%s:%d: dropping a torn last record", path, lineno)
                     torn_at = offset
                     break
-                yield record
+                yield lineno, record
             offset += len(line)
     if torn_at is not None:
         os.truncate(path, torn_at)
@@ -245,14 +246,16 @@ class AppendLog:
     """A key-value map backed by an optional append-only log file.
 
     On load, `decode` turns each record of the file into a (key, value)
-    pair, or None to skip it; a torn last record is handled by
-    `read_append_log`. `put` stores a value once and appends its record as
-    one line, under a lock, through a file handle that stays open and is
-    flushed after every record: concurrent callers never interleave lines,
-    readers see each record as soon as `put` returns, and a crash can tear
-    at most the last line. `close` closes the handle (a later `put` opens
-    it again); a store dropped unclosed has it closed by a finalizer. `get`
-    is the map's own `dict.get`.
+    pair, or None to skip it; a record it fails on with KeyError,
+    TypeError or ValueError (a missing field, a wrong type, a bad value)
+    raises `IngestError` naming the file and line. A torn last record is
+    handled by `read_append_log`. `put` stores a value once and appends
+    its record as one line, under a lock, through a file handle that
+    stays open and is flushed after every record: concurrent callers
+    never interleave lines, readers see each record as soon as `put`
+    returns, and a crash can tear at most the last line. `close` closes
+    the handle (a later `put` opens it again); a store dropped unclosed
+    has it closed by a finalizer. `get` is the map's own `dict.get`.
     """
 
     def __init__(self, path: str | Path | None, decode: Callable[[dict], tuple | None]):
@@ -261,10 +264,15 @@ class AppendLog:
         self._lock = threading.Lock()
         self._fh = None
         if self.path is not None and self.path.exists():
-            for record in read_append_log(self.path):
-                item = decode(record)
-                if item is not None:
-                    self._entries[item[0]] = item[1]
+            for lineno, record in read_append_log(self.path):
+                try:
+                    item = decode(record)
+                    if item is not None:
+                        self._entries[item[0]] = item[1]
+                except KeyError as exc:
+                    raise IngestError(f"{self.path}:{lineno}: record lacks field {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise IngestError(f"{self.path}:{lineno}: bad record: {exc}") from exc
         self.get = self._entries.get
 
     def __len__(self) -> int:

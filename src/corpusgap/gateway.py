@@ -29,7 +29,10 @@ texts, each makes one `complete_many` call, and each result or exception
 comes back in its place.
 
 `mock_score` is the deterministic stand-in judge that `MockProvider`
-answers usefulness prompts with.
+answers usefulness prompts with. It tokenises each document text once
+while the text stays in a bounded memo of token counts (4,096 texts,
+`_DOC_TOKENS_MEMO`), so the judge's cost follows the number of distinct
+documents, not of requests; scores are those of tokenising afresh.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import functools
 import hashlib
 import json
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -397,22 +401,45 @@ def format_judge_score(value: int) -> str:
     return f"Relevance Score (1-100): {value}"
 
 
-def _token_counts(text: str) -> dict[str, int]:
+_TOKEN_RE = re.compile(r"\w+")
+# Documents whose token counts `token_overlap` keeps. A judge batch is
+# query-major, so every document of a batch recurs once per query; the
+# bound covers the largest batch at paper scale (739 pool documents in
+# one subtopic), where a smaller memo would evict each document before
+# the next query reaches it.
+_DOC_TOKENS_MEMO = 4096
+
+
+def token_counts(text: str) -> dict[str, int]:
+    """Multiset of the lower-cased `\\w+` tokens of `text`."""
     counts: dict[str, int] = {}
-    for token in re.findall(r"\w+", text.lower()):
+    for token in _TOKEN_RE.findall(text.lower()):
         counts[token] = counts.get(token, 0) + 1
     return counts
 
 
-def token_overlap(query_text: str, doc_text: str) -> float:
-    """Multiset containment of query tokens in the document, in [0, 1]."""
-    query_counts = _token_counts(query_text)
+@functools.lru_cache(maxsize=_DOC_TOKENS_MEMO)
+def _doc_token_counts(text: str) -> dict[str, int]:
+    """`token_counts` of a document text, memoised; tokens are interned,
+    so the memo holds each distinct token's string once. Every caller
+    gets the same dict, so none may change it."""
+    return {sys.intern(token): n for token, n in token_counts(text).items()}
+
+
+def counts_overlap(query_counts: dict[str, int], doc_counts: dict[str, int]) -> float:
+    """Multiset containment of the query's token counts in the
+    document's, in [0, 1]; 0 for a query without tokens."""
     total = sum(query_counts.values())
     if total == 0:
         return 0.0
-    doc_counts = _token_counts(doc_text)
     matched = sum(min(n, doc_counts.get(tok, 0)) for tok, n in query_counts.items())
     return matched / total
+
+
+def token_overlap(query_text: str, doc_text: str) -> float:
+    """Multiset containment of query tokens in the document, in [0, 1].
+    The document's token counts come from a bounded memo."""
+    return counts_overlap(token_counts(query_text), _doc_token_counts(doc_text))
 
 
 def mock_score(query_text: str, doc_text: str, seed: int) -> int:

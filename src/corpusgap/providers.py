@@ -3,6 +3,9 @@
 The mock provider's responses are pure functions of (request, seed). It
 routes on template name so every prompt in the pipeline (classification,
 judging, rewriting, article generation) gets a plausible, parseable reply.
+Classification tokenises the text once per request and scores every
+subtopic against those counts; judging goes through `gateway.mock_score`,
+whose bounded memo (4,096 texts) tokenises each document text once.
 
 `HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
 an OpenAI-style endpoint through one POST helper, which adds the bearer
@@ -25,10 +28,11 @@ from .gateway import (
     CompletionRequest,
     ProviderError,
     TransientProviderError,
+    counts_overlap,
     format_judge_score,
     mock_score,
     stable_hash,
-    token_overlap,
+    token_counts,
     with_retries,
 )
 
@@ -78,9 +82,10 @@ class MockProvider:
     def _classify(self, request: CompletionRequest) -> str:
         subtopics = [s for s in request.bindings["subtopics"].splitlines() if s.strip()]
         text = request.bindings["text"]
+        text_counts = token_counts(text)
         scored = []
         for position, subtopic in enumerate(subtopics):
-            overlap = token_overlap(subtopic, text)
+            overlap = counts_overlap(token_counts(subtopic), text_counts)
             if overlap > 0:
                 scored.append((-overlap, position, subtopic))
         scored.sort()

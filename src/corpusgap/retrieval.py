@@ -13,10 +13,10 @@ which runs its cells through one Retriever in bounded chunks, judges each
 distinct pair once per grid. `retrieve(pipeline, queries, ...)` is one
 cell.
 
-`CachedEmbedder` keeps vectors in an append-only JSONL store
-(`corpus.AppendLog`) keyed by the sha256 of the text; that store is the
-only copy of them on disk, and indexes are built from it in-process. The
-HTTP embedding client lives in `providers`.
+`CachedEmbedder` keeps vectors, as base64 float64 bytes, in an
+append-only JSONL store (`corpus.AppendLog`) keyed by the sha256 of the
+text; that store is the only copy of them on disk, and indexes are built
+from it in-process. The HTTP embedding client lives in `providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
@@ -30,6 +30,7 @@ descending, then similarity descending, then doc id ascending.
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import itertools
@@ -92,7 +93,16 @@ class HashedBagEmbedder:
 class CachedEmbedder:
     """Persistent embedding cache keyed by (provider id, text hash), so
     switching providers never serves stale vectors. A hit costs one sha256
-    and one dict lookup."""
+    and one dict lookup.
+
+    A record stores its vector as `vector_b64`, the base64 of its
+    little-endian float64 bytes, read back bit for bit with
+    `np.frombuffer`. Records of the older format, a `vector` list of
+    numbers, still load; none is written. A vector whose length is not
+    `dim`, or a `vector_b64` that is not base64 of whole float64s, is
+    refused with the file and line. Vectors come back read-only, hits
+    and misses alike, as each is the one copy the cache holds.
+    """
 
     def __init__(self, inner: Embedder, cache_path: str | Path | None = None):
         self.inner = inner
@@ -107,7 +117,14 @@ class CachedEmbedder:
     def _decode(self, record: dict) -> tuple[str, np.ndarray] | None:
         if record["provider"] != self.id:
             return None
-        return record["text_sha"], np.asarray(record["vector"], dtype=np.float64)
+        if "vector_b64" in record:
+            vec = np.frombuffer(base64.b64decode(record["vector_b64"], validate=True), dtype="<f8")
+        else:
+            vec = np.asarray(record["vector"], dtype=np.float64)
+            vec.flags.writeable = False
+        if vec.shape != (self.dim,):
+            raise ValueError(f"vector has shape {vec.shape}, expected ({self.dim},)")
+        return record["text_sha"], vec
 
     def embed(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -115,7 +132,9 @@ class CachedEmbedder:
         if hit is not None:
             return hit
         vec = self.inner.embed(text)
-        self._store.put(key, vec, {"provider": self.id, "text_sha": key, "vector": vec.tolist()})
+        vec.flags.writeable = False
+        vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
+        self._store.put(key, vec, {"provider": self.id, "text_sha": key, "vector_b64": vector_b64})
         return vec
 
 

@@ -161,7 +161,9 @@ def test_make_embedder_is_cached_and_persistent(tmp_path):
 
 def test_older_cache_records_load_and_serve_hits(tmp_path):
     # completions.jsonl once also stored "parsed" and "timestamp"; both are
-    # ignored on load, so such files keep serving hits.
+    # ignored on load, so such files keep serving hits. embeddings.jsonl
+    # once stored each vector as a "vector" list of numbers; such lines
+    # still load.
     config = apply_overrides(Config(), seed=3, cache_dir=str(tmp_path / "cache"))
     gateway = make_gateway(config)
     request = CompletionRequest(template="rewrite_query", bindings={"query": "cant sleep"})
@@ -176,7 +178,8 @@ def test_older_cache_records_load_and_serve_hits(tmp_path):
         "parsed": "cached rewrite",
         "timestamp": 1700000000.0,
     }
-    vector = {"provider": "hashed-bag-256", "text_sha": text_sha, "vector": [0.6, 0.8]}
+    old_vector = [0.6, 0.8] + [0.0] * 254
+    vector = {"provider": "hashed-bag-256", "text_sha": text_sha, "vector": old_vector}
     (cache / "completions.jsonl").write_text(json.dumps(completion) + "\n", encoding="utf-8")
     (cache / "embeddings.jsonl").write_text(json.dumps(vector) + "\n", encoding="utf-8")
 
@@ -185,4 +188,4 @@ def test_older_cache_records_load_and_serve_hits(tmp_path):
     assert gateway.provider.calls == 0
     embedder = make_embedder(config)
     embedder.inner = None  # a miss would fail: the vector must come from the file
-    assert embedder.embed(text).tolist() == [0.6, 0.8]
+    assert embedder.embed(text).tolist() == old_vector

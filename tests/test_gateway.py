@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpusgap.annotate import label_batch, write_labelings
-from corpusgap.corpus import Document, Section, Source
+from corpusgap.corpus import Document, IngestError, Section, Source
 from corpusgap.evaluation import CorpusInfo, emit_report, run_grid
 from corpusgap.gateway import (
     CompletionRequest,
@@ -338,6 +339,14 @@ class TestTornCacheFile:
             fh.write("not json\n")
         gateway.complete_parsed(req("b"), str)
         with pytest.raises(ValueError, match="malformed"):
+            gw(CountingProvider(), cache_path=path)
+
+    def test_record_without_response_names_file_and_line(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        gw(CountingProvider(), cache_path=path).complete_parsed(req("a"), str)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": "abc", "template": "t"}) + "\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:2: record lacks field 'response'$"):
             gw(CountingProvider(), cache_path=path)
 
 

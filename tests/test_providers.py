@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
-from corpusgap.gateway import CompletionRequest, ProviderError, ProviderParams
+from corpusgap import gateway as gateway_module, providers as providers_module
+from corpusgap.gateway import CompletionRequest, ProviderError, ProviderParams, format_judge_score, stable_hash
 from corpusgap.providers import HttpEmbedder, HttpProvider, MockProvider
 
 
@@ -203,6 +206,104 @@ class TestMockProviderRouting:
         provider.generate(CompletionRequest(template="rewrite_query", bindings={"query": "y"}), "")
         assert provider.calls == 2
         assert provider.calls_by_template == {"rewrite_query": 2}
+
+
+# The mock's replies as first written: every text tokenised afresh on
+# every request, and once per subtopic when classifying.
+def reference_token_overlap(query_text: str, doc_text: str) -> float:
+    def counts(text):
+        out = {}
+        for token in re.findall(r"\w+", text.lower()):
+            out[token] = out.get(token, 0) + 1
+        return out
+
+    query_counts = counts(query_text)
+    total = sum(query_counts.values())
+    if total == 0:
+        return 0.0
+    doc_counts = counts(doc_text)
+    return sum(min(n, doc_counts.get(tok, 0)) for tok, n in query_counts.items()) / total
+
+
+def reference_judge_reply(query_text: str, doc_text: str, seed: int) -> str:
+    base = round(100 * reference_token_overlap(query_text, doc_text))
+    perturbation = stable_hash(str(seed), query_text, doc_text) % 7 - 3
+    return format_judge_score(max(1, min(100, base + perturbation)))
+
+
+def reference_classify_reply(subtopics_text: str, text: str, seed: int) -> str:
+    subtopics = [s for s in subtopics_text.splitlines() if s.strip()]
+    scored = []
+    for position, subtopic in enumerate(subtopics):
+        overlap = reference_token_overlap(subtopic, text)
+        if overlap > 0:
+            scored.append((-overlap, position, subtopic))
+    scored.sort()
+    chosen = [s for _, _, s in scored[:3]]
+    if not chosen:
+        chosen = [subtopics[stable_hash(str(seed), text) % len(subtopics)]]
+    weights = {1: [1.0], 2: [0.7, 0.3], 3: [0.7, 0.2, 0.1]}[len(chosen)]
+    payload = {s: w for s, w in zip(chosen, weights)}
+    return "\n".join([json.dumps(payload, ensure_ascii=False), f"Primary subtopic: {chosen[0]}"])
+
+
+# Mixed case, Unicode whose lower-casing changes length or script (İ, ẞ,
+# Σ, ǅ), digits and underscores (word characters), and punctuation.
+WORDS = ["calm", "Calm", "CALM", "night", "Straße", "STRASSE", "İstanbul", "ẞ", "ΣΟΦΊΑ", "σοφία",
+         "ǅemal", "naïve", "x_1", "42", "über"]
+texts = st.lists(
+    st.one_of(st.sampled_from(WORDS), st.sampled_from([" ", "  ", ", ", "! ", "—", "\n", "...", "'"]), st.text(max_size=6)),
+    max_size=12,
+).map("".join)
+
+
+class TestMockProviderMatchesReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(query=texts, docs=st.lists(texts, min_size=1, max_size=4), seed=st.integers(0, 5))
+    def test_judge_replies_equal_per_call_tokenising(self, query, docs, seed):
+        provider = MockProvider(seed=seed)
+        for doc in docs + docs:  # the second pass reads the memo
+            request = CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc})
+            assert provider.generate(request, "") == reference_judge_reply(query, doc, seed)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        subtopics=st.lists(texts, max_size=5).map(lambda extra: ["Calm night"] + extra),
+        text=texts,
+        seed=st.integers(0, 5),
+    )
+    def test_classify_replies_equal_per_call_tokenising(self, subtopics, text, seed):
+        subtopics_text = "\n".join(s.replace("\n", " ") for s in subtopics)
+        request = CompletionRequest("classify_subtopics", {"subtopics": subtopics_text, "text": text})
+        assert MockProvider(seed=seed).generate(request, "") == reference_classify_reply(subtopics_text, text, seed)
+
+    def test_classify_tokenises_its_text_once(self, monkeypatch):
+        seen = []
+
+        def spy(text):
+            seen.append(text)
+            return gateway_module.token_counts(text)
+
+        monkeypatch.setattr(providers_module, "token_counts", spy)
+        text = "Calm night routines help with sleep and calm breathing"
+        subtopics = ["calm breathing", "sleep hygiene", "night routines", "panic", "grief"]
+        request = CompletionRequest("classify_subtopics", {"subtopics": "\n".join(subtopics), "text": text})
+        reply = MockProvider(seed=0).generate(request, "")
+        assert reply == reference_classify_reply("\n".join(subtopics), text, 0)
+        assert seen.count(text) == 1
+        assert sorted(seen) == sorted(subtopics + [text])
+
+    def test_query_major_batch_tokenises_each_document_once(self):
+        # A judge batch holds every document once per query; at paper scale
+        # the largest holds 739 documents, which the memo must keep whole.
+        docs = [f"document {i} about calm night number {i}" for i in range(800)]
+        gateway_module._doc_token_counts.cache_clear()
+        provider = MockProvider(seed=1)
+        for query in ["calm night", "document about", "night"]:
+            for doc in docs:
+                provider.generate(CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc}), "")
+        info = gateway_module._doc_token_counts.cache_info()
+        assert (info.misses, info.hits) == (800, 1600)
 
 
 def test_cli_import_leaves_requests_unloaded():

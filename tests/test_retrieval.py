@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
+from corpusgap.corpus import Corpus, Document, IngestError, Query, Section, Source, Split
 from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, mock_score
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import (
@@ -105,6 +107,112 @@ class TestCachedEmbedderFile:
         embedder.embed("two")
         with pytest.raises(ValueError, match="malformed"):
             CachedEmbedder(HashedBagEmbedder(dim=16), path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]),
+                st.floats(-1.0, 1.0).map(lambda x: float(np.nextafter(x, np.inf))),
+                st.floats(-1.0, 1.0).map(lambda x: float(np.nextafter(x, -np.inf))),
+            ),
+            min_size=8,
+            max_size=8,
+        )
+    )
+    def test_vector_b64_round_trip_is_bit_exact(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("cache") / "embeddings.jsonl"
+        vec = np.array(values, dtype=np.float64)
+        CachedEmbedder(FixedEmbedder({"t": vec}), path).embed("t")
+        [record] = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert set(record) == {"provider", "text_sha", "vector_b64"}
+        loaded = CachedEmbedder(FixedEmbedder({}), path).embed("t")
+        assert loaded.tobytes() == vec.tobytes()
+        assert not loaded.flags.writeable
+
+    def test_old_vector_lines_and_vector_b64_lines_load_together(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        inner = HashedBagEmbedder(dim=16)
+        CachedEmbedder(inner, path).embed("new line")
+        old = inner.embed("old line")
+        text_sha = hashlib.sha256(b"old line").hexdigest()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"provider": inner.id, "text_sha": text_sha, "vector": old.tolist()}) + "\n")
+        embedder = CachedEmbedder(inner, path)
+        embedder.inner = None  # a miss would fail: both vectors must come from the file
+        assert np.array_equal(embedder.embed("old line"), old)
+        assert np.array_equal(embedder.embed("new line"), inner.embed("new line"))
+        assert not embedder.embed("old line").flags.writeable
+
+    def test_torn_vector_b64_last_line_is_re_embedded_alone(self, tmp_path, caplog):
+        path = tmp_path / "embeddings.jsonl"
+        CachedEmbedder(HashedBagEmbedder(dim=16), path).embed("first")
+        CachedEmbedder(HashedBagEmbedder(dim=16), path).embed("second")
+        whole = path.read_text(encoding="utf-8")
+        first, second = whole.splitlines(keepends=True)
+        assert '"vector_b64"' in second[: len(second) // 2]  # the cut falls inside the base64
+        path.write_text(first + second[: len(second) // 2], encoding="utf-8")
+        inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+        with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
+            embedder = CachedEmbedder(inner, path)
+        assert "torn" in caplog.text
+        assert np.array_equal(embedder.embed("first"), HashedBagEmbedder(dim=16).embed("first"))
+        assert np.array_equal(embedder.embed("second"), HashedBagEmbedder(dim=16).embed("second"))
+        assert inner.texts == ["second"]
+        assert path.read_text(encoding="utf-8") == whole
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"vector": [0.6, 0.8]}, r"shape \(2,\), expected \(16,\)"),
+            ({"vector_b64": "AAAAAAAA8D8="}, r"shape \(1,\), expected \(16,\)"),
+            ({"vector_b64": "AAAA"}, "multiple of element size"),
+            ({"vector_b64": "not base64!"}, "bad record"),
+            ({}, "lacks field 'vector'"),
+        ],
+    )
+    def test_bad_vector_record_names_file_and_line(self, tmp_path, field, message):
+        path = tmp_path / "embeddings.jsonl"
+        CachedEmbedder(HashedBagEmbedder(dim=16), path).embed("fine")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"provider": "hashed-bag-16", "text_sha": "ab", **field}) + "\n")
+        with pytest.raises(IngestError, match=message) as caught:
+            CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        assert str(caught.value).startswith(f"{path}:2: ")
+
+    def test_record_without_provider_names_file_and_line(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text('{"text_sha": "ab", "vector": [1.0]}\n', encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:1: record lacks field 'provider'$"):
+            CachedEmbedder(HashedBagEmbedder(dim=16), path)
+
+
+class FixedEmbedder:
+    """Returns the vectors it was given; any other text is an error."""
+
+    id = "fixed"
+    dim = 8
+
+    def __init__(self, vectors: dict):
+        self.vectors = vectors
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.vectors[text].copy()
+
+
+class CountingEmbedder:
+    """Records the texts it embeds."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.id = inner.id
+        self.dim = inner.dim
+        self.texts: list[str] = []
+
+    def embed(self, text: str) -> np.ndarray:
+        self.texts.append(text)
+        return self.inner.embed(text)
 
 
 def random_unit_vectors(n: int, dim: int, seed: int) -> np.ndarray:
