@@ -211,6 +211,42 @@ def write_records(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+# Bytes of whole lines `read_append_log` reads, decodes and scans at a time:
+# enough to spread the per-block work over a hundred judge replies, and
+# small, as every block's lines, bytes and text are held at once (1 MiB
+# blocks raised a bench-size study's peak RSS by 2 MB).
+_BLOCK_BYTES = 16 << 10
+# The C scanner that `json.loads` runs: `_scan(text, idx)` is the value
+# starting at text[idx] and the index just past it.
+_scan = json.JSONDecoder().scan_once
+
+
+def _scan_lines(lines: list[bytes]) -> list | None:
+    """The values of newline-terminated lines, one per line, from one
+    decode of the block and one scan per line; None unless every line is
+    exactly one JSON value followed by its newline.
+
+    A raw newline can stand in JSON only as whitespace between tokens, so
+    a value that ran on past its own line would take up two or more of
+    the block's newlines, and the block would run out before its last
+    scan: when every scan succeeds, each line is one value."""
+    if not lines[-1].endswith(b"\n"):
+        return None
+    try:
+        text = b"".join(lines).decode("utf-8")
+        values = []
+        end = 0
+        for _ in lines:
+            value, end = _scan(text, end)
+            if text[end] != "\n":
+                return None
+            end += 1
+            values.append(value)
+    except (StopIteration, ValueError):
+        return None
+    return values
+
+
 def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) for the records of an append-only log
     written by `AppendLog.put`.
@@ -219,25 +255,39 @@ def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
     short by a crash: it is dropped with a warning and cut from the file,
     so the next append starts on a fresh line. A malformed line with
     records after it raises.
+
+    Lines are read in blocks of about `_BLOCK_BYTES`. A block whose every
+    line is one JSON value (`_scan_lines`) is taken whole; any other block,
+    such as one with a blank, torn or malformed line, is parsed again one
+    `json.loads` per line.
     """
     torn_at = None
+    lineno = 0
+    offset = 0
     with open(path, "rb") as fh:
-        offset = 0
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    torn = not line.endswith(b"\n")
-                except ValueError as exc:  # bad JSON, or a multi-byte character cut short
-                    if fh.read().strip():
-                        raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from exc
-                    torn = True
-                if torn:
-                    log.warning("%s:%d: dropping a torn last record", path, lineno)
-                    torn_at = offset
-                    break
-                yield lineno, record
-            offset += len(line)
+        while torn_at is None and (lines := fh.readlines(_BLOCK_BYTES)):
+            records = _scan_lines(lines)
+            if records is not None:
+                for lineno, record in enumerate(records, start=lineno + 1):
+                    yield lineno, record
+                offset += sum(map(len, lines))
+                continue
+            for n, line in enumerate(lines):
+                lineno += 1
+                if line.strip():
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                        torn = not line.endswith(b"\n")
+                    except ValueError as exc:  # bad JSON, or a multi-byte character cut short
+                        if any(rest.strip() for rest in lines[n + 1 :]) or fh.read().strip():
+                            raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                        torn = True
+                    if torn:
+                        log.warning("%s:%d: dropping a torn last record", path, lineno)
+                        torn_at = offset
+                        break
+                    yield lineno, record
+                offset += len(line)
     if torn_at is not None:
         os.truncate(path, torn_at)
 

@@ -3,18 +3,19 @@
 Prompt templates are data files with {placeholder} syntax. Every request
 goes through `Gateway.complete_many`, which takes a batch and returns each
 request's result or exception in place; `Gateway.complete_parsed` is the
-same call for one request, raising its exception. A request is answered
-from an in-process memo of parsed results (one tuple hash), else from an
-append-only JSONL cache (`corpus.AppendLog`) keyed by (provider id,
-template name, sha256 of the template body, bindings, provider params),
-else rendered and sent to the provider with bounded retries. A reply is
-cached only once it parses, and is never served under another provider or
-an edited template. Each distinct miss is keyed and sent once (a repeat in
-the batch waits on the first), on up to `max_inflight` worker threads that
-drain one shared list, unless the provider declares `in_process = True`
-(it computes its reply in this process, like `MockProvider`, so threads
-would only contend for the GIL); then the misses run in order on the
-calling thread.
+same call for one request, raising its exception. Each request is keyed
+once, and the key both finds its repeats in the batch and looks it up in
+an append-only JSONL cache (`corpus.AppendLog`) keyed by (provider id,
+template name, sha256 of the template body, bindings, provider params).
+A hit costs that key, one dict lookup and, once per distinct reply text
+in the batch, the parser. A miss is rendered and sent to the provider
+with bounded retries. A reply is cached only once it parses, and is never
+served under another provider or an edited template. Each distinct miss
+is sent once (a repeat in the batch waits on the first), on up to
+`max_inflight` worker threads that drain one shared list, unless the
+provider declares `in_process = True` (it computes its reply in this
+process, like `MockProvider`, so threads would only contend for the GIL);
+then the misses run in order on the calling thread.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
 request's fields. `CompletionRequest.cache_key` writes that JSON from
@@ -210,7 +211,10 @@ def with_retries(
 ) -> T:
     """call(), tried up to `attempts` times while it raises `retry_on`,
     sleeping backoff_base * 2**n after failed attempt n; then one
-    ProviderError naming `what` and the attempt count."""
+    ProviderError naming `what` and the attempt count. `attempts` below 1
+    is refused with a ValueError."""
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts!r}")
     last_error: Exception | None = None
     for attempt in range(attempts):
         try:
@@ -227,7 +231,8 @@ class Gateway:
 
     Safe for concurrent callers; at most `max_inflight` provider calls run
     at once. Transport failures are retried with exponential backoff
-    (3 attempts, base 1 s) and then surfaced.
+    (3 attempts, base 1 s) and then surfaced. A `max_inflight` or
+    `retries` below 1 is refused with a ValueError.
     """
 
     def __init__(
@@ -240,6 +245,10 @@ class Gateway:
         backoff_base: float = BACKOFF_BASE_S,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be at least 1, got {max_inflight!r}")
+        if retries < 1:
+            raise ValueError(f"retries must be at least 1, got {retries!r}")
         self.provider = provider
         self.templates = templates if templates is not None else load_templates()
         self.cache = AppendLog(cache_path, lambda record: (record["key"], record["response"]))
@@ -248,7 +257,6 @@ class Gateway:
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_inflight)
-        self._parsed: dict[tuple, object] = {}
 
     def template(self, name: str) -> PromptTemplate:
         try:
@@ -284,58 +292,58 @@ class Gateway:
         """Complete and parse a batch; each result or exception in place.
 
         Nothing is raised: a failed request's exception is its result.
-        Hits are answered in the calling thread; a memo hit is the very
-        object the first call returned, so callers must not mutate it. A
-        cache hit skips the render, as its key already pins the template
-        body and the bindings. A request repeated in the batch reaches the
-        provider once. A malformed reply is returned as its parse error
-        and neither cached nor memoised, so a rerun asks the provider again.
-        Misses run in order on the calling thread for an `in_process`
-        provider or a one-wide gateway, otherwise on up to `max_inflight`
-        threads draining one shared list.
+        Each request is keyed once (a request object repeated in the batch,
+        once in all), and that key both finds its repeats in the batch and
+        looks it up in the cache. Hits are answered in the calling thread,
+        skipping the render, as the key already pins the template body and
+        the bindings; each distinct cached reply is parsed once per batch,
+        so results that share a reply share one parsed object, and callers
+        must not mutate it. A request repeated in the batch reaches the
+        provider once. A malformed reply is returned as its parse error and
+        not cached, so a rerun asks the provider again. Misses run in order
+        on the calling thread for an `in_process` provider or a one-wide
+        gateway, otherwise on up to `max_inflight` threads draining one
+        shared list.
         """
+        provider_id = self.provider.id
+        lookup = self.cache.get
         results: list = [None] * len(requests)
-        waiting: dict[tuple, list[int]] = {}
-        misses: list[tuple] = []
+        keys: dict[int, str] = {}  # id(request) -> its key, for repeats of one object
+        parsed: dict[str, object] = {}  # cached reply -> its parse
+        waiting: dict[str, list[int]] = {}
+        misses: list[tuple[CompletionRequest, str]] = []
         for i, request in enumerate(requests):
             try:
-                template = self.template(request.template)
-                memo_key = (
-                    self.provider.id,
-                    request.template,
-                    template.body_sha,
-                    tuple(sorted(request.bindings.items())),
-                    request.params,
-                    parser,
-                )
-                hit = self._parsed.get(memo_key, _MISSING)
-                if hit is _MISSING:
-                    if memo_key in waiting:  # a repeat of a miss: no key, no lookup
-                        waiting[memo_key].append(i)
-                        continue
-                    key = request.cache_key(self.provider.id, template.body_sha)
-                    cached = self.cache.get(key)
-                    if cached is not None:
-                        hit = self._parsed[memo_key] = parser(cached)
+                key = keys.get(id(request))
+                if key is None:
+                    key = keys[id(request)] = request.cache_key(
+                        provider_id, self.template(request.template).body_sha
+                    )
+                cached = lookup(key)
+                if cached is None:
+                    if key in waiting:
+                        waiting[key].append(i)
+                    else:
+                        waiting[key] = [i]
+                        misses.append((request, key))
+                    continue
+                result = parsed.get(cached, _MISSING)
+                if result is _MISSING:
+                    result = parsed[cached] = parser(cached)
             except Exception as exc:
-                results[i] = exc
-                continue
-            if hit is not _MISSING:
-                results[i] = hit
-            else:
-                waiting[memo_key] = [i]
-                misses.append((request, template, memo_key, key))
+                result = exc
+            results[i] = result
 
-        def send(miss: tuple) -> None:
-            request, template, memo_key, key = miss
+        def send(miss: tuple[CompletionRequest, str]) -> None:
+            request, key = miss
             try:
-                response = self._call_provider(request, template.render(request.bindings))
+                prompt = self.template(request.template).render(request.bindings)
+                response = self._call_provider(request, prompt)
                 outcome = parser(response)
                 self.cache.put(key, response, {"key": key, "template": request.template, "response": response})
-                self._parsed[memo_key] = outcome
             except Exception as exc:
                 outcome = exc
-            for i in waiting[memo_key]:
+            for i in waiting[key]:
                 results[i] = outcome
 
         workers = min(self.max_inflight, len(misses))

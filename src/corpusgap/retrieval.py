@@ -25,7 +25,9 @@ is a plain dot product. An index ranks each query vector once and keeps
 the ranking; `SearchIndex.subset` serves one corpus from an index over
 several, with the results of an index built over that corpus alone.
 Search ties break by ascending key; judged pipelines rank by judge score
-descending, then similarity descending, then doc id ascending.
+descending, then similarity descending, then doc id ascending. Between
+find and rank a candidate is a plain (doc id, similarity) pair, and only
+the `top_k` a query keeps become `RetrievedDoc` objects.
 """
 
 from __future__ import annotations
@@ -193,7 +195,9 @@ class SearchIndex:
         order, sims = self._ranking(query_vec)
         if self.rows is not None:
             order = order[self.rows[order]]
-        return [(self.keys[i], float(sims[i])) for i in order[:k].tolist()]
+        top = order[:k]
+        keys = self.keys
+        return [(keys[i], sim) for i, sim in zip(top.tolist(), sims[top].tolist())]
 
     def _ranking(self, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every row in (-similarity, key) order, and the similarities."""
@@ -211,8 +215,9 @@ class SearchIndex:
         if len(corpus) == 0:
             raise ValueError(f"corpus {corpus.name!r} is empty")
         doc_ids = self.keys if self.kind == "document" else [key[0] for key in self.keys]
-        rows = np.fromiter((doc_id in corpus for doc_id in doc_ids), dtype=bool, count=len(doc_ids))
-        missing = {doc.id for doc in corpus.documents}.difference(itertools.compress(doc_ids, rows))
+        wanted = {doc.id for doc in corpus.documents}
+        rows = np.fromiter((doc_id in wanted for doc_id in doc_ids), dtype=bool, count=len(doc_ids))
+        missing = wanted.difference(itertools.compress(doc_ids, rows))
         if missing:
             raise ValueError(f"index {self.name!r} lacks documents of corpus {corpus.name!r}: {sorted(missing)[:5]}")
         # Built field by field: a view shares exactly these with its index.
@@ -282,6 +287,13 @@ def merge_chunk_candidates(
     top-k chunks collapse onto fewer than min_docs parents, the scan depth
     is doubled until enough parents are found or the index is exhausted.
     """
+    return [Candidate(d, s) for d, s in _merged_chunk_pairs(chunk_index, query_vec, k_candidates, min_docs)]
+
+
+def _merged_chunk_pairs(
+    chunk_index: SearchIndex, query_vec: np.ndarray, k_candidates: int, min_docs: int
+) -> list[tuple[str, float]]:
+    """`merge_chunk_candidates` as (doc id, similarity) pairs."""
     if chunk_index.kind != "chunk":
         raise ValueError(
             f"a chunk-level index is required here, not the {chunk_index.kind} index of {chunk_index.name!r}"
@@ -296,9 +308,7 @@ def merge_chunk_candidates(
         if len(best) >= min_docs or k >= len(chunk_index):
             break
         k = min(k * 2, len(chunk_index))
-    candidates = [Candidate(doc_id=d, similarity=s) for d, s in best.items()]
-    candidates.sort(key=lambda c: (-c.similarity, c.doc_id))
-    return candidates
+    return sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
 
 
 @dataclass(frozen=True)
@@ -403,7 +413,7 @@ class Retriever:
     ) -> tuple[list, Exception | None]:
         """(query, rewrite, candidates) for each query up to the first
         failure, and that failure."""
-        found: list[tuple[Query, str | None, list[Candidate]]] = []
+        found: list[tuple[Query, str | None, list[tuple[str, float]]]] = []
         try:
             self._check(cell)
         except ValueError as exc:
@@ -420,9 +430,9 @@ class Retriever:
             found.append((query, rewritten, candidates))
         return found, None
 
-    def _candidates(self, cell: Cell, search_text: str) -> list[Candidate]:
-        """Candidates in similarity order for one search text; baseline's
-        are its similarity top-k."""
+    def _candidates(self, cell: Cell, search_text: str) -> list[tuple[str, float]]:
+        """(doc id, similarity) candidates in similarity order for one
+        search text; baseline's are its similarity top-k."""
         index = cell.index
         key = (index.embedder.id, search_text)
         query_vec = self._vectors.get(key)
@@ -430,9 +440,9 @@ class Retriever:
             query_vec = self._vectors[key] = index.embedder.embed(search_text)
         if cell.pipeline is Pipeline.HIERARCHICAL:
             min_docs = min(self.top_k, len(cell.corpus))
-            return merge_chunk_candidates(index, query_vec, self.k_candidates, min_docs)
+            return _merged_chunk_pairs(index, query_vec, self.k_candidates, min_docs)
         k = min(self.k_candidates, self.top_k) if cell.pipeline is Pipeline.BASELINE else self.k_candidates
-        return [Candidate(doc_id, sim) for doc_id, sim in index.search(query_vec, k)]
+        return index.search(query_vec, k)
 
     def _judge_new_pairs(self, cells: Sequence[Cell], found: list) -> dict[tuple[str, str], Exception]:
         """Judge, in one call, each pair the cells hold that is not scored
@@ -442,10 +452,10 @@ class Retriever:
             if not self._scored(cell):
                 continue
             for query, _, candidates in cell_found:
-                for c in candidates:
-                    pair = (query.text, c.doc_id)
+                for doc_id, _ in candidates:
+                    pair = (query.text, doc_id)
                     if pair not in self._scores and pair not in pending:
-                        pending[pair] = (query.text, cell.corpus.document(c.doc_id))
+                        pending[pair] = (query.text, cell.corpus.document(doc_id))
         failures = {}
         if pending:
             for pair, reply in zip(pending, _ask(self.judge, list(pending.values()))):
@@ -462,22 +472,25 @@ class Retriever:
         error: Exception | None,
         failures: dict[tuple[str, str], Exception],
     ) -> CellRun:
-        scored = self._scored(cell)
+        """Each found query's top_k. Judged pipelines sort (-score,
+        -similarity, doc id) tuples; only the kept ones become RetrievedDoc."""
+        scores = self._scores if self._scored(cell) else None
         judged = cell.pipeline is not Pipeline.BASELINE
+        top_k = self.top_k
         results = []
         for query, rewritten, candidates in found:
-            top = []
-            for c in candidates:
-                score = None
-                if scored:
-                    try:
-                        score = self._scores[query.text, c.doc_id]
-                    except KeyError:
-                        return CellRun(tuple(results), failures[query.text, c.doc_id])
-                top.append(RetrievedDoc(c.doc_id, score, c.similarity))
-            if judged:
-                top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
-            results.append(RetrievalResult(query.id, cell.pipeline, tuple(top[: self.top_k]), rewritten))
+            if scores is None:
+                top = [RetrievedDoc(doc_id, None, sim) for doc_id, sim in candidates[:top_k]]
+            else:
+                text = query.text
+                try:
+                    ranked = [(-scores[text, doc_id], -sim, doc_id) for doc_id, sim in candidates]
+                except KeyError as missing:  # the first pair of this query that was not scored
+                    return CellRun(tuple(results), failures[missing.args[0]])
+                if judged:
+                    ranked.sort()
+                top = [RetrievedDoc(doc_id, -neg_score, -neg_sim) for neg_score, neg_sim, doc_id in ranked[:top_k]]
+            results.append(RetrievalResult(query.id, cell.pipeline, tuple(top), rewritten))
         return CellRun(tuple(results), error)
 
 

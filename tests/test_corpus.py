@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 import threading
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from corpusgap import corpus as corpus_module
 from corpusgap.corpus import (
@@ -294,6 +295,106 @@ class TestAppendLog:
             del log
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def reference_read_append_log(path):
+    """`read_append_log` as first written: one json.loads per line."""
+    torn_at = None
+    with open(path, "rb") as fh:
+        offset = 0
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    torn = not line.endswith(b"\n")
+                except ValueError as exc:
+                    if fh.read().strip():
+                        raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                    torn = True
+                if torn:
+                    torn_at = offset
+                    break
+                yield lineno, record
+            offset += len(line)
+    if torn_at is not None:
+        os.truncate(path, torn_at)
+
+
+# Lines of every kind a log can hold: records (some with non-ASCII text,
+# escapes or braces in strings), blank and padded lines, a record split over
+# two lines, two values on one line, non-objects, a BOM, bad UTF-8, bad JSON.
+LOG_LINES = [
+    b'{"key": "a", "value": 1}\n',
+    json.dumps({"key": "\u00e9\u2028\"}{},{", "value": [1, {"x": None}]}, ensure_ascii=False).encode() + b"\n",
+    json.dumps({"key": "\n", "value": "\\"}).encode() + b"\n",
+    b"\n",
+    b"   \n",
+    b'  {"key": "padded", "value": 2}  \n',
+    b'{"key": "crlf", "value": 3}\r\n',
+    b'{"key":\n"split", "value": 4}\n',
+    b'{"key": "x", "value": 5},{"key": "y", "value": 6}\n',
+    b"[1, 2]\n",
+    b"7\n",
+    "\ufeff".encode() + b'{"key": "bom", "value": 8}\n',
+    b'{"key": "\xff", "value": 9}\n',
+    b"not json\n",
+    b'{"key": "cut\n',
+]
+
+
+class TestReadAppendLogBlocks:
+    """Blocks of lines read as the per-line loop read them, at any block
+    size: the same records and line numbers, the same error, the same cut."""
+
+    @staticmethod
+    def outcome(reader, path, content: bytes):
+        path.write_bytes(content)
+        records, error = [], None
+        try:
+            for item in reader(path):
+                records.append(item)
+        except IngestError as exc:
+            error = str(exc)
+        return records, error, path.read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from(range(len(LOG_LINES))), max_size=14),
+        st.integers(0, 14),
+        st.sampled_from([1, 40, 120, 1 << 20]),
+        st.booleans(),
+    )
+    def test_equals_the_per_line_loop(self, tmp_path_factory, kinds, n_good, block_bytes, torn_tail):
+        lines = [LOG_LINES[0].replace(b'"a"', f'"g{i}"'.encode()) for i in range(n_good)]
+        lines += [LOG_LINES[k] for k in kinds]
+        content = b"".join(lines)
+        if torn_tail and content.endswith(b"\n"):
+            content = content[:-1]
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        want = self.outcome(reference_read_append_log, path, content)
+        saved = corpus_module._BLOCK_BYTES
+        corpus_module._BLOCK_BYTES = block_bytes
+        try:
+            assert self.outcome(corpus_module.read_append_log, path, content) == want
+        finally:
+            corpus_module._BLOCK_BYTES = saved
+
+    def test_clean_log_parses_no_line_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        log = AppendLog(path, _decode)
+        for i in range(3000):
+            log.put(f"k{i}", i, {"key": f"k{i}", "value": i})
+        log.close()
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", 4096)
+        loads = []
+        real_loads = json.loads
+        monkeypatch.setattr(corpus_module.json, "loads", lambda text: loads.append(text) or real_loads(text))
+        assert len(AppendLog(path, _decode)) == 3000 and loads == []
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n" + json.dumps({"key": "late", "value": 0}) + "\n")
+        with pytest.raises(IngestError, match=r":3001: malformed record"):
+            AppendLog(path, _decode)
+        assert 0 < len(loads) < 200  # only the block that holds the bad line
 
 
 class TestPercentIncrease:

@@ -29,6 +29,7 @@ from corpusgap.gateway import (
     parse_judge_score,
     stable_hash,
     token_overlap,
+    with_retries,
 )
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import CachedEmbedder, Pipeline
@@ -182,6 +183,19 @@ class TestGateway:
         gateway.provider = CountingProvider("22", id="mock-2")
         assert gateway.complete_parsed(req(), parse_judge_score) == 22
 
+    @pytest.mark.parametrize("setting", ["max_inflight", "retries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_setting_below_one_refused(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be at least 1, got {value}"):
+            gw(CountingProvider(), **{setting: value})
+
+    @pytest.mark.parametrize("attempts", [0, -2])
+    def test_with_retries_refuses_attempts_below_one(self, attempts):
+        calls = []
+        with pytest.raises(ValueError, match=f"attempts must be at least 1, got {attempts}"):
+            with_retries(lambda: calls.append(1), "call", attempts=attempts)
+        assert calls == []
+
     def test_bare_cache_key_names_the_request_alone(self):
         assert req().cache_key() == req().cache_key("", "")
         assert req().cache_key() != req().cache_key("mock-1", "")
@@ -278,15 +292,57 @@ class TestCacheKey:
 
 
 class TestParsedMemo:
-    def test_repeat_skips_render_key_and_provider(self, monkeypatch):
+    def test_repeat_is_a_cache_hit_without_render_or_provider(self, monkeypatch):
         provider = CountingProvider("42")
         gateway = gw(provider)
         assert gateway.complete_parsed(req(), parse_judge_score) == 42
-        spent = []
-        monkeypatch.setattr(PromptTemplate, "render", lambda *a: spent.append("render"))
-        monkeypatch.setattr(CompletionRequest, "cache_key", lambda *a: spent.append("key"))
+        looked_up = []
+        lookup = gateway.cache.get
+        gateway.cache.get = lambda key: looked_up.append(key) or lookup(key)
+        monkeypatch.setattr(PromptTemplate, "render", lambda *a: pytest.fail("a hit was rendered"))
         assert gateway.complete_parsed(req(), parse_judge_score) == 42
-        assert spent == [] and provider.calls == 1
+        assert looked_up == [req().cache_key("counting", TEMPLATES["echo"].body_sha)]
+        assert provider.calls == 1
+
+    def test_each_distinct_cached_reply_parsed_once_per_batch(self):
+        words = [f"w{i}" for i in range(12)]
+        provider = ScriptedProvider({w: "7" if i % 3 == 0 else "42" for i, w in enumerate(words)})
+        gateway = gw(provider)
+        gateway.complete_many([req(w) for w in words], parse_judge_score)
+        parsed = []
+
+        def spy(raw):
+            parsed.append(raw)
+            return [parse_judge_score(raw)]
+
+        for _ in range(2):
+            parsed.clear()
+            results = gateway.complete_many([req(w) for w in words + words], spy)
+            assert sorted(parsed) == ["42", "7"]
+            assert results == [[7] if i % 3 == 0 else [42] for i in range(12)] * 2
+            assert results[0] is results[3] is results[12] and results[1] is results[2] is results[13]
+        assert provider.calls == 12
+
+    def test_failed_parse_of_a_hit_or_a_miss_is_never_kept(self):
+        provider = ScriptedProvider({"a": "not a score", "b": "63"})
+        gateway = gw(provider)
+        gateway.complete_parsed(req("b"), str)
+        parsed = []
+
+        def spy(raw):
+            parsed.append(raw)
+            return parse_judge_score(raw)
+
+        results = gateway.complete_many([req("a"), req("b"), req("a"), req("b")], spy)
+        assert isinstance(results[0], JudgeParseError) and results[2] is results[0]
+        assert results[1] == results[3] == 63
+        assert sorted(parsed) == ["63", "not a score"] and len(gateway.cache) == 1
+        # A cached reply that fails a stricter parser fails at each request.
+        results = gateway.complete_many([req("b"), req("b")], lambda raw: int(raw) + int("x"))
+        assert all(isinstance(r, ValueError) for r in results) and results[0] is not results[1]
+        provider.replies["a"] = "12"
+        assert gateway.complete_many([req("a"), req("a")], spy) == [12, 12]
+        assert provider.calls == 3 and len(gateway.cache) == 2
 
     def test_distinct_bindings_and_parsers_miss(self):
         provider = CountingProvider("42")

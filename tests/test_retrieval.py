@@ -16,9 +16,16 @@ from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import (
     CachedEmbedder,
+    Candidate,
+    Cell,
+    CellRun,
     HashedBagEmbedder,
     Pipeline,
+    RetrievalResult,
+    RetrievedDoc,
+    Retriever,
     SearchIndex,
+    _ask,
     build_chunk_index,
     build_document_index,
     merge_chunk_candidates,
@@ -749,3 +756,155 @@ class TestBatchRetrieve:
         text = {q.id: q.text for q in queries}
         assert {(text[r.query_id], d.doc_id) for r in results for d in r.top_docs} <= set(batch)
         assert results[6].top_docs == results[1].top_docs
+
+
+def reference_search(index: SearchIndex, query_vec, k: int) -> list:
+    """`SearchIndex.search` as first written: one float() per kept row."""
+    order, sims = index._ranking(query_vec)
+    if index.rows is not None:
+        order = order[index.rows[order]]
+    return [(index.keys[i], float(sims[i])) for i in order[:k].tolist()]
+
+
+class ReferenceRetriever(Retriever):
+    """Find and rank as first written: a Candidate for every candidate, and
+    a RetrievedDoc for every candidate, sorted by a key function."""
+
+    def _candidates(self, cell, search_text):
+        index = cell.index
+        key = (index.embedder.id, search_text)
+        query_vec = self._vectors.get(key)
+        if query_vec is None:
+            query_vec = self._vectors[key] = index.embedder.embed(search_text)
+        if cell.pipeline is Pipeline.HIERARCHICAL:
+            min_docs = min(self.top_k, len(cell.corpus))
+            k = self.k_candidates
+            while True:
+                best = {}
+                for (doc_id, _section), sim in reference_search(index, query_vec, k):
+                    if doc_id not in best:
+                        best[doc_id] = sim
+                if len(best) >= min_docs or k >= len(index):
+                    break
+                k = min(k * 2, len(index))
+            candidates = [Candidate(doc_id=d, similarity=s) for d, s in best.items()]
+            candidates.sort(key=lambda c: (-c.similarity, c.doc_id))
+            return candidates
+        k = min(self.k_candidates, self.top_k) if cell.pipeline is Pipeline.BASELINE else self.k_candidates
+        return [Candidate(doc_id, sim) for doc_id, sim in reference_search(index, query_vec, k)]
+
+    def _judge_new_pairs(self, cells, found):
+        pending = {}
+        for cell, (cell_found, _) in zip(cells, found):
+            if not self._scored(cell):
+                continue
+            for query, _, candidates in cell_found:
+                for c in candidates:
+                    pair = (query.text, c.doc_id)
+                    if pair not in self._scores and pair not in pending:
+                        pending[pair] = (query.text, cell.corpus.document(c.doc_id))
+        failures = {}
+        if pending:
+            for pair, reply in zip(pending, _ask(self.judge, list(pending.values()))):
+                if isinstance(reply, Exception):
+                    failures[pair] = reply
+                else:
+                    self._scores[pair] = reply
+        return failures
+
+    def _rank(self, cell, found, error, failures):
+        scored = self._scored(cell)
+        judged = cell.pipeline is not Pipeline.BASELINE
+        results = []
+        for query, rewritten, candidates in found:
+            top = []
+            for c in candidates:
+                score = None
+                if scored:
+                    try:
+                        score = self._scores[query.text, c.doc_id]
+                    except KeyError:
+                        return CellRun(tuple(results), failures[query.text, c.doc_id])
+                top.append(RetrievedDoc(c.doc_id, score, c.similarity))
+            if judged:
+                top.sort(key=lambda d: (-d.judge_score, -d.similarity, d.doc_id))
+            results.append(RetrievalResult(query.id, cell.pipeline, tuple(top[: self.top_k]), rewritten))
+        return CellRun(tuple(results), error)
+
+
+class TestFindRankMatchesReference:
+    """`Retriever.run` gives what the first-written find and rank gave, on
+    seeded grids full of tied similarities and tied judge scores."""
+
+    def test_runs_equal_the_reference(self):
+        partway = tied = 0
+        for seed in range(40):
+            runs = self.check_seed(seed)
+            partway += sum(bool(r.results) and r.error is not None for r in runs)
+            tied += sum(
+                len({d.judge_score for d in result.top_docs}) < len(result.top_docs)
+                for r in runs
+                for result in r.results
+                if result.pipeline is not Pipeline.BASELINE
+            )
+        # The seeds reach what the ranking must get right: cells that fail
+        # after some queries, and top documents that tie on score.
+        assert partway >= 5 and tied >= 20
+
+    @staticmethod
+    def check_seed(seed: int) -> list:
+        """The last chunk's runs with a judge, after checking every run."""
+        rng = np.random.default_rng(seed)
+        # A few integer vectors, reused: many exactly tied similarities.
+        distinct = rng.integers(-1, 2, size=(int(rng.integers(2, 5)), 8)).astype(np.float64)
+        n_docs = int(rng.integers(3, 30))
+        doc_ids = [f"d{i:02d}" for i in rng.permutation(n_docs)]
+        sections = {d: int(rng.integers(1, 4)) for d in doc_ids}
+        chunk_keys = [(d, j) for d in doc_ids for j in range(sections[d])]
+        texts = [f"query {i}" for i in range(4)]
+        vectors = {t: distinct[rng.integers(len(distinct))] for t in texts + [t + " again" for t in texts]}
+        embedder = FixedEmbedder(vectors)
+        union = SearchIndex(doc_ids, distinct[rng.integers(len(distinct), size=n_docs)], embedder, "u", "document")
+        union_chunks = SearchIndex(
+            chunk_keys, distinct[rng.integers(len(distinct), size=len(chunk_keys))], embedder, "u", "chunk"
+        )
+        documents = {d: doc(d, f"text of {d}") for d in doc_ids}
+        corpora = []
+        for c in range(3):
+            ids = rng.choice(doc_ids, size=int(rng.integers(1, n_docs + 1)), replace=False)
+            corpora.append(Corpus(name=f"c{c}", documents=tuple(documents[d] for d in ids)))
+        queries = [query(texts[rng.integers(len(texts))], f"q{i}") for i in range(int(rng.integers(1, 9)))]
+        scores = {(t, d): int(rng.integers(1, 4)) for t in texts for d in doc_ids}
+        failing = {pair for pair in scores if rng.random() < 0.04}
+        failing_rewrite = texts[seed % 4] if seed % 3 == 0 else None
+
+        def judge(pairs):
+            return [
+                RuntimeError(f"judge failed on {(t, d.id)}") if (t, d.id) in failing else scores[t, d.id]
+                for t, d in pairs
+            ]
+
+        def rewriter(batch):
+            return [ValueError(f"no rewrite of {t}") if t == failing_rewrite else t + " again" for t in batch]
+
+        cells = [
+            Cell(pipeline, (union_chunks if pipeline is Pipeline.HIERARCHICAL else union).subset(corpus), corpus)
+            for corpus in corpora
+            for pipeline in Pipeline
+        ]
+        cells.append(Cell(Pipeline.BASELINE, union, None))
+        top_k, k_candidates = int(rng.choice([1, 3])), int(rng.choice([1, 2, 5, 20]))
+        judged_runs = []
+        for with_judge in (judge, None):
+            got_retriever = Retriever(with_judge, rewriter, k_candidates, top_k)
+            want_retriever = ReferenceRetriever(with_judge, rewriter, k_candidates, top_k)
+            # Two calls on one retriever, as the grid runs its chunks.
+            for chunk in (cells[:7], cells[7:]):
+                got = got_retriever.run(chunk, queries)
+                want = want_retriever.run(chunk, queries)
+                assert [(repr(r.results), repr(r.error)) for r in got] == [
+                    (repr(r.results), repr(r.error)) for r in want
+                ], f"seed {seed}"
+                if with_judge is not None:
+                    judged_runs += got
+        return judged_runs
