@@ -204,10 +204,16 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+# A record as one line of a record file, byte for byte what
+# `json.dumps(record, ensure_ascii=False, sort_keys=True)` writes, from one
+# encoder: `json.dumps` with these arguments builds a new one per call.
+encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def write_records(path: str | Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            fh.write(encode_record(record))
             fh.write("\n")
 
 
@@ -300,7 +306,8 @@ class AppendLog:
     TypeError or ValueError (a missing field, a wrong type, a bad value)
     raises `IngestError` naming the file and line. A torn last record is
     handled by `read_append_log`. `put` stores a value once and appends
-    its record as one line, under a lock, through a file handle that
+    its record as one line (`encode_record`, or a line the caller already
+    encoded the same way), under a lock, through a file handle that
     stays open and is flushed after every record: concurrent callers
     never interleave lines, readers see each record as soon as `put`
     returns, and a crash can tear at most the last line. `close` closes
@@ -328,8 +335,12 @@ class AppendLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key, value, record: dict) -> None:
-        """Store value under key and append record, unless key is present."""
+    def put(self, key, value, record: dict | str) -> None:
+        """Store value under key and append record, unless key is present.
+
+        `record` is the record, or its line (without the newline) exactly
+        as `encode_record` writes it, for a caller that builds the line
+        more cheaply from parts that need no escaping."""
         with self._lock:
             if key in self._entries:
                 return
@@ -338,7 +349,8 @@ class AppendLog:
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
                     self._closer = weakref.finalize(self, self._fh.close)
-                self._fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+                line = record if isinstance(record, str) else encode_record(record)
+                self._fh.write(line + "\n")
                 self._fh.flush()
 
     def close(self) -> None:

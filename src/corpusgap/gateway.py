@@ -10,12 +10,14 @@ template name, sha256 of the template body, bindings, provider params).
 A hit costs that key, one dict lookup and, once per distinct reply text
 in the batch, the parser. A miss is rendered and sent to the provider
 with bounded retries. A reply is cached only once it parses, and is never
-served under another provider or an edited template. Each distinct miss
-is sent once (a repeat in the batch waits on the first), on up to
-`max_inflight` worker threads that drain one shared list, unless the
-provider declares `in_process = True` (it computes its reply in this
-process, like `MockProvider`, so threads would only contend for the GIL);
-then the misses run in order on the calling thread.
+served under another provider or an edited template; its cache line is
+written from its parts (`_completion_line`), byte for byte the line
+`json.dumps` writes. Each distinct miss is sent once (a repeat in the
+batch waits on the first), on up to `max_inflight` worker threads that
+drain one shared list, unless the provider declares `in_process = True`
+(it computes its reply in this process, like `MockProvider`, so threads
+would only contend for the GIL); then the misses run in order on the
+calling thread.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
 request's fields. `CompletionRequest.cache_key` writes that JSON from
@@ -32,8 +34,9 @@ comes back in its place.
 `mock_score` is the deterministic stand-in judge that `MockProvider`
 answers usefulness prompts with. It tokenises each document text once
 while the text stays in a bounded memo of token counts (4,096 texts,
-`_DOC_TOKENS_MEMO`), so the judge's cost follows the number of distinct
-documents, not of requests; scores are those of tokenising afresh.
+`_DOC_TOKENS_MEMO`), and each query text likewise (4,096 texts,
+`_QUERY_TOKENS_MEMO`), so the judge's cost follows the number of distinct
+texts, not of requests; scores are those of tokenising afresh.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
-from .corpus import AppendLog, Document
+from .corpus import AppendLog, Document, encode_record
 
 JUDGE_MIN = 1
 JUDGE_MAX = 100
@@ -77,14 +80,23 @@ class JudgeParseError(ValueError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """A named prompt body with `{placeholder}` slots.
+
+    The body is split once, at construction, into literal text and
+    placeholder names (`_parts`: literals at even positions, names at odd
+    ones), so `render` only joins the literals with the bound values; no
+    bound value is searched for placeholders."""
+
     name: str
     body: str
     placeholders: tuple[str, ...] = field(init=False)
     body_sha: str = field(init=False, repr=False, compare=False)
+    _parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        found = tuple(sorted(set(_PLACEHOLDER_RE.findall(self.body))))
-        object.__setattr__(self, "placeholders", found)
+        parts = tuple(_PLACEHOLDER_RE.split(self.body))
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "placeholders", tuple(sorted(set(parts[1::2]))))
         object.__setattr__(self, "body_sha", hashlib.sha256(self.body.encode("utf-8")).hexdigest())
 
     def render(self, bindings: Mapping[str, str]) -> str:
@@ -98,7 +110,9 @@ class PromptTemplate:
             raise TemplateError(
                 f"template {self.name!r}: unknown binding(s) {', '.join(sorted(extra))}"
             )
-        return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), self.body)
+        pieces = list(self._parts)
+        pieces[1::2] = [str(bindings[name]) for name in pieces[1::2]]
+        return "".join(pieces)
 
 
 def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
@@ -226,6 +240,14 @@ def with_retries(
     raise ProviderError(f"{what} failed after {attempts} attempts: {last_error}") from last_error
 
 
+def _completion_line(key: str, template: str, response: str) -> str:
+    """The cache line of a reply: `encode_record({"key": key, "template":
+    template, "response": response})`, written from its parts. The key is
+    hex and needs no escaping; each string is encoded alone, which takes
+    the encoder's fast path for a str."""
+    return f'{{"key": "{key}", "response": {encode_record(response)}, "template": {encode_record(template)}}}'
+
+
 class Gateway:
     """Routes completion requests through templating, caching, and retries.
 
@@ -340,7 +362,7 @@ class Gateway:
                 prompt = self.template(request.template).render(request.bindings)
                 response = self._call_provider(request, prompt)
                 outcome = parser(response)
-                self.cache.put(key, response, {"key": key, "template": request.template, "response": response})
+                self.cache.put(key, response, _completion_line(key, request.template, response))
             except Exception as exc:
                 outcome = exc
             for i in waiting[key]:
@@ -416,6 +438,9 @@ _TOKEN_RE = re.compile(r"\w+")
 # one subtopic), where a smaller memo would evict each document before
 # the next query reaches it.
 _DOC_TOKENS_MEMO = 4096
+# Query texts whose token counts `token_overlap` keeps: a judge batch asks
+# each query once per candidate, and a study holds far fewer queries.
+_QUERY_TOKENS_MEMO = 4096
 
 
 def token_counts(text: str) -> dict[str, int]:
@@ -426,12 +451,16 @@ def token_counts(text: str) -> dict[str, int]:
     return counts
 
 
-@functools.lru_cache(maxsize=_DOC_TOKENS_MEMO)
-def _doc_token_counts(text: str) -> dict[str, int]:
-    """`token_counts` of a document text, memoised; tokens are interned,
-    so the memo holds each distinct token's string once. Every caller
-    gets the same dict, so none may change it."""
+def _interned_token_counts(text: str) -> dict[str, int]:
+    """`token_counts` with its tokens interned, so a memo of them holds
+    each distinct token's string once."""
     return {sys.intern(token): n for token, n in token_counts(text).items()}
+
+
+# `token_counts` of document and of query texts, each in its own bounded
+# memo. Every caller gets the same dict, so none may change it.
+_doc_token_counts = functools.lru_cache(maxsize=_DOC_TOKENS_MEMO)(_interned_token_counts)
+_query_token_counts = functools.lru_cache(maxsize=_QUERY_TOKENS_MEMO)(_interned_token_counts)
 
 
 def counts_overlap(query_counts: dict[str, int], doc_counts: dict[str, int]) -> float:
@@ -446,8 +475,8 @@ def counts_overlap(query_counts: dict[str, int], doc_counts: dict[str, int]) -> 
 
 def token_overlap(query_text: str, doc_text: str) -> float:
     """Multiset containment of query tokens in the document, in [0, 1].
-    The document's token counts come from a bounded memo."""
-    return counts_overlap(token_counts(query_text), _doc_token_counts(doc_text))
+    The query's and the document's token counts come from bounded memos."""
+    return counts_overlap(_query_token_counts(query_text), _doc_token_counts(doc_text))
 
 
 def mock_score(query_text: str, doc_text: str, seed: int) -> int:

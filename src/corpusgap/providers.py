@@ -4,8 +4,10 @@ The mock provider's responses are pure functions of (request, seed). It
 routes on template name so every prompt in the pipeline (classification,
 judging, rewriting, article generation) gets a plausible, parseable reply.
 Classification tokenises the text once per request and scores every
-subtopic against those counts; judging goes through `gateway.mock_score`,
-whose bounded memo (4,096 texts) tokenises each document text once.
+subtopic against those counts; the subtopic lines' own counts are kept for
+the last subtopic list seen (one entry), so a study tokenises its taxonomy
+once. Judging goes through `gateway.mock_score`, whose bounded memos
+(4,096 texts each) tokenise each query and each document text once.
 
 `HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
 an OpenAI-style endpoint through one POST helper, which adds the bearer
@@ -61,6 +63,7 @@ class MockProvider:
         self.calls = 0
         self.calls_by_template: dict[str, int] = {}
         self._lock = threading.Lock()
+        self._subtopics: tuple[str, tuple] | None = None  # see _subtopic_lines
 
     def generate(self, request: CompletionRequest, prompt: str) -> str:
         with self._lock:
@@ -79,19 +82,29 @@ class MockProvider:
         digest = stable_hash(str(self.seed), request.template, prompt)
         return f"mock-response-{digest % 10**8:08d}"
 
+    def _subtopic_lines(self, subtopics_text: str) -> tuple[tuple[str, dict[str, int]], ...]:
+        """Each non-blank line of a classify prompt's subtopic list with
+        its token counts. The lines of the last list seen are kept, as a
+        study classifies every text against one taxonomy."""
+        memo = self._subtopics
+        if memo is None or memo[0] != subtopics_text:
+            lines = tuple((s, token_counts(s)) for s in subtopics_text.splitlines() if s.strip())
+            memo = self._subtopics = (subtopics_text, lines)
+        return memo[1]
+
     def _classify(self, request: CompletionRequest) -> str:
-        subtopics = [s for s in request.bindings["subtopics"].splitlines() if s.strip()]
+        subtopics = self._subtopic_lines(request.bindings["subtopics"])
         text = request.bindings["text"]
         text_counts = token_counts(text)
         scored = []
-        for position, subtopic in enumerate(subtopics):
-            overlap = counts_overlap(token_counts(subtopic), text_counts)
+        for position, (subtopic, counts) in enumerate(subtopics):
+            overlap = counts_overlap(counts, text_counts)
             if overlap > 0:
                 scored.append((-overlap, position, subtopic))
         scored.sort()
         chosen = [s for _, _, s in scored[:3]]
         if not chosen:
-            chosen = [subtopics[stable_hash(str(self.seed), text) % len(subtopics)]]
+            chosen = [subtopics[stable_hash(str(self.seed), text) % len(subtopics)][0]]
         weights = {1: [1.0], 2: [0.7, 0.3], 3: [0.7, 0.2, 0.1]}[len(chosen)]
         payload = {s: w for s, w in zip(chosen, weights)}
         lines = [json.dumps(payload, ensure_ascii=False)]

@@ -16,7 +16,8 @@ cell.
 `CachedEmbedder` keeps vectors, as base64 float64 bytes, in an
 append-only JSONL store (`corpus.AppendLog`) keyed by the sha256 of the
 text; that store is the only copy of them on disk, and indexes are built
-from it in-process. The HTTP embedding client lives in `providers`.
+from it in-process. It writes each record's line from parts that need no
+escaping, byte for byte the line `json.dumps` writes. The HTTP embedding client lives in `providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
@@ -44,7 +45,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AppendLog, Corpus, Document, Query
+from .corpus import AppendLog, Corpus, Document, Query, encode_record
 from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
@@ -66,26 +67,48 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
+def _token_bucket(token: str, dim: int) -> int:
+    digest = hashlib.sha256(token.encode("utf-8")).hexdigest()
+    return int(digest, 16) % dim
+
+
+_WORD_RE = re.compile(r"\w+")
+# Tokens whose buckets one HashedBagEmbedder keeps; a full memo is emptied.
+_BUCKET_MEMO = 1 << 16
+
+
 class HashedBagEmbedder:
     """Deterministic test embedder: tokens hashed into a fixed-dimension
-    bag of counts, then L2-normalized."""
+    bag of counts, then L2-normalized.
+
+    `embed` keeps each token's bucket in a plain dict of at most
+    `_BUCKET_MEMO` tokens, emptied when full; vocabularies repeat, so most
+    tokens cost one dict lookup."""
 
     def __init__(self, dim: int = 256):
         self.dim = dim
         self.id = f"hashed-bag-{dim}"
+        self._buckets: dict[str, int] = {}
 
     @staticmethod
     @functools.lru_cache(maxsize=1 << 16)
     def bucket(token: str, dim: int) -> int:
         """sha256 of the token mod dim; memoised, as vocabularies repeat."""
-        digest = hashlib.sha256(token.encode("utf-8")).hexdigest()
-        return int(digest, 16) % dim
+        return _token_bucket(token, dim)
 
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():
             raise ValueError("cannot embed empty text")
-        buckets = [self.bucket(token, self.dim) for token in re.findall(r"\w+", text.lower())]
-        vec = np.bincount(buckets, minlength=self.dim).astype(np.float64)
+        memo, dim = self._buckets, self.dim
+        buckets = []
+        for token in _WORD_RE.findall(text.lower()):
+            bucket = memo.get(token)
+            if bucket is None:
+                if len(memo) >= _BUCKET_MEMO:
+                    memo.clear()
+                bucket = memo[token] = _token_bucket(token, dim)
+            buckets.append(bucket)
+        vec = np.bincount(buckets, minlength=dim).astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValueError("text produced no tokens to embed")
@@ -111,6 +134,10 @@ class CachedEmbedder:
         self.id = inner.id
         self.dim = inner.dim
         self._store = AppendLog(cache_path, self._decode)
+        # A record's line up to its text sha, with the provider id's JSON
+        # encoded once; the sha (hex) and the vector (base64) need no
+        # escaping, so `embed` writes the rest of the line as it is.
+        self._line_head = f'{{"provider": {encode_record(self.id)}, "text_sha": "'
 
     def close(self) -> None:
         """Close the vector cache's file; a later miss reopens it."""
@@ -136,7 +163,7 @@ class CachedEmbedder:
         vec = self.inner.embed(text)
         vec.flags.writeable = False
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
-        self._store.put(key, vec, {"provider": self.id, "text_sha": key, "vector_b64": vector_b64})
+        self._store.put(key, vec, f'{self._line_head}{key}", "vector_b64": "{vector_b64}"}}')
         return vec
 
 
@@ -156,7 +183,8 @@ class SearchIndex:
     descending then key ascending, and that ranking is kept for the
     index's lifetime. `subset` gives one corpus's rows of the index: it
     shares the vectors and the rankings, and its search takes the first k
-    rows of the ranking that fall inside it.
+    rows of the ranking that fall inside it, walking a prefix of the
+    ranking that doubles from 2k rows, not the whole ranking.
     """
 
     def __init__(self, keys: Sequence, matrix: np.ndarray, embedder: Embedder, name: str, kind: str):
@@ -193,9 +221,16 @@ class SearchIndex:
         if k < 1:
             raise ValueError("k must be at least 1")
         order, sims = self._ranking(query_vec)
-        if self.rows is not None:
-            order = order[self.rows[order]]
-        top = order[:k]
+        if self.rows is None:
+            top = order[:k]
+        else:
+            depth = 2 * k
+            while True:
+                prefix = order[:depth]
+                top = prefix[self.rows[prefix]][:k]
+                if len(top) == k or depth >= len(order):
+                    break
+                depth *= 2
         keys = self.keys
         return [(keys[i], sim) for i, sim in zip(top.tolist(), sims[top].tolist())]
 

@@ -43,6 +43,29 @@ def make_doc(doc_id: str, text: str) -> Document:
     )
 
 
+# Pieces of template bodies and binding values: placeholders adjacent,
+# repeated, first and last, braces that are no placeholder, and values
+# that hold a placeholder, which must stay as they are.
+TEMPLATE_PIECES = [
+    "{a}", "{b}", "{user_query}", "{x1}", "{Upper}", "{1x}", "{}", "{{a}}", "{", "}", "{a",
+    "b}", "text ", "\u00e9\u4e2d", "\n", "\\", '"',
+]
+_OLD_PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
+
+
+def reference_render(name: str, body: str, bindings: dict) -> str:
+    """`PromptTemplate.render` as it was before bodies were split at
+    construction: checks, then one regex substitution over the body."""
+    placeholders = tuple(sorted(set(_OLD_PLACEHOLDER_RE.findall(body))))
+    missing = [p for p in placeholders if p not in bindings]
+    if missing:
+        raise TemplateError(f"template {name!r}: unbound placeholder(s) {', '.join(missing)}")
+    extra = [b for b in bindings if b not in placeholders]
+    if extra:
+        raise TemplateError(f"template {name!r}: unknown binding(s) {', '.join(sorted(extra))}")
+    return _OLD_PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), body)
+
+
 class TestPromptTemplate:
     def test_placeholders_extracted(self):
         template = PromptTemplate(name="t", body="Hello {name}, rate {thing}.")
@@ -63,6 +86,33 @@ class TestPromptTemplate:
         template = PromptTemplate(name="t", body="classify {text}")
         with pytest.raises(TemplateError, match="bogus"):
             template.render({"text": "x", "bogus": "y"})
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        body=st.lists(st.sampled_from(TEMPLATE_PIECES), max_size=12).map("".join),
+        values=st.lists(st.lists(st.sampled_from(TEMPLATE_PIECES), max_size=4).map("".join), min_size=4, max_size=4),
+        drop=st.integers(0, 4),
+        extra=st.sampled_from([None, "zz", "Upper", "a"]),
+    )
+    def test_render_equals_regex_substitution(self, body, values, drop, extra):
+        # Bindings cover the body's placeholders, less one when `drop`
+        # names one, plus `extra` when it is not a placeholder.
+        names = sorted(set(_OLD_PLACEHOLDER_RE.findall(body)))
+        bindings = {name: value for name, value in zip(names, values * 2)}
+        if drop < len(names):
+            del bindings[names[drop]]
+        if extra is not None:
+            bindings.setdefault(extra, "{a}")
+        template = PromptTemplate(name="t\u00e9", body=body)
+        try:
+            want = reference_render("t\u00e9", body, bindings)
+        except TemplateError as exc:
+            with pytest.raises(TemplateError) as got:
+                template.render(bindings)
+            assert str(got.value) == str(exc)
+        else:
+            assert template.render(bindings) == want
+        assert template.placeholders == tuple(names)
 
 
 class CountingProvider:

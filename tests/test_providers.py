@@ -293,6 +293,36 @@ class TestMockProviderMatchesReference:
         assert seen.count(text) == 1
         assert sorted(seen) == sorted(subtopics + [text])
 
+    def test_subtopic_lines_tokenised_once_per_list(self, monkeypatch):
+        seen = []
+
+        def spy(text):
+            seen.append(text)
+            return gateway_module.token_counts(text)
+
+        monkeypatch.setattr(providers_module, "token_counts", spy)
+        provider = MockProvider(seed=0)
+        lists = [["calm breathing", "sleep hygiene"], ["calm breathing", "sleep hygiene"], ["grief", "calm night"]]
+        texts = ["calm breathing at night", "sleep and calm", "calm night grief"]
+        for subtopics, text in zip(lists, texts):
+            request = CompletionRequest("classify_subtopics", {"subtopics": "\n".join(subtopics), "text": text})
+            assert provider.generate(request, "") == reference_classify_reply("\n".join(subtopics), text, 0)
+        # The second request reuses the first list's counts; the third
+        # list differs, so its lines are tokenised.
+        assert seen == [*lists[0], texts[0], texts[1], *lists[2], texts[2]]
+
+    def test_query_major_batch_tokenises_each_query_once(self):
+        docs = [f"document {i} about calm night number {i}" for i in range(50)]
+        queries = ["calm night", "document about", "night"]
+        gateway_module._query_token_counts.cache_clear()
+        provider = MockProvider(seed=1)
+        for query in queries:
+            for doc in docs:
+                request = CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc})
+                assert provider.generate(request, "") == reference_judge_reply(query, doc, 1)
+        info = gateway_module._query_token_counts.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (3, 147, 4096)
+
     def test_query_major_batch_tokenises_each_document_once(self):
         # A judge batch holds every document once per query; at paper scale
         # the largest holds 739 documents, which the memo must keep whole.

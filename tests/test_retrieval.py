@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpusgap import retrieval as retrieval_module
 from corpusgap.corpus import Corpus, Document, IngestError, Query, Section, Source, Split
 from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, mock_score
 from corpusgap.providers import MockProvider
@@ -34,6 +36,24 @@ from corpusgap.retrieval import (
 
 from .test_acceptance import brute_force
 from .world import mock_gateway_judge
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def reference_bucket(token: str, dim: int) -> int:
+    return int(hashlib.sha256(token.encode("utf-8")).hexdigest(), 16) % dim
+
+
+def reference_embed(text: str, dim: int) -> np.ndarray:
+    """`HashedBagEmbedder.embed` as it was before its plain-dict token
+    memo: one `lru_cache` call per token."""
+    if not text.strip():
+        raise ValueError("cannot embed empty text")
+    buckets = [reference_bucket(token, dim) for token in re.findall(r"\w+", text.lower())]
+    vec = np.bincount(buckets, minlength=dim).astype(np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise ValueError("text produced no tokens to embed")
+    return vec / norm
 
 
 def brute_force_search(keys, matrix, query_vec, k):
@@ -79,6 +99,38 @@ class TestHashedBagEmbedder:
             want = int(hashlib.sha256(token.encode("utf-8")).hexdigest(), 16) % dim
             assert HashedBagEmbedder.bucket(token, dim) == want
             assert HashedBagEmbedder(dim).bucket(token, dim) == want
+
+    @pytest.mark.parametrize("dim", [7, 256, 4096])
+    def test_vectors_equal_per_token_lru_cache_embedder(self, dim):
+        rng = random.Random(dim)
+        alphabet = "abcxyzABC\u00dfI\u0130\u00e9\u0301\u4e2d\u0394\u03c3\u03a3_0179 \t\n.,;-'\u2028\U0001f600"
+        embedder = HashedBagEmbedder(dim)
+        for _ in range(300):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+            try:
+                want = reference_embed(text, dim)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    embedder.embed(text)
+                continue
+            got = embedder.embed(text)
+            assert got.tobytes() == want.tobytes()
+
+    def test_token_memo_stays_within_its_bound(self, monkeypatch):
+        embedder = HashedBagEmbedder(dim=64)
+        tokens = [f"tok{i}" for i in range(retrieval_module._BUCKET_MEMO + 5000)]
+        for start in range(0, len(tokens), 3000):
+            text = " ".join(tokens[start : start + 3000])
+            assert embedder.embed(text).tobytes() == reference_embed(text, 64).tobytes()
+            assert len(embedder._buckets) <= retrieval_module._BUCKET_MEMO
+        # A smaller bound, met one token at a time and passed within one text.
+        monkeypatch.setattr(retrieval_module, "_BUCKET_MEMO", 50)
+        for token in tokens[:120]:
+            embedder.embed(token)
+            assert len(embedder._buckets) <= 50
+        text = " ".join(tokens[:120] * 2)
+        assert embedder.embed(text).tobytes() == reference_embed(text, 64).tobytes()
+        assert len(embedder._buckets) <= 50
 
     def test_vector_equals_per_token_counts(self):
         dim = 32
@@ -366,6 +418,37 @@ class TestSubsetIndex:
         corpus = id_only_corpus("c", ["d0", "d1", "d2"])
         merged = merge_chunk_candidates(union.subset(corpus), np.array([1.0, 0.0]), 2, 3)
         assert [c.doc_id for c in merged] == ["d0", "d1", "d2"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_subset_needs_a_deep_walk(self, seed):
+        # A few rows from the bottom of a 1,500-row ranking, and one from
+        # anywhere: the prefix walk must double far past 2k to reach them.
+        # Integer rows on odd seeds give many exactly tied similarities.
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            matrix = rng.integers(-1, 2, size=(1500, 16)).astype(np.float64)
+        else:
+            matrix = random_unit_vectors(1500, 16, seed)
+        index = vector_index(matrix)
+        query = matrix[int(rng.integers(1500))]
+        order, _ = index._ranking(query)
+        rows = sorted(set(order[-3:].tolist()) | {int(rng.integers(1500))})
+        ids = [index.keys[i] for i in rows]
+        subset = index.subset(id_only_corpus("sparse", ids))
+        alone = SearchIndex(ids, matrix[rows], index.embedder, "sparse", "document")
+        for k in (1, 2, 3, len(ids)):
+            assert subset.search(query, k) == alone.search(query, k)
+            assert len(subset.search(query, k)) == k
+
+    @pytest.mark.parametrize("k", [4, 5, 9, 40, 10_000])
+    def test_k_beyond_the_subset_returns_the_whole_subset(self, k):
+        matrix = random_unit_vectors(30, 8, seed=11)
+        index = vector_index(matrix)
+        ids = index.keys[5:30:7]
+        subset = index.subset(id_only_corpus("c", ids))
+        alone = SearchIndex(ids, matrix[5:30:7], index.embedder, "c", "document")
+        got = subset.search(matrix[0], k)
+        assert got == alone.search(matrix[0], k) and sorted(key for key, _ in got) == ids
 
     def test_rankings_are_shared_and_memoised(self):
         matrix = random_unit_vectors(12, 8, seed=7)
