@@ -298,6 +298,20 @@ def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
         os.truncate(path, torn_at)
 
 
+def _bad_record(where: str, exc: Exception) -> IngestError:
+    """The error for a record that `AppendLog`'s decode failed on with
+    KeyError (a missing field), TypeError or ValueError."""
+    if isinstance(exc, KeyError):
+        return IngestError(f"{where}: record lacks field {exc}")
+    return IngestError(f"{where}: bad record: {exc}")
+
+
+# Where `AppendLog.put` appended a line: its byte offset in the file and
+# its length in bytes, newline included. A plain tuple, as `put` makes one
+# per line and a NamedTuple's constructor runs Python code.
+LineSpan = tuple[int, int]
+
+
 class AppendLog:
     """A key-value map backed by an optional append-only log file.
 
@@ -307,16 +321,21 @@ class AppendLog:
     raises `IngestError` naming the file and line. A torn last record is
     handled by `read_append_log`. `put` stores a value once and appends
     its record as one line (`encode_record`, or a line the caller already
-    encoded the same way), under a lock, through a file handle that
-    stays open and is flushed after every record: concurrent callers
-    never interleave lines, readers see each record as soon as `put`
-    returns, and a crash can tear at most the last line. `close` closes
-    the handle (a later `put` opens it again); a store dropped unclosed
-    has it closed by a finalizer. `get` is the map's own `dict.get`.
+    encoded the same way), under a lock, through an unbuffered file
+    handle that stays open: concurrent callers never interleave lines,
+    readers see each record as soon as `put` returns, and a crash can
+    tear at most the last line. `close` closes the handle (a later `put`
+    or `read` opens it again); a store dropped unclosed has it closed by
+    a finalizer. `get` is the map's own `dict.get`.
+
+    A value put with `resident=False` into a store with a file is not
+    kept: the map holds the `LineSpan` of its line instead, and `read`
+    decodes that line again, as a loaded line is decoded.
     """
 
     def __init__(self, path: str | Path | None, decode: Callable[[dict], tuple | None]):
         self.path = Path(path) if path is not None else None
+        self._decode = decode
         self._entries: dict = {}
         self._lock = threading.Lock()
         self._fh = None
@@ -324,34 +343,65 @@ class AppendLog:
             for lineno, record in read_append_log(self.path):
                 try:
                     item = decode(record)
-                    if item is not None:
-                        self._entries[item[0]] = item[1]
-                except KeyError as exc:
-                    raise IngestError(f"{self.path}:{lineno}: record lacks field {exc}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise IngestError(f"{self.path}:{lineno}: bad record: {exc}") from exc
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _bad_record(f"{self.path}:{lineno}", exc) from exc
+                if item is not None:
+                    self._entries[item[0]] = item[1]
         self.get = self._entries.get
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key, value, record: dict | str) -> None:
-        """Store value under key and append record, unless key is present.
+    def put(self, key, value, record: dict | str, resident: bool = True) -> LineSpan | None:
+        """Store value under key and append record, unless key is present;
+        the `LineSpan` of the appended line, or None if nothing was
+        appended.
 
         `record` is the record, or its line (without the newline) exactly
         as `encode_record` writes it, for a caller that builds the line
-        more cheaply from parts that need no escaping."""
+        more cheaply from parts that need no escaping. With
+        `resident=False` and a file, the map keeps the line's span, not
+        value."""
         with self._lock:
             if key in self._entries:
-                return
-            self._entries[key] = value
-            if self.path is not None:
-                if self._fh is None:
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                    self._closer = weakref.finalize(self, self._fh.close)
-                line = record if isinstance(record, str) else encode_record(record)
-                self._fh.write(line + "\n")
-                self._fh.flush()
+                return None
+            if self.path is None:
+                self._entries[key] = value
+                return None
+            line = (record if isinstance(record, str) else encode_record(record)) + "\n"
+            data = line.encode("utf-8")
+            fh = self._handle()
+            written = fh.write(data)
+            while written < len(data):  # the system wrote part of it
+                written += fh.write(data[written:])
+            # The handle appends, so the line ends where the file now ends,
+            # even after another writer's appends.
+            span = (fh.tell() - len(data), len(data))
+            self._entries[key] = value if resident else span
+            return span
+
+    def read(self, key, span: LineSpan):
+        """The value `decode` gives for the line `put` appended for key at
+        `span`, read back from the file with one `os.pread`."""
+        offset, length = span
+        with self._lock:
+            data = os.pread(self._handle().fileno(), length, offset)
+        where = f"{self.path}@{offset}"
+        try:
+            item = self._decode(json.loads(data))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _bad_record(where, exc) from exc
+        if item is None or item[0] != key or not data.endswith(b"\n"):
+            raise IngestError(f"{where}: the line appended for {key!r} is no longer there")
+        return item[1]
+
+    def _handle(self):
+        """The file's handle, opened to append and read and unbuffered, so
+        each line is in the file when `put` returns; call under the lock."""
+        if self._fh is None:
+            self._fh = open(self.path, "a+b", buffering=0)
+            self._closer = weakref.finalize(self, self._fh.close)
+        return self._fh
 
     def close(self) -> None:
         with self._lock:

@@ -457,16 +457,24 @@ def _interned_token_counts(text: str) -> dict[str, int]:
     return {sys.intern(token): n for token, n in token_counts(text).items()}
 
 
-# `token_counts` of document and of query texts, each in its own bounded
-# memo. Every caller gets the same dict, so none may change it.
+def query_tokens(text: str) -> tuple[dict[str, int], int]:
+    """The interned token counts of a query text and their total."""
+    counts = _interned_token_counts(text)
+    return counts, sum(counts.values())
+
+
+# `token_counts` of document texts and `query_tokens` of query texts, each
+# in its own bounded memo. Every caller gets the same dict, so none may
+# change it.
 _doc_token_counts = functools.lru_cache(maxsize=_DOC_TOKENS_MEMO)(_interned_token_counts)
-_query_token_counts = functools.lru_cache(maxsize=_QUERY_TOKENS_MEMO)(_interned_token_counts)
+_query_token_counts = functools.lru_cache(maxsize=_QUERY_TOKENS_MEMO)(query_tokens)
 
 
-def counts_overlap(query_counts: dict[str, int], doc_counts: dict[str, int]) -> float:
-    """Multiset containment of the query's token counts in the
-    document's, in [0, 1]; 0 for a query without tokens."""
-    total = sum(query_counts.values())
+def counts_overlap(query: tuple[dict[str, int], int], doc_counts: dict[str, int]) -> float:
+    """Multiset containment of a query's token counts, given with their
+    total as `query_tokens` gives them, in the document's, in [0, 1]; 0
+    for a query without tokens."""
+    query_counts, total = query
     if total == 0:
         return 0.0
     matched = sum(min(n, doc_counts.get(tok, 0)) for tok, n in query_counts.items())

@@ -82,14 +82,18 @@ class MockProvider:
         digest = stable_hash(str(self.seed), request.template, prompt)
         return f"mock-response-{digest % 10**8:08d}"
 
-    def _subtopic_lines(self, subtopics_text: str) -> tuple[tuple[str, dict[str, int]], ...]:
+    def _subtopic_lines(self, subtopics_text: str) -> tuple[tuple[str, tuple[dict[str, int], int]], ...]:
         """Each non-blank line of a classify prompt's subtopic list with
-        its token counts. The lines of the last list seen are kept, as a
-        study classifies every text against one taxonomy."""
+        its token counts and their total. The lines of the last list seen
+        are kept, as a study classifies every text against one taxonomy."""
         memo = self._subtopics
         if memo is None or memo[0] != subtopics_text:
-            lines = tuple((s, token_counts(s)) for s in subtopics_text.splitlines() if s.strip())
-            memo = self._subtopics = (subtopics_text, lines)
+            lines = []
+            for line in subtopics_text.splitlines():
+                if line.strip():
+                    counts = token_counts(line)
+                    lines.append((line, (counts, sum(counts.values()))))
+            memo = self._subtopics = (subtopics_text, tuple(lines))
         return memo[1]
 
     def _classify(self, request: CompletionRequest) -> str:

@@ -17,7 +17,11 @@ cell.
 append-only JSONL store (`corpus.AppendLog`) keyed by the sha256 of the
 text; that store is the only copy of them on disk, and indexes are built
 from it in-process. It writes each record's line from parts that need no
-escaping, byte for byte the line `json.dumps` writes. The HTTP embedding client lives in `providers`.
+escaping, byte for byte the line `json.dumps` writes. A vector it
+computes is not kept in memory: a repeat of its text reads its line back.
+The index builders write each vector into its row of the index's matrix
+as it comes, so a run holds one copy of each vector. The HTTP embedding
+client lives in `providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
@@ -41,7 +45,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -126,7 +130,13 @@ class CachedEmbedder:
     numbers, still load; none is written. A vector whose length is not
     `dim`, or a `vector_b64` that is not base64 of whole float64s, is
     refused with the file and line. Vectors come back read-only, hits
-    and misses alike, as each is the one copy the cache holds.
+    and misses alike.
+
+    Loaded vectors stay in memory. A vector computed here is not kept
+    when the cache has a file: the store keeps its line's place in the
+    file, and a repeat of its text reads that line back and decodes it
+    as a loaded line is decoded, bit for bit the vector computed. A
+    cache without a file keeps its vectors.
     """
 
     def __init__(self, inner: Embedder, cache_path: str | Path | None = None):
@@ -159,11 +169,12 @@ class CachedEmbedder:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         hit = self._store.get(key)
         if hit is not None:
-            return hit
+            # A vector is an array; a vector computed here is its line's span.
+            return self._store.read(key, hit) if type(hit) is tuple else hit
         vec = self.inner.embed(text)
         vec.flags.writeable = False
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
-        self._store.put(key, vec, f'{self._line_head}{key}", "vector_b64": "{vector_b64}"}}')
+        self._store.put(key, vec, f'{self._line_head}{key}", "vector_b64": "{vector_b64}"}}', resident=False)
         return vec
 
 
@@ -178,6 +189,9 @@ class SearchIndex:
 
     Keys are doc ids (document level) or (doc id, section index) pairs
     (chunk level) and must be unique. `name` names the corpus in errors.
+    `matrix` gives one row per key, of `embedder.dim` values: a 2-D
+    array, or any iterable of vectors, such as the builders' embeddings,
+    each copied into the index as it comes.
 
     Each query vector is ranked once over every row, by similarity
     descending then key ascending, and that ranking is kept for the
@@ -187,7 +201,7 @@ class SearchIndex:
     ranking that doubles from 2k rows, not the whole ranking.
     """
 
-    def __init__(self, keys: Sequence, matrix: np.ndarray, embedder: Embedder, name: str, kind: str):
+    def __init__(self, keys: Sequence, matrix: Iterable[np.ndarray], embedder: Embedder, name: str, kind: str):
         if len(keys) == 0:
             raise ValueError("index must contain at least one entry")
         if len(set(keys)) != len(keys):
@@ -199,10 +213,21 @@ class SearchIndex:
         # does not depend on its position or on how many rows share the
         # matrix, so a subset ranks exactly as an index of its rows alone
         # (TestSubsetIndex checks this).
-        n, dim = matrix.shape
+        n, dim = len(self.keys), embedder.dim
         self._padded = np.zeros((n + -n % _ROW_BLOCK, dim))
-        self._padded[:n] = matrix
         self.matrix = self._padded[:n]
+        # Rows are written in as they come, so an index built from
+        # embeddings holds no other copy of them.
+        rows = 0
+        for vec in matrix:
+            if rows == n:
+                raise ValueError(f"index {name!r} has {n} keys but more rows")
+            if np.shape(vec) != (dim,):
+                raise ValueError(f"index {name!r} has vectors of dimension {dim}, but row {rows} has shape {np.shape(vec)}")
+            self.matrix[rows] = vec
+            rows += 1
+        if rows < n:
+            raise ValueError(f"index {name!r} has {n} keys but {rows} rows")
         self.embedder = embedder
         self.name = name
         self.kind = kind
@@ -269,21 +294,18 @@ def build_document_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.name!r} is empty")
     keys = [doc.id for doc in corpus.documents]
-    matrix = np.stack([embedder.embed(doc.text) for doc in corpus.documents])
-    return SearchIndex(keys, matrix, embedder, corpus.name, kind="document")
+    vectors = (embedder.embed(doc.text) for doc in corpus.documents)
+    return SearchIndex(keys, vectors, embedder, corpus.name, kind="document")
 
 
 def build_chunk_index(corpus: Corpus, embedder: Embedder) -> SearchIndex:
     """One entry per (title + section) chunk."""
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.name!r} is empty")
-    keys: list[tuple[str, int]] = []
-    vectors = []
-    for doc in corpus.documents:
-        for i in range(len(doc.sections)):
-            keys.append((doc.id, i))
-            vectors.append(embedder.embed(doc.section_text(i)))
-    return SearchIndex(keys, np.stack(vectors), embedder, corpus.name, kind="chunk")
+    chunks = [(doc, i) for doc in corpus.documents for i in range(len(doc.sections))]
+    keys = [(doc.id, i) for doc, i in chunks]
+    vectors = (embedder.embed(doc.section_text(i)) for doc, i in chunks)
+    return SearchIndex(keys, vectors, embedder, corpus.name, kind="chunk")
 
 
 # --- pipelines --------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import sys
 import threading
 import warnings
@@ -294,7 +295,55 @@ class TestAppendLog:
             log.put("a", 1, {"key": "a", "value": 1})
             del log
             gc.collect()
+            # The handle that `read` opens again after a close.
+            log = AppendLog(tmp_path / "read.jsonl", _decode)
+            span = log.put("a", 1, {"key": "a", "value": 1}, resident=False)
+            log.close()
+            assert log.read("a", span) == 1
+            del log
+            gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_put_reports_the_span_of_each_appended_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"key": "old", "value": 0}\n', encoding="utf-8")
+        log = AppendLog(path, _decode)
+        spans = [log.put("é", "ü€", {"key": "é", "value": "ü€"})]
+        with open(path, "a", encoding="utf-8") as fh:  # another writer's line
+            fh.write('{"key": "other", "value": 1}\n')
+        spans.append(log.put("b", [1, 2], {"key": "b", "value": [1, 2]}))
+        assert log.put("b", 3, {"key": "b", "value": 3}) is None
+        assert AppendLog(None, _decode).put("c", 1, {"key": "c", "value": 1}) is None
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        assert spans == [(len(lines[0]), len(lines[1])), (len(data) - len(lines[3]), len(lines[3]))]
+        assert [data[offset : offset + length] for offset, length in spans] == [lines[1], lines[3]]
+        assert [log.read(key, span) for key, span in zip(["é", "b"], spans)] == ["ü€", [1, 2]]
+
+    def test_non_resident_values_are_read_back_from_their_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = AppendLog(path, _decode)
+        span = log.put("a", "unkept", {"key": "a", "value": "kept"}, resident=False)
+        log.put("b", "kept in memory", {"key": "b", "value": "on disk"})
+        assert log.get("a") == span and log.get("b") == "kept in memory"
+        assert log.read("a", span) == "kept"
+        # Without a file there is nothing to read back, so the value is kept.
+        unfiled = AppendLog(None, _decode)
+        unfiled.put("a", "value", {"key": "a", "value": "value"}, resident=False)
+        assert unfiled.get("a") == "value"
+
+    def test_read_refuses_a_line_that_changed(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = AppendLog(path, _decode)
+        span = log.put("a", 1, {"key": "a", "value": 1}, resident=False)
+        with pytest.raises(IngestError, match="no longer there"):
+            log.read("b", span)
+        path.write_text('{"key": "a", "value": 1}', encoding="utf-8")
+        with pytest.raises(IngestError, match="no longer there"):
+            log.read("a", span)
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}@0: bad record"):
+            log.read("a", span)
 
 
 def reference_read_append_log(path):

@@ -27,6 +27,7 @@ from corpusgap.gateway import (
     make_gateway_rewriter,
     mock_score,
     parse_judge_score,
+    query_tokens,
     stable_hash,
     token_overlap,
     with_retries,
@@ -542,6 +543,10 @@ class TestMockJudge:
     def test_overlap_counts_multiplicity(self):
         assert token_overlap("a a b", "a b c") == pytest.approx(2 / 3)
         assert token_overlap("a a b", "a a a b") == 1.0
+
+    def test_query_total_is_kept_beside_its_counts(self):
+        assert query_tokens("A a b, c") == ({"a": 2, "b": 1, "c": 1}, 4)
+        assert query_tokens("...") == ({}, 0) and token_overlap("...", "a b") == 0.0
 
 
 class TestGatewayJudgeAndRewriter:

@@ -7,6 +7,7 @@ import logging
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,101 @@ class CountingEmbedder:
         return self.inner.embed(text)
 
 
+class TestComputedVectorsReadBack:
+    """A text embedded again by the process that computed its vector gets
+    that vector read back from its cache line: bit for bit, read-only,
+    with no second inner call and no second line."""
+
+    @staticmethod
+    def embed_again(embedder: CachedEmbedder, text: str, first: np.ndarray) -> None:
+        again = embedder.embed(text)
+        assert again is not first  # read back, not kept
+        assert again.tobytes() == first.tobytes() and again.dtype == first.dtype
+        assert not again.flags.writeable
+
+    def test_repeat_reads_its_line_back(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+        embedder = CachedEmbedder(inner, path)
+        first = embedder.embed("calm night")
+        assert first.tobytes() == HashedBagEmbedder(dim=16).embed("calm night").tobytes()
+        self.embed_again(embedder, "calm night", first)
+        self.embed_again(embedder, "calm night", first)
+        assert inner.texts == ["calm night"]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_repeat_after_close_reopens_the_file(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+        embedder = CachedEmbedder(inner, path)
+        first = embedder.embed("calm night")
+        embedder.close()
+        self.embed_again(embedder, "calm night", first)
+        embedder.close()
+        assert inner.texts == ["calm night"]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_non_ascii_provider_id_and_texts(self, tmp_path):
+        # Spans are byte offsets into UTF-8 lines: a multi-byte provider id
+        # shifts every later line's offset away from its character count.
+        path = tmp_path / "embeddings.jsonl"
+        base = HashedBagEmbedder(dim=16)
+        base.id = 'bag-ü€𝄞-"quoted"\\'
+        inner = CountingEmbedder(base)
+        embedder = CachedEmbedder(inner, path)
+        texts = ["nuit calme ü", "𝄞 music", "plain"]
+        firsts = [embedder.embed(text) for text in texts]
+        for text, first in zip(reversed(texts), reversed(firsts)):
+            self.embed_again(embedder, text, first)
+        assert inner.texts == texts
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+        loaded = CachedEmbedder(base, path)
+        loaded.inner = None  # a miss would fail: the vectors must come from the file
+        assert [loaded.embed(text).tobytes() for text in texts] == [first.tobytes() for first in firsts]
+
+    def test_repeat_after_a_torn_last_line_was_cut(self, tmp_path, caplog):
+        path = tmp_path / "embeddings.jsonl"
+        CachedEmbedder(HashedBagEmbedder(dim=16), path).embed("first")
+        whole = path.read_text(encoding="utf-8")
+        path.write_text(whole + whole[: len(whole) // 2], encoding="utf-8")
+        inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+        with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
+            embedder = CachedEmbedder(inner, path)
+        assert "torn" in caplog.text
+        loaded = embedder.embed("first")
+        assert embedder.embed("first") is loaded  # loaded vectors stay in memory
+        second = embedder.embed("second")
+        self.embed_again(embedder, "second", second)
+        assert inner.texts == ["second"]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_repeats_interleaved_with_other_appends(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vectors = {f"text {i}": rng.normal(size=8) for i in range(5)}
+        vectors["text 4"][3] = 5e-324  # a subnormal survives bit for bit
+        path = tmp_path / "embeddings.jsonl"
+        inner = CountingEmbedder(FixedEmbedder(vectors))
+        embedder = CachedEmbedder(inner, path)
+        order = [0, 1, 0, 2, 1, 3, 0, 4, 2, 4, 3]
+        firsts: dict[str, np.ndarray] = {}
+        for i in order:
+            text = f"text {i}"
+            if text in firsts:
+                self.embed_again(embedder, text, firsts[text])
+            else:
+                firsts[text] = embedder.embed(text)
+                assert firsts[text].tobytes() == vectors[text].tobytes()
+        assert inner.texts == [f"text {i}" for i in range(5)]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 5
+
+    def test_store_without_a_file_keeps_its_vectors(self):
+        inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+        embedder = CachedEmbedder(inner)
+        first = embedder.embed("calm night")
+        assert embedder.embed("calm night") is first and not first.flags.writeable
+        assert inner.texts == ["calm night"]
+
+
 def random_unit_vectors(n: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(n, dim))
@@ -321,6 +417,31 @@ class TestSearchIndex:
         with pytest.raises(ValueError, match="unique"):
             SearchIndex(["a", "a"], matrix, HashedBagEmbedder(dim=8), "h", "document")
 
+    @pytest.mark.parametrize(
+        "rows, dim, message",
+        [
+            (3, 8, "index 'h' has 5 keys but 3 rows"),
+            (7, 8, "index 'h' has 5 keys but more rows"),
+            (5, 6, r"index 'h' has vectors of dimension 8, but row 0 has shape \(6,\)"),
+        ],
+    )
+    def test_matrix_must_hold_one_row_per_key_of_the_embedder_dim(self, rows, dim, message):
+        # Unchecked, 5 keys over 3 rows ranked the zero padding as keys d
+        # and e, and 7 rows dropped the last 2 silently.
+        matrix = random_unit_vectors(rows, dim, seed=6)
+        keys = ["a", "b", "c", "d", "e"]
+        for given_rows in (matrix, iter(matrix)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SearchIndex(keys, given_rows, HashedBagEmbedder(dim=8), "h", "document")
+
+    def test_rows_may_come_one_by_one(self):
+        matrix = random_unit_vectors(21, 8, seed=7)
+        keys = [f"k{i:02d}" for i in range(21)]
+        streamed = SearchIndex(keys, iter(matrix), HashedBagEmbedder(dim=8), "h", "document")
+        copied = SearchIndex(keys, matrix, HashedBagEmbedder(dim=8), "h", "document")
+        assert streamed.matrix.tobytes() == copied.matrix.tobytes() == matrix.tobytes()
+        assert streamed.search(matrix[3], 21) == copied.search(matrix[3], 21)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 40),
@@ -354,6 +475,66 @@ def id_only_corpus(name: str, doc_ids) -> Corpus:
         name=name,
         documents=tuple(Document(id=d, source=Source.BASELINE, title="", sections=(Section("", "x"),)) for d in doc_ids),
     )
+
+
+def sectioned_corpus(n_docs: int, seed: int) -> Corpus:
+    """Documents of 1 to 4 sections; a one-section document's text is its
+    chunk's text, so a chunk index built after the document index
+    embeds that text again."""
+    rng = random.Random(seed)
+    words = ["calm", "night", "sleep", "breath", "grief", "walk", "tea", "light"]
+    docs = []
+    for i in range(n_docs):
+        sections = tuple(
+            Section(f"part {j}", " ".join(rng.choices(words, k=6)) + f" doc{i} s{j}")
+            for j in range(rng.randint(1, 4))
+        )
+        docs.append(Document(f"d{i:04d}", Source.BASELINE, f"title {i}", sections))
+    return Corpus("sectioned", tuple(docs))
+
+
+class TestIndexMatrixFilledInPlace:
+    def test_builders_matrix_equals_the_embedded_vectors(self, tmp_path):
+        corpus = sectioned_corpus(37, seed=3)
+        inner = CountingEmbedder(HashedBagEmbedder(dim=32))
+        embedder = CachedEmbedder(inner, tmp_path / "embeddings.jsonl")
+        doc_index = build_document_index(corpus, embedder)
+        chunk_index = build_chunk_index(corpus, embedder)
+        doc_vectors = np.stack([embedder.embed(doc.text) for doc in corpus.documents])
+        chunk_texts = [doc.section_text(i) for doc in corpus.documents for i in range(len(doc.sections))]
+        chunk_vectors = np.stack([embedder.embed(text) for text in chunk_texts])
+        assert len(inner.texts) == len(set(inner.texts)) == len({doc.text for doc in corpus.documents} | set(chunk_texts))
+        for index, vectors in [(doc_index, doc_vectors), (chunk_index, chunk_vectors)]:
+            n = len(vectors)
+            assert index.matrix.tobytes() == vectors.tobytes()
+            assert index._padded.shape == (n + -n % 16, 32) and n % 16
+            assert np.shares_memory(index.matrix, index._padded)
+            assert not index._padded[n:].any()
+
+    def test_chunk_index_build_holds_about_one_matrix(self, tmp_path):
+        # One padded matrix of 2,000 rows of 256 float64s is 4 MB. The
+        # builder writes each vector into its row and the cache keeps only
+        # its line's place in the file, so the traced peak stays near one
+        # matrix; a list of vectors, their stack and a padded copy, next to
+        # the cache's own copies, reached about three.
+        corpus = Corpus(
+            "memory",
+            tuple(
+                Document(f"d{i:03d}", Source.BASELINE, f"title {i}", tuple(Section(f"h{j}", f"calm night {i} {j}") for j in range(8)))
+                for i in range(250)
+            ),
+        )
+        embedder = CachedEmbedder(HashedBagEmbedder(dim=256), tmp_path / "embeddings.jsonl")
+        embedder.embed("warm up the encoders")
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            index = build_chunk_index(corpus, embedder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 2000 and index._padded.nbytes == 2000 * 256 * 8
+        assert peak - start < 1.5 * index._padded.nbytes
 
 
 class TestSubsetIndex:
