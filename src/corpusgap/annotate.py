@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Taxonomy, write_records, read_records
+from .corpus import Taxonomy, write_records
 from .gateway import CompletionRequest, Gateway, ProviderError, ProviderParams
 
 SUM_TOLERANCE = 0.01
@@ -131,11 +131,3 @@ def write_labelings(labelings: Mapping[str, WeightedLabeling], path: str | Path)
         ),
     )
 
-
-def read_labelings(path: str | Path) -> dict[str, WeightedLabeling]:
-    labelings: dict[str, WeightedLabeling] = {}
-    for _, record in read_records(path):
-        labelings[record["id"]] = WeightedLabeling(
-            weights=record["weights"], primary=record["primary"]
-        )
-    return labelings

@@ -24,6 +24,7 @@ from .corpus import (
     load_taxonomy,
     percent_increase,
     read_records,
+    require_fields,
     write_corpus,
     write_queries,
     write_records,
@@ -203,7 +204,7 @@ def plan(gaps_path, pool_path, budget, output) -> None:
 @click.option("--pool", "pool_path", required=True, type=click.Path(exists=True))
 @click.option("--plan", "plan_path", type=click.Path(exists=True), default=None, help="Quota plan (directed).")
 @click.option("--queries", "queries_path", type=click.Path(exists=True), default=None, help="Train queries for pool scoring (directed).")
-@click.option("--size", type=int, default=None, help="Sample size (nondirected).")
+@click.option("--size", type=click.IntRange(min=0), default=None, help="Sample size (nondirected).")
 @click.option("--sample-seed", type=int, default=None, help="Sampling seed (nondirected); defaults to the ladder seed.")
 @click.option("--name", default=None)
 @click.option("-o", "--output", required=True, type=click.Path())
@@ -363,12 +364,17 @@ def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusIn
     corpora = []
     info = {}
     for lineno, entry in read_records(manifest_path):
-        missing = [key for key in ("name", "path", "arm", "docs_added") if key not in entry]
-        if missing:
-            raise IngestError(f"{manifest_path}:{lineno}: manifest entry lacks {', '.join(missing)}")
+        where = f"{manifest_path}:{lineno}"
+        require_fields(entry, ("name", "path", "arm", "docs_added"), where, "manifest entry")
+        if entry["name"] in info:
+            raise IngestError(f"{where}: corpus name {entry['name']!r} appears twice in the manifest")
+        try:
+            docs_added = int(entry["docs_added"])
+        except (TypeError, ValueError):
+            raise IngestError(f"{where}: 'docs_added' must be an integer, got {entry['docs_added']!r}") from None
         corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
         corpora.append(corpus)
-        info[corpus.name] = CorpusInfo(entry["arm"], int(entry["docs_added"]), len(corpus))
+        info[corpus.name] = CorpusInfo(entry["arm"], docs_added, len(corpus))
     return corpora, info
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import yaml
 
+from .corpus import IngestError
 from .gateway import Gateway, ProviderParams, load_templates
 from .providers import HttpEmbedder, HttpProvider, MockProvider
 from .retrieval import DEFAULT_CANDIDATES, DEFAULT_TOP_K, CachedEmbedder, Embedder, HashedBagEmbedder
@@ -57,26 +58,45 @@ _YAML_FIELDS = {
 _COERCE = {"float": float, "int": int, "tuple[int, ...]": lambda v: tuple(int(b) for b in v)}
 
 
-def _fields_from(cls, section: dict, keys: dict[str, str]) -> dict:
+def _fields_from(cls, path, name: str, section, keys: dict[str, str]) -> dict:
+    """The `cls` fields that YAML section `name` ("" for the top level) of
+    file `path` sets, each value coerced to its field's type."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise IngestError(f"{path}: '{name}' must be a mapping, got {section!r}")
     types = {f.name: f.type for f in fields(cls)}
-    return {
-        name: _COERCE.get(types[name], lambda v: v)(section[key])
-        for key, name in keys.items()
-        if key in section
-    }
+    values = {}
+    for key, field_name in keys.items():
+        if key in section:
+            try:
+                values[field_name] = _COERCE.get(types[field_name], lambda v: v)(section[key])
+            except (TypeError, ValueError) as exc:
+                dotted = f"{name}.{key}" if name else key
+                raise IngestError(f"{path}: '{dotted}': {exc}") from None
+    return values
 
 
 def load_config(path: str | Path | None = None) -> Config:
     """Config from a YAML file; keys it leaves out keep the dataclass
-    defaults and unknown keys are ignored."""
+    defaults and unknown keys are ignored. A file that does not parse, a
+    section that is not a mapping or a value that does not convert is
+    refused with an IngestError naming the file and the key."""
     if path is None:
         return Config()
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise IngestError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise IngestError(f"{path}: the top level must be a mapping, got {type(raw).__name__}")
     values = {}
     for section, keys in _YAML_FIELDS.items():
-        values.update(_fields_from(Config, raw.get(section, {}) if section else raw, keys))
+        values.update(_fields_from(Config, path, section, raw.get(section) if section else raw, keys))
     provider_keys = {f.name: f.name for f in fields(ProviderConfig)}
-    provider = ProviderConfig(**_fields_from(ProviderConfig, raw.get("provider", {}), provider_keys))
+    provider = ProviderConfig(**_fields_from(ProviderConfig, path, "provider", raw.get("provider"), provider_keys))
     return Config(provider=provider, **values)
 
 

@@ -204,6 +204,14 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+def require_fields(record: dict, names: Iterable[str], where: str, what: str) -> None:
+    """Refuse a record that lacks any of `names` with one IngestError
+    naming `where`, `what` the record is, and each missing name."""
+    missing = [name for name in names if name not in record]
+    if missing:
+        raise IngestError(f"{where}: {what} lacks {', '.join(missing)}")
+
+
 # A record as one line of a record file, byte for byte what
 # `json.dumps(record, ensure_ascii=False, sort_keys=True)` writes, from one
 # encoder: `json.dumps` with these arguments builds a new one per call.
@@ -549,13 +557,6 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         return Taxonomy(topics=tuple(topics))
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc
-
-
-def write_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
-    write_records(
-        path,
-        ({"name": t.name, "subtopics": list(t.subtopics)} for t in taxonomy.topics),
-    )
 
 
 def percent_increase(corpus: Corpus | int, baseline_size: int) -> float:

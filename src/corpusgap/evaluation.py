@@ -216,30 +216,6 @@ def save_experiment(result: ExperimentResult, path: str | Path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def load_experiment(path: str | Path) -> ExperimentResult:
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    meta = lines[0]
-    outcomes = tuple(
-        QueryOutcome(
-            query_id=row["query_id"],
-            doc_scores=tuple((d[0], d[1]) for d in row["docs"]),
-        )
-        for row in lines[1:]
-    )
-    return ExperimentResult(
-        spec=ExperimentSpec(
-            corpus_name=meta["corpus"],
-            pipeline=Pipeline(meta["pipeline"]),
-            seed=meta["seed"],
-        ),
-        avg_score=meta["avg_score"],
-        per_query=outcomes,
-        complete=meta["complete"],
-        error=meta.get("error"),
-    )
-
-
 def run_grid(
     corpora: Sequence[Corpus],
     pipelines: Sequence[Pipeline],

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from math import fsum
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import planner
-from .corpus import Corpus, Document, Query, Taxonomy, read_records, write_records
+from .corpus import Corpus, Document, Query, Taxonomy, read_records, require_fields, write_records
 from .gateway import JudgeFn
 
 log = logging.getLogger(__name__)
@@ -310,35 +310,13 @@ def sensitivity_sweep(
 
 
 def write_gap_report(gaps: Sequence[SubtopicGap], path: str | Path) -> None:
-    write_records(
-        path,
-        (
-            {
-                "subtopic": g.subtopic,
-                "query_count": g.query_count,
-                "doc_count": g.doc_count,
-                "coverage": g.coverage,
-                "coverage_scaled": g.coverage_scaled,
-                "usefulness_gap": g.usefulness_gap,
-                "hybrid": g.hybrid,
-            }
-            for g in gaps
-        ),
-    )
+    write_records(path, (asdict(g) for g in gaps))
 
 
 def read_gap_report(path: str | Path) -> list[SubtopicGap]:
+    names = [f.name for f in fields(SubtopicGap)]
     gaps = []
-    for _, record in read_records(path):
-        gaps.append(
-            SubtopicGap(
-                subtopic=record["subtopic"],
-                query_count=record["query_count"],
-                doc_count=record["doc_count"],
-                coverage=record["coverage"],
-                coverage_scaled=record["coverage_scaled"],
-                usefulness_gap=record["usefulness_gap"],
-                hybrid=record["hybrid"],
-            )
-        )
+    for lineno, record in read_records(path):
+        require_fields(record, names, f"{path}:{lineno}", "gap record")
+        gaps.append(SubtopicGap(**{name: record[name] for name in names}))
     return gaps

@@ -24,7 +24,9 @@ request's fields. `CompletionRequest.cache_key` writes that JSON from
 memoised fragments (each text's JSON string once, while it stays in a
 bounded memo), byte for byte what `json.dumps` writes, so caches written
 before the fragments were memoised keep their keys. `with_retries` is the
-retry policy that provider and embedder calls share.
+one retry policy that provider and embedder calls share: `RETRIES`
+attempts with a backoff from `BACKOFF_BASE_S` that doubles, which no
+caller changes.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
@@ -219,25 +221,20 @@ def with_retries(
     call: Callable[[], T],
     what: str,
     retry_on: type[Exception] = ProviderError,
-    attempts: int = RETRIES,
-    backoff_base: float = BACKOFF_BASE_S,
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
-    """call(), tried up to `attempts` times while it raises `retry_on`,
-    sleeping backoff_base * 2**n after failed attempt n; then one
-    ProviderError naming `what` and the attempt count. `attempts` below 1
-    is refused with a ValueError."""
-    if attempts < 1:
-        raise ValueError(f"attempts must be at least 1, got {attempts!r}")
+    """call(), tried up to `RETRIES` times while it raises `retry_on`,
+    sleeping BACKOFF_BASE_S * 2**n after failed attempt n; then one
+    ProviderError naming `what` and the attempt count."""
     last_error: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(RETRIES):
         try:
             return call()
         except retry_on as exc:
             last_error = exc
-            if attempt < attempts - 1:
-                sleep(backoff_base * 2**attempt)
-    raise ProviderError(f"{what} failed after {attempts} attempts: {last_error}") from last_error
+            if attempt < RETRIES - 1:
+                sleep(BACKOFF_BASE_S * 2**attempt)
+    raise ProviderError(f"{what} failed after {RETRIES} attempts: {last_error}") from last_error
 
 
 def _completion_line(key: str, template: str, response: str) -> str:
@@ -253,8 +250,8 @@ class Gateway:
 
     Safe for concurrent callers; at most `max_inflight` provider calls run
     at once. Transport failures are retried with exponential backoff
-    (3 attempts, base 1 s) and then surfaced. A `max_inflight` or
-    `retries` below 1 is refused with a ValueError.
+    (`with_retries`: 3 attempts, base 1 s) and then surfaced. A
+    `max_inflight` below 1 is refused with a ValueError.
     """
 
     def __init__(
@@ -263,20 +260,14 @@ class Gateway:
         templates: dict[str, PromptTemplate] | None = None,
         cache_path: str | Path | None = None,
         max_inflight: int = 4,
-        retries: int = RETRIES,
-        backoff_base: float = BACKOFF_BASE_S,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be at least 1, got {max_inflight!r}")
-        if retries < 1:
-            raise ValueError(f"retries must be at least 1, got {retries!r}")
         self.provider = provider
         self.templates = templates if templates is not None else load_templates()
         self.cache = AppendLog(cache_path, lambda record: (record["key"], record["response"]))
         self.max_inflight = max_inflight
-        self.retries = retries
-        self.backoff_base = backoff_base
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_inflight)
 
@@ -291,10 +282,7 @@ class Gateway:
             with self._semaphore:
                 return self.provider.generate(request, prompt)
 
-        return with_retries(
-            attempt, f"provider {self.provider.id!r}", attempts=self.retries,
-            backoff_base=self.backoff_base, sleep=self._sleep,
-        )
+        return with_retries(attempt, f"provider {self.provider.id!r}", sleep=self._sleep)
 
     def close(self) -> None:
         """Close the completion cache's file; a later miss reopens it."""

@@ -19,7 +19,7 @@ from math import fsum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Document, Query, Section, Source, read_records, write_records
+from .corpus import Corpus, Document, IngestError, Query, Section, Source, read_records, require_fields, write_records
 from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams
 
 log = logging.getLogger(__name__)
@@ -112,8 +112,13 @@ def write_plan(
 
 def read_plan(path: str | Path) -> QuotaPlan:
     allocations: dict[str, int] = {}
-    for _, record in read_records(path):
-        allocations[record["subtopic"]] = int(record["allocation"])
+    for lineno, record in read_records(path):
+        where = f"{path}:{lineno}"
+        require_fields(record, ("subtopic", "allocation"), where, "plan record")
+        try:
+            allocations[record["subtopic"]] = int(record["allocation"])
+        except (TypeError, ValueError):
+            raise IngestError(f"{where}: 'allocation' must be an integer, got {record['allocation']!r}") from None
     return QuotaPlan(budget=sum(allocations.values()), allocations=allocations)
 
 

@@ -10,10 +10,12 @@ once. Judging goes through `gateway.mock_score`, whose bounded memos
 (4,096 texts each) tokenise each query and each document text once.
 
 `HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
-an OpenAI-style endpoint through one POST helper, which adds the bearer
-header and turns a transport exception, a bad status or a malformed body
-into `ProviderError` (`TransientProviderError` for a transport failure or a
-server error, which the embedder retries).
+an OpenAI-style endpoint through one POST helper over stdlib
+`urllib.request`, which adds the bearer header and turns a transport
+failure, a bad status or a malformed body into `ProviderError`
+(`TransientProviderError` for a transport failure or a server error, which
+the embedder retries). `urllib.request` is imported on the first POST, so
+importing the CLI loads no HTTP library.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -37,9 +39,6 @@ from .gateway import (
     token_counts,
     with_retries,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 T = TypeVar("T")
 
@@ -147,14 +146,34 @@ class MockProvider:
         return "\n".join(lines)
 
 
+def _urllib_post(url: str, body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
+    """The HTTP clients' transport: stdlib `urllib.request`, imported here,
+    as it is slow to import and no other part of the program needs it. An
+    error status is returned like any other."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc  # an error status, whose body is the reply
+        with response:
+            return response.status, response.read()
+    except http.client.HTTPException as exc:
+        raise OSError(f"{type(exc).__name__}: {exc}") from exc
+
+
 class _HttpClient:
     """Shared configuration and POST helper of the HTTP clients.
 
-    Endpoint and credentials come from config/environment; the transport is
-    injectable for tests. Every failure raises ProviderError, which the
-    gateway retries with backoff; `HttpEmbedder` retries only the
-    transient ones. `requests` is imported only here, as it
-    is slow to import and no other part of the program needs it.
+    Endpoint and credentials come from config/environment. The transport,
+    injectable for tests, POSTs (url, body, headers, timeout) and returns
+    (status, reply body), raising OSError when the exchange fails. Every
+    failure raises ProviderError, which the gateway retries with backoff;
+    `HttpEmbedder` retries only the transient ones.
     """
 
     def __init__(
@@ -163,42 +182,33 @@ class _HttpClient:
         model: str,
         api_key_env: str = "CORPUSGAP_API_KEY",
         timeout: float = 60.0,
-        transport: Callable[..., requests.Response] | None = None,
+        transport: Callable[[str, bytes, dict, float], tuple[int, bytes]] = _urllib_post,
     ):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.id = f"http:{model}"
-        if transport is None:
-            import requests
-
-            transport = requests.post
         self._post = transport
 
     def _post_json(self, route: str, payload: dict, extract: Callable[[object], T]) -> T:
-        """POST payload to endpoint/route and return extract(JSON body)."""
-        import requests
-
+        """POST payload as JSON to endpoint/route and return extract(JSON body)."""
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         try:
-            response = self._post(
-                f"{self.endpoint}/{route}",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
+            status, body = self._post(
+                f"{self.endpoint}/{route}", json.dumps(payload).encode("utf-8"), headers, self.timeout
             )
-        except requests.RequestException as exc:
+        except OSError as exc:
             raise TransientProviderError(f"transport failure: {exc}") from exc
-        if response.status_code >= 500:
-            raise TransientProviderError(f"server error {response.status_code}")
-        if response.status_code != 200:
-            raise ProviderError(f"unexpected status {response.status_code}: {response.text[:200]}")
+        if status >= 500:
+            raise TransientProviderError(f"server error {status}")
+        if status != 200:
+            raise ProviderError(f"unexpected status {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            return extract(response.json())
+            return extract(json.loads(body))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
 

@@ -38,7 +38,6 @@ the `top_k` a query keeps become `RetrievedDoc` objects.
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import itertools
 import re
@@ -72,6 +71,7 @@ class Embedder(Protocol):
 
 
 def _token_bucket(token: str, dim: int) -> int:
+    """sha256 of the token mod dim."""
     digest = hashlib.sha256(token.encode("utf-8")).hexdigest()
     return int(digest, 16) % dim
 
@@ -93,12 +93,6 @@ class HashedBagEmbedder:
         self.dim = dim
         self.id = f"hashed-bag-{dim}"
         self._buckets: dict[str, int] = {}
-
-    @staticmethod
-    @functools.lru_cache(maxsize=1 << 16)
-    def bucket(token: str, dim: int) -> int:
-        """sha256 of the token mod dim; memoised, as vocabularies repeat."""
-        return _token_bucket(token, dim)
 
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():

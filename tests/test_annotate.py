@@ -11,12 +11,13 @@ from corpusgap.annotate import (
     label_batch,
     parse_labeling,
     primary_of,
-    read_labelings,
     write_labelings,
 )
 from corpusgap.corpus import MainTopic, Taxonomy
 from corpusgap.gateway import Gateway, ProviderError
 from corpusgap.providers import MockProvider
+
+from .world import read_labelings
 
 
 @pytest.fixture

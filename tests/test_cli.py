@@ -8,10 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from corpusgap.cli import main
-from corpusgap.corpus import write_corpus, write_queries, write_taxonomy, write_records, Corpus, Document
+from corpusgap.corpus import write_corpus, write_queries, write_records, Corpus, Document
 from corpusgap.gateway import ProviderError
 
-from .world import build_world, reference_corpus
+from .world import build_world, reference_corpus, write_taxonomy
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +316,39 @@ def test_eval_manifest_entry_missing_field_is_clean(runner, tmp_path, world):
     _assert_clean_failure(result, "manifest.jsonl:1: manifest entry lacks name, arm")
 
 
+@pytest.mark.parametrize(
+    "second, error",
+    [
+        (None, "manifest.jsonl:1: 'docs_added' must be an integer, got 'many'"),
+        ({"name": "b", "path": "baseline.jsonl", "arm": "directed", "docs_added": 0},
+         "manifest.jsonl:2: corpus name 'b' appears twice in the manifest"),
+    ],
+    ids=["docs-added-not-an-integer", "name-twice"],
+)
+def test_eval_manifest_bad_docs_added_or_repeated_name_is_clean(runner, tmp_path, world, second, error):
+    first = {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0 if second else "many"}
+    args = _eval_inputs(tmp_path, world, first)
+    if second:
+        write_records(tmp_path / "manifest.jsonl", [first, second])
+    result = runner.invoke(main, args)
+    _assert_clean_failure(result, error)
+    assert not (tmp_path / "results").exists()
+
+
+def test_nondirected_size_below_zero_is_a_usage_error(runner, tmp_path, world):
+    write_corpus(world.baseline, tmp_path / "baseline.jsonl")
+    write_corpus(Corpus(name="pool", documents=world.pool), tmp_path / "pool.jsonl")
+    result = runner.invoke(main, [
+        "--cache-dir", str(tmp_path / "cache"), "build-corpus", "nondirected",
+        "--baseline", str(tmp_path / "baseline.jsonl"), "--pool", str(tmp_path / "pool.jsonl"),
+        "--size", "-1", "-o", str(tmp_path / "out.jsonl"),
+    ])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "Invalid value for '--size': -1 is not in the range x>=0." in result.output
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_eval_unknown_pipeline_rejected_before_any_input_is_read(runner, tmp_path, world, monkeypatch):
     args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
 
@@ -400,25 +433,34 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
 @pytest.mark.parametrize(
     "command",
     ["ingest", "annotate", "gaps", "plan", "build-corpus",
+     "plan-no-query-count", "directed-no-subtopic", "directed-allocation-not-an-integer",
      "annotate-no-id", "annotate-no-text", "generate-no-title", "generate-word-count",
      "generate-empty-title", "generate-zero-words", "generate-headers-string"],
 )
 def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, command):
-    names = ("taxonomy", "baseline", "pool", "train", "gaps", "metadata")
+    names = ("taxonomy", "baseline", "pool", "train", "gaps", "plan", "metadata")
     paths = {name: tmp_path / f"{name}.jsonl" for name in names}
     write_taxonomy(world.taxonomy, paths["taxonomy"])
     write_corpus(world.baseline, paths["baseline"])
     write_corpus(Corpus(name="pool", documents=world.pool), paths["pool"])
     write_queries(world.train_queries[:4], paths["train"])
     write_records(paths["gaps"], [])
+    write_records(paths["plan"], [])
     write_records(paths["metadata"], [{"title": "Sleep Help", "headers": ["One"], "word_count": 40}])
     annotate = ["annotate", "queries", paths["train"], "--taxonomy", paths["taxonomy"]]
     generate = ["generate", "--metadata", paths["metadata"]]
+    plan = ["plan", "--gaps", paths["gaps"], "--pool", paths["pool"], "--budget", "4"]
+    directed = ["build-corpus", "directed", "--baseline", paths["baseline"], "--pool", paths["pool"],
+                "--plan", paths["plan"], "--queries", paths["train"]]
+    gap = '{"subtopic": "Sleep: Insomnia", "doc_count": 1, "coverage": 0.5, "coverage_scaled": 0.5, "usefulness_gap": null, "hybrid": 0.5}'
     args, broken, line, error = {
         "ingest": (["ingest", "documents", paths["baseline"], "--taxonomy", paths["taxonomy"]], "taxonomy", "{not json", "malformed record"),
         "annotate": (annotate, "taxonomy", "{not json", "malformed record"),
         "gaps": (["gaps", "--corpus", paths["baseline"], "--queries", paths["train"], "--taxonomy", paths["taxonomy"]], "train", "{not json", "malformed record"),
-        "plan": (["plan", "--gaps", paths["gaps"], "--pool", paths["pool"], "--budget", "4"], "gaps", "{not json", "malformed record"),
+        "plan": (plan, "gaps", "{not json", "malformed record"),
+        "plan-no-query-count": (plan, "gaps", gap, "gap record lacks query_count"),
+        "directed-no-subtopic": (directed, "plan", '{"allocation": 2}', "plan record lacks subtopic"),
+        "directed-allocation-not-an-integer": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": "two"}', "'allocation' must be an integer, got 'two'"),
         "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool", "{not json", "malformed record"),
         "annotate-no-id": (annotate, "train", '{"text": "cant sleep"}', "missing or invalid 'id'"),
         "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "missing or invalid 'text'"),

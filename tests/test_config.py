@@ -5,7 +5,9 @@ import hashlib
 import json
 
 import pytest
+from click.testing import CliRunner
 
+from corpusgap.cli import main
 from corpusgap.config import (
     DEFAULT_BUDGETS,
     Config,
@@ -16,6 +18,7 @@ from corpusgap.config import (
     make_gateway,
     provider_params,
 )
+from corpusgap.corpus import IngestError
 from corpusgap.gateway import CompletionRequest, make_gateway_rewriter
 from corpusgap.providers import MockProvider
 
@@ -111,6 +114,28 @@ def test_one_provider_key_changes_one_field(tmp_path, key, raw, value):
     config = load_config(path)
     assert config == Config(provider=dataclasses.replace(ProviderConfig(), **{key: value}))
     assert type(getattr(config.provider, key)) is type(value)
+
+
+@pytest.mark.parametrize(
+    "yaml_text, error",
+    [
+        ("gap:\n  smoothing: 2\n- x\n", "not valid YAML: while parsing a block mapping"),
+        ("- gap\n- weights\n", "the top level must be a mapping, got list"),
+        ("gap: 5\n", "'gap' must be a mapping, got 5"),
+        ("retrieval:\n  top_k: many\n", "'retrieval.top_k': invalid literal for int() with base 10: 'many'"),
+    ],
+    ids=["not-yaml", "top-level-list", "scalar-section", "value-not-converted"],
+)
+def test_bad_config_is_one_error_naming_the_file_and_key(tmp_path, yaml_text, error):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml_text)
+    with pytest.raises(IngestError) as raised:
+        load_config(path)
+    assert str(raised.value).startswith(f"{path}: {error}")
+    result = CliRunner().invoke(main, ["--config", str(path), "report", "--help"])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.output.splitlines() == [f"Error: {raised.value}"]
 
 
 def test_integer_temperature_keeps_the_cache_key(tmp_path):

@@ -30,8 +30,9 @@ from corpusgap.corpus import (
     percent_increase,
     write_corpus,
     write_queries,
-    write_taxonomy,
 )
+
+from .world import write_taxonomy
 
 
 def _doc_line(doc_id: str, title: str = "t", body: str = "b", **extra) -> str:

@@ -18,7 +18,6 @@ from corpusgap.evaluation import (
     emit_report,
     emit_threshold_report,
     find_threshold,
-    load_experiment,
     run_experiment,
     run_grid,
 )
@@ -26,7 +25,7 @@ from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_g
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import HashedBagEmbedder
 
-from .world import mock_gateway_judge
+from .world import load_experiment, mock_gateway_judge
 
 
 def doc(doc_id: str, body: str) -> Document:

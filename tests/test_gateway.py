@@ -30,7 +30,6 @@ from corpusgap.gateway import (
     query_tokens,
     stable_hash,
     token_overlap,
-    with_retries,
 )
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import CachedEmbedder, Pipeline
@@ -234,18 +233,11 @@ class TestGateway:
         gateway.provider = CountingProvider("22", id="mock-2")
         assert gateway.complete_parsed(req(), parse_judge_score) == 22
 
-    @pytest.mark.parametrize("setting", ["max_inflight", "retries"])
+    @pytest.mark.parametrize("setting", ["max_inflight"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_setting_below_one_refused(self, setting, value):
         with pytest.raises(ValueError, match=f"{setting} must be at least 1, got {value}"):
             gw(CountingProvider(), **{setting: value})
-
-    @pytest.mark.parametrize("attempts", [0, -2])
-    def test_with_retries_refuses_attempts_below_one(self, attempts):
-        calls = []
-        with pytest.raises(ValueError, match=f"attempts must be at least 1, got {attempts}"):
-            with_retries(lambda: calls.append(1), "call", attempts=attempts)
-        assert calls == []
 
     def test_bare_cache_key_names_the_request_alone(self):
         assert req().cache_key() == req().cache_key("", "")

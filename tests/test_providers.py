@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import http.server
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 from corpusgap import gateway as gateway_module, providers as providers_module
@@ -17,14 +19,11 @@ from corpusgap.gateway import CompletionRequest, ProviderError, ProviderParams, 
 from corpusgap.providers import HttpEmbedder, HttpProvider, MockProvider
 
 
-class StubResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = json.dumps(self._payload)
-
-    def json(self):
-        return self._payload
+def stub(status=200, payload=None):
+    """A transport that answers every POST with `status` and the JSON of
+    `payload`."""
+    body = json.dumps(payload or {}).encode("utf-8")
+    return lambda url, data, headers, timeout: (status, body)
 
 
 def completion_payload(content: str) -> dict:
@@ -39,9 +38,9 @@ class TestHttpProvider:
     def test_posts_prompt_and_parses_content(self):
         seen = {}
 
-        def transport(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, body=json)
-            return StubResponse(payload=completion_payload("rewritten text"))
+        def transport(url, data, headers, timeout):
+            seen.update(url=url, body=json.loads(data))
+            return 200, json.dumps(completion_payload("rewritten text")).encode("utf-8")
 
         provider = HttpProvider("https://api.example/v1", model="m1", transport=transport)
         out = provider.generate(req(query="raw"), "PROMPT")
@@ -53,9 +52,9 @@ class TestHttpProvider:
     def test_api_key_header_from_env(self, monkeypatch):
         seen = {}
 
-        def transport(url, json=None, headers=None, timeout=None):
+        def transport(url, data, headers, timeout):
             seen.update(headers=headers)
-            return StubResponse(payload=completion_payload("x"))
+            return 200, json.dumps(completion_payload("x")).encode("utf-8")
 
         monkeypatch.setenv("CORPUSGAP_API_KEY", "sk-test")
         provider = HttpProvider("https://api.example", model="m1", transport=transport)
@@ -64,14 +63,14 @@ class TestHttpProvider:
 
     def test_server_error_raises_provider_error(self):
         provider = HttpProvider(
-            "https://api.example", model="m1", transport=lambda *a, **k: StubResponse(503)
+            "https://api.example", model="m1", transport=stub(503)
         )
         with pytest.raises(ProviderError, match="server error 503"):
             provider.generate(req(query="q"), "p")
 
     def test_transport_exception_wrapped(self):
-        def transport(*a, **k):
-            raise requests.ConnectionError("refused")
+        def transport(*args):
+            raise ConnectionRefusedError("refused")
 
         provider = HttpProvider("https://api.example", model="m1", transport=transport)
         with pytest.raises(ProviderError, match="transport failure"):
@@ -81,7 +80,7 @@ class TestHttpProvider:
         provider = HttpProvider(
             "https://api.example",
             model="m1",
-            transport=lambda *a, **k: StubResponse(payload={"nope": []}),
+            transport=stub(payload={"nope": []}),
         )
         with pytest.raises(ProviderError, match="malformed"):
             provider.generate(req(query="q"), "p")
@@ -89,9 +88,9 @@ class TestHttpProvider:
 
 class TestHttpEmbedder:
     def test_normalizes_returned_vector(self):
-        def transport(url, json=None, headers=None, timeout=None):
+        def transport(url, data, headers, timeout):
             assert url.endswith("/embeddings")
-            return StubResponse(payload={"data": [{"embedding": [3.0, 4.0]}]})
+            return 200, json.dumps({"data": [{"embedding": [3.0, 4.0]}]}).encode("utf-8")
 
         embedder = HttpEmbedder("https://api.example", model="e1", dim=2, transport=transport)
         vec = embedder.embed("hello")
@@ -102,7 +101,7 @@ class TestHttpEmbedder:
             "https://api.example",
             model="e1",
             dim=3,
-            transport=lambda *a, **k: StubResponse(payload={"data": [{"embedding": [1.0, 0.0]}]}),
+            transport=stub(payload={"data": [{"embedding": [1.0, 0.0]}]}),
         )
         with pytest.raises(ProviderError, match="dim"):
             embedder.embed("hello")
@@ -113,14 +112,14 @@ class TestHttpEmbedder:
             "https://api.example",
             model="e1",
             dim=2,
-            transport=lambda *a, **k: StubResponse(payload={"data": [{"embedding": vector}]}),
+            transport=stub(payload={"data": [{"embedding": vector}]}),
         )
         with pytest.raises(ProviderError, match="norm"):
             embedder.embed("hello")
 
     def test_bad_status_rejected(self):
         embedder = HttpEmbedder(
-            "https://api.example", model="e1", dim=2, transport=lambda *a, **k: StubResponse(401)
+            "https://api.example", model="e1", dim=2, transport=stub(401)
         )
         with pytest.raises(ProviderError, match="status 401"):
             embedder.embed("hello")
@@ -133,31 +132,32 @@ class TestHttpEmbedder:
             "https://api.example",
             model="e1",
             dim=2,
-            transport=lambda *a, **k: StubResponse(payload=payload),
+            transport=stub(payload=payload),
         )
         with pytest.raises(ProviderError, match="malformed"):
             embedder.embed("hello")
 
 
 class FlakyTransport:
-    """Fails its first `failures` posts with `error`, then answers [3, 4]."""
+    """Fails its first `failures` posts with `error`, an exception to raise
+    or a stub transport to answer with, then answers [3, 4]."""
 
     def __init__(self, failures: int, error=None):
         self.failures = failures
-        self.error = error or requests.ConnectionError("blip")
+        self.error = error or ConnectionResetError("blip")
         self.posts = 0
 
-    def __call__(self, url, json=None, headers=None, timeout=None):
+    def __call__(self, *args):
         self.posts += 1
         if self.posts <= self.failures:
             if isinstance(self.error, Exception):
                 raise self.error
-            return self.error
-        return StubResponse(payload={"data": [{"embedding": [3.0, 4.0]}]})
+            return self.error(*args)
+        return stub(payload={"data": [{"embedding": [3.0, 4.0]}]})(*args)
 
 
 class TestHttpEmbedderRetries:
-    @pytest.mark.parametrize("error", [requests.ConnectionError("blip"), StubResponse(503)], ids=["transport", "5xx"])
+    @pytest.mark.parametrize("error", [ConnectionResetError("blip"), stub(503)], ids=["transport", "5xx"])
     def test_one_failure_then_the_clean_vector(self, error):
         clean = HttpEmbedder("https://api.example", model="e1", dim=2, transport=FlakyTransport(0)).embed("hi")
         waits = []
@@ -177,10 +177,10 @@ class TestHttpEmbedderRetries:
     @pytest.mark.parametrize(
         "reply",
         [
-            StubResponse(payload={"data": [{"embedding": [1.0, 0.0, 0.0]}]}),
-            StubResponse(payload={"data": [{"embedding": [0.0, 0.0]}]}),
-            StubResponse(payload={"data": []}),
-            StubResponse(401),
+            stub(payload={"data": [{"embedding": [1.0, 0.0, 0.0]}]}),
+            stub(payload={"data": [{"embedding": [0.0, 0.0]}]}),
+            stub(payload={"data": []}),
+            stub(401),
         ],
         ids=["wrong-dim", "zero-norm", "malformed", "401"],
     )
@@ -191,6 +191,89 @@ class TestHttpEmbedderRetries:
         with pytest.raises(ProviderError):
             embedder.embed("hi")
         assert transport.posts == 1 and waits == []
+
+
+class _ReplyHandler(http.server.BaseHTTPRequestHandler):
+    """Records each POST on the server and answers with the server's next
+    (status, body) reply."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers, body))
+        status, reply = self.server.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestUrllibTransport:
+    """The stdlib transport against a real HTTP server on 127.0.0.1."""
+
+    @pytest.fixture
+    def server(self):
+        server = http.server.HTTPServer(("127.0.0.1", 0), _ReplyHandler)
+        server.seen, server.replies = [], []
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def url(server):
+        return f"http://127.0.0.1:{server.server_address[1]}/v1"
+
+    def test_a_200_reply_parses_and_the_bearer_header_arrives(self, server, monkeypatch):
+        monkeypatch.setenv("CORPUSGAP_API_KEY", "sk-test")
+        server.replies.append((200, json.dumps(completion_payload("rewritten text")).encode("utf-8")))
+        provider = HttpProvider(self.url(server), model="m1", timeout=10)
+        assert provider.generate(req(query="raw"), "PROMPT") == "rewritten text"
+        ((path, headers, body),) = server.seen
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body)["messages"] == [{"role": "user", "content": "PROMPT"}]
+
+    def test_a_503_reply_is_a_server_error_the_embedder_retries(self, server):
+        server.replies.append((503, b"busy"))
+        with pytest.raises(ProviderError, match="server error 503"):
+            HttpProvider(self.url(server), model="m1", timeout=10).generate(req(query="q"), "p")
+        server.replies += [(503, b"busy"), (200, json.dumps({"data": [{"embedding": [3.0, 4.0]}]}).encode("utf-8"))]
+        waits = []
+        embedder = HttpEmbedder(self.url(server), model="e1", dim=2, timeout=10, sleep=waits.append)
+        assert np.allclose(embedder.embed("hello"), [0.6, 0.8])
+        assert len(server.seen) == 3 and waits == [1.0]
+
+    def test_a_401_reply_is_refused_and_not_retried(self, server):
+        server.replies += [(401, b"bad key"), (401, b"bad key")]
+        with pytest.raises(ProviderError, match="unexpected status 401: bad key"):
+            HttpProvider(self.url(server), model="m1", timeout=10).generate(req(query="q"), "p")
+        waits = []
+        embedder = HttpEmbedder(self.url(server), model="e1", dim=2, timeout=10, sleep=waits.append)
+        with pytest.raises(ProviderError, match="unexpected status 401: bad key"):
+            embedder.embed("hello")
+        assert len(server.seen) == 2 and waits == []
+
+    def test_a_body_that_is_not_json_is_malformed(self, server):
+        server.replies.append((200, b"<html>oops</html>"))
+        with pytest.raises(ProviderError, match="malformed provider response"):
+            HttpProvider(self.url(server), model="m1", timeout=10).generate(req(query="q"), "p")
+
+    def test_a_refused_connection_is_a_transport_failure(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        provider = HttpProvider(f"http://127.0.0.1:{port}", model="m1", timeout=10)
+        with pytest.raises(ProviderError, match="transport failure"):
+            provider.generate(req(query="q"), "p")
 
 
 class TestMockProviderRouting:
@@ -336,10 +419,11 @@ class TestMockProviderMatchesReference:
         assert (info.misses, info.hits) == (800, 1600)
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # Only the HTTP clients need `requests`, and it is slow to import.
+def test_cli_import_leaves_http_libraries_unloaded():
+    # Only the HTTP clients need an HTTP library, and `urllib.request` is
+    # slow to import.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, corpusgap.cli; print('requests' in sys.modules)"
+    code = "import sys, corpusgap.cli; print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

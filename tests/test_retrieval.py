@@ -96,10 +96,13 @@ class TestHashedBagEmbedder:
 
     @pytest.mark.parametrize("dim", [8, 64, 256])
     def test_memoised_bucket_equals_sha256_formula(self, dim):
-        for token in ["calm", "night", "calm", "über", "x", "42"]:
+        embedder = HashedBagEmbedder(dim)
+        tokens = ["calm", "night", "calm", "über", "x", "42"]
+        embedder.embed(" ".join(tokens))
+        for token in tokens:
             want = int(hashlib.sha256(token.encode("utf-8")).hexdigest(), 16) % dim
-            assert HashedBagEmbedder.bucket(token, dim) == want
-            assert HashedBagEmbedder(dim).bucket(token, dim) == want
+            assert embedder._buckets[token] == want
+            assert retrieval_module._token_bucket(token, dim) == want
 
     @pytest.mark.parametrize("dim", [7, 256, 4096])
     def test_vectors_equal_per_token_lru_cache_embedder(self, dim):

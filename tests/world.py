@@ -10,14 +10,32 @@ subtopic, by cosine and by judged token overlap alike. Quality gaps
 (about 8 judge points between adjacent levels) exceed the mock judge's
 +-3 perturbation, and junk tokens are chosen to avoid hash-bucket
 collisions at EMBED_DIM, so rankings are exact, not statistical.
+
+It also holds the file helpers that only tests need: a taxonomy writer, a
+labelings reader and a cell-file reader.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
-from corpusgap.corpus import Corpus, Document, MainTopic, Query, Section, Source, Split, Taxonomy
+from corpusgap.annotate import WeightedLabeling
+from corpusgap.corpus import (
+    Corpus,
+    Document,
+    MainTopic,
+    Query,
+    Section,
+    Source,
+    Split,
+    Taxonomy,
+    read_records,
+    write_records,
+)
+from corpusgap.evaluation import ExperimentResult, ExperimentSpec, Pipeline, QueryOutcome
 from corpusgap.gaps import GapParams, GapWeights, analyze_gaps
 from corpusgap.gateway import Gateway, JudgeFn, make_gateway_judge
 from corpusgap.planner import (
@@ -27,7 +45,7 @@ from corpusgap.planner import (
     score_external_pool,
 )
 from corpusgap.providers import MockProvider
-from corpusgap.retrieval import HashedBagEmbedder
+from corpusgap.retrieval import HashedBagEmbedder, _token_bucket
 
 EMBED_DIM = 4096
 
@@ -88,7 +106,7 @@ class _JunkFactory:
 
     def __init__(self, dim: int, reserved_tokens: list[str]):
         self.dim = dim
-        self.used = {HashedBagEmbedder.bucket(t, dim) for t in reserved_tokens}
+        self.used = {_token_bucket(t, dim) for t in reserved_tokens}
         assert len(self.used) == len(reserved_tokens), "reserved tokens collide"
         self.counter = 0
 
@@ -97,7 +115,7 @@ class _JunkFactory:
         while len(out) < n:
             token = f"zz{self.counter:05d}"
             self.counter += 1
-            bucket = HashedBagEmbedder.bucket(token, self.dim)
+            bucket = _token_bucket(token, self.dim)
             if bucket in self.used:
                 continue
             self.used.add(bucket)
@@ -241,3 +259,40 @@ def build_ladders(world: World, judge: JudgeFn, sample_seed: int):
 def reference_corpus(world: World) -> Corpus:
     docs = world.baseline.documents + tuple(sorted(world.pool, key=lambda d: d.id))
     return Corpus(name="reference", documents=docs)
+
+
+def write_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
+    """The taxonomy as the JSONL that `corpus.load_taxonomy` reads."""
+    write_records(
+        path,
+        ({"name": t.name, "subtopics": list(t.subtopics)} for t in taxonomy.topics),
+    )
+
+
+def read_labelings(path: str | Path) -> dict[str, WeightedLabeling]:
+    """The labelings that `annotate.write_labelings` wrote."""
+    return {
+        record["id"]: WeightedLabeling(weights=record["weights"], primary=record["primary"])
+        for _, record in read_records(path)
+    }
+
+
+def load_experiment(path: str | Path) -> ExperimentResult:
+    """The cell that `evaluation.save_experiment` wrote."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh if line.strip()]
+    meta = lines[0]
+    return ExperimentResult(
+        spec=ExperimentSpec(
+            corpus_name=meta["corpus"],
+            pipeline=Pipeline(meta["pipeline"]),
+            seed=meta["seed"],
+        ),
+        avg_score=meta["avg_score"],
+        per_query=tuple(
+            QueryOutcome(query_id=row["query_id"], doc_scores=tuple((d[0], d[1]) for d in row["docs"]))
+            for row in lines[1:]
+        ),
+        complete=meta["complete"],
+        error=meta.get("error"),
+    )
