@@ -66,7 +66,7 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="YAML config file.")
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="YAML config file.")
 @click.option("--seed", type=int, default=None, help="Override the provider seed.")
 @click.option("--provider", type=click.Choice(["mock", "http"]), default=None, help="Override the provider kind.")
 @click.option("--cache-dir", type=click.Path(), default=None, help="Override the cache directory.")

@@ -314,6 +314,12 @@ def _bad_record(where: str, exc: Exception) -> IngestError:
     return IngestError(f"{where}: bad record: {exc}")
 
 
+def _line_bytes(record: dict | str) -> bytes:
+    """A record, or its line as `encode_record` writes it, as the bytes of
+    one line."""
+    return ((record if isinstance(record, str) else encode_record(record)) + "\n").encode("utf-8")
+
+
 # Where `AppendLog.put` appended a line: its byte offset in the file and
 # its length in bytes, newline included. A plain tuple, as `put` makes one
 # per line and a NamedTuple's constructor runs Python code.
@@ -332,9 +338,11 @@ class AppendLog:
     encoded the same way), under a lock, through an unbuffered file
     handle that stays open: concurrent callers never interleave lines,
     readers see each record as soon as `put` returns, and a crash can
-    tear at most the last line. `close` closes the handle (a later `put`
-    or `read` opens it again); a store dropped unclosed has it closed by
-    a finalizer. `get` is the map's own `dict.get`.
+    tear at most the last line. `put_many` does the same for several
+    records with one write, which a crash can cut after any whole line
+    of it. `close` closes the handle (a later `put` or `read` opens it
+    again); a store dropped unclosed has it closed by a finalizer. `get`
+    is the map's own `dict.get`.
 
     A value put with `resident=False` into a store with a file is not
     kept: the map holds the `LineSpan` of its line instead, and `read`
@@ -376,17 +384,37 @@ class AppendLog:
             if self.path is None:
                 self._entries[key] = value
                 return None
-            line = (record if isinstance(record, str) else encode_record(record)) + "\n"
-            data = line.encode("utf-8")
-            fh = self._handle()
-            written = fh.write(data)
-            while written < len(data):  # the system wrote part of it
-                written += fh.write(data[written:])
-            # The handle appends, so the line ends where the file now ends,
-            # even after another writer's appends.
-            span = (fh.tell() - len(data), len(data))
+            data = _line_bytes(record)
+            span = (self._append(data), len(data))
             self._entries[key] = value if resident else span
             return span
+
+    def put_many(self, entries: Sequence[tuple[object, object, dict | str]]) -> None:
+        """`put` for each (key, value, record) in order, appending every
+        new line with one write; an entry whose key is present, or came
+        earlier in `entries`, is skipped. The lines are held at once, so
+        callers keep `entries` short."""
+        with self._lock:
+            known = self._entries
+            new: dict = {}  # key -> (value, line bytes)
+            for key, value, record in entries:
+                if key not in known and key not in new:
+                    new[key] = (value, None if self.path is None else _line_bytes(record))
+            if new and self.path is not None:
+                self._append(b"".join(line for _, line in new.values()))
+            for key, (value, _) in new.items():
+                known[key] = value
+
+    def _append(self, data: bytes) -> int:
+        """Append data to the file and return the offset it starts at;
+        call under the lock."""
+        fh = self._handle()
+        written = fh.write(data)
+        while written < len(data):  # the system wrote part of it
+            written += fh.write(data[written:])
+        # The handle appends, so the data ends where the file now ends,
+        # even after another writer's appends.
+        return fh.tell() - len(data)
 
     def read(self, key, span: LineSpan):
         """The value `decode` gives for the line `put` appended for key at

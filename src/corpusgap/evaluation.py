@@ -194,7 +194,13 @@ def run_experiment(
     return result
 
 
+# A cell file's lines, byte for byte `json.dumps(row, sort_keys=True)`, from
+# one encoder: `json.dumps` with that argument builds a new one per call.
+_CELL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def save_experiment(result: ExperimentResult, path: str | Path) -> None:
+    encode = _CELL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "kind": "experiment",
@@ -206,14 +212,14 @@ def save_experiment(result: ExperimentResult, path: str | Path) -> None:
         }
         if not result.complete:
             meta["error"] = result.error
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(encode(meta) + "\n")
         for outcome in result.per_query:
             row = {
                 "kind": "query",
                 "query_id": outcome.query_id,
                 "docs": [[doc_id, score] for doc_id, score in outcome.doc_scores],
             }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def run_grid(

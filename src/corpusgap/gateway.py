@@ -8,22 +8,26 @@ once, and the key both finds its repeats in the batch and looks it up in
 an append-only JSONL cache (`corpus.AppendLog`) keyed by (provider id,
 template name, sha256 of the template body, bindings, provider params).
 A hit costs that key, one dict lookup and, once per distinct reply text
-in the batch, the parser. A miss is rendered and sent to the provider
-with bounded retries. A reply is cached only once it parses, and is never
-served under another provider or an edited template; its cache line is
-written from its parts (`_completion_line`), byte for byte the line
+in the batch, the parser. A reply is cached only once it parses, and is
+never served under another provider or an edited template; its cache line
+is written from its parts (`_completion_line`), byte for byte the line
 `json.dumps` writes. Each distinct miss is sent once (a repeat in the
-batch waits on the first), on up to `max_inflight` worker threads that
-drain one shared list, unless the provider declares `in_process = True`
-(it computes its reply in this process, like `MockProvider`, so threads
-would only contend for the GIL); then the misses run in order on the
-calling thread.
+batch waits on the first). A provider that computes its replies in this
+process, like `MockProvider`, has `generate_many`: it gets a batch's
+misses in one call on the calling thread, renders only the prompts it
+needs, and the replies that parse are appended 128 lines a write. Any
+other provider gets each miss rendered and sent alone with bounded
+retries, on up to `max_inflight` worker threads that drain one shared
+list.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
 request's fields. `CompletionRequest.cache_key` writes that JSON from
 memoised fragments (each text's JSON string once, while it stays in a
 bounded memo), byte for byte what `json.dumps` writes, so caches written
-before the fragments were memoised keep their keys. `with_retries` is the
+before the fragments were memoised keep their keys. Within a batch,
+`BatchKeyer` gives the same keys from shared hash states: the payload up
+to a request's last sorted binding value is hashed once per batch and
+copied, so a judge batch hashes each document once. `with_retries` is the
 one retry policy that provider and embedder calls share: `RETRIES`
 attempts with a backoff from `BACKOFF_BASE_S` that doubles, which no
 caller changes.
@@ -33,12 +37,14 @@ a batch of (query text, document) pairs and the rewriter a batch of query
 texts, each makes one `complete_many` call, and each result or exception
 comes back in its place.
 
-`mock_score` is the deterministic stand-in judge that `MockProvider`
-answers usefulness prompts with. It tokenises each document text once
-while the text stays in a bounded memo of token counts (4,096 texts,
-`_DOC_TOKENS_MEMO`), and each query text likewise (4,096 texts,
-`_QUERY_TOKENS_MEMO`), so the judge's cost follows the number of distinct
-texts, not of requests; scores are those of tokenising afresh.
+`mock_query_score` is the deterministic stand-in judge that `MockProvider`
+answers usefulness prompts with, for a query that `mock_query` prepared
+once: its token counts and the hash state of its perturbation prefix. It
+tokenises each document text once while the text stays in a bounded memo
+of token counts (4,096 texts, `_DOC_TOKENS_MEMO`), and each query text
+likewise (4,096 texts, `_QUERY_TOKENS_MEMO`), so the judge's cost follows
+the number of distinct texts, not of requests; scores are those of
+tokenising afresh.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Collection, Mapping, Protocol, Sequence, TypeVar
 
 from .corpus import AppendLog, Document, encode_record
 
@@ -101,17 +107,21 @@ class PromptTemplate:
         object.__setattr__(self, "placeholders", tuple(sorted(set(parts[1::2]))))
         object.__setattr__(self, "body_sha", hashlib.sha256(self.body.encode("utf-8")).hexdigest())
 
-    def render(self, bindings: Mapping[str, str]) -> str:
-        missing = [p for p in self.placeholders if p not in bindings]
+    def check(self, names: Collection[str]) -> None:
+        """Raise TemplateError unless `names` are exactly the placeholders."""
+        missing = [p for p in self.placeholders if p not in names]
         if missing:
             raise TemplateError(
                 f"template {self.name!r}: unbound placeholder(s) {', '.join(missing)}"
             )
-        extra = [b for b in bindings if b not in self.placeholders]
+        extra = [b for b in names if b not in self.placeholders]
         if extra:
             raise TemplateError(
                 f"template {self.name!r}: unknown binding(s) {', '.join(sorted(extra))}"
             )
+
+    def render(self, bindings: Mapping[str, str]) -> str:
+        self.check(bindings)
         pieces = list(self._parts)
         pieces[1::2] = [str(bindings[name]) for name in pieces[1::2]]
         return "".join(pieces)
@@ -173,29 +183,92 @@ class CompletionRequest:
         str and binding values hashable."""
         bindings = []
         for name, value in sorted(self.bindings.items()):
-            if not isinstance(name, str):
-                raise TypeError(f"binding name {name!r} is not a str")
+            _check_binding_name(name)
             bindings.append(f"{_json_fragment(name)}:{_json_fragment(value)}")
-        params = self.params
-        payload = (
-            f'{{"bindings":{{{",".join(bindings)}}},'
-            f'"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
-        )
-        template = _json_fragment(self.template)
-        if provider_id or template_sha:
-            payload += (
-                f'"provider":{_json_fragment(provider_id)},"template":{template},'
-                f'"template_sha":{_json_fragment(template_sha)}}}'
-            )
-        else:
-            payload += f'"template":{template}}}'
+        payload = f'{{"bindings":{{{",".join(bindings)}{_key_tail(self.params, self.template, provider_id, template_sha)}'
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _check_binding_name(name) -> None:
+    if not isinstance(name, str):
+        raise TypeError(f"binding name {name!r} is not a str")
+
+
+def _key_tail(params: ProviderParams, template: str, provider_id: str, template_sha: str) -> str:
+    """The key payload after the last binding value: the bindings' closing
+    brace and every other field."""
+    tail = f'}},"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
+    if provider_id or template_sha:
+        return tail + (
+            f'"provider":{_json_fragment(provider_id)},"template":{_json_fragment(template)},'
+            f'"template_sha":{_json_fragment(template_sha)}}}'
+        )
+    return tail + f'"template":{_json_fragment(template)}}}'
+
+
+class BatchKeyer:
+    """The cache keys of one batch's requests, each byte for byte
+    `request.cache_key(provider_id, template.body_sha)`, from hash states
+    that requests share.
+
+    A key's payload splits at its last sorted binding value. The sha256
+    state of each distinct payload prefix (template, the binding names
+    and every value but the last) is computed once and copied for each
+    request, which then hashes only the rest: the last value's JSON and
+    the fields after the bindings. The judge's bindings sort as
+    `retrieved_document`, `user_query`, so a judge batch hashes each
+    document once. A prefix is kept only when its values are strs, so 1,
+    1.0 and True never share one.
+
+    On each distinct prefix the binding names are checked against the
+    template's placeholders, so a mismatch fails as `TemplateError` here,
+    before any render; an unknown template fails likewise. A keyer holds
+    every prefix it made, so it lives for one batch.
+    """
+
+    def __init__(self, provider_id: str, template: Callable[[str], PromptTemplate]):
+        self._provider_id = provider_id
+        self._template = template
+        self._prefixes: dict[tuple, object] = {}
+
+    def key(self, request: CompletionRequest) -> str:
+        name = request.template
+        items = sorted(request.bindings.items())
+        last_name, last = items.pop() if items else (_MISSING, None)
+        head = tuple(items)
+        state = self._prefixes.get((name, head, last_name))
+        if state is None:
+            state = self._prefix(name, head, last_name)
+        tail = _key_tail(request.params, name, self._provider_id, self._template(name).body_sha)
+        digest = state.copy()
+        digest.update((tail if last_name is _MISSING else _json_fragment(last) + tail).encode("utf-8"))
+        return digest.hexdigest()
+
+    def _prefix(self, name: str, head: tuple, last_name):
+        """The hash state of a payload prefix, kept when its values are
+        strs; `last_name` is `_MISSING` for a request without bindings."""
+        names = [n for n, _ in head]
+        if last_name is not _MISSING:
+            names.append(last_name)
+        for binding in names:
+            _check_binding_name(binding)
+        self._template(name).check(names)
+        payload = '{"bindings":{' + "".join(f"{_json_fragment(n)}:{_json_fragment(v)}," for n, v in head)
+        if last_name is not _MISSING:
+            payload += f"{_json_fragment(last_name)}:"
+        state = hashlib.sha256(payload.encode("utf-8"))
+        if all(isinstance(v, str) for _, v in head):
+            self._prefixes[name, head, last_name] = state
+        return state
+
+
 class Provider(Protocol):
-    """A text model. One that computes replies in this process, with no
-    I/O to wait on, sets the class attribute `in_process = True`, so the
-    gateway never spreads its requests over threads."""
+    """A text model. One that computes its replies in this process, with
+    no I/O to wait on, also has `generate_many(requests, render)`: its
+    replies to a batch, each a str or, in place, the exception that
+    request raised, calling `render(request)` for the prompt only where
+    it needs one. The gateway hands such a provider each batch's misses
+    in one call on the calling thread."""
 
     id: str
 
@@ -204,12 +277,16 @@ class Provider(Protocol):
 
 def stable_hash(*parts: str) -> int:
     """Deterministic cross-platform hash of the joined parts."""
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
-    return int(digest, 16)
+    return int.from_bytes(hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest(), "big")
 
 
 T = TypeVar("T")
 _MISSING = object()
+# Parsed replies the in-process path appends with one write: enough to
+# spread the write's cost, few enough that the lines held at once stay
+# small (one write per batch raised a bench-size cold study's peak RSS by
+# 1.3-2.0 MB).
+_LINES_PER_WRITE = 128
 
 # The retry policy of every provider call: attempts, and the first backoff,
 # which doubles after each failed attempt.
@@ -245,13 +322,27 @@ def _completion_line(key: str, template: str, response: str) -> str:
     return f'{{"key": "{key}", "response": {encode_record(response)}, "template": {encode_record(template)}}}'
 
 
+def _batch_skips_generate(cls: type) -> bool:
+    """Whether a provider class inherits `generate_many` from above the
+    class its `generate` comes from, so that the batch call would skip
+    that `generate`."""
+
+    def owner(name: str) -> type | None:
+        return next((c for c in cls.__mro__ if name in vars(c)), None)
+
+    many, one = owner("generate_many"), owner("generate")
+    return many is not None and one is not None and not issubclass(many, one)
+
+
 class Gateway:
     """Routes completion requests through templating, caching, and retries.
 
-    Safe for concurrent callers; at most `max_inflight` provider calls run
-    at once. Transport failures are retried with exponential backoff
-    (`with_retries`: 3 attempts, base 1 s) and then surfaced. A
-    `max_inflight` below 1 is refused with a ValueError.
+    Safe for concurrent callers; at most `max_inflight` calls of a
+    provider without `generate_many` run at once. Transport failures are
+    retried with exponential backoff (`with_retries`: 3 attempts, base
+    1 s) and then surfaced. A `max_inflight` below 1 is refused with a
+    ValueError, and a provider class that overrides `generate` but
+    inherits `generate_many` with a TypeError.
     """
 
     def __init__(
@@ -264,6 +355,11 @@ class Gateway:
     ):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be at least 1, got {max_inflight!r}")
+        if _batch_skips_generate(type(provider)):
+            raise TypeError(
+                f"{type(provider).__name__} overrides generate but not generate_many, "
+                "which the gateway calls in its place"
+            )
         self.provider = provider
         self.templates = templates if templates is not None else load_templates()
         self.cache = AppendLog(cache_path, lambda record: (record["key"], record["response"]))
@@ -302,33 +398,35 @@ class Gateway:
         """Complete and parse a batch; each result or exception in place.
 
         Nothing is raised: a failed request's exception is its result.
-        Each request is keyed once (a request object repeated in the batch,
-        once in all), and that key both finds its repeats in the batch and
-        looks it up in the cache. Hits are answered in the calling thread,
-        skipping the render, as the key already pins the template body and
-        the bindings; each distinct cached reply is parsed once per batch,
-        so results that share a reply share one parsed object, and callers
-        must not mutate it. A request repeated in the batch reaches the
-        provider once. A malformed reply is returned as its parse error and
-        not cached, so a rerun asks the provider again. Misses run in order
-        on the calling thread for an `in_process` provider or a one-wide
-        gateway, otherwise on up to `max_inflight` threads draining one
-        shared list.
+        Each request is keyed once by one `BatchKeyer` (a request object
+        repeated in the batch, once in all), and that key both finds its
+        repeats in the batch and looks it up in the cache. Hits are
+        answered in the calling thread, skipping the render, as the key
+        already pins the template body and the bindings; each distinct
+        reply is parsed once per batch, so results that share a reply
+        share one parsed object, and callers must not mutate it. A request
+        repeated in the batch reaches the provider once. A malformed reply
+        is returned as its parse error and not cached, so a rerun asks the
+        provider again.
+
+        A provider with `generate_many` gets every distinct miss in one
+        call on the calling thread (`_complete_in_process`). Otherwise
+        misses run in order on the calling thread for a one-wide gateway
+        or a single miss, and on up to `max_inflight` threads draining one
+        shared list for more.
         """
-        provider_id = self.provider.id
         lookup = self.cache.get
+        keyer = BatchKeyer(self.provider.id, self.template)
         results: list = [None] * len(requests)
         keys: dict[int, str] = {}  # id(request) -> its key, for repeats of one object
-        parsed: dict[str, object] = {}  # cached reply -> its parse
+        parsed: dict[str, object] = {}  # reply -> its parse
         waiting: dict[str, list[int]] = {}
         misses: list[tuple[CompletionRequest, str]] = []
         for i, request in enumerate(requests):
             try:
                 key = keys.get(id(request))
                 if key is None:
-                    key = keys[id(request)] = request.cache_key(
-                        provider_id, self.template(request.template).body_sha
-                    )
+                    key = keys[id(request)] = keyer.key(request)
                 cached = lookup(key)
                 if cached is None:
                     if key in waiting:
@@ -343,12 +441,17 @@ class Gateway:
             except Exception as exc:
                 result = exc
             results[i] = result
+        if not misses:
+            return results
+        generate_many = getattr(self.provider, "generate_many", None)
+        if generate_many is not None:
+            self._complete_in_process(generate_many, misses, parser, parsed, waiting, results)
+            return results
 
         def send(miss: tuple[CompletionRequest, str]) -> None:
             request, key = miss
             try:
-                prompt = self.template(request.template).render(request.bindings)
-                response = self._call_provider(request, prompt)
+                response = self._call_provider(request, self._render(request))
                 outcome = parser(response)
                 self.cache.put(key, response, _completion_line(key, request.template, response))
             except Exception as exc:
@@ -357,7 +460,7 @@ class Gateway:
                 results[i] = outcome
 
         workers = min(self.max_inflight, len(misses))
-        if workers <= 1 or getattr(self.provider, "in_process", False):
+        if workers <= 1:
             for miss in misses:
                 send(miss)
             return results
@@ -378,6 +481,82 @@ class Gateway:
         for thread in threads:
             thread.join()
         return results
+
+    def _render(self, request: CompletionRequest) -> str:
+        return self.template(request.template).render(request.bindings)
+
+    def _complete_in_process(
+        self,
+        generate_many: Callable,
+        misses: list[tuple[CompletionRequest, str]],
+        parser: Callable[[str], T],
+        parsed: dict[str, object],
+        waiting: dict[str, list[int]],
+        results: list,
+    ) -> None:
+        """Answer a batch's misses from one `generate_many` call, with no
+        semaphore (the call cannot block on another thread) and no retry
+        closure. A `ProviderError` returned in place, or raised by the
+        call, is retried alone (`_retry_alone`), so each request keeps the
+        retry policy; any other exception the call raises, or a count of
+        replies that does not match the requests, is each miss's result.
+        Replies that parse are appended `_LINES_PER_WRITE` at a time, one
+        `AppendLog.put_many` write each (`_put_lines`)."""
+        try:
+            replies = generate_many([request for request, _ in misses], self._render)
+            if len(replies) != len(misses):
+                raise RuntimeError(f"provider {self.provider.id!r} gave {len(replies)} replies to {len(misses)} requests")
+        except Exception as exc:  # a raised ProviderError is each request's failed first attempt
+            replies = [exc] * len(misses)
+        lines: list[tuple[str, str, str]] = []
+        for (request, key), reply in zip(misses, replies):
+            try:
+                if isinstance(reply, ProviderError):
+                    reply = self._retry_alone(generate_many, request, reply)
+                elif isinstance(reply, Exception):
+                    raise reply
+                outcome = parsed.get(reply, _MISSING)
+                if outcome is _MISSING:
+                    outcome = parsed[reply] = parser(reply)
+                lines.append((key, reply, _completion_line(key, request.template, reply)))
+            except Exception as exc:
+                outcome = exc
+            for i in waiting[key]:
+                results[i] = outcome
+            if len(lines) == _LINES_PER_WRITE:
+                self._put_lines(lines, waiting, results)
+                lines = []
+        if lines:
+            self._put_lines(lines, waiting, results)
+
+    def _put_lines(self, lines: list[tuple[str, str, str]], waiting: dict[str, list[int]], results: list) -> None:
+        """Append (key, reply, line) entries with one write. Should that
+        fail, each line is appended alone, so a line that cannot be
+        written fails only its own requests, as on the threaded path."""
+        try:
+            self.cache.put_many(lines)
+        except Exception:
+            for key, reply, line in lines:
+                try:
+                    self.cache.put(key, reply, line)
+                except Exception as exc:
+                    for i in waiting[key]:
+                        results[i] = exc
+
+    def _retry_alone(self, generate_many: Callable, request: CompletionRequest, error: ProviderError) -> str:
+        """The reply to a request whose batch reply was `error`: the batch
+        was its first attempt, and `with_retries` makes the rest, one
+        `generate_many` call for this request each."""
+        pending = [error]  # the first attempt's reply, already in hand
+
+        def attempt() -> str:
+            (reply,) = pending or generate_many([request], self._render)
+            pending.clear()
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        return with_retries(attempt, f"provider {self.provider.id!r}", sleep=self._sleep)
 
 
 # --- judge scores ----------------------------------------------------------
@@ -420,13 +599,13 @@ def format_judge_score(value: int) -> str:
 
 
 _TOKEN_RE = re.compile(r"\w+")
-# Documents whose token counts `token_overlap` keeps. A judge batch is
+# Documents whose token counts the mock judge keeps. A judge batch is
 # query-major, so every document of a batch recurs once per query; the
 # bound covers the largest batch at paper scale (739 pool documents in
 # one subtopic), where a smaller memo would evict each document before
 # the next query reaches it.
 _DOC_TOKENS_MEMO = 4096
-# Query texts whose token counts `token_overlap` keeps: a judge batch asks
+# Query texts whose token counts the mock judge keeps: a judge batch asks
 # each query once per candidate, and a study holds far fewer queries.
 _QUERY_TOKENS_MEMO = 4096
 
@@ -465,22 +644,30 @@ def counts_overlap(query: tuple[dict[str, int], int], doc_counts: dict[str, int]
     query_counts, total = query
     if total == 0:
         return 0.0
-    matched = sum(min(n, doc_counts.get(tok, 0)) for tok, n in query_counts.items())
+    matched = 0
+    for token, n in query_counts.items():
+        have = doc_counts.get(token, 0)
+        matched += n if n < have else have
     return matched / total
 
 
-def token_overlap(query_text: str, doc_text: str) -> float:
-    """Multiset containment of query tokens in the document, in [0, 1].
-    The query's and the document's token counts come from bounded memos."""
-    return counts_overlap(_query_token_counts(query_text), _doc_token_counts(doc_text))
+def mock_query(query_text: str, seed: int) -> tuple:
+    """What `mock_query_score` needs of a query, to be worked out once per query:
+    its token counts with their total, and the sha256 state of its
+    perturbation hash up to the document text."""
+    return _query_token_counts(query_text), hashlib.sha256(f"{seed}\x1f{query_text}\x1f".encode("utf-8"))
 
 
-def mock_score(query_text: str, doc_text: str, seed: int) -> int:
-    """Deterministic stand-in judge: scaled token overlap with a small
-    perturbation in [-3, 3] keyed on (seed, query, document text), clamped
-    to [1, 100]."""
-    base = round(100 * token_overlap(query_text, doc_text))
-    perturbation = stable_hash(str(seed), query_text, doc_text) % 7 - 3
+def mock_query_score(query: tuple, doc_text: str) -> int:
+    """The deterministic stand-in judge's score of a document for a query
+    that `mock_query` prepared: scaled token overlap with a small
+    perturbation in [-3, 3], `stable_hash(str(seed), query text, document
+    text) % 7 - 3`, clamped to [1, 100]."""
+    tokens, prefix = query
+    digest = prefix.copy()
+    digest.update(doc_text.encode("utf-8"))
+    perturbation = int.from_bytes(digest.digest(), "big") % 7 - 3
+    base = round(100 * counts_overlap(tokens, _doc_token_counts(doc_text)))
     return max(JUDGE_MIN, min(JUDGE_MAX, base + perturbation))
 
 

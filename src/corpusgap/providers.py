@@ -1,12 +1,16 @@
 """Model providers: a deterministic mock and the HTTP clients.
 
 The mock provider's responses are pure functions of (request, seed). It
+answers a batch in one `generate_many` call, which tells the gateway that
+it runs in this process, and `generate` is that call for one request. It
 routes on template name so every prompt in the pipeline (classification,
-judging, rewriting, article generation) gets a plausible, parseable reply.
+judging, rewriting, article generation) gets a plausible, parseable reply;
+only an unrouted template's reply is computed from the rendered prompt.
 Classification tokenises the text once per request and scores every
 subtopic against those counts; the subtopic lines' own counts are kept for
 the last subtopic list seen (one entry), so a study tokenises its taxonomy
-once. Judging goes through `gateway.mock_score`, whose bounded memos
+once. Judging goes through `gateway.mock_query_score`: each query's token
+counts and hash prefix are worked out once per batch, and bounded memos
 (4,096 texts each) tokenise each query and each document text once.
 
 `HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
@@ -24,23 +28,32 @@ import json
 import os
 import threading
 import time
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .gateway import (
+    JUDGE_MAX,
+    JUDGE_MIN,
     CompletionRequest,
     ProviderError,
     TransientProviderError,
     counts_overlap,
     format_judge_score,
-    mock_score,
+    mock_query,
+    mock_query_score,
     stable_hash,
     token_counts,
     with_retries,
 )
 
 T = TypeVar("T")
+
+# The judge's reply for each score, `format_judge_score` of it. The
+# completion cache holds every reply it stores, so judge replies that are
+# one of these 100 strings cost it no memory of their own (0.6 MB of a
+# bench-size cold study's peak RSS).
+_JUDGE_REPLIES = {score: format_judge_score(score) for score in range(JUDGE_MIN, JUDGE_MAX + 1)}
 
 _FILLER_WORDS = (
     "support care steady gentle practice notice breathe ground pause reflect "
@@ -51,10 +64,9 @@ _FILLER_WORDS = (
 
 class MockProvider:
     """Seeded offline provider for tests and dry runs. Its replies are
-    computed in this process, so the gateway sends its misses in order on
-    the calling thread instead of spreading them over threads."""
-
-    in_process = True
+    computed in this process, so it answers a whole batch in one
+    `generate_many` call on the calling thread; `generate` is the
+    one-request case of that call."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -65,21 +77,45 @@ class MockProvider:
         self._subtopics: tuple[str, tuple] | None = None  # see _subtopic_lines
 
     def generate(self, request: CompletionRequest, prompt: str) -> str:
+        (reply,) = self.generate_many([request], lambda _: prompt)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def generate_many(
+        self, requests: Sequence[CompletionRequest], render: Callable[[CompletionRequest], str]
+    ) -> list[str | Exception]:
+        """The reply to each request, or in its place the exception it
+        raised. Routes on template name; only a template it does not route
+        is answered from its prompt, `render(request)`. A judge request
+        works out its query's tokens and hash prefix once per batch
+        (`gateway.mock_query`)."""
+        replies: list[str | Exception] = []
+        by_template: dict[str, int] = {}
+        queries: dict[str, tuple] = {}  # query text -> gateway.mock_query of it
+        for request in requests:
+            template = request.template
+            by_template[template] = by_template.get(template, 0) + 1
+            try:
+                if template == "usefulness_rubric":
+                    reply = self._judge(request, queries)
+                elif template == "classify_subtopics":
+                    reply = self._classify(request)
+                elif template == "rewrite_query":
+                    reply = self._rewrite(request)
+                elif template == "generate_article":
+                    reply = self._article(request)
+                else:
+                    digest = stable_hash(str(self.seed), template, render(request))
+                    reply = f"mock-response-{digest % 10**8:08d}"
+            except Exception as exc:
+                reply = exc
+            replies.append(reply)
         with self._lock:
-            self.calls += 1
-            self.calls_by_template[request.template] = (
-                self.calls_by_template.get(request.template, 0) + 1
-            )
-        if request.template == "classify_subtopics":
-            return self._classify(request)
-        if request.template == "usefulness_rubric":
-            return self._judge(request)
-        if request.template == "rewrite_query":
-            return self._rewrite(request)
-        if request.template == "generate_article":
-            return self._article(request)
-        digest = stable_hash(str(self.seed), request.template, prompt)
-        return f"mock-response-{digest % 10**8:08d}"
+            self.calls += len(requests)
+            for template, n in by_template.items():
+                self.calls_by_template[template] = self.calls_by_template.get(template, 0) + n
+        return replies
 
     def _subtopic_lines(self, subtopics_text: str) -> tuple[tuple[str, tuple[dict[str, int], int]], ...]:
         """Each non-blank line of a classify prompt's subtopic list with
@@ -114,10 +150,13 @@ class MockProvider:
         lines.append(f"Primary subtopic: {chosen[0]}")
         return "\n".join(lines)
 
-    def _judge(self, request: CompletionRequest) -> str:
-        query = request.bindings["user_query"]
-        doc_text = request.bindings["retrieved_document"]
-        return format_judge_score(mock_score(query, doc_text, self.seed))
+    def _judge(self, request: CompletionRequest, queries: dict[str, tuple]) -> str:
+        bindings = request.bindings
+        query_text = bindings["user_query"]
+        query = queries.get(query_text)
+        if query is None:
+            query = queries[query_text] = mock_query(query_text, self.seed)
+        return _JUDGE_REPLIES[mock_query_score(query, bindings["retrieved_document"])]
 
     def _rewrite(self, request: CompletionRequest) -> str:
         query = request.bindings["query"].strip()

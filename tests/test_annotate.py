@@ -124,7 +124,8 @@ class SometimesGarbageProvider:
 
 class FailsOnMarkerProvider:
     """Raises ProviderError on every request whose text holds the marker;
-    not `in_process`, so the gateway sends a batch's misses on threads."""
+    it has no `generate_many`, so the gateway sends a batch's misses on
+    threads."""
 
     def __init__(self, marker: str = "DOOMED"):
         self.inner = MockProvider(seed=0)

@@ -8,6 +8,7 @@ change the reports of, fails here.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,6 +27,13 @@ small = WorkloadParams(subtopics=6, baseline_docs=24, pool_docs=30, sections=2,
                        words_per_section=12, train_queries=20, test_queries=6)
 generate(5, small, sys.argv[1])
 """
+# sha256 of the cache files the untraced study writes, as they were before
+# misses were answered a batch at a time: the bytes and the line order of
+# both files are pinned.
+CACHE_SHA256 = {
+    "completions.jsonl": "8d681bc778f14c955331c8736b0e61da1cbed114696715c31d00a1e5d30e7e4d",
+    "embeddings.jsonl": "f28779354a2e172be2c27b8a18e06530b643689105e80942cc9eb29fa3218dbc",
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +80,11 @@ def test_tracing_leaves_the_reports_unchanged(studies):
     # `corpusgap.evaluation` looks up by name; the reports must not notice.
     untraced, traced = study_result(studies, False), study_result(studies, True)
     assert traced["reports_sha256"] == untraced["reports_sha256"]
+
+
+def test_cache_files_keep_their_bytes(studies):
+    study_result(studies, False)
+    _, result_path = studies[False]
+    cache = result_path.parent / "cache"
+    digests = {name: hashlib.sha256((cache / name).read_bytes()).hexdigest() for name in CACHE_SHA256}
+    assert digests == CACHE_SHA256

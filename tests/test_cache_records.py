@@ -49,8 +49,6 @@ def dumps_line(record: dict) -> str:
 
 
 class ReplyProvider:
-    in_process = True
-
     def __init__(self, id: str, reply: str):
         self.id = id
         self.reply = reply
@@ -144,10 +142,10 @@ class RecordingProvider(MockProvider):
         super().__init__(seed)
         self.sent = []
 
-    def generate(self, request, prompt):
-        reply = super().generate(request, prompt)
-        self.sent.append((request, reply))
-        return reply
+    def generate_many(self, requests, render):
+        replies = super().generate_many(requests, render)
+        self.sent.extend(zip(requests, replies))
+        return replies
 
 
 class RecordingEmbedder:
@@ -202,7 +200,6 @@ def earlier_format_files(provider: RecordingProvider, templates: dict, embedder:
 
 class FailingProvider:
     id = "mock-0"
-    in_process = True
 
     def generate(self, request, prompt):
         raise AssertionError(f"provider called for {request.template}")

@@ -40,6 +40,13 @@ def test_subcommand_help(runner, command):
     assert result.exit_code == 0
 
 
+def test_config_directory_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["--config", str(tmp_path), "report", "--help"])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"Invalid value for '--config': File '{tmp_path}' is a directory." in result.output
+
+
 def test_index_command_is_gone(runner):
     result = runner.invoke(main, ["index", "--help"])
     assert result.exit_code != 0
@@ -433,7 +440,7 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
 @pytest.mark.parametrize(
     "command",
     ["ingest", "annotate", "gaps", "plan", "build-corpus",
-     "plan-no-query-count", "directed-no-subtopic", "directed-allocation-not-an-integer",
+     "plan-no-query-count", "plan-hybrid-not-a-number", "plan-query-count-boolean", "directed-no-subtopic", "directed-allocation-not-an-integer",
      "annotate-no-id", "annotate-no-text", "generate-no-title", "generate-word-count",
      "generate-empty-title", "generate-zero-words", "generate-headers-string"],
 )
@@ -459,6 +466,8 @@ def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, comma
         "gaps": (["gaps", "--corpus", paths["baseline"], "--queries", paths["train"], "--taxonomy", paths["taxonomy"]], "train", "{not json", "malformed record"),
         "plan": (plan, "gaps", "{not json", "malformed record"),
         "plan-no-query-count": (plan, "gaps", gap, "gap record lacks query_count"),
+        "plan-hybrid-not-a-number": (plan, "gaps", gap.replace('"hybrid": 0.5', '"hybrid": "high"').replace('"doc_count"', '"query_count": 2, "doc_count"'), "gap record field 'hybrid' must be a number, got 'high'"),
+        "plan-query-count-boolean": (plan, "gaps", gap.replace('"doc_count"', '"query_count": true, "doc_count"'), "gap record field 'query_count' must be an integer, got True"),
         "directed-no-subtopic": (directed, "plan", '{"allocation": 2}', "plan record lacks subtopic"),
         "directed-allocation-not-an-integer": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": "two"}', "'allocation' must be an integer, got 'two'"),
         "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool", "{not json", "malformed record"),

@@ -321,6 +321,39 @@ class TestAppendLog:
         assert [data[offset : offset + length] for offset, length in spans] == [lines[1], lines[3]]
         assert [log.read(key, span) for key, span in zip(["é", "b"], spans)] == ["ü€", [1, 2]]
 
+    def test_put_many_appends_with_one_write_as_put_would(self, tmp_path):
+        entries = [("é", "ü€", {"key": "é", "value": "ü€"}), ("old", 9, {"key": "old", "value": 9}),
+                   ("b", [1, 2], '{"key": "b", "value": [1, 2]}'), ("é", 5, {"key": "é", "value": 5}),
+                   ("c", 3, {"key": "c", "value": 3})]
+        for path in (tmp_path / "put.jsonl", tmp_path / "many.jsonl"):
+            path.write_text('{"key": "old", "value": 0}\n', encoding="utf-8")
+        one_by_one = AppendLog(tmp_path / "put.jsonl", _decode)
+        for key, value, record in entries:
+            one_by_one.put(key, value, record)
+        log = AppendLog(tmp_path / "many.jsonl", _decode)
+        real, writes = log._handle(), []
+
+        class Spy:
+            def write(self, data):
+                writes.append(data)
+                return real.write(data)
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        log._fh = Spy()
+        log.put_many(entries)
+        assert len(writes) == 1
+        assert (tmp_path / "many.jsonl").read_bytes() == (tmp_path / "put.jsonl").read_bytes()
+        assert [log.get(key) for key in ("é", "old", "b", "c")] == ["ü€", 0, [1, 2], 3]
+        log.put_many([("é", 0, {})])
+        assert len(writes) == 1 and log.get("é") == "ü€"
+        log._fh = real
+        assert AppendLog(tmp_path / "many.jsonl", _decode).get("c") == 3
+        memory = AppendLog(None, _decode)
+        memory.put_many(entries)
+        assert memory.get("é") == "ü€" and len(memory) == 4
+
     def test_non_resident_values_are_read_back_from_their_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = AppendLog(path, _decode)

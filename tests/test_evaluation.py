@@ -100,12 +100,13 @@ class TestRunExperiment:
 
     def test_batched_judge_failure_surfaces_at_its_query(self, resources, tmp_path):
         class DownForOneQuery(MockProvider):
-            in_process = False
-
-            def generate(self, request, prompt):
-                if request.bindings.get("user_query") == "beta":
-                    raise ProviderError("endpoint unavailable")
-                return super().generate(request, prompt)
+            def generate_many(self, requests, render):
+                return [
+                    ProviderError("endpoint unavailable")
+                    if request.bindings.get("user_query") == "beta"
+                    else reply
+                    for request, reply in zip(requests, super().generate_many(requests, render))
+                ]
 
         judge = make_gateway_judge(Gateway(DownForOneQuery(seed=0), sleep=lambda s: None))
         queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta")]
@@ -140,10 +141,13 @@ class TestRunExperiment:
 
     def test_rewrite_failure_keeps_earlier_queries(self, resources, tmp_path):
         class RewriteDownForOneQuery(MockProvider):
-            def generate(self, request, prompt):
-                if request.bindings.get("query") == "delta":
-                    raise ProviderError("rewrite endpoint unavailable")
-                return super().generate(request, prompt)
+            def generate_many(self, requests, render):
+                return [
+                    ProviderError("rewrite endpoint unavailable")
+                    if request.bindings.get("query") == "delta"
+                    else reply
+                    for request, reply in zip(requests, super().generate_many(requests, render))
+                ]
 
         gateway = Gateway(RewriteDownForOneQuery(seed=0), sleep=lambda s: None)
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.QUERY_TRANSFORMATION)

@@ -317,12 +317,13 @@ class TestJudgeFailures:
         corpus, queries = self.world()
 
         class DownForOneDoc(MockProvider):
-            in_process = False
-
-            def generate(self, request, prompt):
-                if request.template == "usefulness_rubric" and request.bindings["user_query"] == "four":
-                    raise ProviderError("endpoint unavailable")
-                return super().generate(request, prompt)
+            def generate_many(self, requests, render):
+                return [
+                    ProviderError("endpoint unavailable")
+                    if request.template == "usefulness_rubric" and request.bindings["user_query"] == "four"
+                    else reply
+                    for request, reply in zip(requests, super().generate_many(requests, render))
+                ]
 
         gateway = Gateway(DownForOneDoc(seed=0), sleep=lambda s: None)
         gaps = analyze_gaps(corpus, queries, tiny_taxonomy(), judge=make_gateway_judge(gateway))

@@ -15,6 +15,7 @@ from corpusgap.annotate import label_batch, write_labelings
 from corpusgap.corpus import Document, IngestError, Section, Source
 from corpusgap.evaluation import CorpusInfo, emit_report, run_grid
 from corpusgap.gateway import (
+    BatchKeyer,
     CompletionRequest,
     Gateway,
     JudgeParseError,
@@ -23,18 +24,25 @@ from corpusgap.gateway import (
     ProviderParams,
     TemplateError,
     format_judge_score,
+    load_templates,
     make_gateway_judge,
     make_gateway_rewriter,
-    mock_score,
     parse_judge_score,
     query_tokens,
     stable_hash,
-    token_overlap,
 )
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import CachedEmbedder, Pipeline
 
-from .world import build_ladders, build_world, mock_gateway_judge, reference_corpus, world_embedder
+from .world import (
+    build_ladders,
+    build_world,
+    mock_gateway_judge,
+    mock_score,
+    reference_corpus,
+    token_overlap,
+    world_embedder,
+)
 
 
 def make_doc(doc_id: str, text: str) -> Document:
@@ -334,6 +342,78 @@ class TestCacheKey:
         assert provider.calls == 0
 
 
+# Names that can be placeholders, and values that repeat, are non-ASCII,
+# or are equal as dict keys but not as JSON (1, 1.0, True).
+KEYER_NAMES = ["a", "b", "retrieved_document", "user_query"]
+keyer_values = st.one_of(key_text, st.sampled_from([1, 1.0, True, 0, False, None, "\u00e9", "1"]))
+
+
+class TestBatchKeyer:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        pool=st.lists(keyer_values, min_size=1, max_size=4),
+        shapes=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(KEYER_NAMES), max_size=3, unique=True),
+                st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                st.integers(0, 2),
+            ),
+            min_size=1, max_size=12,
+        ),
+        params=st.lists(key_params, min_size=3, max_size=3),
+        provider_id=st.sampled_from(["", "mock-5", "prov\u00e9\"1"]),
+        body=key_text,
+    )
+    def test_equals_cache_key(self, pool, shapes, params, provider_id, body):
+        templates = {}
+        requests = []
+        for names, picks, which in shapes:
+            name = "t\u00e9-" + "-".join(sorted(names))
+            literal = body.replace("{", "(")
+            templates.setdefault(name, PromptTemplate(name, literal + "".join(f"{{{n}}}" for n in names)))
+            bindings = {n: pool[pick % len(pool)] for n, pick in zip(names, picks)}
+            # Equal params in distinct objects, and one object shared.
+            requests.append(CompletionRequest(name, bindings, params[which] if which else ProviderParams(*vars(params[0]).values())))
+        keyer = BatchKeyer(provider_id, templates.__getitem__)
+        for request in requests + requests[::-1]:  # the second pass reads every kept prefix
+            assert keyer.key(request) == request.cache_key(provider_id, templates[request.template].body_sha)
+
+    def test_values_equal_as_dict_keys_keep_their_own_keys(self):
+        templates = {"pair": PromptTemplate("pair", "{a} {b}")}
+        keyer = BatchKeyer("p", templates.__getitem__)
+        values = [1, 1.0, True, 0, 0.0, False, "1", None]
+        requests = [CompletionRequest("pair", {"a": x, "b": y}) for x in values for y in values]
+        keys = [keyer.key(request) for request in requests]
+        assert keys == [request.cache_key("p", templates["pair"].body_sha) for request in requests]
+        assert len(set(keys)) == len(requests)
+
+    def test_judge_batch_hashes_each_document_once(self, monkeypatch):
+        templates = load_templates()
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.append(data) or sha256(data))
+        keyer = BatchKeyer("mock-0", templates.__getitem__)
+        docs, queries = ["doc one", "doc two"], ["q1", "q2", "q3"]
+        for query in queries:
+            for doc in docs:
+                request = CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc})
+                keyer.key(request)
+        assert len(hashed) == len(docs)
+
+    @pytest.mark.parametrize(
+        "bindings, error, match",
+        [({}, TemplateError, "unbound placeholder"), ({"word": "x", "other": "y"}, TemplateError, "unknown binding"),
+         ({1: "x"}, TypeError, "binding name 1"), ({None: "x"}, TypeError, "binding name None")],
+    )
+    def test_names_checked_against_the_template(self, bindings, error, match):
+        keyer = BatchKeyer("p", TEMPLATES.__getitem__)
+        for _ in range(2):  # a failed prefix is not kept
+            with pytest.raises(error, match=match):
+                keyer.key(CompletionRequest("echo", bindings))
+        with pytest.raises(KeyError):
+            keyer.key(CompletionRequest("nope", {"word": "x"}))
+
+
 class TestParsedMemo:
     def test_repeat_is_a_cache_hit_without_render_or_provider(self, monkeypatch):
         provider = CountingProvider("42")
@@ -439,6 +519,39 @@ class TestTornCacheFile:
         gateway.complete_parsed(req("b"), str)
         with pytest.raises(ValueError, match="malformed"):
             gw(CountingProvider(), cache_path=path)
+
+    def test_cut_inside_the_last_write_drops_only_the_torn_line(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "completions.jsonl"
+        templates = load_templates()
+        pairs = [(q, d) for q in ("calm night", "grief") for d in ("a calm night routine", "loss and grief", "panic")]
+        requests = [
+            CompletionRequest("usefulness_rubric", {"user_query": q, "retrieved_document": d}) for q, d in pairs
+        ]
+        gateway = Gateway(MockProvider(seed=0), templates, cache_path=path)
+        gateway.complete_many(requests[:2], parse_judge_score)
+        start = path.stat().st_size
+        writes = []
+        put_many = gateway.cache.put_many
+        monkeypatch.setattr(gateway.cache, "put_many", lambda entries: writes.append(len(entries)) or put_many(entries))
+        want = gateway.complete_many(requests, parse_judge_score)
+        gateway.close()
+        assert writes == [4]  # the last write holds four lines
+        data = path.read_bytes()
+        line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        assert len(line_ends) == 6
+        for cut in range(start, len(data)):
+            path.write_bytes(data[:cut])
+            whole = [end for end in line_ends if end <= cut]
+            provider = MockProvider(seed=0)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
+                reloaded = Gateway(provider, templates, cache_path=path)
+            assert len(reloaded.cache) == len(whole)
+            assert ("torn" in caplog.text) == (cut != whole[-1])
+            assert reloaded.complete_many(requests, parse_judge_score) == want
+            assert provider.calls == len(line_ends) - len(whole)
+            reloaded.close()
+            assert path.read_bytes() == data
 
     def test_record_without_response_names_file_and_line(self, tmp_path):
         path = tmp_path / "completions.jsonl"
@@ -574,7 +687,7 @@ class TestGatewayJudgeAndRewriter:
 
 
 class SleepingProvider:
-    """Wraps a provider that is not `in_process`: sleeps a seeded
+    """Wraps a provider, without `generate_many`: sleeps a seeded
     `ms`/2..`ms` milliseconds per request, keyed on the request, and
     records the call count and the peak number of requests in flight."""
 
@@ -726,13 +839,13 @@ class TestCompleteMany:
         provider = CountingProvider("42")
         gateway = gw(provider)
         keyed = []
-        cache_key = CompletionRequest.cache_key
+        key = BatchKeyer.key
 
-        def spy(request, *args):
+        def spy(keyer, request):
             keyed.append(request.bindings["word"])
-            return cache_key(request, *args)
+            return key(keyer, request)
 
-        monkeypatch.setattr(CompletionRequest, "cache_key", spy)
+        monkeypatch.setattr(BatchKeyer, "key", spy)
         assert gateway.complete_many([req("a")] * 50, parse_judge_score) == [42] * 50
         assert keyed == ["a"] and provider.calls == 1
 
@@ -747,6 +860,163 @@ class TestCompleteMany:
         gateway.complete_many([req("a")], parse_judge_score)
         assert gateway.complete_parsed(req("a"), parse_judge_score) == 42
         assert provider.calls == 1
+
+
+class BatchCountingMock(MockProvider):
+    """The mock, keeping the size of each `generate_many` call; a request
+    whose word has failures left gets a ProviderError in place."""
+
+    def __init__(self, failures: dict[str, int] | None = None):
+        super().__init__(seed=0)
+        self.batches = []
+        self.failures = dict(failures or {})
+
+    def generate_many(self, requests, render):
+        self.batches.append(len(requests))
+        replies = super().generate_many(requests, render)
+        for n, request in enumerate(requests):
+            word = request.bindings.get("word")
+            if self.failures.get(word, 0) > 0:
+                self.failures[word] -= 1
+                replies[n] = ProviderError(f"{word} is down")
+        return replies
+
+
+class NoSemaphore:
+    def __enter__(self):
+        pytest.fail("an in-process miss took the semaphore")
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestInProcessBatch:
+    def test_misses_are_one_call_on_the_calling_thread(self, started):
+        provider = BatchCountingMock()
+        gateway = gw(provider, max_inflight=8)
+        gateway._semaphore = NoSemaphore()
+        words = [f"w{i}" for i in range(10)]
+        replies = gateway.complete_many([req(w) for w in words + words[:4]], str)
+        assert replies == [MockProvider(seed=0).generate(req(w), f"say {w}") for w in words + words[:4]]
+        assert provider.batches == [10] and provider.calls == 10 and started == []
+        assert gateway.complete_many([req(w) for w in words], str) == replies[:10]
+        assert provider.batches == [10]
+
+    def test_provider_error_retried_alone_with_the_policy(self, tmp_path):
+        provider = BatchCountingMock({"flaky": 2, "down": 5})
+        waits = []
+        gateway = gw(provider, sleep=waits.append, cache_path=tmp_path / "cache.jsonl")
+        results = gateway.complete_many([req("a"), req("flaky"), req("b")], str)
+        assert results[0].startswith("mock-response-") and results[1].startswith("mock-response-")
+        assert provider.batches == [3, 1, 1] and waits == [1.0, 2.0]
+        [down] = gateway.complete_many([req("down")], str)
+        assert isinstance(down, ProviderError) and str(down) == "provider 'mock-0' failed after 3 attempts: down is down"
+        assert len(gateway.cache) == 3
+
+    def test_failures_in_place_never_cached(self, tmp_path):
+        gateway = gw(MockProvider(seed=0), cache_path=tmp_path / "cache.jsonl")
+        bad = CompletionRequest("generate_article", {"metadata": "not json"})
+        gateway.templates = {**TEMPLATES, "generate_article": PromptTemplate("generate_article", "{metadata}")}
+        results = gateway.complete_many([req("a"), bad, req("a")], parse_judge_score)
+        # The mock's echo reply holds an out-of-range number; the article's
+        # metadata is not JSON.
+        assert isinstance(results[0], JudgeParseError) and results[2] is results[0]
+        assert isinstance(results[1], ValueError) and not isinstance(results[1], JudgeParseError)
+        assert len(gateway.cache) == 0
+        assert gateway.complete_many([req("a")], str)[0].startswith("mock-response-")
+        assert len(gateway.cache) == 1
+
+    def test_a_line_that_cannot_be_written_fails_only_its_request(self, tmp_path):
+        class Surrogate(MockProvider):
+            def generate_many(self, requests, render):
+                replies = super().generate_many(requests, render)
+                return ["\ud800" if r.bindings["word"] == "b" else reply for r, reply in zip(requests, replies)]
+
+        gateway = gw(Surrogate(seed=0), cache_path=tmp_path / "cache.jsonl")
+        results = gateway.complete_many([req("a"), req("b"), req("c")], str)
+        assert isinstance(results[1], UnicodeEncodeError)
+        assert results[0].startswith("mock-response-") and results[2].startswith("mock-response-")
+        gateway.close()
+        assert len(gw(MockProvider(seed=0), cache_path=tmp_path / "cache.jsonl").cache) == 2
+
+    def test_provider_error_raised_by_the_batch_call_is_each_miss_first_attempt(self, tmp_path):
+        class DownOnce(BatchCountingMock):
+            def generate_many(self, requests, render):
+                if not self.batches:
+                    self.batches.append(len(requests))
+                    raise ProviderError("batch lost")
+                return super().generate_many(requests, render)
+
+        provider = DownOnce()
+        waits = []
+        gateway = gw(provider, sleep=waits.append, cache_path=tmp_path / "cache.jsonl")
+        results = gateway.complete_many([req("a"), req("b"), req("a")], str)
+        assert results == [MockProvider(seed=0).generate(req(w), f"say {w}") for w in ("a", "b", "a")]
+        assert provider.batches == [2, 1, 1] and waits == [1.0, 1.0]
+        assert len(gateway.cache) == 2
+
+    def test_other_exception_raised_by_the_batch_call_is_each_miss_result(self, tmp_path):
+        class Broken(BatchCountingMock):
+            def generate_many(self, requests, render):
+                self.batches.append(len(requests))
+                raise KeyError("routing table")
+
+        provider = Broken()
+        waits = []
+        gateway = gw(provider, sleep=waits.append, cache_path=tmp_path / "cache.jsonl")
+        results = gateway.complete_many([req("a"), req("b"), req("a")], str)
+        assert all(isinstance(r, KeyError) for r in results)
+        assert provider.batches == [2] and waits == [] and len(gateway.cache) == 0
+
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_a_wrong_number_of_replies_fails_every_miss(self, tmp_path, keep):
+        class Miscounting(BatchCountingMock):
+            def generate_many(self, requests, render):
+                replies = super().generate_many(requests, render)
+                return (replies * 2)[:keep]
+
+        gateway = gw(Miscounting(), cache_path=tmp_path / "cache.jsonl")
+        results = gateway.complete_many([req("a"), req("b")], str)
+        for result in results:
+            assert isinstance(result, RuntimeError) and str(result) == f"provider 'mock-0' gave {keep} replies to 2 requests"
+        assert len(gateway.cache) == 0
+
+    def test_a_subclass_overriding_generate_alone_is_refused(self):
+        class OneAtATime(MockProvider):
+            def generate(self, request, prompt):
+                return "7"
+
+        with pytest.raises(TypeError, match="OneAtATime overrides generate but not generate_many"):
+            gw(OneAtATime())
+
+        class Both(OneAtATime):
+            def generate_many(self, requests, render):
+                return ["7"] * len(requests)
+
+        assert gw(Both()).complete_parsed(req(), parse_judge_score) == 7
+        gw(BatchCountingMock())
+
+    def test_unbound_placeholder_surfaces(self):
+        gateway = gw(MockProvider(seed=0))
+        with pytest.raises(TemplateError, match="word"):
+            gateway.complete_parsed(CompletionRequest(template="echo", bindings={}), str)
+        assert gateway.provider.calls == 0
+
+    def test_replies_appended_128_lines_a_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        gateway = gw(MockProvider(seed=0), cache_path=path)
+        writes = []
+        put_many = gateway.cache.put_many
+        monkeypatch.setattr(gateway.cache, "put_many", lambda entries: writes.append(len(entries)) or put_many(entries))
+        words = [str(i) for i in range(300)]
+        replies = gateway.complete_many([req(w) for w in words], str)
+        gateway.close()
+        assert writes == [128, 128, 44]
+        key = lambda w: req(w).cache_key("mock-0", TEMPLATES["echo"].body_sha)  # noqa: E731
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps({"key": key(w), "template": "echo", "response": r}, ensure_ascii=False, sort_keys=True) + "\n"
+            for w, r in zip(words, replies)
+        )
 
 
 def run_mini_study(out, cache_dir, max_inflight: int) -> int:

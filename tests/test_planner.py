@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
-from corpusgap.gateway import Gateway, mock_score
+from corpusgap.gateway import Gateway
 from corpusgap.planner import (
     ArticleMetadata,
     QuotaPlan,
@@ -21,7 +21,7 @@ from corpusgap.planner import (
 )
 from corpusgap.providers import MockProvider
 
-from .world import mock_gateway_judge
+from .world import mock_gateway_judge, mock_score
 
 
 class TestAllocateQuotas:

@@ -340,6 +340,45 @@ texts = st.lists(
 ).map("".join)
 
 
+class TestMockGenerateMany:
+    REQUESTS = [
+        CompletionRequest("usefulness_rubric", {"user_query": "calm night", "retrieved_document": "a calm night routine"}),
+        CompletionRequest("usefulness_rubric", {"user_query": "calm night", "retrieved_document": "panic at night"}),
+        CompletionRequest("usefulness_rubric", {"user_query": "grief", "retrieved_document": "a calm night routine"}),
+        CompletionRequest("classify_subtopics", {"subtopics": "Calm night\nGrief", "text": "grief after loss"}),
+        CompletionRequest("rewrite_query", {"query": " cant sleep "}),
+        CompletionRequest("generate_article", {"metadata": json.dumps({"title": "Sleep", "headers": ["One"], "word_count": 30})}),
+        CompletionRequest("echo", {"word": "hi"}),
+        CompletionRequest("usefulness_rubric", {"user_query": "calm night", "retrieved_document": "a calm night routine"}),
+    ]
+
+    def test_equals_generate_one_request_at_a_time(self):
+        rendered = []
+
+        def render(request):
+            rendered.append(request)
+            return f"prompt of {request.template}"
+
+        batch, single = MockProvider(seed=3), MockProvider(seed=3)
+        replies = batch.generate_many(self.REQUESTS, render)
+        assert replies == [single.generate(r, f"prompt of {r.template}") for r in self.REQUESTS]
+        assert replies[0] == replies[-1] != replies[1]
+        # Only the template the mock does not route needs its prompt.
+        assert rendered == [self.REQUESTS[6]]
+        assert (batch.calls, batch.calls_by_template) == (single.calls, single.calls_by_template)
+        assert batch.calls_by_template == {
+            "usefulness_rubric": 4, "classify_subtopics": 1, "rewrite_query": 1, "generate_article": 1, "echo": 1,
+        }
+
+    def test_a_failing_request_fails_in_place(self):
+        bad = CompletionRequest("generate_article", {"metadata": "not json"})
+        replies = MockProvider(seed=0).generate_many([self.REQUESTS[4], bad, self.REQUESTS[4]], lambda r: "")
+        assert replies[0] == replies[2] == "cant sleep coping strategies and support"
+        assert isinstance(replies[1], ValueError)
+        with pytest.raises(ValueError):
+            MockProvider(seed=0).generate(bad, "")
+
+
 class TestMockProviderMatchesReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(query=texts, docs=st.lists(texts, min_size=1, max_size=4), seed=st.integers(0, 5))

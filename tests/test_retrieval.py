@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpusgap import retrieval as retrieval_module
 from corpusgap.corpus import Corpus, Document, IngestError, Query, Section, Source, Split
-from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter, mock_score
+from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter
 from corpusgap.providers import MockProvider
 from corpusgap.retrieval import (
     CachedEmbedder,
@@ -36,7 +36,7 @@ from corpusgap.retrieval import (
 )
 
 from .test_acceptance import brute_force
-from .world import mock_gateway_judge
+from .world import mock_gateway_judge, mock_score
 
 
 @functools.lru_cache(maxsize=1 << 16)

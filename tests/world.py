@@ -37,7 +37,16 @@ from corpusgap.corpus import (
 )
 from corpusgap.evaluation import ExperimentResult, ExperimentSpec, Pipeline, QueryOutcome
 from corpusgap.gaps import GapParams, GapWeights, analyze_gaps
-from corpusgap.gateway import Gateway, JudgeFn, make_gateway_judge
+from corpusgap.gateway import (
+    Gateway,
+    JudgeFn,
+    counts_overlap,
+    make_gateway_judge,
+    mock_query,
+    mock_query_score,
+    query_tokens,
+    token_counts,
+)
 from corpusgap.planner import (
     allocate_quotas,
     build_directed_corpus,
@@ -213,6 +222,16 @@ def build_world(seed: int = 0) -> World:
         test_queries=tuple(test),
         budgets=LADDER_BUDGETS,
     )
+
+
+def token_overlap(query_text: str, doc_text: str) -> float:
+    """Multiset containment of query tokens in the document, in [0, 1]."""
+    return counts_overlap(query_tokens(query_text), token_counts(doc_text))
+
+
+def mock_score(query_text: str, doc_text: str, seed: int) -> int:
+    """The mock judge's score of one (query text, document text) pair."""
+    return mock_query_score(mock_query(query_text, seed), doc_text)
 
 
 def mock_gateway_judge(seed: int = 0) -> JudgeFn:
