@@ -344,9 +344,10 @@ class AppendLog:
     again); a store dropped unclosed has it closed by a finalizer. `get`
     is the map's own `dict.get`.
 
-    A value put with `resident=False` into a store with a file is not
-    kept: the map holds the `LineSpan` of its line instead, and `read`
-    decodes that line again, as a loaded line is decoded.
+    The two differ in what the map keeps. `put_many` keeps each value.
+    A value `put` into a store with a file is not kept: the map holds the
+    `LineSpan` of its line instead, and `read` decodes that line again,
+    as a loaded line is decoded. Without a file, `put` keeps the value.
     """
 
     def __init__(self, path: str | Path | None, decode: Callable[[dict], tuple | None]):
@@ -368,16 +369,15 @@ class AppendLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key, value, record: dict | str, resident: bool = True) -> LineSpan | None:
+    def put(self, key, value, record: dict | str) -> LineSpan | None:
         """Store value under key and append record, unless key is present;
         the `LineSpan` of the appended line, or None if nothing was
         appended.
 
         `record` is the record, or its line (without the newline) exactly
         as `encode_record` writes it, for a caller that builds the line
-        more cheaply from parts that need no escaping. With
-        `resident=False` and a file, the map keeps the line's span, not
-        value."""
+        more cheaply from parts that need no escaping. With a file, the
+        map keeps the line's span, not value."""
         with self._lock:
             if key in self._entries:
                 return None
@@ -385,8 +385,7 @@ class AppendLog:
                 self._entries[key] = value
                 return None
             data = _line_bytes(record)
-            span = (self._append(data), len(data))
-            self._entries[key] = value if resident else span
+            span = self._entries[key] = (self._append(data), len(data))
             return span
 
     def put_many(self, entries: Sequence[tuple[object, object, dict | str]]) -> None:

@@ -293,10 +293,13 @@ def find_threshold(
 ) -> LadderPoint:
     """Smallest rung whose score reaches the given fraction of reference.
 
-    The ladder must be sorted by size ascending. The comparison rounds
-    the score ratio half-up to 3 decimals before testing against the
-    target, so e.g. 0.9496 qualifies at ratio 0.95.
+    The ladder must be sorted by size ascending, and the ratio above 0
+    (not NaN). The comparison rounds the score ratio half-up to 3
+    decimals before testing against the target, so e.g. 0.9496 qualifies
+    at ratio 0.95.
     """
+    if not ratio > 0:
+        raise ValueError(f"ratio must be above 0, got {ratio!r}")
     if not ladder:
         raise ValueError("empty ladder")
     if reference_score <= 0:

@@ -12,13 +12,17 @@ in the batch, the parser. A reply is cached only once it parses, and is
 never served under another provider or an edited template; its cache line
 is written from its parts (`_completion_line`), byte for byte the line
 `json.dumps` writes. Each distinct miss is sent once (a repeat in the
-batch waits on the first). A provider that computes its replies in this
+batch waits on the first). Where the replies come from is the only
+difference between providers. One that computes its replies in this
 process, like `MockProvider`, has `generate_many`: it gets a batch's
-misses in one call on the calling thread, renders only the prompts it
-needs, and the replies that parse are appended 128 lines a write. Any
-other provider gets each miss rendered and sent alone with bounded
-retries, on up to `max_inflight` worker threads that drain one shared
-list.
+misses in one call on the calling thread and renders only the prompts it
+needs. Any other provider gets each miss rendered and sent once, on up to
+`max_inflight` worker threads that hand each reply back as it arrives.
+Either way one loop on the calling thread parses the replies, fans each
+outcome out to the requests waiting on it, and appends the lines of the
+replies that parse, 128 a write, and before it waits for a reply still
+in flight. The misses whose reply is a `ProviderError` are asked again
+as one round after one backoff sleep, up to `RETRIES` rounds.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
 request's fields. `CompletionRequest.cache_key` writes that JSON from
@@ -27,10 +31,11 @@ bounded memo), byte for byte what `json.dumps` writes, so caches written
 before the fragments were memoised keep their keys. Within a batch,
 `BatchKeyer` gives the same keys from shared hash states: the payload up
 to a request's last sorted binding value is hashed once per batch and
-copied, so a judge batch hashes each document once. `with_retries` is the
-one retry policy that provider and embedder calls share: `RETRIES`
-attempts with a backoff from `BACKOFF_BASE_S` that doubles, which no
-caller changes.
+copied, so a judge batch hashes each document once. Provider and embedder
+calls share one retry policy, which no caller changes: `RETRIES`
+attempts with a backoff from `BACKOFF_BASE_S` that doubles. The gateway
+applies it to a batch's misses in rounds; `with_retries` applies it to
+one embedder call.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
@@ -49,6 +54,7 @@ tokenising afresh.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import json
@@ -282,7 +288,7 @@ def stable_hash(*parts: str) -> int:
 
 T = TypeVar("T")
 _MISSING = object()
-# Parsed replies the in-process path appends with one write: enough to
+# Parsed replies the gateway appends with one write: enough to
 # spread the write's cost, few enough that the lines held at once stay
 # small (one write per batch raised a bench-size cold study's peak RSS by
 # 1.3-2.0 MB).
@@ -294,20 +300,17 @@ RETRIES = 3
 BACKOFF_BASE_S = 1.0
 
 
-def with_retries(
-    call: Callable[[], T],
-    what: str,
-    retry_on: type[Exception] = ProviderError,
-    sleep: Callable[[float], None] = time.sleep,
-) -> T:
-    """call(), tried up to `RETRIES` times while it raises `retry_on`,
-    sleeping BACKOFF_BASE_S * 2**n after failed attempt n; then one
-    ProviderError naming `what` and the attempt count."""
+def with_retries(call: Callable[[], T], what: str, sleep: Callable[[float], None] = time.sleep) -> T:
+    """call(), tried up to `RETRIES` times while it raises
+    `TransientProviderError`, sleeping BACKOFF_BASE_S * 2**n after failed
+    attempt n; then one ProviderError naming `what` and the attempt count.
+    The gateway applies the same policy to a batch's misses in rounds
+    (`Gateway.complete_many`)."""
     last_error: Exception | None = None
     for attempt in range(RETRIES):
         try:
             return call()
-        except retry_on as exc:
+        except TransientProviderError as exc:
             last_error = exc
             if attempt < RETRIES - 1:
                 sleep(BACKOFF_BASE_S * 2**attempt)
@@ -339,9 +342,9 @@ class Gateway:
 
     Safe for concurrent callers; at most `max_inflight` calls of a
     provider without `generate_many` run at once. Transport failures are
-    retried with exponential backoff (`with_retries`: 3 attempts, base
-    1 s) and then surfaced. A `max_inflight` below 1 is refused with a
-    ValueError, and a provider class that overrides `generate` but
+    retried in rounds with exponential backoff (3 attempts, base 1 s, one
+    sleep a round) and then surfaced. A `max_inflight` below 1 is refused
+    with a ValueError, and a provider class that overrides `generate` but
     inherits `generate_many` with a TypeError.
     """
 
@@ -373,13 +376,6 @@ class Gateway:
         except KeyError:
             raise TemplateError(f"unknown template {name!r}") from None
 
-    def _call_provider(self, request: CompletionRequest, prompt: str) -> str:
-        def attempt() -> str:
-            with self._semaphore:
-                return self.provider.generate(request, prompt)
-
-        return with_retries(attempt, f"provider {self.provider.id!r}", sleep=self._sleep)
-
     def close(self) -> None:
         """Close the completion cache's file; a later miss reopens it."""
         self.cache.close()
@@ -409,11 +405,14 @@ class Gateway:
         is returned as its parse error and not cached, so a rerun asks the
         provider again.
 
-        A provider with `generate_many` gets every distinct miss in one
-        call on the calling thread (`_complete_in_process`). Otherwise
-        misses run in order on the calling thread for a one-wide gateway
-        or a single miss, and on up to `max_inflight` threads draining one
-        shared list for more.
+        Each distinct miss is asked once (`_ask`, the one place where the
+        two kinds of provider differ), and every reply goes through one
+        loop on the calling thread. It parses each distinct reply once,
+        gives the outcome to every request waiting on it, and appends the
+        lines of the replies that parse `_LINES_PER_WRITE` at a time, and
+        also before it waits for a reply still in flight. The misses whose
+        reply is a `ProviderError` form the next round, asked after one
+        backoff sleep, for up to `RETRIES` rounds.
         """
         lookup = self.cache.get
         keyer = BatchKeyer(self.provider.id, self.template)
@@ -441,29 +440,83 @@ class Gateway:
             except Exception as exc:
                 result = exc
             results[i] = result
-        if not misses:
-            return results
+        lines: list[tuple[str, str, str]] = []  # (key, reply, line), not yet appended
+
+        def put_lines() -> None:
+            # One write; should it fail, one a line, so a line that cannot
+            # be written fails only its own requests.
+            try:
+                self.cache.put_many(lines)
+            except Exception:
+                for entry in lines:
+                    try:
+                        self.cache.put_many([entry])
+                    except Exception as exc:
+                        for i in waiting[entry[0]]:
+                            results[i] = exc
+            lines.clear()
+
+        for attempt in range(RETRIES):
+            if not misses:
+                break
+            if attempt:
+                put_lines()
+                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            failed = []
+            for miss, reply in self._ask(misses, put_lines):
+                request, key = miss
+                if isinstance(reply, ProviderError):
+                    if attempt < RETRIES - 1:
+                        failed.append(miss)
+                        continue
+                    outcome = ProviderError(f"provider {self.provider.id!r} failed after {RETRIES} attempts: {reply}")
+                    outcome.__cause__ = reply
+                elif isinstance(reply, Exception):
+                    outcome = reply
+                else:
+                    try:
+                        outcome = parsed.get(reply, _MISSING)
+                        if outcome is _MISSING:
+                            outcome = parsed[reply] = parser(reply)
+                        lines.append((key, reply, _completion_line(key, request.template, reply)))
+                    except Exception as exc:
+                        outcome = exc
+                for i in waiting[key]:
+                    results[i] = outcome
+                if len(lines) == _LINES_PER_WRITE:
+                    put_lines()
+            misses = failed
+        put_lines()
+        return results
+
+    def _render(self, request: CompletionRequest) -> str:
+        return self.template(request.template).render(request.bindings)
+
+    def _ask(self, misses: list[tuple[CompletionRequest, str]], before_wait: Callable[[], None]):
+        """(miss, its reply or the exception it raised) for each miss.
+
+        A provider with `generate_many` answers all of them in one call on
+        the calling thread, with no semaphore; an exception the call
+        raises, or a count of replies that does not match, is each miss's
+        reply. Any other provider gets each miss rendered and sent once by
+        up to `max_inflight` worker threads under the semaphore, and its
+        replies are yielded as they arrive, calling `before_wait()` before
+        waiting for one; the workers are joined before this returns."""
         generate_many = getattr(self.provider, "generate_many", None)
         if generate_many is not None:
-            self._complete_in_process(generate_many, misses, parser, parsed, waiting, results)
-            return results
-
-        def send(miss: tuple[CompletionRequest, str]) -> None:
-            request, key = miss
             try:
-                response = self._call_provider(request, self._render(request))
-                outcome = parser(response)
-                self.cache.put(key, response, _completion_line(key, request.template, response))
+                replies = generate_many([request for request, _ in misses], self._render)
+                if len(replies) != len(misses):
+                    raise RuntimeError(f"provider {self.provider.id!r} gave {len(replies)} replies to {len(misses)} requests")
             except Exception as exc:
-                outcome = exc
-            for i in waiting[key]:
-                results[i] = outcome
-
-        workers = min(self.max_inflight, len(misses))
-        if workers <= 1:
-            for miss in misses:
-                send(miss)
-            return results
+                replies = [exc] * len(misses)
+            yield from zip(misses, replies)
+            return
+        # Replies in the order they arrive, and a count of them. Not a
+        # `queue` module queue: importing it raised the slow-provider
+        # bench's peak RSS by about 0.1 MB.
+        arrived: collections.deque = collections.deque()
+        ready = threading.Semaphore(0)
         pending = iter(misses)
         lock = threading.Lock()
 
@@ -473,90 +526,29 @@ class Gateway:
                     miss = next(pending, None)
                 if miss is None:
                     return
-                send(miss)
+                request, _ = miss
+                try:
+                    prompt = self._render(request)
+                    with self._semaphore:
+                        reply = self.provider.generate(request, prompt)
+                except Exception as exc:
+                    reply = exc
+                arrived.append((miss, reply))
+                ready.release()
 
+        workers = min(self.max_inflight, len(misses))
         threads = [threading.Thread(target=drain, name=f"gateway-{n}") for n in range(workers)]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
-        return results
-
-    def _render(self, request: CompletionRequest) -> str:
-        return self.template(request.template).render(request.bindings)
-
-    def _complete_in_process(
-        self,
-        generate_many: Callable,
-        misses: list[tuple[CompletionRequest, str]],
-        parser: Callable[[str], T],
-        parsed: dict[str, object],
-        waiting: dict[str, list[int]],
-        results: list,
-    ) -> None:
-        """Answer a batch's misses from one `generate_many` call, with no
-        semaphore (the call cannot block on another thread) and no retry
-        closure. A `ProviderError` returned in place, or raised by the
-        call, is retried alone (`_retry_alone`), so each request keeps the
-        retry policy; any other exception the call raises, or a count of
-        replies that does not match the requests, is each miss's result.
-        Replies that parse are appended `_LINES_PER_WRITE` at a time, one
-        `AppendLog.put_many` write each (`_put_lines`)."""
         try:
-            replies = generate_many([request for request, _ in misses], self._render)
-            if len(replies) != len(misses):
-                raise RuntimeError(f"provider {self.provider.id!r} gave {len(replies)} replies to {len(misses)} requests")
-        except Exception as exc:  # a raised ProviderError is each request's failed first attempt
-            replies = [exc] * len(misses)
-        lines: list[tuple[str, str, str]] = []
-        for (request, key), reply in zip(misses, replies):
-            try:
-                if isinstance(reply, ProviderError):
-                    reply = self._retry_alone(generate_many, request, reply)
-                elif isinstance(reply, Exception):
-                    raise reply
-                outcome = parsed.get(reply, _MISSING)
-                if outcome is _MISSING:
-                    outcome = parsed[reply] = parser(reply)
-                lines.append((key, reply, _completion_line(key, request.template, reply)))
-            except Exception as exc:
-                outcome = exc
-            for i in waiting[key]:
-                results[i] = outcome
-            if len(lines) == _LINES_PER_WRITE:
-                self._put_lines(lines, waiting, results)
-                lines = []
-        if lines:
-            self._put_lines(lines, waiting, results)
-
-    def _put_lines(self, lines: list[tuple[str, str, str]], waiting: dict[str, list[int]], results: list) -> None:
-        """Append (key, reply, line) entries with one write. Should that
-        fail, each line is appended alone, so a line that cannot be
-        written fails only its own requests, as on the threaded path."""
-        try:
-            self.cache.put_many(lines)
-        except Exception:
-            for key, reply, line in lines:
-                try:
-                    self.cache.put(key, reply, line)
-                except Exception as exc:
-                    for i in waiting[key]:
-                        results[i] = exc
-
-    def _retry_alone(self, generate_many: Callable, request: CompletionRequest, error: ProviderError) -> str:
-        """The reply to a request whose batch reply was `error`: the batch
-        was its first attempt, and `with_retries` makes the rest, one
-        `generate_many` call for this request each."""
-        pending = [error]  # the first attempt's reply, already in hand
-
-        def attempt() -> str:
-            (reply,) = pending or generate_many([request], self._render)
-            pending.clear()
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
-
-        return with_retries(attempt, f"provider {self.provider.id!r}", sleep=self._sleep)
+            for _ in misses:
+                if not ready.acquire(blocking=False):
+                    before_wait()
+                    ready.acquire()
+                yield arrived.popleft()
+        finally:
+            for thread in threads:
+                thread.join()
 
 
 # --- judge scores ----------------------------------------------------------

@@ -288,7 +288,6 @@ class HttpEmbedder(_HttpClient):
                 lambda body: np.asarray(body["data"][0]["embedding"], dtype=np.float64),
             ),
             f"embedder {self.id!r}",
-            retry_on=TransientProviderError,
             sleep=self._sleep,
         )
         if vec.shape != (self.dim,):

@@ -168,7 +168,7 @@ class CachedEmbedder:
         vec = self.inner.embed(text)
         vec.flags.writeable = False
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
-        self._store.put(key, vec, f'{self._line_head}{key}", "vector_b64": "{vector_b64}"}}', resident=False)
+        self._store.put(key, vec, f'{self._line_head}{key}", "vector_b64": "{vector_b64}"}}')
         return vec
 
 

@@ -242,6 +242,17 @@ def test_thresholds_on_partial_grid(runner, tmp_path):
     assert lines[1].startswith("baseline,")
 
 
+@pytest.mark.parametrize("ratio", ["nan", "0", "-1"])
+def test_thresholds_refuse_a_ratio_not_above_zero(runner, tmp_path, ratio):
+    summary = tmp_path / "summary.jsonl"
+    write_records(summary, _summary(["baseline"]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["thresholds", "--summary", str(summary), "--ratio", ratio, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: ratio must be above 0, got {float(ratio)!r}\n"
+    assert not out.exists()
+
+
 def test_thresholds_names_unscored_reference_cells(runner, tmp_path):
     summary = tmp_path / "summary.jsonl"
     pipelines = ["baseline", "hierarchical", "reranking", "query_transformation"]

@@ -230,8 +230,16 @@ class TestAppendLog:
     def test_put_persists_once_and_reloads(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = AppendLog(path, _decode)
-        log.put("a", 1, {"key": "a", "value": 1})
-        log.put("a", 2, {"key": "a", "value": 2})
+        span = log.put("a", 1, {"key": "a", "value": 1})
+        assert log.put("a", 2, {"key": "a", "value": 2}) is None
+        assert log.get("a") == span and log.read("a", span) == 1 and len(log) == 1
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        assert AppendLog(path, _decode).get("a") == 1
+        # `put_many` keeps the value itself.
+        path = tmp_path / "many.jsonl"
+        log = AppendLog(path, _decode)
+        log.put_many([("a", 1, {"key": "a", "value": 1})])
+        log.put_many([("a", 2, {"key": "a", "value": 2})])
         assert log.get("a") == 1 and len(log) == 1
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         assert AppendLog(path, _decode).get("a") == 1
@@ -298,7 +306,7 @@ class TestAppendLog:
             gc.collect()
             # The handle that `read` opens again after a close.
             log = AppendLog(tmp_path / "read.jsonl", _decode)
-            span = log.put("a", 1, {"key": "a", "value": 1}, resident=False)
+            span = log.put("a", 1, {"key": "a", "value": 1})
             log.close()
             assert log.read("a", span) == 1
             del log
@@ -357,19 +365,19 @@ class TestAppendLog:
     def test_non_resident_values_are_read_back_from_their_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = AppendLog(path, _decode)
-        span = log.put("a", "unkept", {"key": "a", "value": "kept"}, resident=False)
-        log.put("b", "kept in memory", {"key": "b", "value": "on disk"})
+        span = log.put("a", "unkept", {"key": "a", "value": "kept"})
+        log.put_many([("b", "kept in memory", {"key": "b", "value": "on disk"})])
         assert log.get("a") == span and log.get("b") == "kept in memory"
         assert log.read("a", span) == "kept"
         # Without a file there is nothing to read back, so the value is kept.
         unfiled = AppendLog(None, _decode)
-        unfiled.put("a", "value", {"key": "a", "value": "value"}, resident=False)
+        unfiled.put("a", "value", {"key": "a", "value": "value"})
         assert unfiled.get("a") == "value"
 
     def test_read_refuses_a_line_that_changed(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = AppendLog(path, _decode)
-        span = log.put("a", 1, {"key": "a", "value": 1}, resident=False)
+        span = log.put("a", 1, {"key": "a", "value": 1})
         with pytest.raises(IngestError, match="no longer there"):
             log.read("b", span)
         path.write_text('{"key": "a", "value": 1}', encoding="utf-8")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -411,6 +412,12 @@ class TestFindThreshold:
     def test_empty_ladder_errors(self):
         with pytest.raises(ValueError, match="empty"):
             find_threshold([], reference_score=1.0)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), 0.0, -1.0])
+    def test_ratio_not_above_zero_rejected(self, ratio):
+        ladder = [LadderPoint(10, 1.0, 80.0)]
+        with pytest.raises(ValueError, match=re.escape(f"ratio must be above 0, got {ratio!r}")):
+            find_threshold(ladder, reference_score=80.0, ratio=ratio)
 
     def test_unsorted_ladder_rejected(self):
         ladder = [LadderPoint(20, 2.0, 80.0), LadderPoint(10, 1.0, 80.0)]

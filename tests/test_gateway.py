@@ -835,6 +835,65 @@ class TestCompleteMany:
         assert out[0] == [int(w[1:]) + 1 for w in words]
         assert sent == {f"w{i}": 1 for i in range(97)}
 
+    def test_failed_misses_share_each_round_s_backoff(self):
+        failures = {"a": 2, "b": 2}
+        lock = threading.Lock()
+
+        class Flaky:
+            id = "flaky"
+            calls = 0
+
+            def generate(self, request, prompt):
+                word = request.bindings["word"]
+                with lock:
+                    Flaky.calls += 1
+                    failing = failures[word] > 0
+                    failures[word] -= failing
+                if failing:
+                    raise ProviderError(f"{word} is down")
+                return word
+
+        waits = []
+        gateway = gw(Flaky(), sleep=waits.append, max_inflight=4)
+        assert gateway.complete_many([req("a"), req("b"), req("a")], str) == ["a", "b", "a"]
+        assert waits == [1.0, 2.0] and Flaky.calls == 6
+
+    def test_lines_that_arrived_are_appended_before_waiting(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        seen = []
+
+        class WaitsForA:
+            id = "waits"
+
+            def generate(self, request, prompt):
+                word = request.bindings["word"]
+                if word == "b":
+                    deadline = time.monotonic() + 10
+                    while not (path.exists() and path.read_bytes().count(b"\n") == 1) and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    seen.append(path.read_bytes())
+                return word
+
+        gateway = gw(WaitsForA(), cache_path=path, max_inflight=1)
+        assert gateway.complete_many([req("a"), req("b")], str) == ["a", "b"]
+        key = req("a").cache_key("waits", TEMPLATES["echo"].body_sha)
+        assert seen == [(json.dumps({"key": key, "template": "echo", "response": "a"}, sort_keys=True) + "\n").encode()]
+        assert path.read_bytes().count(b"\n") == 2
+
+    def test_every_worker_is_joined_before_return(self, monkeypatch):
+        class SlowToExit(threading.Thread):
+            def run(self):
+                super().run()
+                time.sleep(0.05)  # still winding down after its last reply
+
+        monkeypatch.setattr(threading, "Thread", SlowToExit)
+        before = threading.active_count()
+        provider = SleepingProvider(ScriptedProvider({str(i): "42" for i in range(12)}), ms=2.0)
+        gateway = gw(provider, max_inflight=4)
+        results = gateway.complete_many([req(str(i)) for i in range(13)], parse_judge_score)
+        assert results[:12] == [42] * 12 and isinstance(results[12], ProviderError)
+        assert threading.active_count() == before
+
     def test_repeats_of_a_miss_are_keyed_once(self, monkeypatch):
         provider = CountingProvider("42")
         gateway = gw(provider)
@@ -952,7 +1011,17 @@ class TestInProcessBatch:
         gateway = gw(provider, sleep=waits.append, cache_path=tmp_path / "cache.jsonl")
         results = gateway.complete_many([req("a"), req("b"), req("a")], str)
         assert results == [MockProvider(seed=0).generate(req(w), f"say {w}") for w in ("a", "b", "a")]
-        assert provider.batches == [2, 1, 1] and waits == [1.0, 1.0]
+        # Both misses failed their first attempt, so both are the second round.
+        assert provider.batches == [2, 2] and waits == [1.0]
+        assert len(gateway.cache) == 2
+
+    def test_failed_misses_are_retried_as_one_round(self, tmp_path):
+        provider = BatchCountingMock({"a": 2, "b": 2})
+        waits = []
+        gateway = gw(provider, sleep=waits.append, cache_path=tmp_path / "cache.jsonl")
+        results = gateway.complete_many([req("a"), req("b")], str)
+        assert results == [MockProvider(seed=0).generate(req(w), f"say {w}") for w in ("a", "b")]
+        assert provider.batches == [2, 2, 2] and waits == [1.0, 2.0]
         assert len(gateway.cache) == 2
 
     def test_other_exception_raised_by_the_batch_call_is_each_miss_result(self, tmp_path):
