@@ -137,10 +137,16 @@ def annotate(ctx, kind, input_path, output, taxonomy_path, labelings_path, relab
             if not isinstance(text, str):
                 raise IngestError(f"{where}: missing or invalid 'text'")
         else:
-            bodies = [s.get("body", "") for s in record.get("sections", [])]
+            sections = record.get("sections", [])
+            if not isinstance(sections, list) or not all(isinstance(s, dict) for s in sections):
+                raise IngestError(f"{where}: 'sections' must be a list of objects")
+            bodies = [s.get("body", "") for s in sections]
             if "body" in record:
                 bodies.append(record["body"])
-            text = " ".join([record.get("title", "")] + bodies)
+            title = record.get("title", "")
+            if not all(isinstance(part, str) for part in [title, *bodies]):
+                raise IngestError(f"{where}: 'title' and each 'body' must be strings")
+            text = " ".join([title] + bodies)
         todo.append((record["id"], text))
     labelings, failures = annotate_mod.label_batch(todo, taxonomy, gateway, params)
     for record in records:
@@ -284,8 +290,8 @@ def generate(ctx, metadata_path, output, flags_path) -> None:
 
 
 def _parse_pipelines(ctx: click.Context, param: click.Parameter, value: str) -> list[Pipeline]:
-    """'all' or comma-separated pipeline names, checked as `click.Choice`
-    would check one name, before the command reads any input."""
+    """'all' or comma-separated pipeline names, each once, checked as
+    `click.Choice` would check one name, before the command reads input."""
     if value == "all":
         return list(Pipeline)
     names = [name.strip() for name in value.split(",")]
@@ -293,6 +299,9 @@ def _parse_pipelines(ctx: click.Context, param: click.Parameter, value: str) -> 
     if unknown:
         choices = ", ".join(["all"] + [p.value for p in Pipeline])
         raise click.BadParameter(f"unknown pipeline(s) {', '.join(map(repr, unknown))}; choose from {choices}")
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise click.BadParameter(f"pipeline(s) {', '.join(map(repr, repeated))} named more than once")
     return [Pipeline(name) for name in names]
 
 
@@ -374,7 +383,10 @@ def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusIn
             raise IngestError(f"{where}: 'docs_added' must be an integer, got {entry['docs_added']!r}") from None
         corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
         corpora.append(corpus)
-        info[corpus.name] = CorpusInfo(entry["arm"], docs_added, len(corpus))
+        try:
+            info[corpus.name] = CorpusInfo(entry["arm"], docs_added, len(corpus))
+        except ValueError as exc:
+            raise IngestError(f"{where}: {exc}") from None
     return corpora, info
 
 

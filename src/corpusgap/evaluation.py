@@ -4,17 +4,18 @@ within a fixed fraction of the reference corpus score.
 
 A cell is one (corpus, pipeline) pair run over the held-out test
 queries; its score is the mean judge score of every query's top
-documents. The grid builds one document index and one chunk index over
-the union of its corpora, and each corpus's cells search that corpus's
-rows of them (`CorpusResources`), so every document and chunk is
-embedded once and every query is ranked once per grid. It runs its cells
-`GRID_CHUNK_CELLS` at a time through one `retrieval.Retriever`, so each
-distinct (query text, doc id) pair is judged once per grid, and each
-chunk's new pairs go to the judge in one batch. A cell that fails is
-returned, not raised: it keeps the queries before the failure, is marked
-incomplete and carries the failure as its `error`, so the grid runs every
-cell and each failure stays with the cell it belongs to. A failure is
-never kept as a score: the next chunk that needs the same pair asks again.
+documents. `run_grid` is the one way from corpora to cells
+(`run_experiment` is a one-corpus grid). It builds each index kind once
+over the union of its corpora, and each corpus searches its rows of it,
+so every document and chunk is embedded once and every query is ranked
+once per grid. It runs its cells `GRID_CHUNK_CELLS` at a time through
+one `retrieval.Retriever`, so each distinct (query text, doc id) pair is
+judged once per grid, and each chunk's new pairs go to the judge in one
+batch. A cell that fails is returned, not raised: it keeps the queries
+before the failure, is marked incomplete and carries the failure as its
+`error`, so the grid runs every cell and each failure stays with the
+cell it belongs to. A failed index build is tried once per grid; a
+failed judge call is never kept: the next chunk that needs it asks again.
 
 Threshold semantics, recorded in every report: a rung qualifies when its
 score ratio to the reference, rounded half-up to 3 decimals, is >= the
@@ -24,7 +25,6 @@ target ratio (default 0.950).
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import logging
@@ -78,34 +78,6 @@ class ExperimentResult:
     error: str | None = None
 
 
-class CorpusResources:
-    """A corpus's document and chunk indexes, each made on first use, so a
-    grid without the hierarchical pipeline never builds a chunk index.
-
-    Alone, the indexes are built over this corpus. Given the resources of
-    a union of corpora, they are that union's indexes cut to this
-    corpus's rows (`SearchIndex.subset`), so corpora that share documents
-    embed them and rank each query over them once.
-    """
-
-    def __init__(self, corpus: Corpus, embedder: Embedder, union: CorpusResources | None = None):
-        self.corpus = corpus
-        self.embedder = embedder
-        self.union = union
-
-    @functools.cached_property
-    def doc_index(self) -> SearchIndex:
-        if self.union is None:
-            return build_document_index(self.corpus, self.embedder)
-        return self.union.doc_index.subset(self.corpus)
-
-    @functools.cached_property
-    def chunk_index(self) -> SearchIndex:
-        if self.union is None:
-            return build_chunk_index(self.corpus, self.embedder)
-        return self.union.chunk_index.subset(self.corpus)
-
-
 def union_corpus(corpora: Sequence[Corpus]) -> Corpus:
     """Every document of `corpora` once, in first-seen order.
 
@@ -133,23 +105,17 @@ def _require_test_split(queries: Sequence[Query]) -> None:
 
 def _run_cells(
     retriever: Retriever,
-    cells: Sequence[tuple[ExperimentSpec, CorpusResources]],
+    cells: Sequence[tuple[ExperimentSpec, Cell | Exception]],
     test_queries: Sequence[Query],
 ) -> list[ExperimentResult]:
-    """One `Retriever.run` over the cells whose index could be made; a cell
-    whose index could not is failed by that error."""
-    failed: list[CellRun | None] = []
-    indexed: list[Cell] = []
-    for spec, resources in cells:
-        try:
-            index = resources.chunk_index if spec.pipeline is Pipeline.HIERARCHICAL else resources.doc_index
-        except Exception as exc:
-            failed.append(CellRun((), exc))
-        else:
-            failed.append(None)
-            indexed.append(Cell(spec.pipeline, index, resources.corpus))
-    runs = iter(retriever.run(indexed, test_queries))
-    return [_experiment_result(spec, run or next(runs)) for (spec, _), run in zip(cells, failed)]
+    """One `Retriever.run` over the cells that have an index; a cell whose
+    index could not be built fails with that error. Each call's `CellRun`s
+    are released when it returns, before the grid's next chunk runs."""
+    runs = iter(retriever.run([cell for _, cell in cells if isinstance(cell, Cell)], test_queries))
+    return [
+        _experiment_result(spec, CellRun((), cell) if isinstance(cell, Exception) else next(runs))
+        for spec, cell in cells
+    ]
 
 
 def _experiment_result(spec: ExperimentSpec, run: CellRun) -> ExperimentResult:
@@ -168,7 +134,8 @@ def _experiment_result(spec: ExperimentSpec, run: CellRun) -> ExperimentResult:
 
 def run_experiment(
     spec: ExperimentSpec,
-    resources: CorpusResources,
+    corpus: Corpus,
+    embedder: Embedder,
     test_queries: Sequence[Query],
     judge: JudgeFn,
     rewriter: RewriteFn | None = None,
@@ -176,19 +143,18 @@ def run_experiment(
     top_k: int = DEFAULT_TOP_K,
     out_path: str | Path | None = None,
 ) -> ExperimentResult:
-    """Run one (corpus, pipeline) cell over the held-out test queries.
+    """Run one (corpus, pipeline) cell over the held-out test queries: the
+    one-corpus, one-pipeline `run_grid`, saved to `out_path` if given.
 
-    The aggregate is the mean judge score over all queries and their top
-    retrieved documents. The cell is one `Retriever.run`, as a grid chunk
-    is, which judges the distinct (query, document) pairs it needs in one
-    batch (for baseline, its top-k). A rewrite or judge failure surfaces
-    at the query it belongs to: the earlier queries are kept, and the cell
-    is returned (and saved) with no score, marked incomplete, with `error`
-    "<Type>: <message>".
+    A rewrite or judge failure surfaces at the query it belongs to: the
+    earlier queries are kept, and the cell is returned (and saved) with no
+    score, marked incomplete, with `error` "<Type>: <message>".
     """
-    _require_test_split(test_queries)
-    retriever = Retriever(judge, rewriter, k_candidates, top_k)
-    [result] = _run_cells(retriever, [(spec, resources)], test_queries)
+    if spec.corpus_name != corpus.name:
+        raise ValueError(f"spec names corpus {spec.corpus_name!r}, but the corpus is {corpus.name!r}")
+    [result] = run_grid(
+        [corpus], [spec.pipeline], test_queries, embedder, judge, rewriter, k_candidates, top_k, seed=spec.seed
+    )
     if out_path is not None:
         save_experiment(result, out_path)
     return result
@@ -237,26 +203,36 @@ def run_grid(
     """Every (corpus, pipeline) cell, in order; a failed cell is returned
     incomplete with its error, and the grid goes on.
 
-    Every corpus searches its rows of one document index and one chunk
-    index over the union of `corpora` (see `union_corpus`, whose checks
-    run before any cell). Cells run `GRID_CHUNK_CELLS` at a time through
+    After `union_corpus`'s checks, each index kind (chunk for
+    hierarchical, else document) is built once over the union, in the
+    order `pipelines` first needs it; a build that raises is the error of
+    every cell of its kind. Each corpus searches its rows of each index
+    (`SearchIndex.subset`). Cells run `GRID_CHUNK_CELLS` at a time through
     one `Retriever` for the grid, so each chunk makes at most one rewriter
     and one judge call, and a (query text, doc id) pair is judged once
     per grid; a pair that failed is asked again by the next chunk that
     holds it.
     """
     _require_test_split(test_queries)
-    union = CorpusResources(union_corpus(corpora), embedder)
+    union = union_corpus(corpora)
+    # The builders are looked up when the grid runs, so a caller may wrap them.
+    builds = [build_chunk_index if p is Pipeline.HIERARCHICAL else build_document_index for p in pipelines]
+    indexes: dict[object, SearchIndex | Exception] = {}
+    for build in dict.fromkeys(builds):
+        try:
+            indexes[build] = build(union, embedder)
+        except Exception as exc:
+            indexes[build] = exc
+    cells: list[tuple[ExperimentSpec, Cell | Exception]] = []
+    for corpus in corpora:
+        views = {build: index if isinstance(index, Exception) else index.subset(corpus) for build, index in indexes.items()}
+        for pipeline, view in zip(pipelines, map(views.get, builds)):
+            spec = ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline, seed=seed)
+            cells.append((spec, view if isinstance(view, Exception) else Cell(pipeline, view, corpus)))
     retriever = Retriever(judge, rewriter, k_candidates, top_k)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline, seed=seed), resources)
-        for corpus in corpora
-        for resources in [CorpusResources(corpus, embedder, union)]
-        for pipeline in pipelines
-    ]
     results: list[ExperimentResult] = []
     for start in range(0, len(cells), GRID_CHUNK_CELLS):
         for result in _run_cells(retriever, cells[start : start + GRID_CHUNK_CELLS], test_queries):
@@ -367,6 +343,12 @@ class CorpusInfo:
     arm: str
     docs_added: int
     total_docs: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.docs_added < self.total_docs:
+            raise ValueError(
+                f"docs_added must be at least 0 and below total_docs, got {self.docs_added} of {self.total_docs}"
+            )
 
     @property
     def pct_increase(self) -> float:

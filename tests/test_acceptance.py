@@ -14,14 +14,11 @@ import pytest
 from corpusgap.corpus import percent_increase
 from corpusgap.evaluation import (
     CorpusInfo,
-    CorpusResources,
-    ExperimentSpec,
     LadderPoint,
     Pipeline,
     doc_reduction_report,
     emit_report,
     emit_threshold_report,
-    run_experiment,
     run_grid,
 )
 from corpusgap.gaps import GapParams, SubtopicStats, coverage_gap, usefulness_gap
@@ -355,28 +352,22 @@ def test_c09_directed_beats_random():
     embedder = CachedEmbedder(world_embedder())
     test_queries = list(world.test_queries)
 
-    def cell_score(corpus, resources, pipeline):
-        spec = ExperimentSpec(corpus_name=corpus.name, pipeline=pipeline)
-        result = run_experiment(
-            spec, resources, test_queries, judge, rewriter=list
-        )
-        return result.avg_score
+    def cell_scores(corpus):
+        results = run_grid([corpus], list(Pipeline), test_queries, embedder, judge, rewriter=list)
+        return {result.spec.pipeline: result.avg_score for result in results}
 
     directed, _ = build_ladders(world, judge, sample_seed=0)
     directed_avg = {}
     for corpus, budget in zip(directed, world.budgets):
-        resources = CorpusResources(corpus, embedder)
-        for pipeline in Pipeline:
-            directed_avg[(budget, pipeline)] = cell_score(corpus, resources, pipeline)
+        for pipeline, score in cell_scores(corpus).items():
+            directed_avg[(budget, pipeline)] = score
 
     for sample_seed in range(5):
         for budget in world.budgets:
             nondirected = build_nondirected_corpus(
                 world.baseline, list(world.pool), budget, sample_seed
             )
-            resources = CorpusResources(nondirected, embedder)
-            for pipeline in Pipeline:
-                nd_score = cell_score(nondirected, resources, pipeline)
+            for pipeline, nd_score in cell_scores(nondirected).items():
                 assert directed_avg[(budget, pipeline)] >= nd_score, (
                     f"non-directed won: seed={sample_seed} budget={budget} "
                     f"pipeline={pipeline.value}"

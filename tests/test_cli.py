@@ -353,6 +353,46 @@ def test_eval_manifest_bad_docs_added_or_repeated_name_is_clean(runner, tmp_path
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("docs_added", [-2, "corpus size"], ids=["below-zero", "whole-corpus"])
+def test_eval_manifest_docs_added_outside_its_corpus_is_clean(runner, tmp_path, world, docs_added):
+    if docs_added == "corpus size":
+        docs_added = len(world.baseline)
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "directed", "docs_added": docs_added})
+    result = runner.invoke(main, args)
+    _assert_clean_failure(
+        result,
+        f"manifest.jsonl:1: docs_added must be at least 0 and below total_docs, got {docs_added} of {len(world.baseline)}",
+    )
+    assert not (tmp_path / "results").exists()
+
+
+def test_annotate_documents_text_is_title_then_section_bodies_then_flat_body(runner, tmp_path, world, monkeypatch):
+    write_taxonomy(world.taxonomy, tmp_path / "taxonomy.jsonl")
+    write_records(tmp_path / "docs.jsonl", [
+        {"id": "d1", "title": "Sleep", "sections": [{"heading": "H", "body": "one"}, {"heading": "I"}], "body": "flat"},
+        {"id": "d2", "body": "only"},
+    ])
+    sent = []
+    monkeypatch.setattr("corpusgap.annotate.label_batch", lambda todo, *args: sent.extend(todo) or ({}, []))
+    invoke(runner, tmp_path / "cache", ["annotate", "documents", str(tmp_path / "docs.jsonl"),
+                                        "--taxonomy", str(tmp_path / "taxonomy.jsonl"), "-o", str(tmp_path / "out.jsonl")])
+    assert sent == [("d1", "Sleep one  flat"), ("d2", " only")]
+
+
+def test_eval_repeated_pipeline_rejected_before_any_input_is_read(runner, tmp_path, world, monkeypatch):
+    args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("a corpus was read")
+
+    monkeypatch.setattr("corpusgap.cli.ingest_documents", no_ingest)
+    result = runner.invoke(main, args + ["--pipelines", "baseline,reranking, baseline"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "pipeline(s) 'baseline' named more than once" in result.output
+    assert not (tmp_path / "results").exists()
+
+
 def test_nondirected_size_below_zero_is_a_usage_error(runner, tmp_path, world):
     write_corpus(world.baseline, tmp_path / "baseline.jsonl")
     write_corpus(Corpus(name="pool", documents=world.pool), tmp_path / "pool.jsonl")
@@ -440,6 +480,19 @@ def test_summary_row_missing_field_is_clean(runner, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["thresholds", "report"])
+@pytest.mark.parametrize("docs_added, total_docs", [(9, 6), (-2, 6), (6, 6)])
+def test_summary_row_docs_added_outside_its_corpus_is_clean(runner, tmp_path, command, docs_added, total_docs):
+    rows = _summary(["baseline"])
+    rows[3].update(docs_added=docs_added, total_docs=total_docs)
+    write_records(tmp_path / "summary.jsonl", rows)
+    result = runner.invoke(main, [command, "--summary", str(tmp_path / "summary.jsonl"), "--out", str(tmp_path / "out")])
+    _assert_clean_failure(
+        result, f"summary.jsonl:4: docs_added must be at least 0 and below total_docs, got {docs_added} of {total_docs}"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["thresholds", "report"])
 def test_summary_malformed_line_is_clean(runner, tmp_path, command):
     write_records(tmp_path / "summary.jsonl", _summary(["baseline"]))
     with open(tmp_path / "summary.jsonl", "a") as fh:
@@ -452,7 +505,9 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
     "command",
     ["ingest", "annotate", "gaps", "plan", "build-corpus",
      "plan-no-query-count", "plan-hybrid-not-a-number", "plan-query-count-boolean", "directed-no-subtopic", "directed-allocation-not-an-integer",
-     "annotate-no-id", "annotate-no-text", "generate-no-title", "generate-word-count",
+     "annotate-no-id", "annotate-no-text", "annotate-sections-not-a-list", "annotate-section-not-an-object",
+     "annotate-body-not-a-string", "annotate-flat-body-not-a-string", "annotate-title-not-a-string",
+     "generate-no-title", "generate-word-count",
      "generate-empty-title", "generate-zero-words", "generate-headers-string"],
 )
 def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, command):
@@ -466,6 +521,7 @@ def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, comma
     write_records(paths["plan"], [])
     write_records(paths["metadata"], [{"title": "Sleep Help", "headers": ["One"], "word_count": 40}])
     annotate = ["annotate", "queries", paths["train"], "--taxonomy", paths["taxonomy"]]
+    annotate_docs = ["annotate", "documents", paths["baseline"], "--taxonomy", paths["taxonomy"]]
     generate = ["generate", "--metadata", paths["metadata"]]
     plan = ["plan", "--gaps", paths["gaps"], "--pool", paths["pool"], "--budget", "4"]
     directed = ["build-corpus", "directed", "--baseline", paths["baseline"], "--pool", paths["pool"],
@@ -484,6 +540,11 @@ def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, comma
         "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool", "{not json", "malformed record"),
         "annotate-no-id": (annotate, "train", '{"text": "cant sleep"}', "missing or invalid 'id'"),
         "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "missing or invalid 'text'"),
+        "annotate-sections-not-a-list": (annotate_docs, "baseline", '{"id": "d-new", "sections": "not a list"}', "'sections' must be a list of objects"),
+        "annotate-section-not-an-object": (annotate_docs, "baseline", '{"id": "d-new", "sections": ["text"]}', "'sections' must be a list of objects"),
+        "annotate-body-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "sections": [{"body": "ok"}, {"body": 5}]}', "'title' and each 'body' must be strings"),
+        "annotate-flat-body-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "body": null}', "'title' and each 'body' must be strings"),
+        "annotate-title-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "title": 7, "body": "ok"}', "'title' and each 'body' must be strings"),
         "generate-no-title": (generate, "metadata", '{"headers": ["A"], "word_count": 50}', "missing or invalid 'title'"),
         "generate-word-count": (generate, "metadata", '{"title": "T", "word_count": "many"}', "missing or non-integer 'word_count'"),
         "generate-empty-title": (generate, "metadata", '{"title": "  ", "word_count": 50}', "missing or invalid 'title'"),

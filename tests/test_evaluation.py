@@ -10,7 +10,6 @@ from corpusgap import evaluation
 from corpusgap.corpus import Corpus, Document, Query, Section, Source, Split
 from corpusgap.evaluation import (
     CorpusInfo,
-    CorpusResources,
     ExperimentSpec,
     LadderPoint,
     Pipeline,
@@ -24,7 +23,7 @@ from corpusgap.evaluation import (
 )
 from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_gateway_rewriter
 from corpusgap.providers import MockProvider
-from corpusgap.retrieval import HashedBagEmbedder
+from corpusgap.retrieval import CachedEmbedder, HashedBagEmbedder
 
 from .world import load_experiment, mock_gateway_judge
 
@@ -41,11 +40,12 @@ def tquery(qid: str, text: str) -> Query:
 
 @pytest.fixture
 def resources():
+    """The (corpus, embedder) arguments of `run_experiment`."""
     corpus = Corpus(
         name="tiny",
         documents=(doc("d1", "alpha beta"), doc("d2", "alpha gamma"), doc("d3", "delta")),
     )
-    return CorpusResources(corpus, HashedBagEmbedder(dim=64))
+    return corpus, HashedBagEmbedder(dim=64)
 
 
 class TestRunExperiment:
@@ -53,7 +53,7 @@ class TestRunExperiment:
         scripted = {"d1": 70, "d2": 50, "d3": 90}
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE)
         result = run_experiment(
-            spec, resources, [tquery("q1", "alpha")], judge=lambda pairs: [scripted[d.id] for _, d in pairs]
+            spec, *resources, [tquery("q1", "alpha")], judge=lambda pairs: [scripted[d.id] for _, d in pairs]
         )
         assert result.avg_score == pytest.approx(70.0)
         assert result.complete
@@ -63,7 +63,7 @@ class TestRunExperiment:
     def test_deterministic_repeat(self, resources):
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING, seed=5)
         runs = [
-            run_experiment(spec, resources, [tquery("q1", "alpha beta")], mock_gateway_judge(5))
+            run_experiment(spec, *resources, [tquery("q1", "alpha beta")], mock_gateway_judge(5))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -72,17 +72,17 @@ class TestRunExperiment:
         queries = [tquery(f"q{i}", f"alpha tok{i}") for i in range(6)]
         judge = mock_gateway_judge(1)
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING)
-        forward = run_experiment(spec, resources, queries, judge)
+        forward = run_experiment(spec, *resources, queries, judge)
         shuffled = list(queries)
         random.Random(3).shuffle(shuffled)
-        backward = run_experiment(spec, resources, shuffled, judge)
+        backward = run_experiment(spec, *resources, shuffled, judge)
         assert forward.avg_score == backward.avg_score
 
     def test_train_queries_rejected(self, resources):
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE)
         train = Query(id="q1", text="alpha", split=Split.TRAIN)
         with pytest.raises(ValueError, match="non-test"):
-            run_experiment(spec, resources, [train], judge=lambda pairs: [50] * len(pairs))
+            run_experiment(spec, *resources, [train], judge=lambda pairs: [50] * len(pairs))
 
     def test_pipeline_error_saves_partial_and_flags(self, resources, tmp_path):
         def judge(pairs):
@@ -91,7 +91,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.RERANKING)
         out = tmp_path / "cell.jsonl"
         queries = [tquery("q1", "alpha"), tquery("q2", "beta")]
-        result = run_experiment(spec, resources, queries, judge, out_path=out)
+        result = run_experiment(spec, *resources, queries, judge, out_path=out)
         assert result.complete is False
         assert result.error == "RuntimeError: judge quota exhausted"
         partial = load_experiment(out)
@@ -114,7 +114,7 @@ class TestRunExperiment:
         for pipeline in (Pipeline.BASELINE, Pipeline.RERANKING):
             out = tmp_path / f"{pipeline.value}.jsonl"
             spec = ExperimentSpec(corpus_name="tiny", pipeline=pipeline)
-            result = run_experiment(spec, resources, queries, judge, out_path=out)
+            result = run_experiment(spec, *resources, queries, judge, out_path=out)
             assert result.complete is False
             assert result.error.startswith("ProviderError: ") and "endpoint unavailable" in result.error
             partial = load_experiment(out)
@@ -134,7 +134,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.QUERY_TRANSFORMATION)
         queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta")]
         result = run_experiment(
-            spec, resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway)
+            spec, *resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway)
         )
         assert result.complete
         assert batches == [["rewrite_query"] * 3, ["usefulness_rubric"] * 9]
@@ -155,7 +155,7 @@ class TestRunExperiment:
         queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta"), tquery("q4", "gamma")]
         out = tmp_path / "cell.jsonl"
         result = run_experiment(
-            spec, resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway),
+            spec, *resources, queries, make_gateway_judge(gateway), make_gateway_rewriter(gateway),
             out_path=out,
         )
         assert result.complete is False
@@ -175,7 +175,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.BASELINE, seed=2)
         out = tmp_path / "cell.jsonl"
         result = run_experiment(
-            spec, resources, [tquery("q1", "alpha")], mock_gateway_judge(2), out_path=out
+            spec, *resources, [tquery("q1", "alpha")], mock_gateway_judge(2), out_path=out
         )
         assert load_experiment(out) == result
         assert "error" not in out.read_text(encoding="utf-8")
@@ -239,6 +239,66 @@ class TestRunGrid:
         results = run_grid(corpora, [Pipeline.BASELINE, Pipeline.HIERARCHICAL], *args)
         assert all(r.complete for r in results) and len(built) == 1
 
+    @pytest.mark.parametrize(
+        "bad, failing, attempts",
+        [
+            # One section, no title: the document and its one chunk embed the same text.
+            (doc("bad", "beta gamma"), set(Pipeline), 2),
+            (Document(id="bad", source=Source.BASELINE, title="", sections=(Section("", "beta"), Section("", "gamma"))),
+             {Pipeline.HIERARCHICAL}, 1),
+        ],
+        ids=["both-kinds", "chunk-kind"],
+    )
+    def test_failed_index_build_is_tried_once_per_grid(self, tmp_path, bad, failing, attempts):
+        bad_texts = {bad.section_text(1)} if len(bad.sections) > 1 else {bad.text}
+        asked = []
+
+        class FailsOnOneText(HashedBagEmbedder):
+            def embed(self, text):
+                asked.append(text)
+                if text in bad_texts:
+                    raise ProviderError("embed endpoint unavailable")
+                return super().embed(text)
+
+        embedder = CachedEmbedder(FailsOnOneText(dim=64))
+        corpora = [
+            Corpus(name="a", documents=(doc("d1", "alpha beta"), bad)),
+            Corpus(name="b", documents=(doc("d2", "gamma delta"),)),
+            Corpus(name="c", documents=(doc("d1", "alpha beta"), doc("d2", "gamma delta"), bad)),
+        ]
+        results = run_grid(
+            corpora, list(Pipeline), [tquery("q1", "alpha")], embedder, mock_gateway_judge(0), rewriter=list,
+            out_dir=tmp_path,
+        )
+        assert sum(text in bad_texts for text in asked) == attempts
+        assert len(results) == 12
+        for result in results:
+            if result.spec.pipeline in failing:
+                assert (result.complete, result.error, result.avg_score, result.per_query) == (
+                    False, "ProviderError: embed endpoint unavailable", None, ()
+                )
+                name = f"{result.spec.corpus_name}__{result.spec.pipeline.value}.jsonl"
+                assert load_experiment(tmp_path / name) == result
+            else:
+                assert result.complete and len(result.per_query) == 1
+
+    def test_run_experiment_equals_its_grid_cell(self, tmp_path):
+        corpus = Corpus(name="tiny", documents=(doc("d1", "alpha beta"), doc("d2", "alpha gamma"), doc("d3", "delta")))
+        embedder = HashedBagEmbedder(dim=64)
+        queries = [tquery("q1", "alpha"), tquery("q2", "gamma delta")]
+        judge = mock_gateway_judge(4)
+        grid = run_grid([corpus], list(Pipeline), queries, embedder, judge, rewriter=list, seed=4, k_candidates=2)
+        for cell in grid:
+            out = tmp_path / f"{cell.spec.pipeline.value}.jsonl"
+            alone = run_experiment(cell.spec, corpus, embedder, queries, judge, list, k_candidates=2, out_path=out)
+            assert alone == cell and alone.complete and alone.spec.seed == 4
+            assert load_experiment(out) == cell
+
+    def test_run_experiment_refuses_a_spec_for_another_corpus(self, resources):
+        spec = ExperimentSpec(corpus_name="other", pipeline=Pipeline.BASELINE)
+        with pytest.raises(ValueError, match="spec names corpus 'other', but the corpus is 'tiny'"):
+            run_experiment(spec, *resources, [tquery("q1", "alpha")], mock_gateway_judge(0))
+
     def test_every_cell_equals_its_corpus_run_alone(self):
         rng = random.Random(31)
         vocab = [f"tok{i}" for i in range(30)]
@@ -264,7 +324,7 @@ class TestRunGrid:
         results = run_grid(corpora, list(Pipeline), queries, embedder, judge, rewriter, k_candidates=4)
         want = [
             run_experiment(
-                ExperimentSpec(corpus.name, pipeline), CorpusResources(corpus, embedder),
+                ExperimentSpec(corpus.name, pipeline), corpus, embedder,
                 queries, judge, rewriter, k_candidates=4,
             )
             for corpus in corpora
@@ -289,7 +349,7 @@ class TestRunGrid:
         def needs(corpus, pipeline):
             pairs = []
             run_experiment(
-                ExperimentSpec(corpus.name, pipeline), CorpusResources(corpus, embedder), queries,
+                ExperimentSpec(corpus.name, pipeline), corpus, embedder, queries,
                 lambda batch: pairs.extend((t, d.id) for t, d in batch) or inner(batch), list, k_candidates=5,
             )
             return set(pairs)
