@@ -400,8 +400,15 @@ def _load_summary(summary_path: str) -> tuple[list[ExperimentResult], dict[str, 
         where = f"{summary_path}:{lineno}"
         try:
             spec = ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"]))
-            results.append(ExperimentResult(spec, row["avg_score"], per_query=(), complete=row["complete"]))
-            info[row["corpus"]] = CorpusInfo(row["arm"], int(row["docs_added"]), int(row["total_docs"]))
+            avg_score, complete, arm = row["avg_score"], row["complete"], row["arm"]
+            if avg_score is not None and (type(avg_score) is bool or not isinstance(avg_score, (int, float))):
+                raise TypeError(f"'avg_score' must be a number or null, got {avg_score!r}")
+            if type(complete) is not bool:
+                raise TypeError(f"'complete' must be true or false, got {complete!r}")
+            if not isinstance(arm, str):
+                raise TypeError(f"'arm' must be a string, got {arm!r}")
+            results.append(ExperimentResult(spec, avg_score, per_query=(), complete=complete))
+            info[row["corpus"]] = CorpusInfo(arm, int(row["docs_added"]), int(row["total_docs"]))
         except KeyError as exc:
             raise click.ClickException(f"{where}: summary row lacks {exc}")
         except (TypeError, ValueError) as exc:

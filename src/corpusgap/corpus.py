@@ -261,9 +261,10 @@ def _scan_lines(lines: list[bytes]) -> list | None:
     return values
 
 
-def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) for the records of an append-only log
-    written by `AppendLog.put`.
+def read_append_log(path: str | Path) -> Iterator[tuple[int, dict, int, bytes]]:
+    """Yield (line_number, record, offset, line) for the records of an
+    append-only log written by `AppendLog.put`: `offset` is where the line
+    starts in the file and `line` is its bytes, newline included.
 
     A last line that is malformed or lacks its newline is a write cut
     short by a crash: it is dropped with a warning and cut from the file,
@@ -282,9 +283,10 @@ def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
         while torn_at is None and (lines := fh.readlines(_BLOCK_BYTES)):
             records = _scan_lines(lines)
             if records is not None:
-                for lineno, record in enumerate(records, start=lineno + 1):
-                    yield lineno, record
-                offset += sum(map(len, lines))
+                for line, record in zip(lines, records):
+                    lineno += 1
+                    yield lineno, record, offset, line
+                    offset += len(line)
                 continue
             for n, line in enumerate(lines):
                 lineno += 1
@@ -300,7 +302,7 @@ def read_append_log(path: str | Path) -> Iterator[tuple[int, dict]]:
                         log.warning("%s:%d: dropping a torn last record", path, lineno)
                         torn_at = offset
                         break
-                    yield lineno, record
+                    yield lineno, record, offset, line
                 offset += len(line)
     if torn_at is not None:
         os.truncate(path, torn_at)
@@ -320,7 +322,7 @@ def _line_bytes(record: dict | str) -> bytes:
     return ((record if isinstance(record, str) else encode_record(record)) + "\n").encode("utf-8")
 
 
-# Where `AppendLog.put` appended a line: its byte offset in the file and
+# Where a line of an `AppendLog` file is: its byte offset in the file and
 # its length in bytes, newline included. A plain tuple, as `put` makes one
 # per line and a NamedTuple's constructor runs Python code.
 LineSpan = tuple[int, int]
@@ -329,37 +331,40 @@ LineSpan = tuple[int, int]
 class AppendLog:
     """A key-value map backed by an optional append-only log file.
 
-    On load, `decode` turns each record of the file into a (key, value)
-    pair, or None to skip it; a record it fails on with KeyError,
-    TypeError or ValueError (a missing field, a wrong type, a bad value)
-    raises `IngestError` naming the file and line. A torn last record is
-    handled by `read_append_log`. `put` stores a value once and appends
-    its record as one line (`encode_record`, or a line the caller already
-    encoded the same way), under a lock, through an unbuffered file
-    handle that stays open: concurrent callers never interleave lines,
-    readers see each record as soon as `put` returns, and a crash can
-    tear at most the last line. `put_many` does the same for several
-    records with one write, which a crash can cut after any whole line
-    of it. `close` closes the handle (a later `put` or `read` opens it
-    again); a store dropped unclosed has it closed by a finalizer. `get`
-    is the map's own `dict.get`.
+    On load, `decode(record, offset, line)` turns each record of the file,
+    with the offset and bytes of its line, into a (key, value) pair, or
+    None to skip it; a record it fails on with KeyError, TypeError or
+    ValueError (a missing field, a wrong type, a bad value) raises
+    `IngestError` naming the file and line. The value may be the line's
+    `LineSpan`, `(offset, len(line))`, for a caller that reads the line
+    back (`line`) rather than keep what it decodes to. `decode` is not
+    kept past the load. A torn last record is handled by
+    `read_append_log`.
+
+    `put` stores a value once and appends its record as one line
+    (`encode_record`, or a line the caller already encoded the same way),
+    under a lock, through an unbuffered file handle that stays open:
+    concurrent callers never interleave lines, readers see each record as
+    soon as `put` returns, and a crash can tear at most the last line.
+    `put_many` does the same for several records with one write, which a
+    crash can cut after any whole line of it. `close` closes the handle
+    (a later `put` or `line` opens it again); a store dropped unclosed
+    has it closed by a finalizer. `get` is the map's own `dict.get`.
 
     The two differ in what the map keeps. `put_many` keeps each value.
     A value `put` into a store with a file is not kept: the map holds the
-    `LineSpan` of its line instead, and `read` decodes that line again,
-    as a loaded line is decoded. Without a file, `put` keeps the value.
+    `LineSpan` of its line instead. Without a file, `put` keeps the value.
     """
 
-    def __init__(self, path: str | Path | None, decode: Callable[[dict], tuple | None]):
+    def __init__(self, path: str | Path | None, decode: Callable[[dict, int, bytes], tuple | None]):
         self.path = Path(path) if path is not None else None
-        self._decode = decode
         self._entries: dict = {}
         self._lock = threading.Lock()
         self._fh = None
         if self.path is not None and self.path.exists():
-            for lineno, record in read_append_log(self.path):
+            for lineno, record, offset, line in read_append_log(self.path):
                 try:
-                    item = decode(record)
+                    item = decode(record, offset, line)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(f"{self.path}:{lineno}", exc) from exc
                 if item is not None:
@@ -415,20 +420,13 @@ class AppendLog:
         # even after another writer's appends.
         return fh.tell() - len(data)
 
-    def read(self, key, span: LineSpan):
-        """The value `decode` gives for the line `put` appended for key at
-        `span`, read back from the file with one `os.pread`."""
+    def line(self, span: LineSpan) -> bytes:
+        """The bytes of the file at `span`, read with one `os.pread`: the
+        line there when the span came from `put` or from the load, and
+        fewer bytes if the file has since been cut."""
         offset, length = span
         with self._lock:
-            data = os.pread(self._handle().fileno(), length, offset)
-        where = f"{self.path}@{offset}"
-        try:
-            item = self._decode(json.loads(data))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _bad_record(where, exc) from exc
-        if item is None or item[0] != key or not data.endswith(b"\n"):
-            raise IngestError(f"{where}: the line appended for {key!r} is no longer there")
-        return item[1]
+            return os.pread(self._handle().fileno(), length, offset)
 
     def _handle(self):
         """The file's handle, opened to append and read and unbuffered, so
@@ -445,6 +443,15 @@ class AppendLog:
                 self._fh = None
 
 
+def _text_field(record: dict, name: str, where: str) -> str:
+    """`record[name]`, or "" when it is missing; a value that is not a
+    string is refused, so a null or a number never becomes text."""
+    value = record.get(name, "")
+    if not isinstance(value, str):
+        raise IngestError(f"{where}: {name!r} must be a string, got {value!r}")
+    return value
+
+
 def _sections_from_record(record: dict, where: str) -> tuple[Section, ...]:
     if "sections" in record:
         raw = record["sections"]
@@ -454,10 +461,10 @@ def _sections_from_record(record: dict, where: str) -> tuple[Section, ...]:
         for s in raw:
             if not isinstance(s, dict) or "body" not in s:
                 raise IngestError(f"{where}: each section needs a 'body'")
-            sections.append(Section(heading=str(s.get("heading", "")), body=str(s["body"])))
+            sections.append(Section(heading=_text_field(s, "heading", where), body=_text_field(s, "body", where)))
         return tuple(sections)
     if "body" in record:
-        return (Section(heading="", body=str(record["body"])),)
+        return (Section(heading="", body=_text_field(record, "body", where)),)
     raise IngestError(f"{where}: record needs 'sections' or a flat 'body'")
 
 
@@ -505,7 +512,7 @@ def ingest_documents(
             Document(
                 id=doc_id,
                 source=source,
-                title=str(record.get("title", "")),
+                title=_text_field(record, "title", where),
                 sections=_sections_from_record(record, where),
                 subtopic=subtopic,
             )

@@ -337,6 +337,22 @@ def _batch_skips_generate(cls: type) -> bool:
     return many is not None and one is not None and not issubclass(many, one)
 
 
+def _reply_decoder() -> Callable[[dict, int, bytes], tuple[str, object]]:
+    """The completion cache's decode for one load: a record's key and
+    reply, where equal reply texts come back as one string, so a cache
+    of many keys with few distinct replies holds each text once. The
+    texts are held only as long as the decode."""
+    replies: dict[str, str] = {}
+
+    def decode(record: dict, offset: int, line: bytes) -> tuple[str, object]:
+        response = record["response"]
+        if type(response) is str:
+            response = replies.setdefault(response, response)
+        return record["key"], response
+
+    return decode
+
+
 class Gateway:
     """Routes completion requests through templating, caching, and retries.
 
@@ -365,7 +381,7 @@ class Gateway:
             )
         self.provider = provider
         self.templates = templates if templates is not None else load_templates()
-        self.cache = AppendLog(cache_path, lambda record: (record["key"], record["response"]))
+        self.cache = AppendLog(cache_path, _reply_decoder())
         self.max_inflight = max_inflight
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max_inflight)

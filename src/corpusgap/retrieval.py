@@ -17,11 +17,13 @@ cell.
 append-only JSONL store (`corpus.AppendLog`) keyed by the sha256 of the
 text; that store is the only copy of them on disk, and indexes are built
 from it in-process. It writes each record's line from parts that need no
-escaping, byte for byte the line `json.dumps` writes. A vector it
-computes is not kept in memory: a repeat of its text reads its line back.
-The index builders write each vector into its row of the index's matrix
-as it comes, so a run holds one copy of each vector. The HTTP embedding
-client lives in `providers`.
+escaping, byte for byte the line `json.dumps` writes. A vector whose line
+is in that layout is not kept in memory, whether this run loaded the line
+or computed the vector: the cache keeps the line's place in the file and
+decodes the vector from the line each time its text is embedded. The
+index builders write each vector into its row of the index's matrix as
+it comes, so a run holds one decoded copy of each vector. The HTTP
+embedding client lives in `providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
@@ -48,7 +50,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AppendLog, Corpus, Document, Query, encode_record
+from .corpus import AppendLog, Corpus, Document, IngestError, LineSpan, Query, encode_record
 from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
@@ -113,62 +115,106 @@ class HashedBagEmbedder:
         return vec / norm
 
 
+# What ends a `CachedEmbedder` line after its base64.
+_LINE_END = b'"}\n'
+
+
 class CachedEmbedder:
     """Persistent embedding cache keyed by (provider id, text hash), so
-    switching providers never serves stale vectors. A hit costs one sha256
-    and one dict lookup.
+    switching providers never serves stale vectors.
 
     A record stores its vector as `vector_b64`, the base64 of its
     little-endian float64 bytes, read back bit for bit with
     `np.frombuffer`. Records of the older format, a `vector` list of
-    numbers, still load; none is written. A vector whose length is not
-    `dim`, or a `vector_b64` that is not base64 of whole float64s, is
-    refused with the file and line. Vectors come back read-only, hits
-    and misses alike.
+    numbers, still load; none is written. Vectors come back read-only,
+    hits and misses alike.
 
-    Loaded vectors stay in memory. A vector computed here is not kept
-    when the cache has a file: the store keeps its line's place in the
-    file, and a repeat of its text reads that line back and decodes it
-    as a loaded line is decoded, bit for bit the vector computed. A
-    cache without a file keeps its vectors.
+    When the cache has a file, the map holds no vector whose line is in
+    the layout `embed` writes (this embedder's id, the text sha, then a
+    `vector_b64` of `dim` float64s, with `json.dumps` spacing and key
+    order): it holds that line's `LineSpan`, whether the line was loaded
+    or appended by this process. A hit on a span reads the line with one
+    `os.pread`, checks its head, key and end, and decodes the base64
+    between them, bit for bit the vector first computed; such a line's
+    base64 is first validated there, and a line that fails is refused
+    with the file and byte offset, never served. Any other line of this
+    embedder is decoded at load and its vector kept: an older `vector`
+    list, a `vector_b64` with other spacing or key order, or one of
+    another length. A vector whose length is not `dim`, or a
+    `vector_b64` that is not base64 of whole float64s, found at load is
+    refused with the file and line. A cache without a file keeps its
+    vectors.
     """
 
     def __init__(self, inner: Embedder, cache_path: str | Path | None = None):
         self.inner = inner
         self.id = inner.id
         self.dim = inner.dim
-        self._store = AppendLog(cache_path, self._decode)
         # A record's line up to its text sha, with the provider id's JSON
         # encoded once; the sha (hex) and the vector (base64) need no
         # escaping, so `embed` writes the rest of the line as it is.
         self._line_head = f'{{"provider": {encode_record(self.id)}, "text_sha": "'
+        self._b64_len = 4 * -(-8 * self.dim // 3)
+        self._store = AppendLog(cache_path, self._load)
 
     def close(self) -> None:
-        """Close the vector cache's file; a later miss reopens it."""
+        """Close the vector cache's file; a later miss or read reopens it."""
         self._store.close()
 
-    def _decode(self, record: dict) -> tuple[str, np.ndarray] | None:
+    def _payload_head(self, key: str) -> str:
+        """A record's line up to its base64 payload."""
+        return f'{self._line_head}{key}", "vector_b64": "'
+
+    def _load(self, record: dict, offset: int, line: bytes) -> tuple[str, LineSpan | np.ndarray] | None:
+        """A loaded line's key and span if the line is in `embed`'s
+        layout, else its key and decoded vector."""
         if record["provider"] != self.id:
             return None
-        if "vector_b64" in record:
-            vec = np.frombuffer(base64.b64decode(record["vector_b64"], validate=True), dtype="<f8")
+        key = record["text_sha"]
+        vector_b64 = record.get("vector_b64")
+        if (
+            type(vector_b64) is str
+            and len(vector_b64) == self._b64_len
+            and line == (self._payload_head(key) + vector_b64).encode("utf-8") + _LINE_END
+        ):
+            return key, (offset, len(line))
+        if vector_b64 is not None:
+            vec = np.frombuffer(base64.b64decode(vector_b64, validate=True), dtype="<f8")
         else:
             vec = np.asarray(record["vector"], dtype=np.float64)
             vec.flags.writeable = False
         if vec.shape != (self.dim,):
             raise ValueError(f"vector has shape {vec.shape}, expected ({self.dim},)")
-        return record["text_sha"], vec
+        return key, vec
+
+    def _read(self, key: str, span: LineSpan) -> np.ndarray:
+        """The vector of the line at `span`, which must be `key`'s line in
+        `embed`'s layout."""
+        line = self._store.line(span)
+        prefix = self._payload_head(key).encode("utf-8")
+        if not (line.startswith(prefix) and line.endswith(_LINE_END)):
+            problem = f"the line of {key!r} is no longer there"
+        else:
+            payload = line[len(prefix) : -len(_LINE_END)]
+            try:
+                vec = np.frombuffer(base64.b64decode(payload, validate=True), dtype="<f8")
+            except ValueError as exc:
+                raise IngestError(f"{self._store.path}@{span[0]}: bad vector_b64: {exc}") from exc
+            if vec.shape == (self.dim,):
+                return vec
+            problem = f"vector has shape {vec.shape}, expected ({self.dim},)"
+        raise IngestError(f"{self._store.path}@{span[0]}: {problem}")
 
     def embed(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         hit = self._store.get(key)
         if hit is not None:
-            # A vector is an array; a vector computed here is its line's span.
-            return self._store.read(key, hit) if type(hit) is tuple else hit
+            # A vector is an array; a line kept in the file is its span.
+            return self._read(key, hit) if type(hit) is tuple else hit
         vec = self.inner.embed(text)
         vec.flags.writeable = False
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
-        self._store.put(key, vec, f'{self._line_head}{key}", "vector_b64": "{vector_b64}"}}')
+        self._store.put(key, vec, f'{self._payload_head(key)}{vector_b64}"}}')
         return vec
 
 

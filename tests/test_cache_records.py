@@ -86,7 +86,7 @@ class TestRecordBytes:
     def test_dict_record_line(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.jsonl"
-            log = AppendLog(path, lambda record: None)
+            log = AppendLog(path, lambda *_: None)
             for i, record in enumerate(records):
                 log.put(i, record, record)
             log.close()

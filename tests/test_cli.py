@@ -493,6 +493,26 @@ def test_summary_row_docs_added_outside_its_corpus_is_clean(runner, tmp_path, co
 
 
 @pytest.mark.parametrize("command", ["thresholds", "report"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("avg_score", "high", "'avg_score' must be a number or null, got 'high'"),
+        ("avg_score", True, "'avg_score' must be a number or null, got True"),
+        ("complete", "yes", "'complete' must be true or false, got 'yes'"),
+        ("complete", 1, "'complete' must be true or false, got 1"),
+        ("arm", 3, "'arm' must be a string, got 3"),
+    ],
+)
+def test_summary_field_of_the_wrong_type_is_clean(runner, tmp_path, command, field, value, message):
+    rows = _summary(["baseline"])
+    rows[0][field] = value
+    write_records(tmp_path / "summary.jsonl", rows)
+    result = runner.invoke(main, [command, "--summary", str(tmp_path / "summary.jsonl"), "--out", str(tmp_path / "out")])
+    _assert_clean_failure(result, f"summary.jsonl:1: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["thresholds", "report"])
 def test_summary_malformed_line_is_clean(runner, tmp_path, command):
     write_records(tmp_path / "summary.jsonl", _summary(["baseline"]))
     with open(tmp_path / "summary.jsonl", "a") as fh:

@@ -146,6 +146,31 @@ class TestIngestDocuments:
         corpus = ingest_documents(path, Source.BASELINE)
         assert corpus.document("d1").word_count == 6  # "a b" + "h" + "c d e"
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"id": "d2", "title": None, "body": "text"}, "title"),
+            ({"id": "d2", "title": 7, "body": "text"}, "title"),
+            ({"id": "d2", "title": "t", "body": None}, "body"),
+            ({"id": "d2", "title": "t", "body": 12}, "body"),
+            ({"id": "d2", "sections": [{"heading": None, "body": "text"}]}, "heading"),
+            ({"id": "d2", "sections": [{"heading": "h", "body": None}]}, "body"),
+            ({"id": "d2", "sections": [{"heading": "h", "body": "x"}, {"heading": 3.5, "body": "y"}]}, "heading"),
+        ],
+    )
+    def test_text_field_that_is_not_a_string_names_file_and_line(self, tmp_path, record, field):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(_doc_line("d1") + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:2: '{field}' must be a string, got "):
+            ingest_documents(path, Source.BASELINE)
+
+    def test_missing_title_and_heading_default_to_empty(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"id": "d1", "sections": [{"body": "text"}]}) + "\n")
+        doc = ingest_documents(path, Source.BASELINE).document("d1")
+        assert doc.title == "" and doc.sections == (Section(heading="", body="text"),)
+        assert doc.text == "\n\ntext"
+
     def test_round_trip(self, tmp_path, taxonomy):
         path = tmp_path / "docs.jsonl"
         path.write_text(
@@ -222,7 +247,7 @@ LADDER = [
 ]
 
 
-def _decode(record: dict) -> tuple:
+def _decode(record: dict, offset: int, line: bytes) -> tuple:
     return record["key"], record["value"]
 
 
@@ -232,7 +257,7 @@ class TestAppendLog:
         log = AppendLog(path, _decode)
         span = log.put("a", 1, {"key": "a", "value": 1})
         assert log.put("a", 2, {"key": "a", "value": 2}) is None
-        assert log.get("a") == span and log.read("a", span) == 1 and len(log) == 1
+        assert log.get("a") == span and log.line(span) == b'{"key": "a", "value": 1}\n' and len(log) == 1
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         assert AppendLog(path, _decode).get("a") == 1
         # `put_many` keeps the value itself.
@@ -247,7 +272,7 @@ class TestAppendLog:
     def test_decode_can_skip_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text('{"key": "a", "value": 1}\n{"key": "b", "value": 2}\n', encoding="utf-8")
-        log = AppendLog(path, lambda r: None if r["key"] == "a" else _decode(r))
+        log = AppendLog(path, lambda r, *line: None if r["key"] == "a" else _decode(r, *line))
         assert log.get("a") is None and log.get("b") == 2
 
     def test_concurrent_puts_write_each_key_once(self, tmp_path):
@@ -304,11 +329,11 @@ class TestAppendLog:
             log.put("a", 1, {"key": "a", "value": 1})
             del log
             gc.collect()
-            # The handle that `read` opens again after a close.
+            # The handle that `line` opens again after a close.
             log = AppendLog(tmp_path / "read.jsonl", _decode)
             span = log.put("a", 1, {"key": "a", "value": 1})
             log.close()
-            assert log.read("a", span) == 1
+            assert log.line(span) == b'{"key": "a", "value": 1}\n'
             del log
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -327,7 +352,7 @@ class TestAppendLog:
         lines = data.splitlines(keepends=True)
         assert spans == [(len(lines[0]), len(lines[1])), (len(data) - len(lines[3]), len(lines[3]))]
         assert [data[offset : offset + length] for offset, length in spans] == [lines[1], lines[3]]
-        assert [log.read(key, span) for key, span in zip(["é", "b"], spans)] == ["ü€", [1, 2]]
+        assert [log.line(span) for span in spans] == [lines[1], lines[3]]
 
     def test_put_many_appends_with_one_write_as_put_would(self, tmp_path):
         entries = [("é", "ü€", {"key": "é", "value": "ü€"}), ("old", 9, {"key": "old", "value": 9}),
@@ -368,28 +393,16 @@ class TestAppendLog:
         span = log.put("a", "unkept", {"key": "a", "value": "kept"})
         log.put_many([("b", "kept in memory", {"key": "b", "value": "on disk"})])
         assert log.get("a") == span and log.get("b") == "kept in memory"
-        assert log.read("a", span) == "kept"
+        assert json.loads(log.line(span))["value"] == "kept"
         # Without a file there is nothing to read back, so the value is kept.
         unfiled = AppendLog(None, _decode)
         unfiled.put("a", "value", {"key": "a", "value": "value"})
         assert unfiled.get("a") == "value"
 
-    def test_read_refuses_a_line_that_changed(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        log = AppendLog(path, _decode)
-        span = log.put("a", 1, {"key": "a", "value": 1})
-        with pytest.raises(IngestError, match="no longer there"):
-            log.read("b", span)
-        path.write_text('{"key": "a", "value": 1}', encoding="utf-8")
-        with pytest.raises(IngestError, match="no longer there"):
-            log.read("a", span)
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}@0: bad record"):
-            log.read("a", span)
-
 
 def reference_read_append_log(path):
-    """`read_append_log` as first written: one json.loads per line."""
+    """`read_append_log` as first written, one json.loads per line, with
+    each line's offset and bytes."""
     torn_at = None
     with open(path, "rb") as fh:
         offset = 0
@@ -405,7 +418,7 @@ def reference_read_append_log(path):
                 if torn:
                     torn_at = offset
                     break
-                yield lineno, record
+                yield lineno, record, offset, line
             offset += len(line)
     if torn_at is not None:
         os.truncate(path, torn_at)
@@ -435,7 +448,8 @@ LOG_LINES = [
 
 class TestReadAppendLogBlocks:
     """Blocks of lines read as the per-line loop read them, at any block
-    size: the same records and line numbers, the same error, the same cut."""
+    size: the same records, line numbers, offsets and line bytes, the same
+    error, the same cut."""
 
     @staticmethod
     def outcome(reader, path, content: bytes):

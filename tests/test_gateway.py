@@ -553,6 +553,27 @@ class TestTornCacheFile:
             reloaded.close()
             assert path.read_bytes() == data
 
+    def test_equal_replies_load_as_one_string(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        replies = ["score: 3, as the document helps", "score: 1, as it does not"]
+
+        class AlternatingProvider(CountingProvider):
+            def generate(self, request, prompt):
+                self.calls += 1
+                # A new string per call, as a provider's reply would be.
+                return "".join(replies[int(request.bindings["word"]) % 2])
+
+        requests = [req(str(i)) for i in range(40)]
+        want = gw(AlternatingProvider(), cache_path=path).complete_many(requests, str)
+        keys = [json.loads(line)["key"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(keys) == 40
+        provider = AlternatingProvider()
+        gateway = gw(provider, cache_path=path)
+        loaded = [gateway.cache.get(key) for key in keys]
+        assert sorted(loaded) == sorted(replies * 20)
+        assert len({id(reply) for reply in loaded}) == 2
+        assert gateway.complete_many(requests, str) == want and provider.calls == 0
+
     def test_record_without_response_names_file_and_line(self, tmp_path):
         path = tmp_path / "completions.jsonl"
         gw(CountingProvider(), cache_path=path).complete_parsed(req("a"), str)

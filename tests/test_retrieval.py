@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -251,6 +252,104 @@ class TestCachedEmbedderFile:
             CachedEmbedder(HashedBagEmbedder(dim=16), path)
 
 
+def vector_b64(vec: np.ndarray) -> str:
+    return base64.b64encode(vec.astype("<f8").tobytes()).decode("ascii")
+
+
+class TestLoadedLinesReadOnDemand:
+    """Lines in the layout `embed` writes load as their spans and are
+    decoded when asked; every other line of the embedder is decoded at
+    load."""
+
+    def test_cut_anywhere_in_the_last_line_loses_only_its_vector(self, tmp_path, caplog):
+        path = tmp_path / "embeddings.jsonl"
+        texts = ["first", "second", "third"]
+        writer = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        want = {text: writer.embed(text).tobytes() for text in texts}
+        writer.close()
+        data = path.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in range(last + 1, len(data)):
+            path.write_bytes(data[:cut])
+            inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="corpusgap.corpus"):
+                embedder = CachedEmbedder(inner, path)
+            assert "torn" in caplog.text
+            assert path.read_bytes() == data[:last]
+            assert [embedder.embed(text).tobytes() for text in texts] == [want[text] for text in texts]
+            assert inner.texts == ["third"]
+            embedder.close()
+            assert path.read_bytes() == data
+
+    def test_bad_base64_character_is_refused_at_first_use(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        writer = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        first = writer.embed("first")
+        writer.embed("calm night")
+        writer.close()
+        data = path.read_bytes()
+        offset = data.index(b"\n") + 1
+        bad = data.index(b'"vector_b64": "', offset) + len('"vector_b64": "') + 40
+        path.write_bytes(data[:bad] + b"!" + data[bad + 1 :])
+        inner = CountingEmbedder(HashedBagEmbedder(dim=16))
+        embedder = CachedEmbedder(inner, path)  # the payload's length is right, so it loads
+        for _ in range(2):
+            with pytest.raises(IngestError, match=f"^{re.escape(str(path))}@{offset}: bad vector_b64: "):
+                embedder.embed("calm night")
+        assert embedder.embed("first").tobytes() == first.tobytes()
+        assert inner.texts == []
+
+    def test_a_file_may_mix_every_line_kind(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        base = HashedBagEmbedder(dim=16)
+        writer = CachedEmbedder(base, path)
+        texts = [f"text {i}" for i in range(6)]
+        want = {text: base.embed(text) for text in texts}
+        for text in texts[:2]:
+            writer.embed(text)
+        writer.close()
+        sha = {text: hashlib.sha256(text.encode()).hexdigest() for text in texts}
+        other = {
+            texts[2]: json.dumps({"provider": base.id, "text_sha": sha[texts[2]], "vector": want[texts[2]].tolist()}),
+            texts[3]: json.dumps(
+                {"provider": base.id, "text_sha": sha[texts[3]], "vector_b64": vector_b64(want[texts[3]])},
+                separators=(",", ":"),
+            ),
+            texts[4]: json.dumps(
+                {"vector_b64": vector_b64(want[texts[4]]), "provider": base.id, "text_sha": sha[texts[4]]}
+            ),
+        }
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in other.values()))
+            fh.write(json.dumps({"provider": "another", "text_sha": sha[texts[5]], "vector": [1.0]}) + "\n")
+        writer = CachedEmbedder(base, path)
+        writer.embed(texts[5])  # appended after the others
+        writer.close()
+        inner = CountingEmbedder(base)
+        embedder = CachedEmbedder(inner, path)
+        spans = [text for text in texts if type(embedder._store.get(sha[text])) is tuple]
+        assert spans == [texts[0], texts[1], texts[5]]
+        for _ in range(2):
+            for text in texts:
+                vec = embedder.embed(text)
+                assert vec.tobytes() == want[text].tobytes() and not vec.flags.writeable
+        assert inner.texts == []
+
+    def test_load_decodes_no_layout_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "embeddings.jsonl"
+        writer = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        want = [writer.embed(f"text {i}").tobytes() for i in range(20)]
+        writer.close()
+        decodes = []
+        b64decode = base64.b64decode
+        monkeypatch.setattr(base64, "b64decode", lambda *a, **k: decodes.append(1) or b64decode(*a, **k))
+        embedder = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        assert decodes == []
+        assert [embedder.embed(f"text {i}").tobytes() for i in range(20)] == want
+        assert len(decodes) == 20
+
+
 class FixedEmbedder:
     """Returns the vectors it was given; any other text is an error."""
 
@@ -340,7 +439,8 @@ class TestComputedVectorsReadBack:
             embedder = CachedEmbedder(inner, path)
         assert "torn" in caplog.text
         loaded = embedder.embed("first")
-        assert embedder.embed("first") is loaded  # loaded vectors stay in memory
+        again = embedder.embed("first")  # read back from its line, as loaded
+        assert again.tobytes() == loaded.tobytes() and not again.flags.writeable
         second = embedder.embed("second")
         self.embed_again(embedder, "second", second)
         assert inner.texts == ["second"]
@@ -364,6 +464,20 @@ class TestComputedVectorsReadBack:
                 assert firsts[text].tobytes() == vectors[text].tobytes()
         assert inner.texts == [f"text {i}" for i in range(5)]
         assert len(path.read_text(encoding="utf-8").splitlines()) == 5
+
+    def test_read_refuses_a_line_that_changed(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        embedder = CachedEmbedder(HashedBagEmbedder(dim=16), path)
+        embedder.embed("calm night")
+        whole = path.read_text(encoding="utf-8")
+        other = tmp_path / "other.jsonl"
+        CachedEmbedder(HashedBagEmbedder(dim=16), other).embed("grief")
+        key = hashlib.sha256(b"calm night").hexdigest()
+        gone = f"^{re.escape(str(path))}@0: the line of '{key}' is no longer there$"
+        for changed in (other.read_text(encoding="utf-8"), whole.rstrip("\n"), ""):
+            path.write_text(changed, encoding="utf-8")  # another key's line, a cut line, no line
+            with pytest.raises(IngestError, match=gone):
+                embedder.embed("calm night")
 
     def test_store_without_a_file_keeps_its_vectors(self):
         inner = CountingEmbedder(HashedBagEmbedder(dim=16))
