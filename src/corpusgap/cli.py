@@ -377,10 +377,9 @@ def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusIn
         require_fields(entry, ("name", "path", "arm", "docs_added"), where, "manifest entry")
         if entry["name"] in info:
             raise IngestError(f"{where}: corpus name {entry['name']!r} appears twice in the manifest")
-        try:
-            docs_added = int(entry["docs_added"])
-        except (TypeError, ValueError):
-            raise IngestError(f"{where}: 'docs_added' must be an integer, got {entry['docs_added']!r}") from None
+        docs_added = entry["docs_added"]
+        if type(docs_added) is not int:
+            raise IngestError(f"{where}: 'docs_added' must be an integer, got {docs_added!r}")
         corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
         corpora.append(corpus)
         try:
@@ -407,8 +406,11 @@ def _load_summary(summary_path: str) -> tuple[list[ExperimentResult], dict[str, 
                 raise TypeError(f"'complete' must be true or false, got {complete!r}")
             if not isinstance(arm, str):
                 raise TypeError(f"'arm' must be a string, got {arm!r}")
+            for name in ("docs_added", "total_docs"):
+                if type(row[name]) is not int:
+                    raise TypeError(f"{name!r} must be an integer, got {row[name]!r}")
             results.append(ExperimentResult(spec, avg_score, per_query=(), complete=complete))
-            info[row["corpus"]] = CorpusInfo(arm, int(row["docs_added"]), int(row["total_docs"]))
+            info[row["corpus"]] = CorpusInfo(arm, row["docs_added"], row["total_docs"])
         except KeyError as exc:
             raise click.ClickException(f"{where}: summary row lacks {exc}")
         except (TypeError, ValueError) as exc:

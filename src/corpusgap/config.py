@@ -11,8 +11,8 @@ import yaml
 
 from .corpus import IngestError
 from .gateway import Gateway, ProviderParams, load_templates
-from .providers import HttpEmbedder, HttpProvider, MockProvider
-from .retrieval import DEFAULT_CANDIDATES, DEFAULT_TOP_K, CachedEmbedder, Embedder, HashedBagEmbedder
+from .providers import HashedBagEmbedder, HttpEmbedder, HttpProvider, MockProvider
+from .retrieval import DEFAULT_CANDIDATES, DEFAULT_TOP_K, CachedEmbedder, Embedder
 
 DEFAULT_BUDGETS = (50, 162, 288, 500, 898, 1230, 1560, 2097, 2561, 2954)
 

@@ -34,22 +34,13 @@ to a request's last sorted binding value is hashed once per batch and
 copied, so a judge batch hashes each document once. Provider and embedder
 calls share one retry policy, which no caller changes: `RETRIES`
 attempts with a backoff from `BACKOFF_BASE_S` that doubles. The gateway
-applies it to a batch's misses in rounds; `with_retries` applies it to
-one embedder call.
+applies it to a batch's misses in rounds; `providers.with_retries`
+applies it to one embedder call.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
 texts, each makes one `complete_many` call, and each result or exception
 comes back in its place.
-
-`mock_query_score` is the deterministic stand-in judge that `MockProvider`
-answers usefulness prompts with, for a query that `mock_query` prepared
-once: its token counts and the hash state of its perturbation prefix. It
-tokenises each document text once while the text stays in a bounded memo
-of token counts (4,096 texts, `_DOC_TOKENS_MEMO`), and each query text
-likewise (4,096 texts, `_QUERY_TOKENS_MEMO`), so the judge's cost follows
-the number of distinct texts, not of requests; scores are those of
-tokenising afresh.
 """
 
 from __future__ import annotations
@@ -59,7 +50,6 @@ import functools
 import hashlib
 import json
 import re
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -281,11 +271,6 @@ class Provider(Protocol):
     def generate(self, request: CompletionRequest, prompt: str) -> str: ...
 
 
-def stable_hash(*parts: str) -> int:
-    """Deterministic cross-platform hash of the joined parts."""
-    return int.from_bytes(hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest(), "big")
-
-
 T = TypeVar("T")
 _MISSING = object()
 # Parsed replies the gateway appends with one write: enough to
@@ -298,23 +283,6 @@ _LINES_PER_WRITE = 128
 # which doubles after each failed attempt.
 RETRIES = 3
 BACKOFF_BASE_S = 1.0
-
-
-def with_retries(call: Callable[[], T], what: str, sleep: Callable[[float], None] = time.sleep) -> T:
-    """call(), tried up to `RETRIES` times while it raises
-    `TransientProviderError`, sleeping BACKOFF_BASE_S * 2**n after failed
-    attempt n; then one ProviderError naming `what` and the attempt count.
-    The gateway applies the same policy to a batch's misses in rounds
-    (`Gateway.complete_many`)."""
-    last_error: Exception | None = None
-    for attempt in range(RETRIES):
-        try:
-            return call()
-        except TransientProviderError as exc:
-            last_error = exc
-            if attempt < RETRIES - 1:
-                sleep(BACKOFF_BASE_S * 2**attempt)
-    raise ProviderError(f"{what} failed after {RETRIES} attempts: {last_error}") from last_error
 
 
 def _completion_line(key: str, template: str, response: str) -> str:
@@ -604,79 +572,6 @@ def parse_judge_score(raw: str) -> int:
 
 def format_judge_score(value: int) -> str:
     return f"Relevance Score (1-100): {value}"
-
-
-_TOKEN_RE = re.compile(r"\w+")
-# Documents whose token counts the mock judge keeps. A judge batch is
-# query-major, so every document of a batch recurs once per query; the
-# bound covers the largest batch at paper scale (739 pool documents in
-# one subtopic), where a smaller memo would evict each document before
-# the next query reaches it.
-_DOC_TOKENS_MEMO = 4096
-# Query texts whose token counts the mock judge keeps: a judge batch asks
-# each query once per candidate, and a study holds far fewer queries.
-_QUERY_TOKENS_MEMO = 4096
-
-
-def token_counts(text: str) -> dict[str, int]:
-    """Multiset of the lower-cased `\\w+` tokens of `text`."""
-    counts: dict[str, int] = {}
-    for token in _TOKEN_RE.findall(text.lower()):
-        counts[token] = counts.get(token, 0) + 1
-    return counts
-
-
-def _interned_token_counts(text: str) -> dict[str, int]:
-    """`token_counts` with its tokens interned, so a memo of them holds
-    each distinct token's string once."""
-    return {sys.intern(token): n for token, n in token_counts(text).items()}
-
-
-def query_tokens(text: str) -> tuple[dict[str, int], int]:
-    """The interned token counts of a query text and their total."""
-    counts = _interned_token_counts(text)
-    return counts, sum(counts.values())
-
-
-# `token_counts` of document texts and `query_tokens` of query texts, each
-# in its own bounded memo. Every caller gets the same dict, so none may
-# change it.
-_doc_token_counts = functools.lru_cache(maxsize=_DOC_TOKENS_MEMO)(_interned_token_counts)
-_query_token_counts = functools.lru_cache(maxsize=_QUERY_TOKENS_MEMO)(query_tokens)
-
-
-def counts_overlap(query: tuple[dict[str, int], int], doc_counts: dict[str, int]) -> float:
-    """Multiset containment of a query's token counts, given with their
-    total as `query_tokens` gives them, in the document's, in [0, 1]; 0
-    for a query without tokens."""
-    query_counts, total = query
-    if total == 0:
-        return 0.0
-    matched = 0
-    for token, n in query_counts.items():
-        have = doc_counts.get(token, 0)
-        matched += n if n < have else have
-    return matched / total
-
-
-def mock_query(query_text: str, seed: int) -> tuple:
-    """What `mock_query_score` needs of a query, to be worked out once per query:
-    its token counts with their total, and the sha256 state of its
-    perturbation hash up to the document text."""
-    return _query_token_counts(query_text), hashlib.sha256(f"{seed}\x1f{query_text}\x1f".encode("utf-8"))
-
-
-def mock_query_score(query: tuple, doc_text: str) -> int:
-    """The deterministic stand-in judge's score of a document for a query
-    that `mock_query` prepared: scaled token overlap with a small
-    perturbation in [-3, 3], `stable_hash(str(seed), query text, document
-    text) % 7 - 3`, clamped to [1, 100]."""
-    tokens, prefix = query
-    digest = prefix.copy()
-    digest.update(doc_text.encode("utf-8"))
-    perturbation = int.from_bytes(digest.digest(), "big") % 7 - 3
-    base = round(100 * counts_overlap(tokens, _doc_token_counts(doc_text)))
-    return max(JUDGE_MIN, min(JUDGE_MAX, base + perturbation))
 
 
 # A judge scores a batch of (query text, document) pairs; a rewriter

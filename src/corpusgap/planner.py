@@ -115,10 +115,10 @@ def read_plan(path: str | Path) -> QuotaPlan:
     for lineno, record in read_records(path):
         where = f"{path}:{lineno}"
         require_fields(record, ("subtopic", "allocation"), where, "plan record")
-        try:
-            allocations[record["subtopic"]] = int(record["allocation"])
-        except (TypeError, ValueError):
-            raise IngestError(f"{where}: 'allocation' must be an integer, got {record['allocation']!r}") from None
+        allocation = record["allocation"]
+        if type(allocation) is not int:
+            raise IngestError(f"{where}: 'allocation' must be an integer, got {allocation!r}")
+        allocations[record["subtopic"]] = allocation
     return QuotaPlan(budget=sum(allocations.values()), allocations=allocations)
 
 

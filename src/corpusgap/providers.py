@@ -1,4 +1,5 @@
-"""Model providers: a deterministic mock and the HTTP clients.
+"""Model backends: a deterministic mock provider and embedder, and the
+HTTP clients.
 
 The mock provider's responses are pure functions of (request, seed). It
 answers a batch in one `generate_many` call, which tells the gateway that
@@ -9,23 +10,35 @@ only an unrouted template's reply is computed from the rendered prompt.
 Classification tokenises the text once per request and scores every
 subtopic against those counts; the subtopic lines' own counts are kept for
 the last subtopic list seen (one entry), so a study tokenises its taxonomy
-once. Judging goes through `gateway.mock_query_score`: each query's token
-counts and hash prefix are worked out once per batch, and bounded memos
-(4,096 texts each) tokenise each query and each document text once.
+once.
+
+`mock_query_score` is the deterministic stand-in judge that `MockProvider`
+answers usefulness prompts with, for a query that `mock_query` prepared
+once per batch: its token counts and the hash state of its perturbation
+prefix. It tokenises each document text once while the text stays in a
+bounded memo of token counts (4,096 texts, `_DOC_TOKENS_MEMO`), and each
+query text likewise (4,096 texts, `_QUERY_TOKENS_MEMO`), so the judge's
+cost follows the number of distinct texts, not of requests; scores are
+those of tokenising afresh. `HashedBagEmbedder`, the mock embedder, hashes
+the same lower-cased `\\w+` tokens into a bag of counts.
 
 `HttpProvider` (chat completions) and `HttpEmbedder` (embeddings) talk to
 an OpenAI-style endpoint through one POST helper over stdlib
 `urllib.request`, which adds the bearer header and turns a transport
 failure, a bad status or a malformed body into `ProviderError`
 (`TransientProviderError` for a transport failure or a server error, which
-the embedder retries). `urllib.request` is imported on the first POST, so
-importing the CLI loads no HTTP library.
+the embedder retries with `with_retries`). `urllib.request` is imported
+on the first POST, so importing the CLI loads no HTTP library.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import re
+import sys
 import threading
 import time
 from typing import Callable, Sequence, TypeVar
@@ -33,21 +46,96 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .gateway import (
+    BACKOFF_BASE_S,
     JUDGE_MAX,
     JUDGE_MIN,
+    RETRIES,
     CompletionRequest,
     ProviderError,
     TransientProviderError,
-    counts_overlap,
     format_judge_score,
-    mock_query,
-    mock_query_score,
-    stable_hash,
-    token_counts,
-    with_retries,
 )
 
 T = TypeVar("T")
+
+# The tokens of the mock judge and the mock embedder.
+_TOKEN_RE = re.compile(r"\w+")
+# Documents whose token counts the mock judge keeps. A judge batch is
+# query-major, so every document of a batch recurs once per query; the
+# bound covers the largest batch at paper scale (739 pool documents in
+# one subtopic), where a smaller memo would evict each document before
+# the next query reaches it.
+_DOC_TOKENS_MEMO = 4096
+# Query texts whose token counts the mock judge keeps: a judge batch asks
+# each query once per candidate, and a study holds far fewer queries.
+_QUERY_TOKENS_MEMO = 4096
+
+
+def token_counts(text: str) -> dict[str, int]:
+    """Multiset of the lower-cased `\\w+` tokens of `text`."""
+    counts: dict[str, int] = {}
+    for token in _TOKEN_RE.findall(text.lower()):
+        counts[token] = counts.get(token, 0) + 1
+    return counts
+
+
+def _interned_token_counts(text: str) -> dict[str, int]:
+    """`token_counts` with its tokens interned, so a memo of them holds
+    each distinct token's string once."""
+    return {sys.intern(token): n for token, n in token_counts(text).items()}
+
+
+def query_tokens(text: str) -> tuple[dict[str, int], int]:
+    """The interned token counts of a query text and their total."""
+    counts = _interned_token_counts(text)
+    return counts, sum(counts.values())
+
+
+# `token_counts` of document texts and `query_tokens` of query texts, each
+# in its own bounded memo. Every caller gets the same dict, so none may
+# change it.
+_doc_token_counts = functools.lru_cache(maxsize=_DOC_TOKENS_MEMO)(_interned_token_counts)
+_query_token_counts = functools.lru_cache(maxsize=_QUERY_TOKENS_MEMO)(query_tokens)
+
+
+def counts_overlap(query: tuple[dict[str, int], int], doc_counts: dict[str, int]) -> float:
+    """Multiset containment of a query's token counts, given with their
+    total as `query_tokens` gives them, in the document's, in [0, 1]; 0
+    for a query without tokens."""
+    query_counts, total = query
+    if total == 0:
+        return 0.0
+    matched = 0
+    for token, n in query_counts.items():
+        have = doc_counts.get(token, 0)
+        matched += n if n < have else have
+    return matched / total
+
+
+def mock_query(query_text: str, seed: int) -> tuple:
+    """What `mock_query_score` needs of a query, to be worked out once per query:
+    its token counts with their total, and the sha256 state of its
+    perturbation hash up to the document text."""
+    return _query_token_counts(query_text), hashlib.sha256(f"{seed}\x1f{query_text}\x1f".encode("utf-8"))
+
+
+def mock_query_score(query: tuple, doc_text: str) -> int:
+    """The deterministic stand-in judge's score of a document for a query
+    that `mock_query` prepared: scaled token overlap with a small
+    perturbation in [-3, 3], `stable_hash(str(seed), query text, document
+    text) % 7 - 3`, clamped to [1, 100]."""
+    tokens, prefix = query
+    digest = prefix.copy()
+    digest.update(doc_text.encode("utf-8"))
+    perturbation = int.from_bytes(digest.digest(), "big") % 7 - 3
+    base = round(100 * counts_overlap(tokens, _doc_token_counts(doc_text)))
+    return max(JUDGE_MIN, min(JUDGE_MAX, base + perturbation))
+
+
+def stable_hash(*parts: str) -> int:
+    """Deterministic cross-platform hash of the joined parts."""
+    return int.from_bytes(hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest(), "big")
+
 
 # The judge's reply for each score, `format_judge_score` of it. The
 # completion cache holds every reply it stores, so judge replies that are
@@ -89,10 +177,10 @@ class MockProvider:
         raised. Routes on template name; only a template it does not route
         is answered from its prompt, `render(request)`. A judge request
         works out its query's tokens and hash prefix once per batch
-        (`gateway.mock_query`)."""
+        (`mock_query`)."""
         replies: list[str | Exception] = []
         by_template: dict[str, int] = {}
-        queries: dict[str, tuple] = {}  # query text -> gateway.mock_query of it
+        queries: dict[str, tuple] = {}  # query text -> mock_query of it
         for request in requests:
             template = request.template
             by_template[template] = by_template.get(template, 0) + 1
@@ -185,6 +273,65 @@ class MockProvider:
         return "\n".join(lines)
 
 
+def _token_bucket(token: str, dim: int) -> int:
+    """sha256 of the token mod dim."""
+    digest = hashlib.sha256(token.encode("utf-8")).hexdigest()
+    return int(digest, 16) % dim
+
+
+# Tokens whose buckets one HashedBagEmbedder keeps; a full memo is emptied.
+_BUCKET_MEMO = 1 << 16
+
+
+class HashedBagEmbedder:
+    """Deterministic test embedder: tokens hashed into a fixed-dimension
+    bag of counts, then L2-normalized.
+
+    `embed` keeps each token's bucket in a plain dict of at most
+    `_BUCKET_MEMO` tokens, emptied when full; vocabularies repeat, so most
+    tokens cost one dict lookup."""
+
+    def __init__(self, dim: int = 256):
+        self.dim = dim
+        self.id = f"hashed-bag-{dim}"
+        self._buckets: dict[str, int] = {}
+
+    def embed(self, text: str) -> np.ndarray:
+        if not text.strip():
+            raise ValueError("cannot embed empty text")
+        memo, dim = self._buckets, self.dim
+        buckets = []
+        for token in _TOKEN_RE.findall(text.lower()):
+            bucket = memo.get(token)
+            if bucket is None:
+                if len(memo) >= _BUCKET_MEMO:
+                    memo.clear()
+                bucket = memo[token] = _token_bucket(token, dim)
+            buckets.append(bucket)
+        vec = np.bincount(buckets, minlength=dim).astype(np.float64)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            raise ValueError("text produced no tokens to embed")
+        return vec / norm
+
+
+def with_retries(call: Callable[[], T], what: str, sleep: Callable[[float], None] = time.sleep) -> T:
+    """call(), tried up to `RETRIES` times while it raises
+    `TransientProviderError`, sleeping BACKOFF_BASE_S * 2**n after failed
+    attempt n; then one ProviderError naming `what` and the attempt count.
+    The gateway applies the same policy to a batch's misses in rounds
+    (`Gateway.complete_many`)."""
+    last_error: Exception | None = None
+    for attempt in range(RETRIES):
+        try:
+            return call()
+        except TransientProviderError as exc:
+            last_error = exc
+            if attempt < RETRIES - 1:
+                sleep(BACKOFF_BASE_S * 2**attempt)
+    raise ProviderError(f"{what} failed after {RETRIES} attempts: {last_error}") from last_error
+
+
 def _urllib_post(url: str, body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
     """The HTTP clients' transport: stdlib `urllib.request`, imported here,
     as it is slow to import and no other part of the program needs it. An
@@ -271,7 +418,7 @@ class HttpEmbedder(_HttpClient):
     """OpenAI-style embeddings client; vectors are re-normalized.
 
     A transport failure or server error is retried with the gateway's
-    policy (`gateway.with_retries`); a malformed reply is not."""
+    policy (`with_retries`); a malformed reply is not."""
 
     def __init__(self, endpoint: str, model: str, dim: int, sleep: Callable[[float], None] = time.sleep, **kwargs):
         super().__init__(endpoint, model, **kwargs)

@@ -1,4 +1,4 @@
-"""Embeddings, an exact cosine index, and the retrieval pipelines.
+"""The embedding cache, an exact cosine index, and the retrieval pipelines.
 
 One implementation, `Retriever.run(cells, queries)`, runs all four
 pipelines over any number of (pipeline, index, corpus) cells; pipelines
@@ -22,8 +22,9 @@ is in that layout is not kept in memory, whether this run loaded the line
 or computed the vector: the cache keeps the line's place in the file and
 decodes the vector from the line each time its text is embedded. The
 index builders write each vector into its row of the index's matrix as
-it comes, so a run holds one decoded copy of each vector. The HTTP
-embedding client lives in `providers`.
+it comes, so a run holds one decoded copy of each vector. The embedders
+it wraps, the mock `HashedBagEmbedder` and the HTTP client, live in
+`providers`.
 
 The index is a brute-force cosine scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
@@ -42,7 +43,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import itertools
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -70,49 +70,6 @@ class Embedder(Protocol):
     dim: int
 
     def embed(self, text: str) -> np.ndarray: ...
-
-
-def _token_bucket(token: str, dim: int) -> int:
-    """sha256 of the token mod dim."""
-    digest = hashlib.sha256(token.encode("utf-8")).hexdigest()
-    return int(digest, 16) % dim
-
-
-_WORD_RE = re.compile(r"\w+")
-# Tokens whose buckets one HashedBagEmbedder keeps; a full memo is emptied.
-_BUCKET_MEMO = 1 << 16
-
-
-class HashedBagEmbedder:
-    """Deterministic test embedder: tokens hashed into a fixed-dimension
-    bag of counts, then L2-normalized.
-
-    `embed` keeps each token's bucket in a plain dict of at most
-    `_BUCKET_MEMO` tokens, emptied when full; vocabularies repeat, so most
-    tokens cost one dict lookup."""
-
-    def __init__(self, dim: int = 256):
-        self.dim = dim
-        self.id = f"hashed-bag-{dim}"
-        self._buckets: dict[str, int] = {}
-
-    def embed(self, text: str) -> np.ndarray:
-        if not text.strip():
-            raise ValueError("cannot embed empty text")
-        memo, dim = self._buckets, self.dim
-        buckets = []
-        for token in _WORD_RE.findall(text.lower()):
-            bucket = memo.get(token)
-            if bucket is None:
-                if len(memo) >= _BUCKET_MEMO:
-                    memo.clear()
-                bucket = memo[token] = _token_bucket(token, dim)
-            buckets.append(bucket)
-        vec = np.bincount(buckets, minlength=dim).astype(np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ValueError("text produced no tokens to embed")
-        return vec / norm
 
 
 # What ends a `CachedEmbedder` line after its base64.
@@ -216,12 +173,6 @@ class CachedEmbedder:
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
         self._store.put(key, vec, f'{self._payload_head(key)}{vector_b64}"}}')
         return vec
-
-
-@dataclass(frozen=True)
-class Candidate:
-    doc_id: str
-    similarity: float
 
 
 class SearchIndex:
@@ -373,24 +324,15 @@ class RetrievalResult:
 
 
 def merge_chunk_candidates(
-    chunk_index: SearchIndex,
-    query_vec: np.ndarray,
-    k_candidates: int,
-    min_docs: int,
-) -> list[Candidate]:
-    """Top chunks merged back into their parent documents.
+    chunk_index: SearchIndex, query_vec: np.ndarray, k_candidates: int, min_docs: int
+) -> list[tuple[str, float]]:
+    """Top chunks merged back into their parent documents, as (doc id,
+    similarity) pairs in (-similarity, doc id) order.
 
     A document's similarity is the max over its retrieved chunks. If the
     top-k chunks collapse onto fewer than min_docs parents, the scan depth
     is doubled until enough parents are found or the index is exhausted.
     """
-    return [Candidate(d, s) for d, s in _merged_chunk_pairs(chunk_index, query_vec, k_candidates, min_docs)]
-
-
-def _merged_chunk_pairs(
-    chunk_index: SearchIndex, query_vec: np.ndarray, k_candidates: int, min_docs: int
-) -> list[tuple[str, float]]:
-    """`merge_chunk_candidates` as (doc id, similarity) pairs."""
     if chunk_index.kind != "chunk":
         raise ValueError(
             f"a chunk-level index is required here, not the {chunk_index.kind} index of {chunk_index.name!r}"
@@ -537,7 +479,7 @@ class Retriever:
             query_vec = self._vectors[key] = index.embedder.embed(search_text)
         if cell.pipeline is Pipeline.HIERARCHICAL:
             min_docs = min(self.top_k, len(cell.corpus))
-            return _merged_chunk_pairs(index, query_vec, self.k_candidates, min_docs)
+            return merge_chunk_candidates(index, query_vec, self.k_candidates, min_docs)
         k = min(self.k_candidates, self.top_k) if cell.pipeline is Pipeline.BASELINE else self.k_candidates
         return index.search(query_vec, k)
 

@@ -24,10 +24,9 @@ from corpusgap.evaluation import (
 from corpusgap.gaps import GapParams, SubtopicStats, coverage_gap, usefulness_gap
 from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter
 from corpusgap.planner import allocate_quotas, build_nondirected_corpus
-from corpusgap.providers import MockProvider
+from corpusgap.providers import HashedBagEmbedder, MockProvider
 from corpusgap.retrieval import (
     CachedEmbedder,
-    HashedBagEmbedder,
     SearchIndex,
     build_chunk_index,
     build_document_index,
@@ -319,7 +318,7 @@ def test_c08_pipeline_equivalences():
         # single-section corpus: chunk merge reproduces the baseline candidate set
         qvec = embedder.embed(query.text)
         baseline_candidates = {key for key, _ in doc_index.search(qvec, 20)}
-        merged = {c.doc_id for c in merge_chunk_candidates(chunk_index, qvec, 20, 3)}
+        merged = {doc_id for doc_id, _ in merge_chunk_candidates(chunk_index, qvec, 20, 3)}
         assert merged == baseline_candidates
 
     for n_docs in (1, 2, 3, 5, 8):

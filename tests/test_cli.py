@@ -340,8 +340,14 @@ def test_eval_manifest_entry_missing_field_is_clean(runner, tmp_path, world):
         (None, "manifest.jsonl:1: 'docs_added' must be an integer, got 'many'"),
         ({"name": "b", "path": "baseline.jsonl", "arm": "directed", "docs_added": 0},
          "manifest.jsonl:2: corpus name 'b' appears twice in the manifest"),
+        ({"name": "c", "path": "baseline.jsonl", "arm": "directed", "docs_added": True},
+         "manifest.jsonl:2: 'docs_added' must be an integer, got True"),
+        ({"name": "c", "path": "baseline.jsonl", "arm": "directed", "docs_added": 2.5},
+         "manifest.jsonl:2: 'docs_added' must be an integer, got 2.5"),
+        ({"name": "c", "path": "baseline.jsonl", "arm": "directed", "docs_added": "2"},
+         "manifest.jsonl:2: 'docs_added' must be an integer, got '2'"),
     ],
-    ids=["docs-added-not-an-integer", "name-twice"],
+    ids=["docs-added-not-an-integer", "name-twice", "docs-added-boolean", "docs-added-fraction", "docs-added-numeric-string"],
 )
 def test_eval_manifest_bad_docs_added_or_repeated_name_is_clean(runner, tmp_path, world, second, error):
     first = {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0 if second else "many"}
@@ -501,6 +507,12 @@ def test_summary_row_docs_added_outside_its_corpus_is_clean(runner, tmp_path, co
         ("complete", "yes", "'complete' must be true or false, got 'yes'"),
         ("complete", 1, "'complete' must be true or false, got 1"),
         ("arm", 3, "'arm' must be a string, got 3"),
+        ("docs_added", True, "'docs_added' must be an integer, got True"),
+        ("docs_added", 0.5, "'docs_added' must be an integer, got 0.5"),
+        ("docs_added", "0", "'docs_added' must be an integer, got '0'"),
+        ("total_docs", True, "'total_docs' must be an integer, got True"),
+        ("total_docs", 100.5, "'total_docs' must be an integer, got 100.5"),
+        ("total_docs", "100", "'total_docs' must be an integer, got '100'"),
     ],
 )
 def test_summary_field_of_the_wrong_type_is_clean(runner, tmp_path, command, field, value, message):
@@ -525,6 +537,7 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
     "command",
     ["ingest", "annotate", "gaps", "plan", "build-corpus",
      "plan-no-query-count", "plan-hybrid-not-a-number", "plan-query-count-boolean", "directed-no-subtopic", "directed-allocation-not-an-integer",
+     "directed-allocation-boolean", "directed-allocation-fraction", "directed-allocation-numeric-string",
      "annotate-no-id", "annotate-no-text", "annotate-sections-not-a-list", "annotate-section-not-an-object",
      "annotate-body-not-a-string", "annotate-flat-body-not-a-string", "annotate-title-not-a-string",
      "generate-no-title", "generate-word-count",
@@ -557,6 +570,9 @@ def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, comma
         "plan-query-count-boolean": (plan, "gaps", gap.replace('"doc_count"', '"query_count": true, "doc_count"'), "gap record field 'query_count' must be an integer, got True"),
         "directed-no-subtopic": (directed, "plan", '{"allocation": 2}', "plan record lacks subtopic"),
         "directed-allocation-not-an-integer": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": "two"}', "'allocation' must be an integer, got 'two'"),
+        "directed-allocation-boolean": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": true}', "'allocation' must be an integer, got True"),
+        "directed-allocation-fraction": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": 2.9}', "'allocation' must be an integer, got 2.9"),
+        "directed-allocation-numeric-string": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": "2"}', "'allocation' must be an integer, got '2'"),
         "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool", "{not json", "malformed record"),
         "annotate-no-id": (annotate, "train", '{"text": "cant sleep"}', "missing or invalid 'id'"),
         "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "missing or invalid 'text'"),

@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "corpusgap"
 ALLOWED = {
     # Used by tests/test_acceptance.py, the paper's acceptance criteria.
     "retrieve",
-    "merge_chunk_candidates",
     # Waiting for their production caller, the `study` command (ROADMAP item 8).
     "check_split_disjoint",
     "sensitivity_sweep",

@@ -22,8 +22,8 @@ from corpusgap.evaluation import (
     run_grid,
 )
 from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_gateway_rewriter
-from corpusgap.providers import MockProvider
-from corpusgap.retrieval import CachedEmbedder, HashedBagEmbedder
+from corpusgap.providers import HashedBagEmbedder, MockProvider
+from corpusgap.retrieval import CachedEmbedder
 
 from .world import load_experiment, mock_gateway_judge
 

@@ -28,10 +28,8 @@ from corpusgap.gateway import (
     make_gateway_judge,
     make_gateway_rewriter,
     parse_judge_score,
-    query_tokens,
-    stable_hash,
 )
-from corpusgap.providers import MockProvider
+from corpusgap.providers import MockProvider, query_tokens, stable_hash
 from corpusgap.retrieval import CachedEmbedder, Pipeline
 
 from .world import (

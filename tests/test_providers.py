@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpusgap import gateway as gateway_module, providers as providers_module
-from corpusgap.gateway import CompletionRequest, ProviderError, ProviderParams, format_judge_score, stable_hash
-from corpusgap.providers import HttpEmbedder, HttpProvider, MockProvider
+from corpusgap import providers as providers_module
+from corpusgap.gateway import CompletionRequest, ProviderError, ProviderParams, format_judge_score
+from corpusgap.providers import HttpEmbedder, HttpProvider, MockProvider, stable_hash, token_counts
 
 
 def stub(status=200, payload=None):
@@ -404,7 +404,7 @@ class TestMockProviderMatchesReference:
 
         def spy(text):
             seen.append(text)
-            return gateway_module.token_counts(text)
+            return token_counts(text)
 
         monkeypatch.setattr(providers_module, "token_counts", spy)
         text = "Calm night routines help with sleep and calm breathing"
@@ -420,7 +420,7 @@ class TestMockProviderMatchesReference:
 
         def spy(text):
             seen.append(text)
-            return gateway_module.token_counts(text)
+            return token_counts(text)
 
         monkeypatch.setattr(providers_module, "token_counts", spy)
         provider = MockProvider(seed=0)
@@ -436,25 +436,25 @@ class TestMockProviderMatchesReference:
     def test_query_major_batch_tokenises_each_query_once(self):
         docs = [f"document {i} about calm night number {i}" for i in range(50)]
         queries = ["calm night", "document about", "night"]
-        gateway_module._query_token_counts.cache_clear()
+        providers_module._query_token_counts.cache_clear()
         provider = MockProvider(seed=1)
         for query in queries:
             for doc in docs:
                 request = CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc})
                 assert provider.generate(request, "") == reference_judge_reply(query, doc, 1)
-        info = gateway_module._query_token_counts.cache_info()
+        info = providers_module._query_token_counts.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (3, 147, 4096)
 
     def test_query_major_batch_tokenises_each_document_once(self):
         # A judge batch holds every document once per query; at paper scale
         # the largest holds 739 documents, which the memo must keep whole.
         docs = [f"document {i} about calm night number {i}" for i in range(800)]
-        gateway_module._doc_token_counts.cache_clear()
+        providers_module._doc_token_counts.cache_clear()
         provider = MockProvider(seed=1)
         for query in ["calm night", "document about", "night"]:
             for doc in docs:
                 provider.generate(CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc}), "")
-        info = gateway_module._doc_token_counts.cache_info()
+        info = providers_module._doc_token_counts.cache_info()
         assert (info.misses, info.hits) == (800, 1600)
 
 

@@ -9,21 +9,20 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpusgap import retrieval as retrieval_module
+from corpusgap import providers as providers_module
 from corpusgap.corpus import Corpus, Document, IngestError, Query, Section, Source, Split
 from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter
-from corpusgap.providers import MockProvider
+from corpusgap.providers import HashedBagEmbedder, MockProvider
 from corpusgap.retrieval import (
     CachedEmbedder,
-    Candidate,
     Cell,
     CellRun,
-    HashedBagEmbedder,
     Pipeline,
     RetrievalResult,
     RetrievedDoc,
@@ -103,7 +102,7 @@ class TestHashedBagEmbedder:
         for token in tokens:
             want = int(hashlib.sha256(token.encode("utf-8")).hexdigest(), 16) % dim
             assert embedder._buckets[token] == want
-            assert retrieval_module._token_bucket(token, dim) == want
+            assert providers_module._token_bucket(token, dim) == want
 
     @pytest.mark.parametrize("dim", [7, 256, 4096])
     def test_vectors_equal_per_token_lru_cache_embedder(self, dim):
@@ -123,13 +122,13 @@ class TestHashedBagEmbedder:
 
     def test_token_memo_stays_within_its_bound(self, monkeypatch):
         embedder = HashedBagEmbedder(dim=64)
-        tokens = [f"tok{i}" for i in range(retrieval_module._BUCKET_MEMO + 5000)]
+        tokens = [f"tok{i}" for i in range(providers_module._BUCKET_MEMO + 5000)]
         for start in range(0, len(tokens), 3000):
             text = " ".join(tokens[start : start + 3000])
             assert embedder.embed(text).tobytes() == reference_embed(text, 64).tobytes()
-            assert len(embedder._buckets) <= retrieval_module._BUCKET_MEMO
+            assert len(embedder._buckets) <= providers_module._BUCKET_MEMO
         # A smaller bound, met one token at a time and passed within one text.
-        monkeypatch.setattr(retrieval_module, "_BUCKET_MEMO", 50)
+        monkeypatch.setattr(providers_module, "_BUCKET_MEMO", 50)
         for token in tokens[:120]:
             embedder.embed(token)
             assert len(embedder._buckets) <= 50
@@ -715,7 +714,7 @@ class TestSubsetIndex:
         union = SearchIndex(keys, matrix, embedder, "union", "chunk")
         corpus = id_only_corpus("c", ["d0", "d1", "d2"])
         merged = merge_chunk_candidates(union.subset(corpus), np.array([1.0, 0.0]), 2, 3)
-        assert [c.doc_id for c in merged] == ["d0", "d1", "d2"]
+        assert [doc_id for doc_id, _ in merged] == ["d0", "d1", "d2"]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sparse_subset_needs_a_deep_walk(self, seed):
@@ -837,7 +836,7 @@ class TestHierarchicalPipeline:
         )
         index = build_chunk_index(corpus, embedder)
         candidates = merge_chunk_candidates(index, embedder.embed("alpha beta"), 20, 1)
-        assert [c.doc_id for c in candidates].count("d1") == 1
+        assert [doc_id for doc_id, _ in candidates].count("d1") == 1
 
     def test_single_section_candidates_match_baseline(self, embedder):
         rng = random.Random(9)
@@ -851,7 +850,7 @@ class TestHierarchicalPipeline:
         q = " ".join(rng.sample(vocab, 5))
         qvec = embedder.embed(q)
         baseline_hits = {key for key, _ in doc_index.search(qvec, 20)}
-        merged = {c.doc_id for c in merge_chunk_candidates(chunk_index, qvec, 20, 3)}
+        merged = {doc_id for doc_id, _ in merge_chunk_candidates(chunk_index, qvec, 20, 3)}
         assert merged == baseline_hits
 
     def test_final_order_follows_judge(self, embedder):
@@ -1145,6 +1144,12 @@ def reference_search(index: SearchIndex, query_vec, k: int) -> list:
     if index.rows is not None:
         order = order[index.rows[order]]
     return [(index.keys[i], float(sims[i])) for i in order[:k].tolist()]
+
+
+@dataclass(frozen=True)
+class Candidate:
+    doc_id: str
+    similarity: float
 
 
 class ReferenceRetriever(Retriever):

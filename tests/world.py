@@ -37,24 +37,23 @@ from corpusgap.corpus import (
 )
 from corpusgap.evaluation import ExperimentResult, ExperimentSpec, Pipeline, QueryOutcome
 from corpusgap.gaps import GapParams, GapWeights, analyze_gaps
-from corpusgap.gateway import (
-    Gateway,
-    JudgeFn,
-    counts_overlap,
-    make_gateway_judge,
-    mock_query,
-    mock_query_score,
-    query_tokens,
-    token_counts,
-)
+from corpusgap.gateway import Gateway, JudgeFn, make_gateway_judge
 from corpusgap.planner import (
     allocate_quotas,
     build_directed_corpus,
     build_nondirected_corpus,
     score_external_pool,
 )
-from corpusgap.providers import MockProvider
-from corpusgap.retrieval import HashedBagEmbedder, _token_bucket
+from corpusgap.providers import (
+    HashedBagEmbedder,
+    MockProvider,
+    _token_bucket,
+    counts_overlap,
+    mock_query,
+    mock_query_score,
+    query_tokens,
+    token_counts,
+)
 
 EMBED_DIM = 4096
 
