@@ -24,7 +24,7 @@ from .corpus import (
     load_taxonomy,
     percent_increase,
     read_records,
-    require_fields,
+    record_field,
     write_corpus,
     write_queries,
     write_records,
@@ -127,27 +127,23 @@ def annotate(ctx, kind, input_path, output, taxonomy_path, labelings_path, relab
     todo = []
     for lineno, record in read_records(input_path):
         where = f"{input_path}:{lineno}"
-        if not isinstance(record.get("id"), str):
-            raise IngestError(f"{where}: missing or invalid 'id'")
+        record_id = record_field(record, "id", "str", where)
         records.append(record)
-        if record.get("subtopic") and not relabel:
+        if record_field(record, "subtopic", "str?", where, None) and not relabel:
             continue
         if kind == "queries":
-            text = record.get("text")
-            if not isinstance(text, str):
-                raise IngestError(f"{where}: missing or invalid 'text'")
+            text = record_field(record, "text", "str", where)
         else:
-            sections = record.get("sections", [])
-            if not isinstance(sections, list) or not all(isinstance(s, dict) for s in sections):
-                raise IngestError(f"{where}: 'sections' must be a list of objects")
-            bodies = [s.get("body", "") for s in sections]
-            if "body" in record:
-                bodies.append(record["body"])
-            title = record.get("title", "")
-            if not all(isinstance(part, str) for part in [title, *bodies]):
-                raise IngestError(f"{where}: 'title' and each 'body' must be strings")
-            text = " ".join([title] + bodies)
-        todo.append((record["id"], text))
+            # The title, each section's body (a missing one read as ""), then
+            # the flat body: the label cache keys hold this text.
+            sections = record_field(record, "sections", "objects", where, [])
+            parts = [record_field(record, "title", "str", where, "")]
+            parts += [record_field(s, "body", "str", where, "") for s in sections]
+            flat_body = record_field(record, "body", "str", where, None)
+            if flat_body is not None:
+                parts.append(flat_body)
+            text = " ".join(parts)
+        todo.append((record_id, text))
     labelings, failures = annotate_mod.label_batch(todo, taxonomy, gateway, params)
     for record in records:
         labeling = labelings.get(record["id"])
@@ -255,23 +251,17 @@ def generate(ctx, metadata_path, output, flags_path) -> None:
     flags = []
     for lineno, record in read_records(metadata_path):
         where = f"{metadata_path}:{lineno}"
-        title = record.get("title")
-        if not isinstance(title, str) or not title.strip():
-            raise IngestError(f"{where}: missing or invalid 'title'")
-        try:
-            word_count = int(record["word_count"])
-        except (KeyError, TypeError, ValueError):
-            raise IngestError(f"{where}: missing or non-integer 'word_count'") from None
+        title = record_field(record, "title", "str", where)
+        if not title.strip():
+            raise IngestError(f"{where}: 'title' must be a non-blank string, got {title!r}")
+        word_count = record_field(record, "word_count", "int", where)
         if word_count <= 0:
-            raise IngestError(f"{where}: 'word_count' must be positive")
-        headers = record.get("headers", [])
-        if not isinstance(headers, list) or not all(isinstance(h, str) for h in headers):
-            raise IngestError(f"{where}: 'headers' must be a list of strings")
+            raise IngestError(f"{where}: 'word_count' must be a positive integer, got {word_count!r}")
+        headers = record_field(record, "headers", "strs", where, [])
         metadata = ArticleMetadata(title=title, headers=tuple(headers), word_count=word_count)
-        doc_id = record.get("id") or f"synthetic-{lineno:05d}"
-        result = generate_synthetic_doc(
-            metadata, gateway, doc_id, subtopic=record.get("subtopic"), params=params
-        )
+        doc_id = record_field(record, "id", "str?", where, None) or f"synthetic-{lineno:05d}"
+        subtopic = record_field(record, "subtopic", "str?", where, None)
+        result = generate_synthetic_doc(metadata, gateway, doc_id, subtopic=subtopic, params=params)
         docs.append(result.document)
         flags.append(
             {
@@ -374,16 +364,16 @@ def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusIn
     info = {}
     for lineno, entry in read_records(manifest_path):
         where = f"{manifest_path}:{lineno}"
-        require_fields(entry, ("name", "path", "arm", "docs_added"), where, "manifest entry")
-        if entry["name"] in info:
-            raise IngestError(f"{where}: corpus name {entry['name']!r} appears twice in the manifest")
-        docs_added = entry["docs_added"]
-        if type(docs_added) is not int:
-            raise IngestError(f"{where}: 'docs_added' must be an integer, got {docs_added!r}")
-        corpus = ingest_documents(manifest_dir / entry["path"], Source.BASELINE, name=entry["name"])
+        name = record_field(entry, "name", "str", where)
+        if name in info:
+            raise IngestError(f"{where}: corpus name {name!r} appears twice in the manifest")
+        path = record_field(entry, "path", "str", where)
+        arm = record_field(entry, "arm", "str", where)
+        docs_added = record_field(entry, "docs_added", "int", where)
+        corpus = ingest_documents(manifest_dir / path, Source.BASELINE, name=name)
         corpora.append(corpus)
         try:
-            info[corpus.name] = CorpusInfo(entry["arm"], docs_added, len(corpus))
+            info[corpus.name] = CorpusInfo(arm, docs_added, len(corpus))
         except ValueError as exc:
             raise IngestError(f"{where}: {exc}") from None
     return corpora, info
@@ -397,24 +387,19 @@ def _load_summary(summary_path: str) -> tuple[list[ExperimentResult], dict[str, 
     info = {}
     for lineno, row in read_records(summary_path):
         where = f"{summary_path}:{lineno}"
+        corpus = record_field(row, "corpus", "str", where)
+        pipeline = record_field(row, "pipeline", "str", where)
+        avg_score = record_field(row, "avg_score", "number?", where)
+        complete = record_field(row, "complete", "bool", where)
+        arm = record_field(row, "arm", "str", where)
+        docs_added = record_field(row, "docs_added", "int", where)
+        total_docs = record_field(row, "total_docs", "int", where)
         try:
-            spec = ExperimentSpec(corpus_name=row["corpus"], pipeline=Pipeline(row["pipeline"]))
-            avg_score, complete, arm = row["avg_score"], row["complete"], row["arm"]
-            if avg_score is not None and (type(avg_score) is bool or not isinstance(avg_score, (int, float))):
-                raise TypeError(f"'avg_score' must be a number or null, got {avg_score!r}")
-            if type(complete) is not bool:
-                raise TypeError(f"'complete' must be true or false, got {complete!r}")
-            if not isinstance(arm, str):
-                raise TypeError(f"'arm' must be a string, got {arm!r}")
-            for name in ("docs_added", "total_docs"):
-                if type(row[name]) is not int:
-                    raise TypeError(f"{name!r} must be an integer, got {row[name]!r}")
-            results.append(ExperimentResult(spec, avg_score, per_query=(), complete=complete))
-            info[row["corpus"]] = CorpusInfo(arm, row["docs_added"], row["total_docs"])
-        except KeyError as exc:
-            raise click.ClickException(f"{where}: summary row lacks {exc}")
-        except (TypeError, ValueError) as exc:
-            raise click.ClickException(f"{where}: {exc}")
+            spec = ExperimentSpec(corpus_name=corpus, pipeline=Pipeline(pipeline))
+            info[corpus] = CorpusInfo(arm, docs_added, total_docs)
+        except ValueError as exc:
+            raise IngestError(f"{where}: {exc}") from None
+        results.append(ExperimentResult(spec, avg_score, per_query=(), complete=complete))
     return results, info
 
 

@@ -204,12 +204,38 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def require_fields(record: dict, names: Iterable[str], where: str, what: str) -> None:
-    """Refuse a record that lacks any of `names` with one IngestError
-    naming `where`, `what` the record is, and each missing name."""
-    missing = [name for name in names if name not in record]
-    if missing:
-        raise IngestError(f"{where}: {what} lacks {', '.join(missing)}")
+# The kinds of field `record_field` reads: a test of the value and what a
+# refusal calls it. An integer or a number is never a bool. Each kind
+# followed by "?" also allows null.
+_FIELD_KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "nonempty": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "number": (lambda v: type(v) is int or type(v) is float, "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "strs": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"),
+    "objects": (lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v), "a list of objects"),
+}
+_FIELD_KINDS.update(
+    {f"{kind}?": (lambda v, accepts=accepts: v is None or accepts(v), f"{wanted} or null")
+     for kind, (accepts, wanted) in _FIELD_KINDS.items()}
+)
+_REQUIRED = object()
+
+
+def record_field(record: dict, name: str, kind: str, where: str, default=_REQUIRED):
+    """`record[name]` if it is of `kind` (a key of `_FIELD_KINDS`), or
+    `default` when the record lacks it and a default is given. Anything
+    else is one IngestError naming `where` and the field."""
+    if name not in record:
+        if default is _REQUIRED:
+            raise IngestError(f"{where}: record lacks '{name}'")
+        return default
+    value = record[name]
+    accepts, wanted = _FIELD_KINDS[kind]
+    if not accepts(value):
+        raise IngestError(f"{where}: '{name}' must be {wanted}, got {value!r}")
+    return value
 
 
 # A record as one line of a record file, byte for byte what
@@ -443,29 +469,16 @@ class AppendLog:
                 self._fh = None
 
 
-def _text_field(record: dict, name: str, where: str) -> str:
-    """`record[name]`, or "" when it is missing; a value that is not a
-    string is refused, so a null or a number never becomes text."""
-    value = record.get(name, "")
-    if not isinstance(value, str):
-        raise IngestError(f"{where}: {name!r} must be a string, got {value!r}")
-    return value
-
-
 def _sections_from_record(record: dict, where: str) -> tuple[Section, ...]:
-    if "sections" in record:
-        raw = record["sections"]
-        if not isinstance(raw, list) or not raw:
-            raise IngestError(f"{where}: 'sections' must be a non-empty list")
-        sections = []
-        for s in raw:
-            if not isinstance(s, dict) or "body" not in s:
-                raise IngestError(f"{where}: each section needs a 'body'")
-            sections.append(Section(heading=_text_field(s, "heading", where), body=_text_field(s, "body", where)))
-        return tuple(sections)
-    if "body" in record:
-        return (Section(heading="", body=_text_field(record, "body", where)),)
-    raise IngestError(f"{where}: record needs 'sections' or a flat 'body'")
+    if "sections" not in record:
+        return (Section(heading="", body=record_field(record, "body", "str", where)),)
+    raw = record_field(record, "sections", "objects", where)
+    if not raw:
+        raise IngestError(f"{where}: 'sections' must be a non-empty list of objects, got []")
+    return tuple(
+        Section(heading=record_field(s, "heading", "str", where, ""), body=record_field(s, "body", "str", where))
+        for s in raw
+    )
 
 
 def document_to_record(doc: Document) -> dict:
@@ -496,23 +509,18 @@ def ingest_documents(
     seen: set[str] = set()
     for lineno, record in read_records(path):
         where = f"{path}:{lineno}"
-        doc_id = record.get("id")
-        if not doc_id or not isinstance(doc_id, str):
-            raise IngestError(f"{where}: missing or invalid 'id'")
+        doc_id = record_field(record, "id", "nonempty", where)
         if doc_id in seen:
             raise IngestError(f"{where}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        subtopic = record.get("subtopic")
-        if subtopic is not None:
-            if not isinstance(subtopic, str):
-                raise IngestError(f"{where}: 'subtopic' must be a string")
-            if taxonomy is not None and subtopic not in taxonomy:
-                raise IngestError(f"{where}: unknown subtopic {subtopic!r}")
+        subtopic = record_field(record, "subtopic", "str?", where, None)
+        if subtopic is not None and taxonomy is not None and subtopic not in taxonomy:
+            raise IngestError(f"{where}: unknown subtopic {subtopic!r}")
         docs.append(
             Document(
                 id=doc_id,
                 source=source,
-                title=_text_field(record, "title", where),
+                title=record_field(record, "title", "str", where, ""),
                 sections=_sections_from_record(record, where),
                 subtopic=subtopic,
             )
@@ -545,19 +553,17 @@ def ingest_queries(
     seen: set[str] = set()
     for lineno, record in read_records(path):
         where = f"{path}:{lineno}"
-        query_id = record.get("id")
-        if not query_id or not isinstance(query_id, str):
-            raise IngestError(f"{where}: missing or invalid 'id'")
+        query_id = record_field(record, "id", "nonempty", where)
         if query_id in seen:
             raise IngestError(f"{where}: duplicate query id {query_id!r}")
         seen.add(query_id)
-        stored = record.get("split")
+        stored = record_field(record, "split", "str?", where, None)
         if stored is not None and stored != split.value:
             raise IngestError(f"{where}: query {query_id!r} is stored as split {stored!r}, not {split.value!r}")
-        text = record.get("text")
-        if not isinstance(text, str) or not text.strip():
+        text = record_field(record, "text", "str", where)
+        if not text.strip():
             raise IngestError(f"{where}: query {query_id!r} has empty text")
-        subtopic = record.get("subtopic")
+        subtopic = record_field(record, "subtopic", "str?", where, None)
         if subtopic is not None and taxonomy is not None and subtopic not in taxonomy:
             raise IngestError(f"{where}: unknown subtopic {subtopic!r}")
         queries.append(Query(id=query_id, text=text, split=split, subtopic=subtopic))
@@ -580,13 +586,9 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     topics = []
     for lineno, record in read_records(path):
         where = f"{path}:{lineno}"
-        name = record.get("name")
-        subs = record.get("subtopics")
-        if not name or not isinstance(name, str):
-            raise IngestError(f"{where}: missing topic 'name'")
-        if not isinstance(subs, list) or not all(isinstance(s, str) for s in subs):
-            raise IngestError(f"{where}: 'subtopics' must be a list of strings")
-        topics.append(MainTopic(name=name, subtopics=tuple(subs)))
+        name = record_field(record, "name", "nonempty", where)
+        subtopics = record_field(record, "subtopics", "strs", where)
+        topics.append(MainTopic(name=name, subtopics=tuple(subtopics)))
     try:
         return Taxonomy(topics=tuple(topics))
     except ValueError as exc:

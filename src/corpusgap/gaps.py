@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from math import fsum
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import planner
-from .corpus import Corpus, Document, IngestError, Query, Taxonomy, read_records, require_fields, write_records
+from .corpus import Corpus, Document, Query, Taxonomy, read_records, record_field, write_records
 from .gateway import JudgeFn
 
 log = logging.getLogger(__name__)
@@ -313,17 +313,15 @@ def write_gap_report(gaps: Sequence[SubtopicGap], path: str | Path) -> None:
     write_records(path, (asdict(g) for g in gaps))
 
 
-# The JSON types each gap record field takes, and their name in an error.
-# A boolean is refused wherever a number is wanted, though Python counts
-# it an int.
-_GAP_FIELD_TYPES = {
-    "subtopic": ((str,), "a string"),
-    "query_count": ((int,), "an integer"),
-    "doc_count": ((int,), "an integer"),
-    "coverage": ((int, float), "a number"),
-    "coverage_scaled": ((int, float), "a number"),
-    "usefulness_gap": ((int, float, type(None)), "a number or null"),
-    "hybrid": ((int, float), "a number"),
+# The kind of each gap record field, as `corpus.record_field` reads it.
+_GAP_FIELD_KINDS = {
+    "subtopic": "str",
+    "query_count": "int",
+    "doc_count": "int",
+    "coverage": "number",
+    "coverage_scaled": "number",
+    "usefulness_gap": "number?",
+    "hybrid": "number",
 }
 
 
@@ -331,15 +329,8 @@ def read_gap_report(path: str | Path) -> list[SubtopicGap]:
     """The gaps `write_gap_report` wrote. A record that lacks a field, or
     holds one of the wrong type, is refused with one IngestError naming
     the file and line."""
-    names = [f.name for f in fields(SubtopicGap)]
     gaps = []
     for lineno, record in read_records(path):
         where = f"{path}:{lineno}"
-        require_fields(record, names, where, "gap record")
-        for name in names:
-            value = record[name]
-            types, wanted = _GAP_FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise IngestError(f"{where}: gap record field {name!r} must be {wanted}, got {value!r}")
-        gaps.append(SubtopicGap(**{name: record[name] for name in names}))
+        gaps.append(SubtopicGap(**{name: record_field(record, name, kind, where) for name, kind in _GAP_FIELD_KINDS.items()}))
     return gaps

@@ -25,13 +25,12 @@ in flight. The misses whose reply is a `ProviderError` are asked again
 as one round after one backoff sleep, up to `RETRIES` rounds.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
-request's fields. `CompletionRequest.cache_key` writes that JSON from
-memoised fragments (each text's JSON string once, while it stays in a
-bounded memo), byte for byte what `json.dumps` writes, so caches written
-before the fragments were memoised keep their keys. Within a batch,
-`BatchKeyer` gives the same keys from shared hash states: the payload up
-to a request's last sorted binding value is hashed once per batch and
-copied, so a judge batch hashes each document once. Provider and embedder
+request's fields, as `CompletionRequest.cache_key` writes it with one
+encoder. The gateway keys a batch with `BatchKeyer`, which gives the same
+keys from memoised fragments (each text's JSON string once, while it
+stays in a bounded memo) and shared hash states: the payload up to a
+request's last sorted binding value is hashed once per batch and copied,
+so a judge batch hashes each document once. Provider and embedder
 calls share one retry policy, which no caller changes: `RETRIES`
 attempts with a backoff from `BACKOFF_BASE_S` that doubles. The gateway
 applies it to a batch's misses in rounds; `providers.with_retries`
@@ -173,16 +172,21 @@ class CompletionRequest:
         that also names the provider and the template body's sha256; with
         both left empty the key names the request alone.
 
-        The hashed payload is the request's fields as `json.dumps(fields,
-        ensure_ascii=False, sort_keys=True, separators=(",", ":"))` writes
-        them, assembled from memoised fragments. Binding names must be
-        str and binding values hashable."""
-        bindings = []
-        for name, value in sorted(self.bindings.items()):
+        The hashed payload is the request's fields as `_KEY_ENCODER`
+        writes them. Binding names must be str. This is the plain
+        reference: the gateway keys its requests with `BatchKeyer`, which
+        gives the same keys from shared hash states."""
+        for name in self.bindings:
             _check_binding_name(name)
-            bindings.append(f"{_json_fragment(name)}:{_json_fragment(value)}")
-        payload = f'{{"bindings":{{{",".join(bindings)}{_key_tail(self.params, self.template, provider_id, template_sha)}'
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        fields = {
+            "bindings": dict(self.bindings),
+            "params": [self.params.model, self.params.temperature, self.params.max_output_tokens],
+            "template": self.template,
+        }
+        if provider_id or template_sha:
+            fields["provider"] = provider_id
+            fields["template_sha"] = template_sha
+        return hashlib.sha256(_KEY_ENCODER.encode(fields).encode("utf-8")).hexdigest()
 
 
 def _check_binding_name(name) -> None:
@@ -193,13 +197,11 @@ def _check_binding_name(name) -> None:
 def _key_tail(params: ProviderParams, template: str, provider_id: str, template_sha: str) -> str:
     """The key payload after the last binding value: the bindings' closing
     brace and every other field."""
-    tail = f'}},"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
-    if provider_id or template_sha:
-        return tail + (
-            f'"provider":{_json_fragment(provider_id)},"template":{_json_fragment(template)},'
-            f'"template_sha":{_json_fragment(template_sha)}}}'
-        )
-    return tail + f'"template":{_json_fragment(template)}}}'
+    return (
+        f'}},"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
+        f'"provider":{_json_fragment(provider_id)},"template":{_json_fragment(template)},'
+        f'"template_sha":{_json_fragment(template_sha)}}}'
+    )
 
 
 class BatchKeyer:
@@ -378,9 +380,8 @@ class Gateway:
         """Complete and parse a batch; each result or exception in place.
 
         Nothing is raised: a failed request's exception is its result.
-        Each request is keyed once by one `BatchKeyer` (a request object
-        repeated in the batch, once in all), and that key both finds its
-        repeats in the batch and looks it up in the cache. Hits are
+        Each request is keyed once by one `BatchKeyer`, and that key both
+        finds its repeats in the batch and looks it up in the cache. Hits are
         answered in the calling thread, skipping the render, as the key
         already pins the template body and the bindings; each distinct
         reply is parsed once per batch, so results that share a reply
@@ -401,15 +402,12 @@ class Gateway:
         lookup = self.cache.get
         keyer = BatchKeyer(self.provider.id, self.template)
         results: list = [None] * len(requests)
-        keys: dict[int, str] = {}  # id(request) -> its key, for repeats of one object
         parsed: dict[str, object] = {}  # reply -> its parse
         waiting: dict[str, list[int]] = {}
         misses: list[tuple[CompletionRequest, str]] = []
         for i, request in enumerate(requests):
             try:
-                key = keys.get(id(request))
-                if key is None:
-                    key = keys[id(request)] = keyer.key(request)
+                key = keyer.key(request)
                 cached = lookup(key)
                 if cached is None:
                     if key in waiting:

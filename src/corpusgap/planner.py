@@ -19,7 +19,7 @@ from math import fsum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Document, IngestError, Query, Section, Source, read_records, require_fields, write_records
+from .corpus import Corpus, Document, Query, Section, Source, read_records, record_field, write_records
 from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams
 
 log = logging.getLogger(__name__)
@@ -114,11 +114,8 @@ def read_plan(path: str | Path) -> QuotaPlan:
     allocations: dict[str, int] = {}
     for lineno, record in read_records(path):
         where = f"{path}:{lineno}"
-        require_fields(record, ("subtopic", "allocation"), where, "plan record")
-        allocation = record["allocation"]
-        if type(allocation) is not int:
-            raise IngestError(f"{where}: 'allocation' must be an integer, got {allocation!r}")
-        allocations[record["subtopic"]] = allocation
+        subtopic = record_field(record, "subtopic", "str", where)
+        allocations[subtopic] = record_field(record, "allocation", "int", where)
     return QuotaPlan(budget=sum(allocations.values()), allocations=allocations)
 
 

@@ -331,7 +331,7 @@ def test_eval_ingest_error_is_clean(runner, tmp_path, world, bad):
 def test_eval_manifest_entry_missing_field_is_clean(runner, tmp_path, world):
     args = _eval_inputs(tmp_path, world, {"path": "baseline.jsonl", "docs_added": 0})
     result = runner.invoke(main, args)
-    _assert_clean_failure(result, "manifest.jsonl:1: manifest entry lacks name, arm")
+    _assert_clean_failure(result, "manifest.jsonl:1: record lacks 'name'")
 
 
 @pytest.mark.parametrize(
@@ -346,8 +346,13 @@ def test_eval_manifest_entry_missing_field_is_clean(runner, tmp_path, world):
          "manifest.jsonl:2: 'docs_added' must be an integer, got 2.5"),
         ({"name": "c", "path": "baseline.jsonl", "arm": "directed", "docs_added": "2"},
          "manifest.jsonl:2: 'docs_added' must be an integer, got '2'"),
+        ({"name": "c", "path": 5, "arm": "directed", "docs_added": 0},
+         "manifest.jsonl:2: 'path' must be a string, got 5"),
+        ({"name": 5, "path": "baseline.jsonl", "arm": "directed", "docs_added": 0},
+         "manifest.jsonl:2: 'name' must be a string, got 5"),
     ],
-    ids=["docs-added-not-an-integer", "name-twice", "docs-added-boolean", "docs-added-fraction", "docs-added-numeric-string"],
+    ids=["docs-added-not-an-integer", "name-twice", "docs-added-boolean", "docs-added-fraction", "docs-added-numeric-string",
+         "path-number", "name-number"],
 )
 def test_eval_manifest_bad_docs_added_or_repeated_name_is_clean(runner, tmp_path, world, second, error):
     first = {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0 if second else "many"}
@@ -513,6 +518,7 @@ def test_summary_row_docs_added_outside_its_corpus_is_clean(runner, tmp_path, co
         ("total_docs", True, "'total_docs' must be an integer, got True"),
         ("total_docs", 100.5, "'total_docs' must be an integer, got 100.5"),
         ("total_docs", "100", "'total_docs' must be an integer, got '100'"),
+        ("corpus", 5, "'corpus' must be a string, got 5"),
     ],
 )
 def test_summary_field_of_the_wrong_type_is_clean(runner, tmp_path, command, field, value, message):
@@ -541,7 +547,9 @@ def test_summary_malformed_line_is_clean(runner, tmp_path, command):
      "annotate-no-id", "annotate-no-text", "annotate-sections-not-a-list", "annotate-section-not-an-object",
      "annotate-body-not-a-string", "annotate-flat-body-not-a-string", "annotate-title-not-a-string",
      "generate-no-title", "generate-word-count",
-     "generate-empty-title", "generate-zero-words", "generate-headers-string"],
+     "generate-empty-title", "generate-zero-words", "generate-headers-string",
+     "ingest-query-subtopic-number", "directed-subtopic-number", "generate-id-number",
+     "generate-word-count-boolean", "generate-word-count-fraction", "generate-word-count-numeric-string"],
 )
 def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, command):
     names = ("taxonomy", "baseline", "pool", "train", "gaps", "plan", "metadata")
@@ -565,27 +573,33 @@ def test_input_error_is_one_line_in_every_command(runner, tmp_path, world, comma
         "annotate": (annotate, "taxonomy", "{not json", "malformed record"),
         "gaps": (["gaps", "--corpus", paths["baseline"], "--queries", paths["train"], "--taxonomy", paths["taxonomy"]], "train", "{not json", "malformed record"),
         "plan": (plan, "gaps", "{not json", "malformed record"),
-        "plan-no-query-count": (plan, "gaps", gap, "gap record lacks query_count"),
-        "plan-hybrid-not-a-number": (plan, "gaps", gap.replace('"hybrid": 0.5', '"hybrid": "high"').replace('"doc_count"', '"query_count": 2, "doc_count"'), "gap record field 'hybrid' must be a number, got 'high'"),
-        "plan-query-count-boolean": (plan, "gaps", gap.replace('"doc_count"', '"query_count": true, "doc_count"'), "gap record field 'query_count' must be an integer, got True"),
-        "directed-no-subtopic": (directed, "plan", '{"allocation": 2}', "plan record lacks subtopic"),
+        "plan-no-query-count": (plan, "gaps", gap, "record lacks 'query_count'"),
+        "plan-hybrid-not-a-number": (plan, "gaps", gap.replace('"hybrid": 0.5', '"hybrid": "high"').replace('"doc_count"', '"query_count": 2, "doc_count"'), "'hybrid' must be a number, got 'high'"),
+        "plan-query-count-boolean": (plan, "gaps", gap.replace('"doc_count"', '"query_count": true, "doc_count"'), "'query_count' must be an integer, got True"),
+        "directed-no-subtopic": (directed, "plan", '{"allocation": 2}', "record lacks 'subtopic'"),
         "directed-allocation-not-an-integer": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": "two"}', "'allocation' must be an integer, got 'two'"),
         "directed-allocation-boolean": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": true}', "'allocation' must be an integer, got True"),
         "directed-allocation-fraction": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": 2.9}', "'allocation' must be an integer, got 2.9"),
         "directed-allocation-numeric-string": (directed, "plan", '{"subtopic": "Sleep: Insomnia", "allocation": "2"}', "'allocation' must be an integer, got '2'"),
         "build-corpus": (["build-corpus", "nondirected", "--baseline", paths["baseline"], "--pool", paths["pool"], "--size", "2"], "pool", "{not json", "malformed record"),
-        "annotate-no-id": (annotate, "train", '{"text": "cant sleep"}', "missing or invalid 'id'"),
-        "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "missing or invalid 'text'"),
-        "annotate-sections-not-a-list": (annotate_docs, "baseline", '{"id": "d-new", "sections": "not a list"}', "'sections' must be a list of objects"),
-        "annotate-section-not-an-object": (annotate_docs, "baseline", '{"id": "d-new", "sections": ["text"]}', "'sections' must be a list of objects"),
-        "annotate-body-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "sections": [{"body": "ok"}, {"body": 5}]}', "'title' and each 'body' must be strings"),
-        "annotate-flat-body-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "body": null}', "'title' and each 'body' must be strings"),
-        "annotate-title-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "title": 7, "body": "ok"}', "'title' and each 'body' must be strings"),
-        "generate-no-title": (generate, "metadata", '{"headers": ["A"], "word_count": 50}', "missing or invalid 'title'"),
-        "generate-word-count": (generate, "metadata", '{"title": "T", "word_count": "many"}', "missing or non-integer 'word_count'"),
-        "generate-empty-title": (generate, "metadata", '{"title": "  ", "word_count": 50}', "missing or invalid 'title'"),
-        "generate-zero-words": (generate, "metadata", '{"title": "T", "word_count": 0}', "'word_count' must be positive"),
-        "generate-headers-string": (generate, "metadata", '{"title": "T", "headers": "Intro", "word_count": 50}', "'headers' must be a list of strings"),
+        "annotate-no-id": (annotate, "train", '{"text": "cant sleep"}', "record lacks 'id'"),
+        "annotate-no-text": (annotate, "train", '{"id": "q-new"}', "record lacks 'text'"),
+        "annotate-sections-not-a-list": (annotate_docs, "baseline", '{"id": "d-new", "sections": "not a list"}', "'sections' must be a list of objects, got 'not a list'"),
+        "annotate-section-not-an-object": (annotate_docs, "baseline", '{"id": "d-new", "sections": ["text"]}', "'sections' must be a list of objects, got ['text']"),
+        "annotate-body-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "sections": [{"body": "ok"}, {"body": 5}]}', "'body' must be a string, got 5"),
+        "annotate-flat-body-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "body": null}', "'body' must be a string, got None"),
+        "annotate-title-not-a-string": (annotate_docs, "baseline", '{"id": "d-new", "title": 7, "body": "ok"}', "'title' must be a string, got 7"),
+        "generate-no-title": (generate, "metadata", '{"headers": ["A"], "word_count": 50}', "record lacks 'title'"),
+        "generate-word-count": (generate, "metadata", '{"title": "T", "word_count": "many"}', "'word_count' must be an integer, got 'many'"),
+        "generate-empty-title": (generate, "metadata", '{"title": "  ", "word_count": 50}', "'title' must be a non-blank string, got '  '"),
+        "generate-zero-words": (generate, "metadata", '{"title": "T", "word_count": 0}', "'word_count' must be a positive integer, got 0"),
+        "generate-headers-string": (generate, "metadata", '{"title": "T", "headers": "Intro", "word_count": 50}', "'headers' must be a list of strings, got 'Intro'"),
+        "ingest-query-subtopic-number": (["ingest", "queries", paths["train"]], "train", '{"id": "q-new", "text": "t", "subtopic": 5}', "'subtopic' must be a string or null, got 5"),
+        "directed-subtopic-number": (directed, "plan", '{"subtopic": 5, "allocation": 2}', "'subtopic' must be a string, got 5"),
+        "generate-id-number": (generate, "metadata", '{"id": 7, "title": "T", "word_count": 50}', "'id' must be a string or null, got 7"),
+        "generate-word-count-boolean": (generate, "metadata", '{"title": "T", "word_count": true}', "'word_count' must be an integer, got True"),
+        "generate-word-count-fraction": (generate, "metadata", '{"title": "T", "word_count": 12.9}', "'word_count' must be an integer, got 12.9"),
+        "generate-word-count-numeric-string": (generate, "metadata", '{"title": "T", "word_count": "15"}', "'word_count' must be an integer, got '15'"),
     }[command]
     with open(paths[broken], "a") as fh:
         fh.write(line + "\n")

@@ -28,6 +28,7 @@ from corpusgap.corpus import (
     ingest_queries,
     load_taxonomy,
     percent_increase,
+    record_field,
     write_corpus,
     write_queries,
 )
@@ -49,6 +50,48 @@ def taxonomy() -> Taxonomy:
             MainTopic(name="Mood", subtopics=("Low mood",)),
         )
     )
+
+
+class TestRecordField:
+    @pytest.mark.parametrize(
+        "kind, value",
+        [("str", ""), ("nonempty", "x"), ("int", -3), ("number", 2), ("number", 0.5), ("bool", False),
+         ("strs", []), ("strs", ["a", "b"]), ("objects", [{}]), ("int?", None), ("str?", "x")],
+    )
+    def test_value_of_its_kind_is_returned(self, kind, value):
+        assert record_field({"f": value}, "f", kind, "f.jsonl:1") is value
+
+    @pytest.mark.parametrize(
+        "kind, value, wanted",
+        [
+            ("str", None, "a string"),
+            ("nonempty", "", "a non-empty string"),
+            ("int", True, "an integer"),
+            ("int", 2.0, "an integer"),
+            ("int", "2", "an integer"),
+            ("number", False, "a number"),
+            ("number", "0.5", "a number"),
+            ("bool", 0, "true or false"),
+            ("strs", ["a", 1], "a list of strings"),
+            ("strs", "ab", "a list of strings"),
+            ("objects", ["a"], "a list of objects"),
+            ("number?", True, "a number or null"),
+        ],
+    )
+    def test_value_of_another_kind_is_refused_on_one_line(self, kind, value, wanted):
+        with pytest.raises(IngestError) as excinfo:
+            record_field({"f": value}, "f", kind, "f.jsonl:3")
+        assert str(excinfo.value) == f"f.jsonl:3: 'f' must be {wanted}, got {value!r}"
+
+    def test_missing_field_is_its_default_or_refused(self):
+        assert record_field({}, "f", "int", "f.jsonl:1", None) is None
+        with pytest.raises(IngestError) as excinfo:
+            record_field({"g": 1}, "f", "int", "f.jsonl:2")
+        assert str(excinfo.value) == "f.jsonl:2: record lacks 'f'"
+
+    def test_null_is_refused_unless_the_kind_allows_it(self):
+        with pytest.raises(IngestError, match="'f' must be an integer, got None"):
+            record_field({"f": None}, "f", "int", "f.jsonl:1", 0)
 
 
 class TestTaxonomy:
