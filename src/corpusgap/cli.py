@@ -125,9 +125,13 @@ def annotate(ctx, kind, input_path, output, taxonomy_path, labelings_path, relab
     params = config_mod.provider_params(cfg)
     records = []
     todo = []
+    seen: set[str] = set()
     for lineno, record in read_records(input_path):
         where = f"{input_path}:{lineno}"
-        record_id = record_field(record, "id", "str", where)
+        record_id = record_field(record, "id", "nonempty", where)
+        if record_id in seen:
+            raise IngestError(f"{where}: duplicate id {record_id!r}")
+        seen.add(record_id)
         records.append(record)
         if record_field(record, "subtopic", "str?", where, None) and not relabel:
             continue
@@ -365,12 +369,13 @@ def _load_manifest(manifest_path: str) -> tuple[list[Corpus], dict[str, CorpusIn
     for lineno, entry in read_records(manifest_path):
         where = f"{manifest_path}:{lineno}"
         name = record_field(entry, "name", "str", where)
-        if name in info:
-            raise IngestError(f"{where}: corpus name {name!r} appears twice in the manifest")
         path = record_field(entry, "path", "str", where)
         arm = record_field(entry, "arm", "str", where)
         docs_added = record_field(entry, "docs_added", "int", where)
+        # An empty name is the file's stem: repeats are of the name used.
         corpus = ingest_documents(manifest_dir / path, Source.BASELINE, name=name)
+        if corpus.name in info:
+            raise IngestError(f"{where}: corpus name {corpus.name!r} appears twice in the manifest")
         corpora.append(corpus)
         try:
             info[corpus.name] = CorpusInfo(arm, docs_added, len(corpus))

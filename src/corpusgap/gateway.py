@@ -1,12 +1,14 @@
 """Single abstraction over all text-model calls.
 
 Prompt templates are data files with {placeholder} syntax. Every request
-goes through `Gateway.complete_many`, which takes a batch and returns each
-request's result or exception in place; `Gateway.complete_parsed` is the
-same call for one request, raising its exception. Each request is keyed
-once, and the key both finds its repeats in the batch and looks it up in
-an append-only JSONL cache (`corpus.AppendLog`) keyed by (provider id,
-template name, sha256 of the template body, bindings, provider params).
+goes through `Gateway.complete_keyed`, which takes a keyed batch and
+returns each request's result or exception in place. `complete_many`
+keys a batch of requests and calls it; `complete_parsed` is that call for
+one request, raising its exception; the judge keys its own batches and
+calls it too. Each request is keyed once, and the key both finds its
+repeats in the batch and looks it up in an append-only JSONL cache
+(`corpus.AppendLog`) keyed by (provider id, template name, sha256 of the
+template body, bindings, provider params).
 A hit costs that key, one dict lookup and, once per distinct reply text
 in the batch, the parser. A reply is cached only once it parses, and is
 never served under another provider or an edited template; its cache line
@@ -26,11 +28,15 @@ as one round after one backoff sleep, up to `RETRIES` rounds.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
 request's fields, as `CompletionRequest.cache_key` writes it with one
-encoder. The gateway keys a batch with `BatchKeyer`, which gives the same
-keys from memoised fragments (each text's JSON string once, while it
-stays in a bounded memo) and shared hash states: the payload up to a
-request's last sorted binding value is hashed once per batch and copied,
-so a judge batch hashes each document once. Provider and embedder
+encoder. Two keyers give the same keys from shared hash states, and
+each keeps its JSON fragments for one batch only, so no text outlives
+its batch in the gateway. `BatchKeyer` keys any batch of requests: each
+distinct str is encoded once, and the payload up to a request's last
+sorted binding value is hashed once per batch and copied. The judge
+keys its batch as a (queries x documents) product (`_judge_keys`): one
+hash state per distinct document text, one encoded tail per distinct
+query text, and for each pair one copy, one update and one digest; it
+builds a `CompletionRequest` only for a miss. Provider and embedder
 calls share one retry policy, which no caller changes: `RETRIES`
 attempts with a backoff from `BACKOFF_BASE_S` that doubles. The gateway
 applies it to a batch's misses in rounds; `providers.with_retries`
@@ -38,8 +44,8 @@ applies it to one embedder call.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
-texts, each makes one `complete_many` call, and each result or exception
-comes back in its place.
+texts, each makes one gateway call, and each result or exception comes
+back in its place.
 """
 
 from __future__ import annotations
@@ -148,14 +154,6 @@ class ProviderParams:
 _KEY_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
-def _json_fragment(value) -> str:
-    """`value` as `_KEY_ENCODER` writes it inside a key. Memoised, as
-    document and query texts recur across keys; typed, so 1, 1.0 and True
-    (equal as dict keys) keep their own JSON."""
-    return _KEY_ENCODER.encode(value)
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def _params_fragment(model, temperature, max_output_tokens) -> str:
     return _KEY_ENCODER.encode([model, temperature, max_output_tokens])
@@ -194,13 +192,15 @@ def _check_binding_name(name) -> None:
         raise TypeError(f"binding name {name!r} is not a str")
 
 
-def _key_tail(params: ProviderParams, template: str, provider_id: str, template_sha: str) -> str:
+def _key_tail(
+    params: ProviderParams, template: str, provider_id: str, template_sha: str, fragment: Callable[[object], str]
+) -> str:
     """The key payload after the last binding value: the bindings' closing
-    brace and every other field."""
+    brace and every other field, each string written by `fragment`."""
     return (
         f'}},"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
-        f'"provider":{_json_fragment(provider_id)},"template":{_json_fragment(template)},'
-        f'"template_sha":{_json_fragment(template_sha)}}}'
+        f'"provider":{fragment(provider_id)},"template":{fragment(template)},'
+        f'"template_sha":{fragment(template_sha)}}}'
     )
 
 
@@ -213,21 +213,21 @@ class BatchKeyer:
     state of each distinct payload prefix (template, the binding names
     and every value but the last) is computed once and copied for each
     request, which then hashes only the rest: the last value's JSON and
-    the fields after the bindings. The judge's bindings sort as
-    `retrieved_document`, `user_query`, so a judge batch hashes each
-    document once. A prefix is kept only when its values are strs, so 1,
-    1.0 and True never share one.
+    the fields after the bindings. A prefix is kept only when its values
+    are strs, so 1, 1.0 and True never share one. Each distinct str is
+    JSON-encoded once per keyer (`_fragment`).
 
     On each distinct prefix the binding names are checked against the
     template's placeholders, so a mismatch fails as `TemplateError` here,
     before any render; an unknown template fails likewise. A keyer holds
-    every prefix it made, so it lives for one batch.
+    every prefix and fragment it made, so it lives for one batch.
     """
 
     def __init__(self, provider_id: str, template: Callable[[str], PromptTemplate]):
         self._provider_id = provider_id
         self._template = template
         self._prefixes: dict[tuple, object] = {}
+        self._fragments: dict[str, str] = {}
 
     def key(self, request: CompletionRequest) -> str:
         name = request.template
@@ -237,10 +237,22 @@ class BatchKeyer:
         state = self._prefixes.get((name, head, last_name))
         if state is None:
             state = self._prefix(name, head, last_name)
-        tail = _key_tail(request.params, name, self._provider_id, self._template(name).body_sha)
+        fragment = self._fragment
+        tail = _key_tail(request.params, name, self._provider_id, self._template(name).body_sha, fragment)
         digest = state.copy()
-        digest.update((tail if last_name is _MISSING else _json_fragment(last) + tail).encode("utf-8"))
+        digest.update((tail if last_name is _MISSING else fragment(last) + tail).encode("utf-8"))
         return digest.hexdigest()
+
+    def _fragment(self, value) -> str:
+        """`value` as `_KEY_ENCODER` writes it inside a key; a str is
+        encoded once per keyer, any other value (1, 1.0 and True are equal
+        as dict keys but not as JSON) each time."""
+        if type(value) is not str:
+            return _KEY_ENCODER.encode(value)
+        fragment = self._fragments.get(value)
+        if fragment is None:
+            fragment = self._fragments[value] = _KEY_ENCODER.encode(value)
+        return fragment
 
     def _prefix(self, name: str, head: tuple, last_name):
         """The hash state of a payload prefix, kept when its values are
@@ -251,9 +263,10 @@ class BatchKeyer:
         for binding in names:
             _check_binding_name(binding)
         self._template(name).check(names)
-        payload = '{"bindings":{' + "".join(f"{_json_fragment(n)}:{_json_fragment(v)}," for n, v in head)
+        fragment = self._fragment
+        payload = '{"bindings":{' + "".join(f"{fragment(n)}:{fragment(v)}," for n, v in head)
         if last_name is not _MISSING:
-            payload += f"{_json_fragment(last_name)}:"
+            payload += f"{fragment(last_name)}:"
         state = hashlib.sha256(payload.encode("utf-8"))
         if all(isinstance(v, str) for _, v in head):
             self._prefixes[name, head, last_name] = state
@@ -380,15 +393,39 @@ class Gateway:
         """Complete and parse a batch; each result or exception in place.
 
         Nothing is raised: a failed request's exception is its result.
-        Each request is keyed once by one `BatchKeyer`, and that key both
-        finds its repeats in the batch and looks it up in the cache. Hits are
-        answered in the calling thread, skipping the render, as the key
-        already pins the template body and the bindings; each distinct
-        reply is parsed once per batch, so results that share a reply
-        share one parsed object, and callers must not mutate it. A request
-        repeated in the batch reaches the provider once. A malformed reply
-        is returned as its parse error and not cached, so a rerun asks the
-        provider again.
+        Each request is keyed once by one `BatchKeyer` (a request that
+        cannot be keyed fails in place), and the batch then goes through
+        `complete_keyed`.
+        """
+        keyer = BatchKeyer(self.provider.id, self.template)
+        keys: list[str | Exception] = []
+        for request in requests:
+            try:
+                keys.append(keyer.key(request))
+            except Exception as exc:
+                keys.append(exc)
+        return self.complete_keyed(keys, requests.__getitem__, parser)
+
+    def complete_keyed(
+        self,
+        keys: Sequence[str | Exception],
+        request_at: Callable[[int], CompletionRequest],
+        parser: Callable[[str], T],
+    ) -> list[T | Exception]:
+        """Complete and parse a batch that is already keyed: request i has
+        cache key `keys[i]`, or failed to key with that exception, which is
+        its result. `request_at(i)` builds request i, and is called only for
+        the first of each distinct miss. Each result or exception comes
+        back in place, and nothing is raised.
+
+        Each key both finds its repeats in the batch and looks the request
+        up in the cache. Hits are answered in the calling thread, skipping
+        the render, as the key already pins the template body and the
+        bindings; each distinct reply is parsed once per batch, so results
+        that share a reply share one parsed object, and callers must not
+        mutate it. A request repeated in the batch reaches the provider
+        once. A malformed reply is returned as its parse error and not
+        cached, so a rerun asks the provider again.
 
         Each distinct miss is asked once (`_ask`, the one place where the
         two kinds of provider differ), and every reply goes through one
@@ -400,21 +437,22 @@ class Gateway:
         backoff sleep, for up to `RETRIES` rounds.
         """
         lookup = self.cache.get
-        keyer = BatchKeyer(self.provider.id, self.template)
-        results: list = [None] * len(requests)
+        results: list = [None] * len(keys)
         parsed: dict[str, object] = {}  # reply -> its parse
         waiting: dict[str, list[int]] = {}
         misses: list[tuple[CompletionRequest, str]] = []
-        for i, request in enumerate(requests):
+        for i, key in enumerate(keys):
+            if type(key) is not str:
+                results[i] = key
+                continue
             try:
-                key = keyer.key(request)
                 cached = lookup(key)
                 if cached is None:
                     if key in waiting:
                         waiting[key].append(i)
                     else:
                         waiting[key] = [i]
-                        misses.append((request, key))
+                        misses.append((request_at(i), key))
                     continue
                 result = parsed.get(cached, _MISSING)
                 if result is _MISSING:
@@ -579,9 +617,49 @@ JudgeFn = Callable[[Sequence[tuple[str, Document]]], list[int | Exception]]
 RewriteFn = Callable[[Sequence[str]], list[str | Exception]]
 
 
+_JUDGE_TEMPLATE = "usefulness_rubric"
+# A judge key's payload around its two binding values, which sort as the
+# document, then the query.
+_JUDGE_HEAD = '{"bindings":{"retrieved_document":'
+_JUDGE_MID = ',"user_query":'
+
+
+def _judge_keys(pairs: Sequence[tuple[str, Document]], tail: str) -> list[str | Exception]:
+    """The cache key of each pair's rubric request, byte for byte
+    `CompletionRequest.cache_key`, keyed as a (queries x documents)
+    product: one sha256 state per distinct document text, hashed up to
+    the query's value, and one encoded tail per distinct query text (its
+    JSON, then `tail`). A pair costs one copy, one update and one digest.
+    A document's text is always a str; a query text is kept only when it
+    is one, so 1, 1.0 and True never share an entry. Both memos go when
+    this returns."""
+    encode = _KEY_ENCODER.encode
+    states: dict[str, object] = {}
+    tails: dict[str, bytes] = {}
+    keys: list[str | Exception] = []
+    for query, doc in pairs:
+        try:
+            text = doc.text
+            state = states.get(text)
+            if state is None:
+                state = states[text] = hashlib.sha256(f"{_JUDGE_HEAD}{encode(text)}{_JUDGE_MID}".encode("utf-8"))
+            query_tail = tails.get(query)
+            if query_tail is None:
+                query_tail = (encode(query) + tail).encode("utf-8")
+                if type(query) is str:
+                    tails[query] = query_tail
+            digest = state.copy()
+            digest.update(query_tail)
+            keys.append(digest.hexdigest())
+        except Exception as exc:
+            keys.append(exc)
+    return keys
+
+
 def make_gateway_judge(gateway: Gateway, params: ProviderParams | None = None) -> JudgeFn:
     """Judge that applies the usefulness rubric through the gateway, one
-    `Gateway.complete_many` call per batch.
+    `Gateway.complete_keyed` call per batch, keyed by `_judge_keys`; a
+    `CompletionRequest` is built only for a miss.
 
     Cached by (query text, document text) via the gateway cache, so
     re-judging a pair is free.
@@ -589,11 +667,18 @@ def make_gateway_judge(gateway: Gateway, params: ProviderParams | None = None) -
     params = params or ProviderParams()
 
     def judge(pairs: Sequence[tuple[str, Document]]) -> list[int | Exception]:
-        requests = [
-            CompletionRequest("usefulness_rubric", {"user_query": query_text, "retrieved_document": doc.text}, params)
-            for query_text, doc in pairs
-        ]
-        return gateway.complete_many(requests, parse_judge_score)
+        try:
+            template = gateway.template(_JUDGE_TEMPLATE)
+            template.check(("retrieved_document", "user_query"))
+        except TemplateError as exc:
+            return [exc] * len(pairs)
+        tail = _key_tail(params, _JUDGE_TEMPLATE, gateway.provider.id, template.body_sha, _KEY_ENCODER.encode)
+
+        def request(i: int) -> CompletionRequest:
+            query_text, doc = pairs[i]
+            return CompletionRequest(_JUDGE_TEMPLATE, {"user_query": query_text, "retrieved_document": doc.text}, params)
+
+        return gateway.complete_keyed(_judge_keys(pairs, tail), request, parse_judge_score)
 
     return judge
 

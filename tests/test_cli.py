@@ -390,6 +390,36 @@ def test_annotate_documents_text_is_title_then_section_bodies_then_flat_body(run
     assert sent == [("d1", "Sleep one  flat"), ("d2", " only")]
 
 
+@pytest.mark.parametrize("kind", ["queries", "documents"])
+@pytest.mark.parametrize(
+    "second, error",
+    [({"id": "r1", "text": "two", "body": "two", "subtopic": "Sleep: Insomnia"}, "records.jsonl:2: duplicate id 'r1'"),
+     ({"id": "", "text": "two", "body": "two"}, "records.jsonl:2: 'id' must be a non-empty string, got ''")],
+    ids=["repeated-id", "empty-id"],
+)
+def test_annotate_refuses_a_repeated_or_empty_id(runner, tmp_path, world, monkeypatch, kind, second, error):
+    write_taxonomy(world.taxonomy, tmp_path / "taxonomy.jsonl")
+    write_records(tmp_path / "records.jsonl", [{"id": "r1", "text": "one", "body": "one"}, second])
+    monkeypatch.setattr("corpusgap.annotate.label_batch", lambda *args: pytest.fail("records were labeled"))
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path / "cache"), "annotate", kind, str(tmp_path / "records.jsonl"),
+                                  "--taxonomy", str(tmp_path / "taxonomy.jsonl"), "-o", str(tmp_path / "out.jsonl")])
+    _assert_clean_failure(result, error)
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_eval_manifest_names_repeated_through_the_file_stem_are_refused(runner, tmp_path, world):
+    """An empty name is the corpus file's stem, so two empty names for one
+    path, or an empty name and that stem, name one corpus twice."""
+    for first in ({"name": ""}, {"name": "baseline"}):
+        entry = {"path": "baseline.jsonl", "arm": "baseline", "docs_added": 0}
+        args = _eval_inputs(tmp_path, world, {**entry, **first})
+        write_records(tmp_path / "manifest.jsonl", [{**entry, **first}, {**entry, "name": ""}])
+        result = runner.invoke(main, args)
+        _assert_clean_failure(result, "manifest.jsonl:2: corpus name 'baseline' appears twice in the manifest")
+        assert not (tmp_path / "results").exists()
+
+
 def test_eval_repeated_pipeline_rejected_before_any_input_is_read(runner, tmp_path, world, monkeypatch):
     args = _eval_inputs(tmp_path, world, {"name": "b", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0})
 

@@ -124,13 +124,15 @@ class TestRunExperiment:
     def test_rewrites_sent_as_one_complete_many_batch(self, resources, monkeypatch):
         gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
         batches = []
-        complete_many = gateway.complete_many
+        complete_keyed = gateway.complete_keyed
 
-        def spy(requests, parser):
-            batches.append([r.template for r in requests])
-            return complete_many(requests, parser)
+        def spy(keys, request_at, parser):
+            batches.append([request_at(i).template for i in range(len(keys))])
+            return complete_keyed(keys, request_at, parser)
 
-        monkeypatch.setattr(gateway, "complete_many", spy)
+        # Both `complete_many` and the judge send their batches through
+        # `complete_keyed`.
+        monkeypatch.setattr(gateway, "complete_keyed", spy)
         spec = ExperimentSpec(corpus_name="tiny", pipeline=Pipeline.QUERY_TRANSFORMATION)
         queries = [tquery("q1", "alpha"), tquery("q2", "beta"), tquery("q3", "delta")]
         result = run_experiment(

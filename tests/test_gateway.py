@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import logging
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpusgap.annotate import label_batch, write_labelings
 from corpusgap.corpus import Document, IngestError, Section, Source
+from corpusgap import gateway as gateway_module
 from corpusgap.evaluation import CorpusInfo, emit_report, run_grid
 from corpusgap.gateway import (
     BatchKeyer,
@@ -410,6 +412,126 @@ class TestBatchKeyer:
                 keyer.key(CompletionRequest("echo", bindings))
         with pytest.raises(KeyError):
             keyer.key(CompletionRequest("nope", {"word": "x"}))
+
+
+def rubric_request(query: str, doc: Document, params: ProviderParams = ProviderParams()) -> CompletionRequest:
+    return CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc.text}, params)
+
+
+class TestJudgeKeys:
+    """The judge keys its batch as a (queries x documents) product and
+    sends it through `Gateway.complete_keyed`, as `complete_many` does."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        queries=st.lists(key_text, min_size=1, max_size=4),
+        docs=st.lists(key_text, min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+        provider_ids=st.lists(st.sampled_from(["", "mock-5", 'prové"1\\']), min_size=1, max_size=2, unique=True),
+        params=key_params,
+    )
+    def test_equals_cache_key(self, queries, docs, picks, provider_ids, params):
+        documents = [make_doc(f"d{i}", text) for i, text in enumerate(docs)]
+        # Pairs repeat, and a query text may equal a document's.
+        pairs = [(queries[q % len(queries)], documents[d % len(documents)]) for q, d in picks]
+        want = [rubric_request(query, doc, params) for query, doc in pairs]
+        for provider_id in provider_ids:
+            provider = CountingProvider(format_judge_score(42), id=provider_id)
+            gateway = Gateway(provider, sleep=lambda s: None)
+            batches = []
+            complete_keyed = gateway.complete_keyed
+
+            def spy(keys, request_at, parser):
+                batches.append((list(keys), [request_at(i) for i in range(len(keys))]))
+                return complete_keyed(keys, request_at, parser)
+
+            gateway.complete_keyed = spy
+            assert make_gateway_judge(gateway, params)(pairs) == [42] * len(pairs)
+            [(keys, requests)] = batches
+            assert requests == want
+            template_sha = gateway.template("usefulness_rubric").body_sha
+            assert keys == [request.cache_key(provider_id, template_sha) for request in want]
+            assert provider.calls == len(set(keys))
+
+    def test_query_values_equal_as_dict_keys_keep_their_own_keys(self):
+        gateway = Gateway(CountingProvider(format_judge_score(42)), sleep=lambda s: None)
+        keys = []
+        gateway.complete_keyed = lambda batch, request_at, parser: keys.extend(batch) or [None] * len(batch)
+        doc = make_doc("d1", "doc")
+        values = [1, 1.0, True, "1", 0, False, None, 1, True]
+        make_gateway_judge(gateway)([(value, doc) for value in values])
+        template_sha = gateway.template("usefulness_rubric").body_sha
+        assert keys == [rubric_request(value, doc).cache_key("counting", template_sha) for value in values]
+        assert len(set(keys)) == 7
+
+    def test_cache_written_by_complete_many_reruns_through_the_judge(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        docs = [make_doc("d1", 'a "quoted" \\ doc'), make_doc("d2", "café 中 \U0001f600")]
+        pairs = [(query, doc) for query in ["q one", 'qé "two"\n'] for doc in docs]
+        writer = Gateway(CountingProvider(format_judge_score(42)), cache_path=path)
+        assert writer.complete_many([rubric_request(q, d) for q, d in pairs], parse_judge_score) == [42] * 4
+        writer.close()
+        reader = CountingProvider(format_judge_score(7))
+        gateway = Gateway(reader, cache_path=path)
+        assert make_gateway_judge(gateway)(pairs + pairs[::-1]) == [42] * 8
+        # And the other way round: lines the judge wrote serve `complete_many`.
+        more = [("q three", doc) for doc in docs]
+        assert make_gateway_judge(gateway)(more) == [7, 7]
+        gateway.close()
+        again = Gateway(CountingProvider(format_judge_score(99)), cache_path=path)
+        assert again.complete_many([rubric_request(q, d) for q, d in pairs + more], parse_judge_score) == [42] * 4 + [7, 7]
+        assert reader.calls == 2 and again.provider.calls == 0
+
+    def test_judge_hashes_each_document_once(self, monkeypatch):
+        gateway = Gateway(CountingProvider(format_judge_score(42)), sleep=lambda s: None)
+        judge = make_gateway_judge(gateway)
+        docs = [make_doc("d1", "doc one"), make_doc("d2", "doc two")]
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.append(data) or sha256(data))
+        assert judge([(query, doc) for query in ["q1", "q2", "q3"] for doc in docs]) == [42] * 6
+        assert len(hashed) == len(docs)
+
+    def test_each_text_encoded_once_per_batch_and_kept_by_none(self, monkeypatch):
+        """Both keyers encode each distinct text once in a batch, and again
+        in the next one: no memo outlives its batch, and no reference to a
+        text is left once the batch returns."""
+        encoder = gateway_module._KEY_ENCODER
+        encoded = []
+
+        class SpyEncoder:
+            def encode(self, value):
+                encoded.append(value)
+                return encoder.encode(value)
+
+        monkeypatch.setattr(gateway_module, "_KEY_ENCODER", SpyEncoder())
+        # Texts built at run time, so no other object shares them.
+        queries = ["".join(["query ", str(i), " é"]) for i in range(3)]
+        docs = [make_doc(f"d{i}", "".join(["doc ", str(i), ' "body"'])) for i in range(2)]
+        texts = queries + [doc.text for doc in docs]
+        pairs = [(query, doc) for query in queries for doc in docs] * 2
+        gateway = Gateway(CountingProvider(format_judge_score(42)), sleep=lambda s: None)
+        judge = make_gateway_judge(gateway)
+
+        def encodes() -> tuple[list[int], int]:
+            """How often each text, and the most often any str, was
+            encoded since the last call; forgets what it counted."""
+            counts = collections.Counter(value for value in encoded if type(value) is str)
+            encoded.clear()
+            return [counts[text] for text in texts], max(counts.values())
+
+        refs = [sys.getrefcount(text) for text in texts]
+        for batch in range(2):  # all misses, then all hits
+            assert judge(pairs) == [42] * len(pairs)
+            assert encodes() == ([1] * len(texts), 1)
+            assert [sys.getrefcount(text) for text in texts] == refs
+        requests = [rubric_request(query, doc) for query, doc in pairs]
+        refs = [sys.getrefcount(text) for text in texts]
+        for batch in range(2):
+            assert gateway.complete_many(requests, parse_judge_score) == [42] * len(pairs)
+            assert encodes() == ([1] * len(texts), 1)
+            assert [sys.getrefcount(text) for text in texts] == refs
+        assert gateway.provider.calls == len(pairs) // 2
 
 
 class TestParsedMemo:
