@@ -54,8 +54,25 @@ _YAML_FIELDS = {
     "ladder": {"budgets": "budgets", "seed": "ladder_seed"},
     "": {"cache_dir": "cache_dir", "prompts_dir": "prompts_dir"},
 }
+
+
+def _int(value) -> int:
+    """`int(value)`, refusing a bool and a number with a fractional part,
+    which int() would read as 1 or 0 and truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """`float(value)`, refusing a bool, which float() would read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # Field type -> coercion; str and optional fields keep the raw YAML value.
-_COERCE = {"float": float, "int": int, "tuple[int, ...]": lambda v: tuple(int(b) for b in v)}
+_COERCE = {"float": _float, "int": _int, "tuple[int, ...]": lambda v: tuple(_int(b) for b in v)}
 
 
 def _fields_from(cls, path, name: str, section, keys: dict[str, str]) -> dict:
@@ -80,8 +97,9 @@ def _fields_from(cls, path, name: str, section, keys: dict[str, str]) -> dict:
 def load_config(path: str | Path | None = None) -> Config:
     """Config from a YAML file; keys it leaves out keep the dataclass
     defaults and unknown keys are ignored. A file that does not parse, a
-    section that is not a mapping or a value that does not convert is
-    refused with an IngestError naming the file and the key."""
+    section that is not a mapping or a value that does not convert (a
+    bool, or for an integer field a number with a fractional part, does
+    not) is refused with an IngestError naming the file and the key."""
     if path is None:
         return Config()
     try:

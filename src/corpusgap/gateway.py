@@ -28,19 +28,18 @@ as one round after one backoff sleep, up to `RETRIES` rounds.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
 request's fields, as `CompletionRequest.cache_key` writes it with one
-encoder. Two keyers give the same keys from shared hash states, and
-each keeps its JSON fragments for one batch only, so no text outlives
-its batch in the gateway. `BatchKeyer` keys any batch of requests: each
-distinct str is encoded once, and the payload up to a request's last
-sorted binding value is hashed once per batch and copied. The judge
-keys its batch as a (queries x documents) product (`_judge_keys`): one
-hash state per distinct document text, one encoded tail per distinct
-query text, and for each pair one copy, one update and one digest; it
-builds a `CompletionRequest` only for a miss. Provider and embedder
-calls share one retry policy, which no caller changes: `RETRIES`
-attempts with a backoff from `BACKOFF_BASE_S` that doubles. The gateway
-applies it to a batch's misses in rounds; `providers.with_retries`
-applies it to one embedder call.
+encoder. That is the one general keyer: `complete_many` keys each of its
+requests with it. The judge, which sends nearly all requests, keys its
+batch as a (queries x documents) product (`_judge_keys`) with the same
+keys: one hash state per distinct document text, one encoded tail per
+distinct query text, and for each pair one copy, one update and one
+digest; it builds a `CompletionRequest` only for a miss. Its memos live
+for one batch, so no text outlives its batch in the gateway.
+
+Provider and embedder calls share one retry policy, which no caller
+changes: `RETRIES` attempts with a backoff from `BACKOFF_BASE_S` that
+doubles. The gateway applies it to a batch's misses in rounds;
+`providers.with_retries` applies it to one embedder call.
 
 The model-backed functions built on it share that shape: the judge takes
 a batch of (query text, document) pairs and the rewriter a batch of query
@@ -51,7 +50,6 @@ back in its place.
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 import json
 import re
@@ -154,11 +152,6 @@ class ProviderParams:
 _KEY_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _params_fragment(model, temperature, max_output_tokens) -> str:
-    return _KEY_ENCODER.encode([model, temperature, max_output_tokens])
-
-
 @dataclass(frozen=True)
 class CompletionRequest:
     template: str
@@ -171,11 +164,12 @@ class CompletionRequest:
         both left empty the key names the request alone.
 
         The hashed payload is the request's fields as `_KEY_ENCODER`
-        writes them. Binding names must be str. This is the plain
-        reference: the gateway keys its requests with `BatchKeyer`, which
-        gives the same keys from shared hash states."""
+        writes them. Binding names must be str. This is the gateway's one
+        general keyer: `complete_many` keys each request with it, and the
+        judge's product keyer (`_judge_keys`) gives the same keys."""
         for name in self.bindings:
-            _check_binding_name(name)
+            if not isinstance(name, str):
+                raise TypeError(f"binding name {name!r} is not a str")
         fields = {
             "bindings": dict(self.bindings),
             "params": [self.params.model, self.params.temperature, self.params.max_output_tokens],
@@ -185,92 +179,6 @@ class CompletionRequest:
             fields["provider"] = provider_id
             fields["template_sha"] = template_sha
         return hashlib.sha256(_KEY_ENCODER.encode(fields).encode("utf-8")).hexdigest()
-
-
-def _check_binding_name(name) -> None:
-    if not isinstance(name, str):
-        raise TypeError(f"binding name {name!r} is not a str")
-
-
-def _key_tail(
-    params: ProviderParams, template: str, provider_id: str, template_sha: str, fragment: Callable[[object], str]
-) -> str:
-    """The key payload after the last binding value: the bindings' closing
-    brace and every other field, each string written by `fragment`."""
-    return (
-        f'}},"params":{_params_fragment(params.model, params.temperature, params.max_output_tokens)},'
-        f'"provider":{fragment(provider_id)},"template":{fragment(template)},'
-        f'"template_sha":{fragment(template_sha)}}}'
-    )
-
-
-class BatchKeyer:
-    """The cache keys of one batch's requests, each byte for byte
-    `request.cache_key(provider_id, template.body_sha)`, from hash states
-    that requests share.
-
-    A key's payload splits at its last sorted binding value. The sha256
-    state of each distinct payload prefix (template, the binding names
-    and every value but the last) is computed once and copied for each
-    request, which then hashes only the rest: the last value's JSON and
-    the fields after the bindings. A prefix is kept only when its values
-    are strs, so 1, 1.0 and True never share one. Each distinct str is
-    JSON-encoded once per keyer (`_fragment`).
-
-    On each distinct prefix the binding names are checked against the
-    template's placeholders, so a mismatch fails as `TemplateError` here,
-    before any render; an unknown template fails likewise. A keyer holds
-    every prefix and fragment it made, so it lives for one batch.
-    """
-
-    def __init__(self, provider_id: str, template: Callable[[str], PromptTemplate]):
-        self._provider_id = provider_id
-        self._template = template
-        self._prefixes: dict[tuple, object] = {}
-        self._fragments: dict[str, str] = {}
-
-    def key(self, request: CompletionRequest) -> str:
-        name = request.template
-        items = sorted(request.bindings.items())
-        last_name, last = items.pop() if items else (_MISSING, None)
-        head = tuple(items)
-        state = self._prefixes.get((name, head, last_name))
-        if state is None:
-            state = self._prefix(name, head, last_name)
-        fragment = self._fragment
-        tail = _key_tail(request.params, name, self._provider_id, self._template(name).body_sha, fragment)
-        digest = state.copy()
-        digest.update((tail if last_name is _MISSING else fragment(last) + tail).encode("utf-8"))
-        return digest.hexdigest()
-
-    def _fragment(self, value) -> str:
-        """`value` as `_KEY_ENCODER` writes it inside a key; a str is
-        encoded once per keyer, any other value (1, 1.0 and True are equal
-        as dict keys but not as JSON) each time."""
-        if type(value) is not str:
-            return _KEY_ENCODER.encode(value)
-        fragment = self._fragments.get(value)
-        if fragment is None:
-            fragment = self._fragments[value] = _KEY_ENCODER.encode(value)
-        return fragment
-
-    def _prefix(self, name: str, head: tuple, last_name):
-        """The hash state of a payload prefix, kept when its values are
-        strs; `last_name` is `_MISSING` for a request without bindings."""
-        names = [n for n, _ in head]
-        if last_name is not _MISSING:
-            names.append(last_name)
-        for binding in names:
-            _check_binding_name(binding)
-        self._template(name).check(names)
-        fragment = self._fragment
-        payload = '{"bindings":{' + "".join(f"{fragment(n)}:{fragment(v)}," for n, v in head)
-        if last_name is not _MISSING:
-            payload += f"{fragment(last_name)}:"
-        state = hashlib.sha256(payload.encode("utf-8"))
-        if all(isinstance(v, str) for _, v in head):
-            self._prefixes[name, head, last_name] = state
-        return state
 
 
 class Provider(Protocol):
@@ -393,17 +301,21 @@ class Gateway:
         """Complete and parse a batch; each result or exception in place.
 
         Nothing is raised: a failed request's exception is its result.
-        Each request is keyed once by one `BatchKeyer` (a request that
-        cannot be keyed fails in place), and the batch then goes through
-        `complete_keyed`.
+        Each request is keyed once by `CompletionRequest.cache_key` and its
+        binding names are checked against its template, so a request with
+        an unknown template, a binding name that is not a str or a
+        placeholder mismatch fails in place, before any render; the batch
+        then goes through `complete_keyed`.
         """
-        keyer = BatchKeyer(self.provider.id, self.template)
         keys: list[str | Exception] = []
         for request in requests:
             try:
-                keys.append(keyer.key(request))
+                template = self.template(request.template)
+                key = request.cache_key(self.provider.id, template.body_sha)
+                template.check(request.bindings)
             except Exception as exc:
-                keys.append(exc)
+                key = exc
+            keys.append(key)
         return self.complete_keyed(keys, requests.__getitem__, parser)
 
     def complete_keyed(
@@ -624,16 +536,23 @@ _JUDGE_HEAD = '{"bindings":{"retrieved_document":'
 _JUDGE_MID = ',"user_query":'
 
 
-def _judge_keys(pairs: Sequence[tuple[str, Document]], tail: str) -> list[str | Exception]:
+def _judge_keys(
+    pairs: Sequence[tuple[str, Document]], params: ProviderParams, provider_id: str, template_sha: str
+) -> list[str | Exception]:
     """The cache key of each pair's rubric request, byte for byte
     `CompletionRequest.cache_key`, keyed as a (queries x documents)
     product: one sha256 state per distinct document text, hashed up to
     the query's value, and one encoded tail per distinct query text (its
-    JSON, then `tail`). A pair costs one copy, one update and one digest.
-    A document's text is always a str; a query text is kept only when it
-    is one, so 1, 1.0 and True never share an entry. Both memos go when
-    this returns."""
+    JSON, then `tail`: the bindings' closing brace and every other field).
+    A pair costs one copy, one update and one digest. A document's text
+    is always a str; a query text is kept only when it is one, so 1, 1.0
+    and True never share an entry. Both memos go when this returns."""
     encode = _KEY_ENCODER.encode
+    tail = (
+        f'}},"params":{encode([params.model, params.temperature, params.max_output_tokens])},'
+        f'"provider":{encode(provider_id)},"template":{encode(_JUDGE_TEMPLATE)},'
+        f'"template_sha":{encode(template_sha)}}}'
+    )
     states: dict[str, object] = {}
     tails: dict[str, bytes] = {}
     keys: list[str | Exception] = []
@@ -672,13 +591,13 @@ def make_gateway_judge(gateway: Gateway, params: ProviderParams | None = None) -
             template.check(("retrieved_document", "user_query"))
         except TemplateError as exc:
             return [exc] * len(pairs)
-        tail = _key_tail(params, _JUDGE_TEMPLATE, gateway.provider.id, template.body_sha, _KEY_ENCODER.encode)
 
         def request(i: int) -> CompletionRequest:
             query_text, doc = pairs[i]
             return CompletionRequest(_JUDGE_TEMPLATE, {"user_query": query_text, "retrieved_document": doc.text}, params)
 
-        return gateway.complete_keyed(_judge_keys(pairs, tail), request, parse_judge_score)
+        keys = _judge_keys(pairs, params, gateway.provider.id, template.body_sha)
+        return gateway.complete_keyed(keys, request, parse_judge_score)
 
     return judge
 

@@ -320,7 +320,7 @@ def with_retries(call: Callable[[], T], what: str, sleep: Callable[[float], None
     `TransientProviderError`, sleeping BACKOFF_BASE_S * 2**n after failed
     attempt n; then one ProviderError naming `what` and the attempt count.
     The gateway applies the same policy to a batch's misses in rounds
-    (`Gateway.complete_many`)."""
+    (`Gateway.complete_keyed`)."""
     last_error: Exception | None = None
     for attempt in range(RETRIES):
         try:

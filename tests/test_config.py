@@ -82,6 +82,7 @@ def test_yaml_values_loaded(tmp_path):
         ("retrieval: {top_k: 2}", "top_k", 2),
         ("ladder: {budgets: [5, 10]}", "budgets", (5, 10)),
         ("ladder: {seed: 99}", "ladder_seed", 99),
+        ("ladder: {budgets: [50.0, 100]}", "budgets", (50, 100)),
         ("cache_dir: here", "cache_dir", "here"),
         ("prompts_dir: prompts", "prompts_dir", "prompts"),
     ],
@@ -123,8 +124,16 @@ def test_one_provider_key_changes_one_field(tmp_path, key, raw, value):
         ("- gap\n- weights\n", "the top level must be a mapping, got list"),
         ("gap: 5\n", "'gap' must be a mapping, got 5"),
         ("retrieval:\n  top_k: many\n", "'retrieval.top_k': invalid literal for int() with base 10: 'many'"),
+        ("retrieval:\n  top_k: 2.7\n", "'retrieval.top_k': expected an integer, got 2.7"),
+        ("retrieval:\n  top_k: .inf\n", "'retrieval.top_k': expected an integer, got inf"),
+        ("retrieval:\n  candidates: true\n", "'retrieval.candidates': expected an integer, got True"),
+        ("ladder:\n  budgets: [50.9, 100]\n", "'ladder.budgets': expected an integer, got 50.9"),
+        ("provider:\n  seed: 1.5\n", "'provider.seed': expected an integer, got 1.5"),
+        ("provider:\n  embed_dim: 12.5\n", "'provider.embed_dim': expected an integer, got 12.5"),
+        ("gap:\n  smoothing: true\n", "'gap.smoothing': expected a number, got True"),
     ],
-    ids=["not-yaml", "top-level-list", "scalar-section", "value-not-converted"],
+    ids=["not-yaml", "top-level-list", "scalar-section", "value-not-converted", "int-fraction", "int-infinity",
+         "int-bool", "int-list-fraction", "provider-int-fraction", "provider-embed-dim-fraction", "float-bool"],
 )
 def test_bad_config_is_one_error_naming_the_file_and_key(tmp_path, yaml_text, error):
     path = tmp_path / "config.yaml"

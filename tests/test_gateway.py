@@ -17,7 +17,6 @@ from corpusgap.corpus import Document, IngestError, Section, Source
 from corpusgap import gateway as gateway_module
 from corpusgap.evaluation import CorpusInfo, emit_report, run_grid
 from corpusgap.gateway import (
-    BatchKeyer,
     CompletionRequest,
     Gateway,
     JudgeParseError,
@@ -293,7 +292,7 @@ class TestCacheKey:
         keys = set()
         for value in (1, 1.0, True, 0, 0.0, False):
             request = CompletionRequest("echo", {"word": "hi"}, ProviderParams(temperature=value))
-            for _ in range(2):  # the second call is answered from the fragment memo
+            for _ in range(2):  # keyed twice, with the same key
                 assert request.cache_key("p", "s") == json_dumps_key(request, "p", "s")
             keys.add(request.cache_key("p", "s"))
         assert len(keys) == 6
@@ -340,78 +339,6 @@ class TestCacheKey:
         gateway = gw(provider, cache_path=path)
         assert gateway.complete_parsed(req('héllo "q" \\ \t'), parse_judge_score) == 42
         assert provider.calls == 0
-
-
-# Names that can be placeholders, and values that repeat, are non-ASCII,
-# or are equal as dict keys but not as JSON (1, 1.0, True).
-KEYER_NAMES = ["a", "b", "retrieved_document", "user_query"]
-keyer_values = st.one_of(key_text, st.sampled_from([1, 1.0, True, 0, False, None, "\u00e9", "1"]))
-
-
-class TestBatchKeyer:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        pool=st.lists(keyer_values, min_size=1, max_size=4),
-        shapes=st.lists(
-            st.tuples(
-                st.lists(st.sampled_from(KEYER_NAMES), max_size=3, unique=True),
-                st.lists(st.integers(0, 3), min_size=3, max_size=3),
-                st.integers(0, 2),
-            ),
-            min_size=1, max_size=12,
-        ),
-        params=st.lists(key_params, min_size=3, max_size=3),
-        provider_id=st.sampled_from(["", "mock-5", "prov\u00e9\"1"]),
-        body=key_text,
-    )
-    def test_equals_cache_key(self, pool, shapes, params, provider_id, body):
-        templates = {}
-        requests = []
-        for names, picks, which in shapes:
-            name = "t\u00e9-" + "-".join(sorted(names))
-            literal = body.replace("{", "(")
-            templates.setdefault(name, PromptTemplate(name, literal + "".join(f"{{{n}}}" for n in names)))
-            bindings = {n: pool[pick % len(pool)] for n, pick in zip(names, picks)}
-            # Equal params in distinct objects, and one object shared.
-            requests.append(CompletionRequest(name, bindings, params[which] if which else ProviderParams(*vars(params[0]).values())))
-        keyer = BatchKeyer(provider_id, templates.__getitem__)
-        for request in requests + requests[::-1]:  # the second pass reads every kept prefix
-            assert keyer.key(request) == request.cache_key(provider_id, templates[request.template].body_sha)
-
-    def test_values_equal_as_dict_keys_keep_their_own_keys(self):
-        templates = {"pair": PromptTemplate("pair", "{a} {b}")}
-        keyer = BatchKeyer("p", templates.__getitem__)
-        values = [1, 1.0, True, 0, 0.0, False, "1", None]
-        requests = [CompletionRequest("pair", {"a": x, "b": y}) for x in values for y in values]
-        keys = [keyer.key(request) for request in requests]
-        assert keys == [request.cache_key("p", templates["pair"].body_sha) for request in requests]
-        assert len(set(keys)) == len(requests)
-
-    def test_judge_batch_hashes_each_document_once(self, monkeypatch):
-        templates = load_templates()
-        hashed = []
-        sha256 = hashlib.sha256
-        monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.append(data) or sha256(data))
-        keyer = BatchKeyer("mock-0", templates.__getitem__)
-        docs, queries = ["doc one", "doc two"], ["q1", "q2", "q3"]
-        for query in queries:
-            for doc in docs:
-                request = CompletionRequest("usefulness_rubric", {"user_query": query, "retrieved_document": doc})
-                keyer.key(request)
-        assert len(hashed) == len(docs)
-
-    @pytest.mark.parametrize(
-        "bindings, error, match",
-        [({}, TemplateError, "unbound placeholder"), ({"word": "x", "other": "y"}, TemplateError, "unknown binding"),
-         ({1: "x"}, TypeError, "binding name 1"), ({None: "x"}, TypeError, "binding name None")],
-    )
-    def test_names_checked_against_the_template(self, bindings, error, match):
-        keyer = BatchKeyer("p", TEMPLATES.__getitem__)
-        for _ in range(2):  # a failed prefix is not kept
-            with pytest.raises(error, match=match):
-                keyer.key(CompletionRequest("echo", bindings))
-        with pytest.raises(KeyError):
-            keyer.key(CompletionRequest("nope", {"word": "x"}))
 
 
 def rubric_request(query: str, doc: Document, params: ProviderParams = ProviderParams()) -> CompletionRequest:
@@ -493,9 +420,10 @@ class TestJudgeKeys:
         assert len(hashed) == len(docs)
 
     def test_each_text_encoded_once_per_batch_and_kept_by_none(self, monkeypatch):
-        """Both keyers encode each distinct text once in a batch, and again
-        in the next one: no memo outlives its batch, and no reference to a
-        text is left once the batch returns."""
+        """The judge encodes each distinct text once in a batch, and again
+        in the next one: no memo outlives its batch. Neither the judge nor
+        `complete_many` leaves a reference to a text once the batch
+        returns."""
         encoder = gateway_module._KEY_ENCODER
         encoded = []
 
@@ -529,7 +457,7 @@ class TestJudgeKeys:
         refs = [sys.getrefcount(text) for text in texts]
         for batch in range(2):
             assert gateway.complete_many(requests, parse_judge_score) == [42] * len(pairs)
-            assert encodes() == ([1] * len(texts), 1)
+            encoded.clear()  # the spy's own references to the keyed payloads
             assert [sys.getrefcount(text) for text in texts] == refs
         assert gateway.provider.calls == len(pairs) // 2
 
@@ -1040,6 +968,56 @@ class TestCompleteMany:
         gateway = gw(provider)
         assert gateway.complete_many([req("a")] * 50, parse_judge_score) == [42] * 50
         assert provider.calls == 1
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [(CompletionRequest("echo", {}), TemplateError, "unbound placeholder"),
+         (CompletionRequest("echo", {"word": "x", "other": "y"}), TemplateError, "unknown binding"),
+         (CompletionRequest("echo", {1: "x"}), TypeError, "binding name 1"),
+         (CompletionRequest("echo", {None: "x"}), TypeError, "binding name None"),
+         (CompletionRequest("nope", {"word": "x"}), TemplateError, "unknown template")],
+        ids=["unbound", "unknown-binding", "name-1", "name-None", "unknown-template"],
+    )
+    def test_names_checked_against_the_template(self, monkeypatch, bad, error, match):
+        # A non-str name fails as such, before the placeholder check that
+        # it would fail too; a bad request is never rendered or sent.
+        rendered, sent = [], []
+        render = PromptTemplate.render
+        monkeypatch.setattr(PromptTemplate, "render", lambda self, b: rendered.append(dict(b)) or render(self, b))
+
+        class Recording(CountingProvider):
+            def generate(self, request, prompt):
+                sent.append(request)
+                return super().generate(request, prompt)
+
+        gateway = gw(Recording("42"))
+        for _ in range(2):  # a failed request is not remembered
+            results = gateway.complete_many([bad, req("a"), bad], parse_judge_score)
+            assert results[1] == 42
+            for failed in (results[0], results[2]):
+                assert type(failed) is error and re.search(match, str(failed))
+        assert sent == [req("a")] and rendered == [{"word": "a"}]
+
+    def test_values_equal_as_dict_keys_keep_their_own_keys(self, tmp_path):
+        values = [1, 1.0, True, 0, 0.0, False, "1", None]
+        path = tmp_path / "cache.jsonl"
+
+        class Echo(CountingProvider):
+            def generate(self, request, prompt):
+                super().generate(request, prompt)
+                return repr(request.bindings["word"])
+
+        requests = [CompletionRequest("echo", {"word": value}) for value in values]
+        want = [repr(value) for value in values]
+        gateway = gw(Echo(), cache_path=path)
+        assert gateway.complete_many(requests, str) == want
+        assert gateway.complete_many(requests[::-1], str) == want[::-1]
+        assert gateway.provider.calls == len(values) and len(gateway.cache) == len(values)
+        gateway.close()
+        fresh = gw(Echo(), cache_path=path)
+        assert fresh.complete_many(requests, str) == want and fresh.provider.calls == 0
+        keys = [request.cache_key("counting", TEMPLATES["echo"].body_sha) for request in requests]
+        assert [fresh.cache.get(key) for key in keys] == want
 
     def test_unknown_template_in_place(self):
         gateway = gw(CountingProvider("42"))
