@@ -7,8 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import yaml
-
 from .corpus import IngestError
 from .gateway import Gateway, ProviderParams, load_templates
 from .providers import HashedBagEmbedder, HttpEmbedder, HttpProvider, MockProvider
@@ -71,8 +69,15 @@ def _float(value) -> float:
     return float(value)
 
 
+def _ints(value) -> tuple[int, ...]:
+    """A YAML list of integers as a tuple; a string or a mapping is refused."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(_int(b) for b in value)
+
+
 # Field type -> coercion; str and optional fields keep the raw YAML value.
-_COERCE = {"float": _float, "int": _int, "tuple[int, ...]": lambda v: tuple(_int(b) for b in v)}
+_COERCE = {"float": _float, "int": _int, "tuple[int, ...]": _ints}
 
 
 def _fields_from(cls, path, name: str, section, keys: dict[str, str]) -> dict:
@@ -102,6 +107,8 @@ def load_config(path: str | Path | None = None) -> Config:
     not) is refused with an IngestError naming the file and the key."""
     if path is None:
         return Config()
+    import yaml  # here, so a run without a config file never loads the parser
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

@@ -8,6 +8,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import os
@@ -287,7 +288,12 @@ def _scan_lines(lines: list[bytes]) -> list | None:
     return values
 
 
-def read_append_log(path: str | Path) -> Iterator[tuple[int, dict, int, bytes]]:
+# What a store makes of a line's bytes and offset before any JSON scan:
+# the (key, value) pair of a line in the store's own layout, or None.
+TakeLine = Callable[[bytes, int], tuple | None]
+
+
+def read_append_log(path: str | Path, take: TakeLine | None = None) -> Iterator[tuple[int, dict | tuple, int, bytes]]:
     """Yield (line_number, record, offset, line) for the records of an
     append-only log written by `AppendLog.put`: `offset` is where the line
     starts in the file and `line` is its bytes, newline included.
@@ -298,16 +304,20 @@ def read_append_log(path: str | Path) -> Iterator[tuple[int, dict, int, bytes]]:
     records after it raises.
 
     Lines are read in blocks of about `_BLOCK_BYTES`. A block whose every
-    line is one JSON value (`_scan_lines`) is taken whole; any other block,
-    such as one with a blank, torn or malformed line, is parsed again one
-    `json.loads` per line.
+    line `take` maps to a pair is not scanned, and each line comes with
+    its pair (a tuple, which JSON never gives) as its record. Any other
+    block whose every line is one JSON value (`_scan_lines`) is taken
+    whole; the rest, such as a block with a blank, torn or malformed line,
+    are parsed again one `json.loads` per line. So as long as `take` maps
+    a line only to what its record decodes to, the rules above hold.
     """
     torn_at = None
     lineno = 0
     offset = 0
     with open(path, "rb") as fh:
         while torn_at is None and (lines := fh.readlines(_BLOCK_BYTES)):
-            records = _scan_lines(lines)
+            taken = take and [*map(take, lines, itertools.accumulate(map(len, lines), initial=offset))]
+            records = taken if taken and None not in taken else _scan_lines(lines)
             if records is not None:
                 for line, record in zip(lines, records):
                     lineno += 1
@@ -363,9 +373,11 @@ class AppendLog:
     ValueError (a missing field, a wrong type, a bad value) raises
     `IngestError` naming the file and line. The value may be the line's
     `LineSpan`, `(offset, len(line))`, for a caller that reads the line
-    back (`line`) rather than keep what it decodes to. `decode` is not
-    kept past the load. A torn last record is handled by
-    `read_append_log`.
+    back (`line`) rather than keep what it decodes to. A store whose own
+    lines have one fixed layout may also give `take` (`TakeLine`), which
+    `read_append_log` calls on each line's bytes before any JSON scan; a
+    line it maps is not decoded. `decode` and `take` are not kept past
+    the load. A torn last record is handled by `read_append_log`.
 
     `put` stores a value once and appends its record as one line
     (`encode_record`, or a line the caller already encoded the same way),
@@ -382,15 +394,15 @@ class AppendLog:
     `LineSpan` of its line instead. Without a file, `put` keeps the value.
     """
 
-    def __init__(self, path: str | Path | None, decode: Callable[[dict, int, bytes], tuple | None]):
+    def __init__(self, path: str | Path | None, decode: Callable[[dict, int, bytes], tuple | None], take: TakeLine | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict = {}
         self._lock = threading.Lock()
         self._fh = None
         if self.path is not None and self.path.exists():
-            for lineno, record, offset, line in read_append_log(self.path):
-                try:
-                    item = decode(record, offset, line)
+            for lineno, record, offset, line in read_append_log(self.path, take):
+                try:  # a tuple is the pair `take` made of the line
+                    item = record if type(record) is tuple else decode(record, offset, line)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(f"{self.path}:{lineno}", exc) from exc
                 if item is not None:

@@ -72,8 +72,11 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-# What ends a `CachedEmbedder` line after its base64.
+# What ends a `CachedEmbedder` line after its base64, what comes between
+# its text sha and its base64, and the characters base64 may hold.
 _LINE_END = b'"}\n'
+_B64_KEY = b'", "vector_b64": "'
+_B64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
 
 
 class CachedEmbedder:
@@ -90,7 +93,11 @@ class CachedEmbedder:
     the layout `embed` writes (this embedder's id, the text sha, then a
     `vector_b64` of `dim` float64s, with `json.dumps` spacing and key
     order): it holds that line's `LineSpan`, whether the line was loaded
-    or appended by this process. A hit on a span reads the line with one
+    or appended by this process. At load, a line whose bytes are exactly
+    that layout, with a 64-character alphanumeric sha and a payload of
+    base64 characters only, is taken by its bytes (`_take`) with no JSON
+    scan; any other line is read as JSON, and one in the layout still
+    becomes its span (`_load`). A hit on a span reads the line with one
     `os.pread`, checks its head, key and end, and decodes the base64
     between them, bit for bit the vector first computed; such a line's
     base64 is first validated there, and a line that fails is refused
@@ -112,7 +119,11 @@ class CachedEmbedder:
         # escaping, so `embed` writes the rest of the line as it is.
         self._line_head = f'{{"provider": {encode_record(self.id)}, "text_sha": "'
         self._b64_len = 4 * -(-8 * self.dim // 3)
-        self._store = AppendLog(cache_path, self._load)
+        try:  # the head `_take` looks for; `embed` can write no line for an id that is not UTF-8
+            self._head = self._line_head.encode("utf-8")
+        except UnicodeEncodeError:
+            self._head = None
+        self._store = AppendLog(cache_path, self._load, self._take if self._head else None)
 
     def close(self) -> None:
         """Close the vector cache's file; a later miss or read reopens it."""
@@ -121,6 +132,23 @@ class CachedEmbedder:
     def _payload_head(self, key: str) -> str:
         """A record's line up to its base64 payload."""
         return f'{self._line_head}{key}", "vector_b64": "'
+
+    def _take(self, line: bytes, offset: int) -> tuple[str, LineSpan] | None:
+        """A line's key and span if its bytes are exactly a line `embed`
+        writes, with an alphanumeric sha and a payload of base64
+        characters, else None. `_load` maps each such line the same."""
+        sha_at = len(self._head)
+        b64_at = sha_at + 64 + len(_B64_KEY)
+        if (
+            len(line) == b64_at + self._b64_len + len(_LINE_END)
+            and line.startswith(self._head)
+            and line.startswith(_B64_KEY, b64_at - len(_B64_KEY))
+            and line.endswith(_LINE_END)
+            and line[sha_at : sha_at + 64].isalnum()
+            and not line[b64_at : -len(_LINE_END)].translate(None, _B64_CHARS)
+        ):
+            return line[sha_at : sha_at + 64].decode("ascii"), (offset, len(line))
+        return None
 
     def _load(self, record: dict, offset: int, line: bytes) -> tuple[str, LineSpan | np.ndarray] | None:
         """A loaded line's key and span if the line is in `embed`'s

@@ -3,6 +3,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -128,12 +132,15 @@ def test_one_provider_key_changes_one_field(tmp_path, key, raw, value):
         ("retrieval:\n  top_k: .inf\n", "'retrieval.top_k': expected an integer, got inf"),
         ("retrieval:\n  candidates: true\n", "'retrieval.candidates': expected an integer, got True"),
         ("ladder:\n  budgets: [50.9, 100]\n", "'ladder.budgets': expected an integer, got 50.9"),
+        ('ladder:\n  budgets: "50"\n', "'ladder.budgets': expected a list of integers, got '50'"),
+        ("ladder:\n  budgets: {50: 1, 60: 2}\n", "'ladder.budgets': expected a list of integers, got {50: 1, 60: 2}"),
         ("provider:\n  seed: 1.5\n", "'provider.seed': expected an integer, got 1.5"),
         ("provider:\n  embed_dim: 12.5\n", "'provider.embed_dim': expected an integer, got 12.5"),
         ("gap:\n  smoothing: true\n", "'gap.smoothing': expected a number, got True"),
     ],
     ids=["not-yaml", "top-level-list", "scalar-section", "value-not-converted", "int-fraction", "int-infinity",
-         "int-bool", "int-list-fraction", "provider-int-fraction", "provider-embed-dim-fraction", "float-bool"],
+         "int-bool", "int-list-fraction", "list-a-string", "list-a-mapping", "provider-int-fraction",
+         "provider-embed-dim-fraction", "float-bool"],
 )
 def test_bad_config_is_one_error_naming_the_file_and_key(tmp_path, yaml_text, error):
     path = tmp_path / "config.yaml"
@@ -145,6 +152,13 @@ def test_bad_config_is_one_error_naming_the_file_and_key(tmp_path, yaml_text, er
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert result.output.splitlines() == [f"Error: {raised.value}"]
+
+
+def test_cli_import_leaves_the_yaml_parser_unloaded():
+    # Only `load_config` with a file reads YAML; every run imports the CLI.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import corpusgap, corpusgap.cli, sys; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_integer_temperature_keeps_the_cache_key(tmp_path):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpusgap import providers as providers_module
-from corpusgap.corpus import Corpus, Document, IngestError, Query, Section, Source, Split
+from corpusgap import corpus as corpus_module, providers as providers_module
+from corpusgap.corpus import AppendLog, Corpus, Document, IngestError, Query, Section, Source, Split
 from corpusgap.gateway import Gateway, make_gateway_judge, make_gateway_rewriter
 from corpusgap.providers import HashedBagEmbedder, MockProvider
 from corpusgap.retrieval import (
@@ -347,6 +347,104 @@ class TestLoadedLinesReadOnDemand:
         assert decodes == []
         assert [embedder.embed(f"text {i}").tobytes() for i in range(20)] == want
         assert len(decodes) == 20
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestLinesTakenByTheirBytes:
+    """A line whose bytes are `embed`'s layout is taken without a JSON
+    scan; a block of lines holding any other line is read as JSON. The
+    cache loads what reading every line as JSON loads (`AppendLog` with
+    the embedder's `_load` alone), wherever the blocks fall."""
+
+    base = HashedBagEmbedder(dim=16)
+
+    def record(self, text: str) -> dict:
+        return {"provider": self.base.id, "text_sha": sha(text), "vector_b64": vector_b64(self.base.embed(text))}
+
+    def layout(self, text: str) -> bytes:
+        return (json.dumps(self.record(text)) + "\n").encode()
+
+    def odd_lines(self) -> list[bytes]:
+        """One line of each kind that is not taken by its bytes."""
+        escaped = self.record("a a b")
+        assert "+" in escaped["vector_b64"]
+        reordered = self.record("reordered")
+        lines = [
+            # Another embedder's line in `embed`'s layout, its id as long as ours.
+            json.dumps({**self.record("other"), "provider": self.base.id.replace("bag", "bug")}),
+            # A 64-byte text sha holding a JSON escape.
+            json.dumps(self.record("escaped sha")).replace(sha("escaped sha"), sha("escaped sha")[:58] + "\\u0061"),
+            json.dumps({"provider": self.base.id, "text_sha": sha("old"), "vector": self.base.embed("old").tolist()}),
+            json.dumps(self.record("spaced"), separators=(",", ":")),
+            json.dumps({"vector_b64": reordered["vector_b64"], **reordered}),
+            json.dumps(escaped).replace("+", "\\u002b", 1),
+            # A key that a layout line holds earlier, now with a vector.
+            json.dumps({"provider": self.base.id, "text_sha": sha("lead 0"), "vector": self.base.embed("x").tolist()}),
+        ]
+        return [(line + "\n").encode() for line in lines]
+
+    def load_both(self, path, content: bytes) -> list:
+        """The entries the cache loads from `content`, and those reading
+        every line as JSON loads, with vectors as bytes; or the
+        IngestError text of each."""
+        outcomes = []
+        as_json = CachedEmbedder(self.base)._load
+        for load in (lambda: CachedEmbedder(self.base, path)._store, lambda: AppendLog(path, as_json)):
+            path.write_bytes(content)
+            try:
+                entries = load()._entries
+            except IngestError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append({key: value if type(value) is tuple else value.tobytes() for key, value in entries.items()})
+            assert path.read_bytes() == content[: content.rindex(b"\n") + 1]  # the torn line is cut
+        return outcomes
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, 16 << 10])
+    @pytest.mark.parametrize("lead", range(4))
+    def test_load_equals_reading_every_line_as_json(self, tmp_path, monkeypatch, lead, block_bytes):
+        # 700 bytes are three lines: `lead` moves the block boundaries
+        # onto and beside the odd lines.
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+        scanned = []
+        scan_lines = corpus_module._scan_lines
+        monkeypatch.setattr(corpus_module, "_scan_lines", lambda lines: scanned.extend(lines) or scan_lines(lines))
+        path = tmp_path / "embeddings.jsonl"
+        odd = self.odd_lines()
+        head = [self.layout(f"lead {i}") for i in range(lead)]
+        # "old" is a vector line in `odd`, then a layout line: the span wins.
+        tail = [self.layout(text) for text in ("old", "tail 0", "tail 1")]
+        torn = self.layout("torn")[:-40]
+        lines = head + odd[:3] + [self.layout("between")] + odd[3:] + tail
+        taken, read = self.load_both(path, b"".join(lines) + torn)
+        assert taken == read
+        assert taken[sha("escaped sha")[:58] + "a"] == self.base.embed("escaped sha").tobytes()
+        spans = ["between", "old", "tail 0", "tail 1"] + [f"lead {i}" for i in range(1, lead)]
+        assert sorted(key for key, value in taken.items() if type(value) is tuple) == sorted(map(sha, spans))
+        for text, vector_text in [("lead 0", "x"), ("spaced", "spaced"), ("reordered", "reordered"), ("a a b", "a a b")]:
+            assert taken[sha(text)] == self.base.embed(vector_text).tobytes()
+        assert sha("other") not in taken and sha("torn") not in taken
+        if block_bytes == 1:  # one line a block: the cache scans only the odd lines and the torn one
+            assert scanned == odd + [torn] + lines + [torn]
+        # A middle line that is the layout but for one part is refused at
+        # load with its line number, as reading it as JSON refuses it: a
+        # raw control character in the payload, a vector of another
+        # length, another key in place of "vector_b64", another bracket.
+        line = self.layout("bad")
+        at = line.index(b'"vector_b64": "') + len('"vector_b64": "') + 5
+        short = {**self.record("bad"), "vector_b64": vector_b64(np.ones(8))}
+        for bad, error in [
+            (line[:at] + b"\x01" + line[at + 1 :], "malformed record: Invalid control character"),
+            ((json.dumps(short) + "\n").encode(), "bad record: vector has shape (8,), expected (16,)"),
+            (line.replace(b"vector_b64", b"vector_b65"), "record lacks field 'vector'"),
+            (line[:-2] + b"]\n", "malformed record: "),
+        ]:
+            taken, read = self.load_both(path, b"".join(head + odd[:3] + [bad] + odd[3:] + tail) + torn)
+            assert taken == read
+            assert taken.startswith(f"{path}:{lead + 4}: {error}")
 
 
 class FixedEmbedder:
