@@ -26,12 +26,13 @@ it comes, so a run holds one decoded copy of each vector. The embedders
 it wraps, the mock `HashedBagEmbedder` and the HTTP client, live in
 `providers`.
 
-The index is a brute-force cosine scan: corpora here run hundreds to a few
+The index is a brute-force scan: corpora here run hundreds to a few
 thousand documents, where exactness is cheap and makes oracle equivalence
-testable bit for bit. Vectors are L2-normalized once so cosine similarity
-is a plain dot product. An index ranks each query vector once and keeps
-the ranking; `SearchIndex.subset` serves one corpus from an index over
-several, with the results of an index built over that corpus alone.
+testable bit for bit. It ranks by dot product, which is cosine similarity
+since both embedders return unit vectors. `SearchIndex.subset` serves one
+corpus from an index over several, with the results of an index built
+over that corpus alone; an index and its views compute a query vector's
+similarities once and keep a short prefix of its ranking (`SearchIndex`).
 Search ties break by ascending key; judged pipelines rank by judge score
 descending, then similarity descending, then doc id ascending. Between
 find and rank a candidate is a plain (doc id, similarity) pair, and only
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -203,8 +203,19 @@ class CachedEmbedder:
         return vec
 
 
+@dataclass
+class _Shared:
+    """What an index shares with its views: a row mask and a row count for
+    the index (every row) and for each view, and the prefix memo."""
+
+    masks: np.ndarray
+    sizes: np.ndarray
+    prefixes: dict[bytes, tuple[np.ndarray, np.ndarray, int, int]]
+
+
 class SearchIndex:
-    """Exact cosine index over unit vectors.
+    """Exact top-k index by dot product over the embedders' unit vectors,
+    so by cosine.
 
     Keys are doc ids (document level) or (doc id, section index) pairs
     (chunk level) and must be unique. `name` names the corpus in errors.
@@ -212,12 +223,13 @@ class SearchIndex:
     array, or any iterable of vectors, such as the builders' embeddings,
     each copied into the index as it comes.
 
-    Each query vector is ranked once over every row, by similarity
-    descending then key ascending, and that ranking is kept for the
-    index's lifetime. `subset` gives one corpus's rows of the index: it
-    shares the vectors and the rankings, and its search takes the first k
-    rows of the ranking that fall inside it, walking a prefix of the
-    ranking that doubles from 2k rows, not the whole ranking.
+    `subset` gives one corpus's rows as a view that shares the vectors
+    and the memo. Per query vector the memo keeps a prefix of every row's
+    (-similarity, key) order, its row ids and similarities only: on the
+    vector's first search, the shortest prefix that holds k rows of the
+    index and of each view (all rows of one that has fewer). A search
+    that needs more, because k is larger or a view was made since,
+    computes it again with k at least doubled.
     """
 
     def __init__(self, keys: Sequence, matrix: Iterable[np.ndarray], embedder: Embedder, name: str, kind: str):
@@ -251,11 +263,15 @@ class SearchIndex:
         self.name = name
         self.kind = kind
         self.rows: np.ndarray | None = None  # boolean mask of the rows searched; None is every row
-        self._size = len(self.keys)
-        by_key = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        self._key_rank = np.empty(len(by_key), dtype=np.intp)
-        self._key_rank[by_key] = np.arange(len(by_key))
-        self._rankings: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._size = n
+        by_key = sorted(range(n), key=self.keys.__getitem__)
+        self._key_rank = np.empty(n, dtype=np.intp)
+        self._key_rank[by_key] = np.arange(n)
+        # Each row's document, as a position in `_doc_at`, for `subset`.
+        doc_ids = self.keys if kind == "document" else [key[0] for key in self.keys]
+        self._doc_at = {doc_id: i for i, doc_id in enumerate(dict.fromkeys(doc_ids))}
+        self._row_doc = np.fromiter(map(self._doc_at.__getitem__, doc_ids), dtype=np.intp, count=n)
+        self._shared = _Shared(np.ones((1, n), dtype=bool), np.array([n]), {})
 
     def __len__(self) -> int:
         return self._size
@@ -264,48 +280,66 @@ class SearchIndex:
         """Exact top-k by cosine; ties broken by ascending key."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        order, sims = self._ranking(query_vec)
-        if self.rows is None:
-            top = order[:k]
-        else:
-            depth = 2 * k
-            while True:
-                prefix = order[:depth]
-                top = prefix[self.rows[prefix]][:k]
-                if len(top) == k or depth >= len(order):
-                    break
-                depth *= 2
+        order, sims = self._prefix(query_vec, k)
+        top = slice(k) if self.rows is None else self.rows[order].nonzero()[0][:k]
         keys = self.keys
-        return [(keys[i], sim) for i, sim in zip(top.tolist(), sims[top].tolist())]
+        return [(keys[i], sim) for i, sim in zip(order[top].tolist(), sims[top].tolist())]
 
-    def _ranking(self, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every row in (-similarity, key) order, and the similarities."""
+    def _prefix(self, query_vec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The memo's prefix for `query_vec` (row ids and similarities),
+        made or made again if it may hold fewer than k rows of a view."""
+        shared, n = self._shared, len(self.keys)
         memo_key = query_vec.tobytes()
-        ranking = self._rankings.get(memo_key)
-        if ranking is None:
-            sims = (self._padded @ query_vec)[: len(self.keys)]
-            ranking = self._rankings[memo_key] = (np.lexsort((self._key_rank, -sims)), sims)
-        return ranking
+        memo = shared.prefixes.get(memo_key)
+        if memo is not None:
+            order, sims, memo_k, views = memo
+            if (k <= memo_k and views == len(shared.masks)) or len(order) == n:
+                return order, sims
+            k = max(k, 2 * memo_k)
+        sims = (self._padded @ query_vec)[:n]
+        neg = -sims
+        need = np.minimum(shared.sizes, k)
+        # The `depth` most similar rows with every tie at the cut, so a
+        # prefix of the order once sorted, until they hold each view's
+        # need; NaN similarities sort last.
+        depth = -(-k * n // int(shared.sizes.min()))
+        while True:
+            if depth < n:
+                rows = np.flatnonzero(neg <= np.partition(neg, depth - 1)[depth - 1])
+            else:
+                rows = np.arange(n)
+            order = rows[np.lexsort((self._key_rank[rows], neg[rows]))]
+            # Where in `order` the last view to reach its need does so.
+            reach = (np.cumsum(shared.masks[:, order], axis=1) < need[:, None]).sum(axis=1).max()
+            if reach < len(order):
+                break
+            depth *= 2
+        order = order[: reach + 1]
+        memo = shared.prefixes[memo_key] = (order, sims[order], k, len(shared.masks))
+        return memo[:2]
 
     def subset(self, corpus: Corpus) -> SearchIndex:
         """The rows of this index that belong to `corpus`'s documents, as
-        an index named after `corpus` that shares these vectors and
-        rankings. Documents are matched by id only."""
+        an index named after `corpus` that shares these vectors and the
+        prefix memo. Documents are matched by id only."""
         if len(corpus) == 0:
             raise ValueError(f"corpus {corpus.name!r} is empty")
-        doc_ids = self.keys if self.kind == "document" else [key[0] for key in self.keys]
         wanted = {doc.id for doc in corpus.documents}
-        rows = np.fromiter((doc_id in wanted for doc_id in doc_ids), dtype=bool, count=len(doc_ids))
-        missing = wanted.difference(itertools.compress(doc_ids, rows))
+        missing = wanted.difference(self._doc_at)
         if missing:
             raise ValueError(f"index {self.name!r} lacks documents of corpus {corpus.name!r}: {sorted(missing)[:5]}")
+        docs = np.zeros(len(self._doc_at), dtype=bool)
+        docs[[self._doc_at[doc_id] for doc_id in wanted]] = True
+        rows = docs[self._row_doc]
         # Built field by field: a view shares exactly these with its index.
         view = object.__new__(SearchIndex)
-        for shared in ("keys", "_padded", "matrix", "embedder", "kind", "_key_rank", "_rankings"):
+        for shared in ("keys", "_padded", "matrix", "embedder", "kind", "_key_rank", "_doc_at", "_row_doc", "_shared"):
             setattr(view, shared, getattr(self, shared))
         view.name = corpus.name
         view.rows = rows
         view._size = int(rows.sum())
+        self._shared.masks = np.vstack((self._shared.masks, rows))
+        self._shared.sizes = np.append(self._shared.sizes, view._size)
         return view
 
 
@@ -508,8 +542,10 @@ class Retriever:
         if cell.pipeline is Pipeline.HIERARCHICAL:
             min_docs = min(self.top_k, len(cell.corpus))
             return merge_chunk_candidates(index, query_vec, self.k_candidates, min_docs)
-        k = min(self.k_candidates, self.top_k) if cell.pipeline is Pipeline.BASELINE else self.k_candidates
-        return index.search(query_vec, k)
+        # Every document-level cell asks for k_candidates, so a vector's
+        # first search makes the one prefix all its later searches read.
+        candidates = index.search(query_vec, self.k_candidates)
+        return candidates[: self.top_k] if cell.pipeline is Pipeline.BASELINE else candidates
 
     def _judge_new_pairs(self, cells: Sequence[Cell], found: list) -> dict[tuple[str, str], Exception]:
         """Judge, in one call, each pair the cells hold that is not scored

@@ -18,7 +18,7 @@ PACKAGE = ROOT / "src" / "corpusgap"
 ALLOWED = {
     # Used by tests/test_acceptance.py, the paper's acceptance criteria.
     "retrieve",
-    # Waiting for their production caller, the `study` command (ROADMAP item 8).
+    # Waiting for their production caller, the `study` command (ROADMAP item 9).
     "check_split_disjoint",
     "sensitivity_sweep",
 }

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import collections
 import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from corpusgap import evaluation
@@ -25,7 +27,7 @@ from corpusgap.gateway import Gateway, ProviderError, make_gateway_judge, make_g
 from corpusgap.providers import HashedBagEmbedder, MockProvider
 from corpusgap.retrieval import CachedEmbedder
 
-from .world import load_experiment, mock_gateway_judge
+from .world import build_ladders, build_world, load_experiment, mock_gateway_judge, reference_corpus, world_embedder
 
 
 def doc(doc_id: str, body: str) -> Document:
@@ -435,6 +437,40 @@ class TestRunGrid:
                 mock_gateway_judge(0), out_dir=tmp_path,
             )
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_similarity_product_per_index_kind_and_search_vector(self, monkeypatch):
+        # The world's 22 corpora share each union index: every search of a
+        # vector, in any corpus, reads the prefix its first search made.
+        world = build_world(seed=0)
+        gateway = Gateway(MockProvider(seed=0), sleep=lambda s: None)
+        judge, rewriter = make_gateway_judge(gateway), make_gateway_rewriter(gateway)
+        directed, nondirected = build_ladders(world, judge, sample_seed=7)
+        corpora = [world.baseline, *directed, *nondirected, reference_corpus(world)]
+        products = collections.Counter()
+
+        class CountingMatrix(np.ndarray):
+            def __matmul__(self, other):
+                products[self.kind] += 1
+                return np.asarray(self) @ other
+
+        def counted(build):
+            def build_counted(corpus, embedder):
+                index = build(corpus, embedder)
+                index._padded = index._padded.view(CountingMatrix)
+                index._padded.kind = index.kind
+                return index
+
+            return build_counted
+
+        for name in ("build_document_index", "build_chunk_index"):
+            monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
+        results = run_grid(corpora, list(Pipeline), list(world.test_queries), world_embedder(), judge, rewriter)
+        assert len(results) == 88 and all(r.complete for r in results)
+        # A search text's vector keys its prefix, and texts of one bag of
+        # words embed alike.
+        texts = sorted({q.text for q in world.test_queries})
+        vectors = {text: world_embedder().embed(text).tobytes() for text in texts + rewriter(texts)}
+        assert products == {"document": len(set(vectors.values())), "chunk": len({vectors[t] for t in texts})}
 
 
 QT_DIRECTED = [

@@ -595,6 +595,15 @@ def vector_index(matrix: np.ndarray, prefix: str = "v") -> SearchIndex:
     return SearchIndex(keys, matrix, HashedBagEmbedder(dim=matrix.shape[1]), "nohash", "document")
 
 
+def brute_ranking(index: SearchIndex, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of `index` in (-similarity, key) order, by one lexsort
+    over all of them, and every row's similarity."""
+    rank = {key: r for r, key in enumerate(sorted(index.keys))}
+    key_rank = np.array([rank[key] for key in index.keys])
+    sims = index.matrix @ query_vec
+    return np.lexsort((key_rank, -sims)), sims
+
+
 class TestSearchIndex:
     def test_k_at_least_size_returns_all_sorted(self):
         matrix = random_unit_vectors(5, 16, seed=1)
@@ -826,7 +835,7 @@ class TestSubsetIndex:
             matrix = random_unit_vectors(1500, 16, seed)
         index = vector_index(matrix)
         query = matrix[int(rng.integers(1500))]
-        order, _ = index._ranking(query)
+        order, _ = brute_ranking(index, query)
         rows = sorted(set(order[-3:].tolist()) | {int(rng.integers(1500))})
         ids = [index.keys[i] for i in rows]
         subset = index.subset(id_only_corpus("sparse", ids))
@@ -845,15 +854,22 @@ class TestSubsetIndex:
         got = subset.search(matrix[0], k)
         assert got == alone.search(matrix[0], k) and sorted(key for key, _ in got) == ids
 
-    def test_rankings_are_shared_and_memoised(self):
-        matrix = random_unit_vectors(12, 8, seed=7)
+    def test_views_share_one_prefix_shorter_than_the_index(self):
+        matrix = random_unit_vectors(1200, 8, seed=7)
         index = vector_index(matrix)
-        corpus = id_only_corpus("c", index.keys[::2])
-        subset = index.subset(corpus)
-        subset.search(matrix[3], 4)
+        sparse = index.subset(id_only_corpus("sparse", index.keys[::40]))
+        dense = index.subset(id_only_corpus("dense", index.keys[::3]))
+        sparse.search(matrix[3], 4)
         index.search(matrix[3], 4)
+        dense.search(matrix[3], 4)
         index.search(matrix[5], 4)
-        assert len(index._rankings) == 2 and subset._rankings is index._rankings
+        prefixes = index._shared.prefixes
+        assert len(prefixes) == 2 and sparse._shared is dense._shared is index._shared
+        # The sparse view holds 30 of the 1,200 rows: 4 of them lie about
+        # 160 rows deep, and the prefix stops there, far short of every row.
+        order, sims = prefixes[matrix[3].tobytes()][:2]
+        assert 4 <= len(order) < len(index) // 2 and len(sims) == len(order)
+        assert np.count_nonzero(sparse.rows[order]) >= 4 and np.count_nonzero(dense.rows[order]) >= 4
 
     def test_empty_or_foreign_corpus_refused(self):
         index = vector_index(random_unit_vectors(3, 8, seed=8))
@@ -861,6 +877,44 @@ class TestSubsetIndex:
             index.subset(Corpus(name="none", documents=()))
         with pytest.raises(ValueError, match="lacks documents of corpus 'c'"):
             index.subset(id_only_corpus("c", ["v0000", "zz"]))
+
+
+class TestPrefixSearch:
+    """Every search reads its top k off the prefix an index shares with
+    its views, and equals the brute-force (-similarity, key) order, in
+    whatever order views are made and searched."""
+
+    @staticmethod
+    def same(got: list, want: list) -> bool:
+        """Equal keys and bit-equal similarities; NaN equals NaN."""
+        as_bytes = lambda hits: ([key for key, _ in hits], np.array([sim for _, sim in hits]).tobytes())
+        return as_bytes(got) == as_bytes(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 3))
+    def test_searches_equal_the_brute_force_order(self, seed, nan_rows):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 70))
+        # Rows and queries of -1, 0 and 1 tie exactly, at every cut; a NaN
+        # row has a NaN similarity, which the full order ranks last.
+        matrix = rng.integers(-1, 2, size=(n, 4)).astype(np.float64)
+        matrix[rng.integers(n, size=nan_rows)] = np.nan
+        queries = rng.integers(-1, 2, size=(3, 4)).astype(np.float64)
+        # Keys in an order of their own, so a tie is broken by key, not row.
+        keys = [f"v{i:04d}" for i in rng.permutation(n)]
+        index = SearchIndex(keys, matrix, HashedBagEmbedder(dim=4), "nohash", "document")
+        searched = [index]
+        for _ in range(16):
+            if rng.random() < 0.3:  # a view, made after searches of these vectors
+                size = int(rng.integers(1, n + 1))
+                ids = [index.keys[i] for i in rng.choice(n, size=size, replace=False)]
+                searched.append(index.subset(id_only_corpus(f"c{len(searched)}", ids)))
+            target = searched[int(rng.integers(len(searched)))]
+            k = int(rng.choice([1, 2, 5, max(1, len(target) - 1), len(target), len(target) + 1, 3 * n]))
+            query = queries[rng.integers(len(queries))]
+            got = target.search(query, k)
+            assert self.same(got, reference_search(target, query, k))
+            assert len(got) == min(k, len(target))
 
 
 def doc(doc_id: str, body: str, subtopic: str | None = None, sections=None) -> Document:
@@ -1237,8 +1291,9 @@ class TestBatchRetrieve:
 
 
 def reference_search(index: SearchIndex, query_vec, k: int) -> list:
-    """`SearchIndex.search` as first written: one float() per kept row."""
-    order, sims = index._ranking(query_vec)
+    """`SearchIndex.search` as first written, over the brute-force
+    ranking: one float() per kept row."""
+    order, sims = brute_ranking(index, query_vec)
     if index.rows is not None:
         order = order[index.rows[order]]
     return [(index.keys[i], float(sims[i])) for i in order[:k].tolist()]
