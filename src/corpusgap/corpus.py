@@ -14,6 +14,7 @@ import logging
 import os
 import threading
 import weakref
+from binascii import a2b_hex
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -358,10 +359,18 @@ def _line_bytes(record: dict | str) -> bytes:
     return ((record if isinstance(record, str) else encode_record(record)) + "\n").encode("utf-8")
 
 
-# Where a line of an `AppendLog` file is: its byte offset in the file and
-# its length in bytes, newline included. A plain tuple, as `put` makes one
-# per line and a NamedTuple's constructor runs Python code.
-LineSpan = tuple[int, int]
+def hex_digest(key: str | bytes) -> bytes | None:
+    """The 32 bytes that `key`, a sha256 as a cache file holds it, spells
+    if it is exactly 64 lowercase hex characters (`a2b_hex` alone takes
+    uppercase too), else None: no lookup by digest could reach a record
+    under any other str, so a store skips it. A key that is neither a str
+    nor bytes raises TypeError, so the store refuses its record."""
+    if type(key) is not str and type(key) is not bytes:
+        raise TypeError(f"a key must be a str, got {type(key).__name__}")
+    try:
+        return a2b_hex(key) if len(key) == 64 and key.lower() == key else None
+    except ValueError:  # a character that is not hex, or not ASCII
+        return None
 
 
 class AppendLog:
@@ -372,8 +381,8 @@ class AppendLog:
     None to skip it; a record it fails on with KeyError, TypeError or
     ValueError (a missing field, a wrong type, a bad value) raises
     `IngestError` naming the file and line. The value may be the line's
-    `LineSpan`, `(offset, len(line))`, for a caller that reads the line
-    back (`line`) rather than keep what it decodes to. A store whose own
+    offset, for a caller that knows the line's length and reads it back
+    (`line`) rather than keep what it decodes to. A store whose own
     lines have one fixed layout may also give `take` (`TakeLine`), which
     `read_append_log` calls on each line's bytes before any JSON scan; a
     line it maps is not decoded. `decode` and `take` are not kept past
@@ -391,7 +400,7 @@ class AppendLog:
 
     The two differ in what the map keeps. `put_many` keeps each value.
     A value `put` into a store with a file is not kept: the map holds the
-    `LineSpan` of its line instead. Without a file, `put` keeps the value.
+    offset of its line instead. Without a file, `put` keeps the value.
     """
 
     def __init__(self, path: str | Path | None, decode: Callable[[dict, int, bytes], tuple | None], take: TakeLine | None = None):
@@ -412,24 +421,22 @@ class AppendLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key, value, record: dict | str) -> LineSpan | None:
+    def put(self, key, value, record: dict | str) -> int | None:
         """Store value under key and append record, unless key is present;
-        the `LineSpan` of the appended line, or None if nothing was
-        appended.
+        the offset of the appended line, or None if nothing was appended.
 
         `record` is the record, or its line (without the newline) exactly
         as `encode_record` writes it, for a caller that builds the line
         more cheaply from parts that need no escaping. With a file, the
-        map keeps the line's span, not value."""
+        map keeps the line's offset, not value."""
         with self._lock:
             if key in self._entries:
                 return None
             if self.path is None:
                 self._entries[key] = value
                 return None
-            data = _line_bytes(record)
-            span = self._entries[key] = (self._append(data), len(data))
-            return span
+            offset = self._entries[key] = self._append(_line_bytes(record))
+            return offset
 
     def put_many(self, entries: Sequence[tuple[object, object, dict | str]]) -> None:
         """`put` for each (key, value, record) in order, appending every
@@ -458,11 +465,11 @@ class AppendLog:
         # even after another writer's appends.
         return fh.tell() - len(data)
 
-    def line(self, span: LineSpan) -> bytes:
-        """The bytes of the file at `span`, read with one `os.pread`: the
-        line there when the span came from `put` or from the load, and
-        fewer bytes if the file has since been cut."""
-        offset, length = span
+    def line(self, offset: int, length: int) -> bytes:
+        """`length` bytes of the file from `offset`, read with one
+        `os.pread`: the line there when the offset came from `put` or from
+        the load and `length` is that line's, and fewer bytes if the file
+        has since been cut."""
         with self._lock:
             return os.pread(self._handle().fileno(), length, offset)
 

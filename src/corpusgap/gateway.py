@@ -8,33 +8,35 @@ one request, raising its exception; the judge keys its own batches and
 calls it too. Each request is keyed once, and the key both finds its
 repeats in the batch and looks it up in an append-only JSONL cache
 (`corpus.AppendLog`) keyed by (provider id, template name, sha256 of the
-template body, bindings, provider params).
-A hit costs that key, one dict lookup and, once per distinct reply text
-in the batch, the parser. A reply is cached only once it parses, and is
-never served under another provider or an edited template; its cache line
-is written from its parts (`_completion_line`), byte for byte the line
-`json.dumps` writes. Each distinct miss is sent once (a repeat in the
-batch waits on the first). Where the replies come from is the only
-difference between providers. One that computes its replies in this
-process, like `MockProvider`, has `generate_many`: it gets a batch's
-misses in one call on the calling thread and renders only the prompts it
-needs. Any other provider gets each miss rendered and sent once, on up to
-`max_inflight` worker threads that hand each reply back as it arrives.
-Either way one loop on the calling thread parses the replies, fans each
-outcome out to the requests waiting on it, and appends the lines of the
-replies that parse, 128 a write, and before it waits for a reply still
-in flight. The misses whose reply is a `ProviderError` are asked again
-as one round after one backoff sleep, up to `RETRIES` rounds.
+template body, bindings, provider params), as a raw 32-byte digest (hex
+in the file). A hit costs that key, one dict lookup and, once per
+distinct reply text in the batch, the parser. A reply is cached only once
+it parses, and is never served under another provider or an edited
+template; its cache line is written from its parts (`_completion_line`),
+byte for byte the line `json.dumps` writes. Each distinct miss is sent
+once (a repeat in the batch waits on the first). Where the replies come
+from is the only difference between providers. One that computes its
+replies in this process, like `MockProvider`, has `generate_many`: it
+gets a batch's misses in one call on the calling thread and renders only
+the prompts it needs. Any other provider gets each miss rendered and
+sent once, on up to `max_inflight` worker threads that hand each reply
+back as it arrives. Either way one loop on the calling thread parses the
+replies, fans each outcome out to the requests waiting on it, and
+appends the lines of the replies that parse, 128 a write, and before it
+waits for a reply still in flight. The misses whose reply is a
+`ProviderError` are asked again as one round after one backoff sleep, up
+to `RETRIES` rounds.
 
 The cache key is the sha256 of the compact, key-sorted JSON of the
-request's fields, as `CompletionRequest.cache_key` writes it with one
-encoder. That is the one general keyer: `complete_many` keys each of its
-requests with it. The judge, which sends nearly all requests, keys its
-batch as a (queries x documents) product (`_judge_keys`) with the same
-keys: one hash state per distinct document text, one encoded tail per
-distinct query text, and for each pair one copy, one update and one
-digest; it builds a `CompletionRequest` only for a miss. Its memos live
-for one batch, so no text outlives its batch in the gateway.
+request's fields, as `CompletionRequest.cache_digest` writes it with one
+encoder (`cache_key` is its hex, the form a cache line holds). That is
+the one general keyer: `complete_many` keys each of its requests with
+it. The judge, which sends nearly all requests, keys its batch as a
+(queries x documents) product (`_judge_keys`) with the same digests: one
+hash state per distinct document text, one encoded tail per distinct
+query text, and for each pair one copy, one update and one `digest()`;
+it builds a `CompletionRequest` only for a miss. Its memos live for one
+batch, so no text outlives its batch in the gateway.
 
 Provider and embedder calls share one retry policy, which no caller
 changes: `RETRIES` attempts with a backoff from `BACKOFF_BASE_S` that
@@ -60,7 +62,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Protocol, Sequence, TypeVar
 
-from .corpus import AppendLog, Document, encode_record
+from .corpus import AppendLog, Document, encode_record, hex_digest
 
 JUDGE_MIN = 1
 JUDGE_MAX = 100
@@ -159,14 +161,18 @@ class CompletionRequest:
     params: ProviderParams = ProviderParams()
 
     def cache_key(self, provider_id: str = "", template_sha: str = "") -> str:
-        """sha256 of the request. The gateway stores replies under the key
-        that also names the provider and the template body's sha256; with
-        both left empty the key names the request alone.
+        """`cache_digest` in hex: the key a cache line holds."""
+        return self.cache_digest(provider_id, template_sha).hex()
+
+    def cache_digest(self, provider_id: str = "", template_sha: str = "") -> bytes:
+        """The sha256 digest of the request. The gateway stores replies
+        under the digest that also names the provider and the template
+        body's sha256; with both left empty it names the request alone.
 
         The hashed payload is the request's fields as `_KEY_ENCODER`
         writes them. Binding names must be str. This is the gateway's one
         general keyer: `complete_many` keys each request with it, and the
-        judge's product keyer (`_judge_keys`) gives the same keys."""
+        judge's product keyer (`_judge_keys`) gives the same digests."""
         for name in self.bindings:
             if not isinstance(name, str):
                 raise TypeError(f"binding name {name!r} is not a str")
@@ -178,7 +184,7 @@ class CompletionRequest:
         if provider_id or template_sha:
             fields["provider"] = provider_id
             fields["template_sha"] = template_sha
-        return hashlib.sha256(_KEY_ENCODER.encode(fields).encode("utf-8")).hexdigest()
+        return hashlib.sha256(_KEY_ENCODER.encode(fields).encode("utf-8")).digest()
 
 
 class Provider(Protocol):
@@ -208,12 +214,12 @@ RETRIES = 3
 BACKOFF_BASE_S = 1.0
 
 
-def _completion_line(key: str, template: str, response: str) -> str:
-    """The cache line of a reply: `encode_record({"key": key, "template":
-    template, "response": response})`, written from its parts. The key is
-    hex and needs no escaping; each string is encoded alone, which takes
-    the encoder's fast path for a str."""
-    return f'{{"key": "{key}", "response": {encode_record(response)}, "template": {encode_record(template)}}}'
+def _completion_line(key: bytes, template: str, response: str) -> str:
+    """The cache line of a reply: `encode_record({"key": key.hex(),
+    "template": template, "response": response})`, written from its parts.
+    The key's hex needs no escaping; each string is encoded alone, which
+    takes the encoder's fast path for a str."""
+    return f'{{"key": "{key.hex()}", "response": {encode_record(response)}, "template": {encode_record(template)}}}'
 
 
 def _batch_skips_generate(cls: type) -> bool:
@@ -228,18 +234,20 @@ def _batch_skips_generate(cls: type) -> bool:
     return many is not None and one is not None and not issubclass(many, one)
 
 
-def _reply_decoder() -> Callable[[dict, int, bytes], tuple[str, object]]:
-    """The completion cache's decode for one load: a record's key and
-    reply, where equal reply texts come back as one string, so a cache
-    of many keys with few distinct replies holds each text once. The
-    texts are held only as long as the decode."""
+def _reply_decoder() -> Callable[[dict, int, bytes], tuple[bytes, object] | None]:
+    """The completion cache's decode for one load: a record's key, as
+    `hex_digest` makes it once the reply is read (or skips the record),
+    and its reply, where equal reply texts come back as one string, so a
+    cache of many keys with few distinct replies holds each text once.
+    The texts are held only as long as the decode."""
     replies: dict[str, str] = {}
 
-    def decode(record: dict, offset: int, line: bytes) -> tuple[str, object]:
+    def decode(record: dict, offset: int, line: bytes) -> tuple[bytes, object] | None:
         response = record["response"]
+        key = hex_digest(record["key"])
         if type(response) is str:
             response = replies.setdefault(response, response)
-        return record["key"], response
+        return None if key is None else (key, response)
 
     return decode
 
@@ -301,17 +309,17 @@ class Gateway:
         """Complete and parse a batch; each result or exception in place.
 
         Nothing is raised: a failed request's exception is its result.
-        Each request is keyed once by `CompletionRequest.cache_key` and its
+        Each request is keyed once by `CompletionRequest.cache_digest` and its
         binding names are checked against its template, so a request with
         an unknown template, a binding name that is not a str or a
         placeholder mismatch fails in place, before any render; the batch
         then goes through `complete_keyed`.
         """
-        keys: list[str | Exception] = []
+        keys: list[bytes | Exception] = []
         for request in requests:
             try:
                 template = self.template(request.template)
-                key = request.cache_key(self.provider.id, template.body_sha)
+                key = request.cache_digest(self.provider.id, template.body_sha)
                 template.check(request.bindings)
             except Exception as exc:
                 key = exc
@@ -320,15 +328,16 @@ class Gateway:
 
     def complete_keyed(
         self,
-        keys: Sequence[str | Exception],
+        keys: Sequence[bytes | Exception],
         request_at: Callable[[int], CompletionRequest],
         parser: Callable[[str], T],
     ) -> list[T | Exception]:
         """Complete and parse a batch that is already keyed: request i has
-        cache key `keys[i]`, or failed to key with that exception, which is
-        its result. `request_at(i)` builds request i, and is called only for
-        the first of each distinct miss. Each result or exception comes
-        back in place, and nothing is raised.
+        the 32-byte `cache_digest` `keys[i]`, or failed to key with that
+        exception, which is its result (any other key, such as a hex str,
+        gets a TypeError). `request_at(i)` builds request i, and is called
+        only for the first of each distinct miss. Each result or exception
+        comes back in place, and nothing is raised.
 
         Each key both finds its repeats in the batch and looks the request
         up in the cache. Hits are answered in the calling thread, skipping
@@ -351,15 +360,17 @@ class Gateway:
         lookup = self.cache.get
         results: list = [None] * len(keys)
         parsed: dict[str, object] = {}  # reply -> its parse
-        waiting: dict[str, list[int]] = {}
-        misses: list[tuple[CompletionRequest, str]] = []
+        waiting: dict[bytes, list[int]] = {}
+        misses: list[tuple[CompletionRequest, bytes]] = []
         for i, key in enumerate(keys):
-            if type(key) is not str:
-                results[i] = key
+            if type(key) is not bytes:
+                results[i] = key if isinstance(key, Exception) else TypeError(f"cache key {key!r} is not a digest")
                 continue
             try:
                 cached = lookup(key)
                 if cached is None:
+                    if len(key) != 32:  # the map holds none, so only a miss is checked
+                        raise TypeError(f"cache key {key!r} is not a 32-byte digest")
                     if key in waiting:
                         waiting[key].append(i)
                     else:
@@ -372,7 +383,7 @@ class Gateway:
             except Exception as exc:
                 result = exc
             results[i] = result
-        lines: list[tuple[str, str, str]] = []  # (key, reply, line), not yet appended
+        lines: list[tuple[bytes, str, str]] = []  # (key, reply, line), not yet appended
 
         def put_lines() -> None:
             # One write; should it fail, one a line, so a line that cannot
@@ -424,7 +435,7 @@ class Gateway:
     def _render(self, request: CompletionRequest) -> str:
         return self.template(request.template).render(request.bindings)
 
-    def _ask(self, misses: list[tuple[CompletionRequest, str]], before_wait: Callable[[], None]):
+    def _ask(self, misses: list[tuple[CompletionRequest, bytes]], before_wait: Callable[[], None]):
         """(miss, its reply or the exception it raised) for each miss.
 
         A provider with `generate_many` answers all of them in one call on
@@ -538,13 +549,13 @@ _JUDGE_MID = ',"user_query":'
 
 def _judge_keys(
     pairs: Sequence[tuple[str, Document]], params: ProviderParams, provider_id: str, template_sha: str
-) -> list[str | Exception]:
-    """The cache key of each pair's rubric request, byte for byte
-    `CompletionRequest.cache_key`, keyed as a (queries x documents)
+) -> list[bytes | Exception]:
+    """The cache digest of each pair's rubric request, byte for byte
+    `CompletionRequest.cache_digest`, keyed as a (queries x documents)
     product: one sha256 state per distinct document text, hashed up to
     the query's value, and one encoded tail per distinct query text (its
     JSON, then `tail`: the bindings' closing brace and every other field).
-    A pair costs one copy, one update and one digest. A document's text
+    A pair costs one copy, one update and one `digest()`. A document's text
     is always a str; a query text is kept only when it is one, so 1, 1.0
     and True never share an entry. Both memos go when this returns."""
     encode = _KEY_ENCODER.encode
@@ -555,7 +566,7 @@ def _judge_keys(
     )
     states: dict[str, object] = {}
     tails: dict[str, bytes] = {}
-    keys: list[str | Exception] = []
+    keys: list[bytes | Exception] = []
     for query, doc in pairs:
         try:
             text = doc.text
@@ -567,9 +578,9 @@ def _judge_keys(
                 query_tail = (encode(query) + tail).encode("utf-8")
                 if type(query) is str:
                     tails[query] = query_tail
-            digest = state.copy()
-            digest.update(query_tail)
-            keys.append(digest.hexdigest())
+            pair = state.copy()
+            pair.update(query_tail)
+            keys.append(pair.digest())
         except Exception as exc:
             keys.append(exc)
     return keys

@@ -15,12 +15,13 @@ cell.
 
 `CachedEmbedder` keeps vectors, as base64 float64 bytes, in an
 append-only JSONL store (`corpus.AppendLog`) keyed by the sha256 of the
-text; that store is the only copy of them on disk, and indexes are built
-from it in-process. It writes each record's line from parts that need no
-escaping, byte for byte the line `json.dumps` writes. A vector whose line
-is in that layout is not kept in memory, whether this run loaded the line
-or computed the vector: the cache keeps the line's place in the file and
-decodes the vector from the line each time its text is embedded. The
+text (hex in the file, the raw digest in memory); that store is the
+only copy of them on disk, and indexes are built from it in-process. It
+writes each record's line from parts that need no escaping, byte for
+byte the line `json.dumps` writes. A vector whose line is in that layout
+is not kept in memory, whether this run loaded the line or computed the
+vector: the cache keeps the line's offset and decodes the vector from
+the line each time its text is embedded. The
 index builders write each vector into its row of the index's matrix as
 it comes, so a run holds one decoded copy of each vector. The embedders
 it wraps, the mock `HashedBagEmbedder` and the HTTP client, live in
@@ -50,7 +51,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AppendLog, Corpus, Document, IngestError, LineSpan, Query, encode_record
+from .corpus import AppendLog, Corpus, Document, IngestError, Query, encode_record, hex_digest
 from .gateway import JudgeFn, RewriteFn
 
 DEFAULT_CANDIDATES = 20
@@ -89,25 +90,26 @@ class CachedEmbedder:
     numbers, still load; none is written. Vectors come back read-only,
     hits and misses alike.
 
-    When the cache has a file, the map holds no vector whose line is in
-    the layout `embed` writes (this embedder's id, the text sha, then a
-    `vector_b64` of `dim` float64s, with `json.dumps` spacing and key
-    order): it holds that line's `LineSpan`, whether the line was loaded
-    or appended by this process. At load, a line whose bytes are exactly
-    that layout, with a 64-character alphanumeric sha and a payload of
-    base64 characters only, is taken by its bytes (`_take`) with no JSON
-    scan; any other line is read as JSON, and one in the layout still
-    becomes its span (`_load`). A hit on a span reads the line with one
-    `os.pread`, checks its head, key and end, and decodes the base64
-    between them, bit for bit the vector first computed; such a line's
-    base64 is first validated there, and a line that fails is refused
-    with the file and byte offset, never served. Any other line of this
-    embedder is decoded at load and its vector kept: an older `vector`
-    list, a `vector_b64` with other spacing or key order, or one of
-    another length. A vector whose length is not `dim`, or a
-    `vector_b64` that is not base64 of whole float64s, found at load is
-    refused with the file and line. A cache without a file keeps its
-    vectors.
+    The map is keyed by the text's raw sha256 digest. With a file, it
+    holds no vector whose line is in the layout `embed` writes (this
+    embedder's id, the text sha, then a `vector_b64` of `dim` float64s,
+    with `json.dumps` spacing and key order), all `_line_len` bytes long:
+    it holds that line's offset, whether the line was loaded or appended
+    by this process. At load, a line whose bytes are exactly that layout,
+    with a hex sha (`hex_digest`) and a payload of base64 characters
+    only, is taken by its bytes (`_take`) with no JSON scan; any other
+    line is read as JSON (`_load`, which applies `hex_digest` to the sha
+    after every other check), and one in the layout still becomes its
+    offset. A hit on an offset reads the line with one `os.pread`, checks
+    its head, key and end, and decodes the base64 between them, bit for
+    bit the vector first computed; such a line's base64 is first
+    validated there, and a line that fails is refused with the file and
+    byte offset, never served. Any other line of this embedder is decoded
+    at load and its vector kept: an older `vector` list, a `vector_b64`
+    with other spacing or key order, or one of another length. A vector
+    whose length is not `dim`, or a `vector_b64` that is not base64 of
+    whole float64s, found at load is refused with the file and line. A
+    cache without a file keeps its vectors.
     """
 
     def __init__(self, inner: Embedder, cache_path: str | Path | None = None):
@@ -119,10 +121,11 @@ class CachedEmbedder:
         # escaping, so `embed` writes the rest of the line as it is.
         self._line_head = f'{{"provider": {encode_record(self.id)}, "text_sha": "'
         self._b64_len = 4 * -(-8 * self.dim // 3)
-        try:  # the head `_take` looks for; `embed` can write no line for an id that is not UTF-8
+        try:  # the head `_take` looks for, and the length of a line in `embed`'s layout
             self._head = self._line_head.encode("utf-8")
-        except UnicodeEncodeError:
-            self._head = None
+            self._line_len = len(self._head) + 64 + len(_B64_KEY) + self._b64_len + len(_LINE_END)
+        except UnicodeEncodeError:  # `embed` can write no line for an id that is not UTF-8
+            self._head = self._line_len = None
         self._store = AppendLog(cache_path, self._load, self._take if self._head else None)
 
     def close(self) -> None:
@@ -133,73 +136,76 @@ class CachedEmbedder:
         """A record's line up to its base64 payload."""
         return f'{self._line_head}{key}", "vector_b64": "'
 
-    def _take(self, line: bytes, offset: int) -> tuple[str, LineSpan] | None:
-        """A line's key and span if its bytes are exactly a line `embed`
-        writes, with an alphanumeric sha and a payload of base64
+    def _take(self, line: bytes, offset: int) -> tuple[bytes, int] | None:
+        """A line's key and offset if its bytes are exactly a line `embed`
+        writes, with a hex sha (`hex_digest`) and a payload of base64
         characters, else None. `_load` maps each such line the same."""
         sha_at = len(self._head)
         b64_at = sha_at + 64 + len(_B64_KEY)
         if (
-            len(line) == b64_at + self._b64_len + len(_LINE_END)
+            len(line) == self._line_len
             and line.startswith(self._head)
             and line.startswith(_B64_KEY, b64_at - len(_B64_KEY))
             and line.endswith(_LINE_END)
-            and line[sha_at : sha_at + 64].isalnum()
             and not line[b64_at : -len(_LINE_END)].translate(None, _B64_CHARS)
+            and (key := hex_digest(line[sha_at : sha_at + 64])) is not None
         ):
-            return line[sha_at : sha_at + 64].decode("ascii"), (offset, len(line))
+            return key, offset
         return None
 
-    def _load(self, record: dict, offset: int, line: bytes) -> tuple[str, LineSpan | np.ndarray] | None:
-        """A loaded line's key and span if the line is in `embed`'s
-        layout, else its key and decoded vector."""
+    def _load(self, record: dict, offset: int, line: bytes) -> tuple[bytes, int | np.ndarray] | None:
+        """A loaded line's key and offset if the line is in `embed`'s
+        layout, else its key and decoded vector; None if `hex_digest` or
+        the provider skips it."""
         if record["provider"] != self.id:
             return None
-        key = record["text_sha"]
+        text_sha = record["text_sha"]
         vector_b64 = record.get("vector_b64")
         if (
             type(vector_b64) is str
             and len(vector_b64) == self._b64_len
-            and line == (self._payload_head(key) + vector_b64).encode("utf-8") + _LINE_END
+            and line == (self._payload_head(text_sha) + vector_b64).encode("utf-8") + _LINE_END
         ):
-            return key, (offset, len(line))
-        if vector_b64 is not None:
-            vec = np.frombuffer(base64.b64decode(vector_b64, validate=True), dtype="<f8")
+            value = offset
         else:
-            vec = np.asarray(record["vector"], dtype=np.float64)
-            vec.flags.writeable = False
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector has shape {vec.shape}, expected ({self.dim},)")
-        return key, vec
+            if vector_b64 is not None:
+                value = np.frombuffer(base64.b64decode(vector_b64, validate=True), dtype="<f8")
+            else:
+                value = np.asarray(record["vector"], dtype=np.float64)
+                value.flags.writeable = False
+            if value.shape != (self.dim,):
+                raise ValueError(f"vector has shape {value.shape}, expected ({self.dim},)")
+        key = hex_digest(text_sha)
+        return None if key is None else (key, value)
 
-    def _read(self, key: str, span: LineSpan) -> np.ndarray:
-        """The vector of the line at `span`, which must be `key`'s line in
-        `embed`'s layout."""
-        line = self._store.line(span)
-        prefix = self._payload_head(key).encode("utf-8")
+    def _read(self, key: bytes, offset: int) -> np.ndarray:
+        """The vector of the line at `offset`, which must be `key`'s line
+        in `embed`'s layout."""
+        line = self._store.line(offset, self._line_len)
+        prefix = self._payload_head(key.hex()).encode("utf-8")
         if not (line.startswith(prefix) and line.endswith(_LINE_END)):
-            problem = f"the line of {key!r} is no longer there"
+            problem = f"the line of {key.hex()!r} is no longer there"
         else:
             payload = line[len(prefix) : -len(_LINE_END)]
             try:
                 vec = np.frombuffer(base64.b64decode(payload, validate=True), dtype="<f8")
             except ValueError as exc:
-                raise IngestError(f"{self._store.path}@{span[0]}: bad vector_b64: {exc}") from exc
+                raise IngestError(f"{self._store.path}@{offset}: bad vector_b64: {exc}") from exc
             if vec.shape == (self.dim,):
                 return vec
             problem = f"vector has shape {vec.shape}, expected ({self.dim},)"
-        raise IngestError(f"{self._store.path}@{span[0]}: {problem}")
+        raise IngestError(f"{self._store.path}@{offset}: {problem}")
 
     def embed(self, text: str) -> np.ndarray:
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        key = hashlib.sha256(text.encode("utf-8")).digest()
         hit = self._store.get(key)
         if hit is not None:
-            # A vector is an array; a line kept in the file is its span.
-            return self._read(key, hit) if type(hit) is tuple else hit
+            # A vector is an array; a line kept in the file is its offset.
+            return self._read(key, hit) if type(hit) is int else hit
         vec = self.inner.embed(text)
         vec.flags.writeable = False
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
-        self._store.put(key, vec, f'{self._payload_head(key)}{vector_b64}"}}')
+        self._store.put(key, vec, f'{self._payload_head(key.hex())}{vector_b64}"}}')
         return vec
 
 

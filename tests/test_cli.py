@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from corpusgap.cli import main
+from corpusgap.config import apply_overrides, load_config, make_embedder, make_gateway
 from corpusgap.corpus import write_corpus, write_queries, write_records, Corpus, Document
 from corpusgap.gateway import ProviderError
 
@@ -293,6 +294,27 @@ def test_eval_manifest_paths_resolve_against_manifest(runner, tmp_path, world, m
         ("baseline", len(world.baseline), True),
         ("reference", len(world.baseline) + len(world.pool), True),
     ]
+
+
+def test_cold_run_cache_reloads_keyed_by_raw_digests(runner, tmp_path, world):
+    """After a cold CLI run, a fresh load of its cache keys both maps by
+    32-byte digests, and holds each vector line in `embed`'s layout as its
+    offset alone, not as a hex key or a vector."""
+    write_corpus(world.baseline, tmp_path / "baseline.jsonl")
+    write_queries(world.test_queries[:3], tmp_path / "test.jsonl")
+    write_records(tmp_path / "manifest.jsonl", [{"name": "baseline", "path": "baseline.jsonl", "arm": "baseline", "docs_added": 0}])
+    cache = tmp_path / "cache"
+    invoke(runner, cache, ["eval", "--manifest", str(tmp_path / "manifest.jsonl"), "--queries", str(tmp_path / "test.jsonl"),
+                           "--out", str(tmp_path / "results")])
+    config = apply_overrides(load_config(), cache_dir=str(cache))
+    gateway, embedder = make_gateway(config), make_embedder(config)
+    completions, vectors = gateway.cache._entries, embedder._store._entries
+    lines = [(cache / name).read_text(encoding="utf-8").count("\n") for name in ("completions.jsonl", "embeddings.jsonl")]
+    assert [len(completions), len(vectors)] == lines and all(lines)
+    assert all(type(key) is bytes and len(key) == 32 for key in [*completions, *vectors])
+    assert all(type(value) is int for value in vectors.values())
+    gateway.close()
+    embedder.close()
 
 
 def _eval_inputs(tmp_path, world, entry):

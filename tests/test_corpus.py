@@ -298,9 +298,10 @@ class TestAppendLog:
     def test_put_persists_once_and_reloads(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = AppendLog(path, _decode)
-        span = log.put("a", 1, {"key": "a", "value": 1})
+        offset = log.put("a", 1, {"key": "a", "value": 1})
         assert log.put("a", 2, {"key": "a", "value": 2}) is None
-        assert log.get("a") == span and log.line(span) == b'{"key": "a", "value": 1}\n' and len(log) == 1
+        line = b'{"key": "a", "value": 1}\n'
+        assert log.get("a") == offset and log.line(offset, len(line)) == line and len(log) == 1
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         assert AppendLog(path, _decode).get("a") == 1
         # `put_many` keeps the value itself.
@@ -374,9 +375,10 @@ class TestAppendLog:
             gc.collect()
             # The handle that `line` opens again after a close.
             log = AppendLog(tmp_path / "read.jsonl", _decode)
-            span = log.put("a", 1, {"key": "a", "value": 1})
+            offset = log.put("a", 1, {"key": "a", "value": 1})
             log.close()
-            assert log.line(span) == b'{"key": "a", "value": 1}\n'
+            line = b'{"key": "a", "value": 1}\n'
+            assert log.line(offset, len(line)) == line
             del log
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -385,17 +387,18 @@ class TestAppendLog:
         path = tmp_path / "log.jsonl"
         path.write_text('{"key": "old", "value": 0}\n', encoding="utf-8")
         log = AppendLog(path, _decode)
-        spans = [log.put("é", "ü€", {"key": "é", "value": "ü€"})]
+        offsets = [log.put("é", "ü€", {"key": "é", "value": "ü€"})]
         with open(path, "a", encoding="utf-8") as fh:  # another writer's line
             fh.write('{"key": "other", "value": 1}\n')
-        spans.append(log.put("b", [1, 2], {"key": "b", "value": [1, 2]}))
+        offsets.append(log.put("b", [1, 2], {"key": "b", "value": [1, 2]}))
         assert log.put("b", 3, {"key": "b", "value": 3}) is None
         assert AppendLog(None, _decode).put("c", 1, {"key": "c", "value": 1}) is None
         data = path.read_bytes()
         lines = data.splitlines(keepends=True)
-        assert spans == [(len(lines[0]), len(lines[1])), (len(data) - len(lines[3]), len(lines[3]))]
-        assert [data[offset : offset + length] for offset, length in spans] == [lines[1], lines[3]]
-        assert [log.line(span) for span in spans] == [lines[1], lines[3]]
+        assert offsets == [len(lines[0]), len(data) - len(lines[3])]
+        lengths = [len(lines[1]), len(lines[3])]
+        assert [data[offset : offset + length] for offset, length in zip(offsets, lengths)] == [lines[1], lines[3]]
+        assert [log.line(offset, length) for offset, length in zip(offsets, lengths)] == [lines[1], lines[3]]
 
     def test_put_many_appends_with_one_write_as_put_would(self, tmp_path):
         entries = [("é", "ü€", {"key": "é", "value": "ü€"}), ("old", 9, {"key": "old", "value": 9}),
@@ -433,10 +436,10 @@ class TestAppendLog:
     def test_non_resident_values_are_read_back_from_their_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
         log = AppendLog(path, _decode)
-        span = log.put("a", "unkept", {"key": "a", "value": "kept"})
+        offset = log.put("a", "unkept", {"key": "a", "value": "kept"})
         log.put_many([("b", "kept in memory", {"key": "b", "value": "on disk"})])
-        assert log.get("a") == span and log.get("b") == "kept in memory"
-        assert json.loads(log.line(span))["value"] == "kept"
+        assert log.get("a") == offset and log.get("b") == "kept in memory"
+        assert json.loads(log.line(offset, len(path.read_bytes().splitlines(keepends=True)[0])))["value"] == "kept"
         # Without a file there is nothing to read back, so the value is kept.
         unfiled = AppendLog(None, _decode)
         unfiled.put("a", "value", {"key": "a", "value": "value"})

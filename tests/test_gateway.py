@@ -288,6 +288,14 @@ class TestCacheKey:
     def test_equals_the_json_dumps_key(self, request, provider_id, template_sha):
         assert request.cache_key(provider_id, template_sha) == json_dumps_key(request, provider_id, template_sha)
 
+    @settings(max_examples=200, derandomize=True)
+    @given(request=key_requests, provider_id=st.sampled_from(["", "mock-5", "prov\u00e9\"1"]),
+           template_sha=st.sampled_from(["", "ab" * 32]))
+    def test_cache_key_is_the_hex_of_cache_digest(self, request, provider_id, template_sha):
+        digest = request.cache_digest(provider_id, template_sha)
+        assert type(digest) is bytes and len(digest) == 32
+        assert request.cache_key(provider_id, template_sha) == digest.hex()
+
     def test_int_float_and_bool_params_keep_their_own_keys(self):
         keys = set()
         for value in (1, 1.0, True, 0, 0.0, False):
@@ -377,7 +385,7 @@ class TestJudgeKeys:
             [(keys, requests)] = batches
             assert requests == want
             template_sha = gateway.template("usefulness_rubric").body_sha
-            assert keys == [request.cache_key(provider_id, template_sha) for request in want]
+            assert keys == [request.cache_digest(provider_id, template_sha) for request in want]
             assert provider.calls == len(set(keys))
 
     def test_query_values_equal_as_dict_keys_keep_their_own_keys(self):
@@ -388,7 +396,7 @@ class TestJudgeKeys:
         values = [1, 1.0, True, "1", 0, False, None, 1, True]
         make_gateway_judge(gateway)([(value, doc) for value in values])
         template_sha = gateway.template("usefulness_rubric").body_sha
-        assert keys == [rubric_request(value, doc).cache_key("counting", template_sha) for value in values]
+        assert keys == [rubric_request(value, doc).cache_digest("counting", template_sha) for value in values]
         assert len(set(keys)) == 7
 
     def test_cache_written_by_complete_many_reruns_through_the_judge(self, tmp_path):
@@ -462,6 +470,76 @@ class TestJudgeKeys:
         assert gateway.provider.calls == len(pairs) // 2
 
 
+class TestOddKeysAtLoad:
+    """A completion line whose key is not a str is refused with the file
+    and line; one whose key is a str other than 64 lowercase hex
+    characters is skipped, and nothing is ever served under it."""
+
+    ODD = {
+        "uppercase": str.upper,
+        "63 characters": lambda key: key[:63],
+        "65 characters": lambda key: key + "0",
+        "not hex": lambda key: "g" + key[1:],
+        "not ascii": lambda key: key[:63] + "\u00e9",
+    }
+
+    @staticmethod
+    def append(path, line: str) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    @pytest.mark.parametrize("odd", list(ODD.values()), ids=list(ODD))
+    def test_odd_str_key_is_skipped_and_never_served(self, tmp_path, odd):
+        path = tmp_path / "cache.jsonl"
+        gw(CountingProvider("42"), cache_path=path).complete_parsed(req("a"), parse_judge_score)
+        key = req("b").cache_key("counting", TEMPLATES["echo"].body_sha)
+        self.append(path, json.dumps({"key": odd(key), "response": "7", "template": "echo"}, ensure_ascii=False))
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+        provider = CountingProvider("42")
+        gateway = gw(provider, cache_path=path)
+        assert len(gateway.cache) == 1
+        assert gateway.complete_parsed(req("a"), parse_judge_score) == 42 and provider.calls == 0
+        assert gateway.complete_parsed(req("b"), parse_judge_score) == 42 and provider.calls == 1
+        assert gateway.complete_many([req("b"), req("a")], parse_judge_score) == [42, 42] and provider.calls == 1
+        gateway.close()
+
+    @pytest.mark.parametrize("key", [5, None, True, 1.5, ["a" * 64], {"k": "a" * 64}])
+    def test_key_that_is_not_a_str_names_file_and_line(self, tmp_path, key):
+        path = tmp_path / "cache.jsonl"
+        gw(CountingProvider(), cache_path=path).complete_parsed(req("a"), str)
+        self.append(path, json.dumps({"key": key, "response": "7", "template": "echo"}))
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:2: bad record: a key must be a str, got "):
+            gw(CountingProvider(), cache_path=path)
+
+    def test_key_is_checked_after_the_fields(self, tmp_path):
+        # A line refused for a missing reply is refused so whatever its key.
+        path = tmp_path / "cache.jsonl"
+        for key in ("abc", 5):
+            path.write_text(json.dumps({"key": key, "template": "t"}) + "\n", encoding="utf-8")
+            with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:1: record lacks field 'response'$"):
+                gw(CountingProvider(), cache_path=path)
+
+
+class TestCompleteKeyedRefusesOtherKeys:
+    @pytest.mark.parametrize(
+        "bad",
+        [req("a").cache_key("counting", TEMPLATES["echo"].body_sha), b"\x00" * 31, b"\x00" * 33, 7, None],
+        ids=["hex str", "31 bytes", "33 bytes", "int", "none"],
+    )
+    def test_type_error_in_place_and_no_line(self, tmp_path, bad):
+        path = tmp_path / "cache.jsonl"
+        provider = CountingProvider("42")
+        gateway = gw(provider, cache_path=path)
+        good = req("a").cache_digest("counting", TEMPLATES["echo"].body_sha)
+        failed = ValueError("keying failed")
+        results = gateway.complete_keyed([bad, good, failed, bad], lambda i: req("a"), parse_judge_score)
+        assert results[1] == 42 and results[2] is failed
+        for result in (results[0], results[3]):
+            assert type(result) is TypeError and "digest" in str(result)
+        assert provider.calls == 1 and len(gateway.cache) == 1
+        assert path.read_text(encoding="utf-8").count("\n") == 1
+
+
 class TestParsedMemo:
     def test_repeat_is_a_cache_hit_without_render_or_provider(self, monkeypatch):
         provider = CountingProvider("42")
@@ -472,7 +550,7 @@ class TestParsedMemo:
         gateway.cache.get = lambda key: looked_up.append(key) or lookup(key)
         monkeypatch.setattr(PromptTemplate, "render", lambda *a: pytest.fail("a hit was rendered"))
         assert gateway.complete_parsed(req(), parse_judge_score) == 42
-        assert looked_up == [req().cache_key("counting", TEMPLATES["echo"].body_sha)]
+        assert looked_up == [req().cache_digest("counting", TEMPLATES["echo"].body_sha)]
         assert provider.calls == 1
 
     def test_each_distinct_cached_reply_parsed_once_per_batch(self):
@@ -613,7 +691,7 @@ class TestTornCacheFile:
 
         requests = [req(str(i)) for i in range(40)]
         want = gw(AlternatingProvider(), cache_path=path).complete_many(requests, str)
-        keys = [json.loads(line)["key"] for line in path.read_text(encoding="utf-8").splitlines()]
+        keys = [bytes.fromhex(json.loads(line)["key"]) for line in path.read_text(encoding="utf-8").splitlines()]
         assert len(keys) == 40
         provider = AlternatingProvider()
         gateway = gw(provider, cache_path=path)
@@ -871,7 +949,7 @@ class TestCompleteMany:
         assert gateway.complete_many([req("b")], parse_judge_score) == [55]
         assert provider.calls == calls + 1
         assert gw(ScriptedProvider({}), cache_path=tmp_path / "cache.jsonl").cache.get(
-            req("b").cache_key("scripted", TEMPLATES["echo"].body_sha)
+            req("b").cache_digest("scripted", TEMPLATES["echo"].body_sha)
         ) == "55"
 
     def test_stress_each_distinct_miss_sent_once(self):
@@ -1016,7 +1094,7 @@ class TestCompleteMany:
         gateway.close()
         fresh = gw(Echo(), cache_path=path)
         assert fresh.complete_many(requests, str) == want and fresh.provider.calls == 0
-        keys = [request.cache_key("counting", TEMPLATES["echo"].body_sha) for request in requests]
+        keys = [request.cache_digest("counting", TEMPLATES["echo"].body_sha) for request in requests]
         assert [fresh.cache.get(key) for key in keys] == want
 
     def test_unknown_template_in_place(self):

@@ -327,7 +327,7 @@ class TestLoadedLinesReadOnDemand:
         writer.close()
         inner = CountingEmbedder(base)
         embedder = CachedEmbedder(inner, path)
-        spans = [text for text in texts if type(embedder._store.get(sha[text])) is tuple]
+        spans = [text for text in texts if type(embedder._store.get(bytes.fromhex(sha[text]))) is int]
         assert spans == [texts[0], texts[1], texts[5]]
         for _ in range(2):
             for text in texts:
@@ -399,7 +399,7 @@ class TestLinesTakenByTheirBytes:
             except IngestError as exc:
                 outcomes.append(str(exc))
                 continue
-            outcomes.append({key: value if type(value) is tuple else value.tobytes() for key, value in entries.items()})
+            outcomes.append({key.hex(): value if type(value) is int else value.tobytes() for key, value in entries.items()})
             assert path.read_bytes() == content[: content.rindex(b"\n") + 1]  # the torn line is cut
         return outcomes
 
@@ -421,9 +421,11 @@ class TestLinesTakenByTheirBytes:
         lines = head + odd[:3] + [self.layout("between")] + odd[3:] + tail
         taken, read = self.load_both(path, b"".join(lines) + torn)
         assert taken == read
-        assert taken[sha("escaped sha")[:58] + "a"] == self.base.embed("escaped sha").tobytes()
+        # The escaped sha decodes to 59 characters, which no digest spells:
+        # neither path loads it.
+        assert sha("escaped sha")[:58] + "a" not in taken
         spans = ["between", "old", "tail 0", "tail 1"] + [f"lead {i}" for i in range(1, lead)]
-        assert sorted(key for key, value in taken.items() if type(value) is tuple) == sorted(map(sha, spans))
+        assert sorted(key for key, value in taken.items() if type(value) is int) == sorted(map(sha, spans))
         for text, vector_text in [("lead 0", "x"), ("spaced", "spaced"), ("reordered", "reordered"), ("a a b", "a a b")]:
             assert taken[sha(text)] == self.base.embed(vector_text).tobytes()
         assert sha("other") not in taken and sha("torn") not in taken
@@ -445,6 +447,74 @@ class TestLinesTakenByTheirBytes:
             taken, read = self.load_both(path, b"".join(head + odd[:3] + [bad] + odd[3:] + tail) + torn)
             assert taken == read
             assert taken.startswith(f"{path}:{lead + 4}: {error}")
+
+
+class TestOddKeysAtLoad:
+    """A vector line whose `text_sha` is not a str is refused with the file
+    and line, and one whose `text_sha` is a str other than 64 lowercase
+    hex characters is skipped, whether its bytes are `embed`'s layout or
+    it is read as JSON; nothing is ever served under it."""
+
+    base = HashedBagEmbedder(dim=16)
+    ODD = {
+        "uppercase": str.upper,
+        "63 characters": lambda key: key[:63],
+        "65 characters": lambda key: key + "0",
+        "not hex": lambda key: "g" + key[1:],
+        "not ascii": lambda key: key[:63] + "\u00e9",
+    }
+
+    def line(self, text_sha, kind: str) -> bytes:
+        """A line of this embedder under `text_sha`, with the vector of
+        another text: in `embed`'s layout, or an older `vector` list."""
+        vec = self.base.embed("another text")
+        field = {"vector_b64": vector_b64(vec)} if kind == "layout" else {"vector": vec.tolist()}
+        return (json.dumps({"provider": self.base.id, "text_sha": text_sha, **field}, ensure_ascii=False) + "\n").encode()
+
+    def loads(self, path) -> list:
+        """The map the cache loads, and the one reading every line as JSON
+        loads, or the IngestError text of each."""
+        outcomes = []
+        for load in (lambda: CachedEmbedder(self.base, path)._store, lambda: AppendLog(path, CachedEmbedder(self.base)._load)):
+            try:
+                outcomes.append({key: value if type(value) is int else value.tobytes() for key, value in load()._entries.items()})
+            except IngestError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @pytest.mark.parametrize("kind", ["layout", "vector"])
+    @pytest.mark.parametrize("odd", list(ODD.values()), ids=list(ODD))
+    def test_odd_str_key_is_skipped_and_never_served(self, tmp_path, odd, kind):
+        path = tmp_path / "embeddings.jsonl"
+        writer = CachedEmbedder(self.base, path)
+        writer.embed("fine")
+        writer.close()
+        odd_line = self.line(odd(sha("calm night")), kind)
+        with open(path, "ab") as fh:
+            fh.write(odd_line)
+        taken, read = self.loads(path)
+        assert taken == read and list(taken) == [bytes.fromhex(sha("fine"))]
+        assert writer._take(odd_line, 0) is None
+        inner = CountingEmbedder(self.base)
+        embedder = CachedEmbedder(inner, path)
+        assert embedder.embed("calm night").tobytes() == self.base.embed("calm night").tobytes()
+        assert embedder.embed("fine").tobytes() == self.base.embed("fine").tobytes()
+        assert inner.texts == ["calm night"]
+        embedder.close()
+
+    @pytest.mark.parametrize("kind", ["layout", "vector"])
+    @pytest.mark.parametrize("text_sha", [5, None, ["a" * 64]], ids=["int", "none", "list"])
+    def test_key_that_is_not_a_str_names_file_and_line(self, tmp_path, text_sha, kind):
+        path = tmp_path / "embeddings.jsonl"
+        CachedEmbedder(self.base, path).embed("fine")
+        with open(path, "ab") as fh:
+            fh.write(self.line(text_sha, kind))
+        taken, read = self.loads(path)
+        assert taken == read and taken.startswith(f"{path}:2: bad record: a key must be a str, got ")
+
+    def test_layout_line_with_a_hex_sha_is_taken_by_its_bytes(self, tmp_path):
+        line = self.line(sha("calm night"), "layout")
+        assert CachedEmbedder(self.base)._take(line, 7) == (bytes.fromhex(sha("calm night")), 7)
 
 
 class FixedEmbedder:
