@@ -652,3 +652,170 @@ class TestEmitThresholdReport:
         assert "0.950" in text
         for pa, pb in zip(first, second):
             assert pa.read_bytes() == pb.read_bytes()
+
+
+def made_result(name: str, pipeline: Pipeline, score: float | None, complete: bool = True):
+    spec = ExperimentSpec(corpus_name=name, pipeline=pipeline)
+    return evaluation.ExperimentResult(spec, score, (), complete, None if complete else "ProviderError: down")
+
+
+class TestReportBytes:
+    """Every report byte from hand-made results: no retrieval runs, so no
+    BLAS kernel or judge can move a score."""
+
+    INFO = {
+        "reference": CorpusInfo(arm="reference", docs_added=9, total_docs=19),
+        "nd_b": CorpusInfo(arm="nondirected", docs_added=3, total_docs=13),
+        "baseline": CorpusInfo(arm="baseline", docs_added=0, total_docs=10),
+        "d_2": CorpusInfo(arm="directed", docs_added=5, total_docs=15),
+        "nd_ü": CorpusInfo(arm="nondirected", docs_added=3, total_docs=13),
+        "d_z": CorpusInfo(arm="directed", docs_added=2, total_docs=12),
+    }
+    # Within an arm corpora go by total docs, then by name: d_z before d_2, nd_b before nd_ü.
+
+    @staticmethod
+    def results():
+        """Each pipeline scores a third above the last, except one missing
+        cell (d_2/reranking), one incomplete cell (nd_ü/hierarchical), one
+        complete cell with no score (nd_b/query_transformation), and one
+        cell of a corpus with no info."""
+        firsts = {"baseline": 60.0, "d_z": 70.25, "d_2": 76.5, "nd_ü": 64.0, "nd_b": 66.125, "reference": 80.0}
+        results = [made_result("stray", Pipeline.BASELINE, 99.0)]
+        for name, first in firsts.items():
+            for step, pipeline in enumerate(Pipeline):
+                cell = (name, pipeline)
+                if cell == ("d_2", Pipeline.RERANKING):
+                    continue
+                if cell == ("nd_ü", Pipeline.HIERARCHICAL):
+                    results.append(made_result(name, pipeline, None, complete=False))
+                elif cell == ("nd_b", Pipeline.QUERY_TRANSFORMATION):
+                    results.append(made_result(name, pipeline, None))
+                else:
+                    results.append(made_result(name, pipeline, first + step / 3))
+        return results
+
+    SCORES_CSV = (
+        "corpus,arm,docs_added,total_docs,pct_increase,pipeline,avg_score,complete\n"
+        "baseline,baseline,0,10,0.0,baseline,60.0000,true\n"
+        "baseline,baseline,0,10,0.0,hierarchical,60.3333,true\n"
+        "baseline,baseline,0,10,0.0,reranking,60.6667,true\n"
+        "baseline,baseline,0,10,0.0,query_transformation,61.0000,true\n"
+        "d_z,directed,2,12,20.0,baseline,70.2500,true\n"
+        "d_z,directed,2,12,20.0,hierarchical,70.5833,true\n"
+        "d_z,directed,2,12,20.0,reranking,70.9167,true\n"
+        "d_z,directed,2,12,20.0,query_transformation,71.2500,true\n"
+        "d_2,directed,5,15,50.0,baseline,76.5000,true\n"
+        "d_2,directed,5,15,50.0,hierarchical,76.8333,true\n"
+        "d_2,directed,5,15,50.0,query_transformation,77.5000,true\n"
+        "nd_b,nondirected,3,13,30.0,baseline,66.1250,true\n"
+        "nd_b,nondirected,3,13,30.0,hierarchical,66.4583,true\n"
+        "nd_b,nondirected,3,13,30.0,reranking,66.7917,true\n"
+        "nd_b,nondirected,3,13,30.0,query_transformation,,true\n"
+        "nd_ü,nondirected,3,13,30.0,baseline,64.0000,true\n"
+        "nd_ü,nondirected,3,13,30.0,hierarchical,,false\n"
+        "nd_ü,nondirected,3,13,30.0,reranking,64.6667,true\n"
+        "nd_ü,nondirected,3,13,30.0,query_transformation,65.0000,true\n"
+        "reference,reference,9,19,90.0,baseline,80.0000,true\n"
+        "reference,reference,9,19,90.0,hierarchical,80.3333,true\n"
+        "reference,reference,9,19,90.0,reranking,80.6667,true\n"
+        "reference,reference,9,19,90.0,query_transformation,81.0000,true\n"
+    )
+    TABLE_HEADER = (
+        "corpus                         total        +%"
+        "              baseline          hierarchical             reranking  query_transformation\n"
+    )
+    SCORES_TXT = (
+        "== baseline ==\n" + TABLE_HEADER
+        + "baseline                          10      0.0%"
+        "               60.0000               60.3333               60.6667               61.0000\n"
+        "\n"
+        "== directed ==\n" + TABLE_HEADER
+        + "d_z                               12     20.0%"
+        "               70.2500               70.5833               70.9167               71.2500\n"
+        "d_2                               15     50.0%"
+        "               76.5000               76.8333                     -               77.5000\n"
+        "\n"
+        "== nondirected ==\n" + TABLE_HEADER
+        + "nd_b                              13     30.0%"
+        "               66.1250               66.4583               66.7917                      \n"
+        "nd_ü                              13     30.0%"
+        "               64.0000                                     64.6667               65.0000\n"
+        "\n"
+        "== reference ==\n" + TABLE_HEADER
+        + "reference                         19     90.0%"
+        "               80.0000               80.3333               80.6667               81.0000\n"
+    )
+    # Rows of each plot series after its "total_docs,avg_score" header.
+    PLOT_ROWS = {
+        "baseline_baseline": "10,60.0000\n",
+        "baseline_directed": "12,70.2500\n15,76.5000\n",
+        "baseline_nondirected": "13,64.0000\n13,66.1250\n",
+        "baseline_reference": "19,80.0000\n",
+        "hierarchical_baseline": "10,60.3333\n",
+        "hierarchical_directed": "12,70.5833\n15,76.8333\n",
+        "hierarchical_nondirected": "13,66.4583\n",
+        "hierarchical_reference": "19,80.3333\n",
+        "reranking_baseline": "10,60.6667\n",
+        "reranking_directed": "12,70.9167\n",
+        "reranking_nondirected": "13,64.6667\n13,66.7917\n",
+        "reranking_reference": "19,80.6667\n",
+        "query_transformation_baseline": "10,61.0000\n",
+        "query_transformation_directed": "12,71.2500\n15,77.5000\n",
+        "query_transformation_nondirected": "13,65.0000\n",
+        "query_transformation_reference": "19,81.0000\n",
+    }
+    WARNINGS_TXT = "missing cell: d_2/reranking\nincomplete cell: nd_ü/hierarchical\n"
+    THRESHOLDS_CSV = (
+        "pipeline,directed_pct_increase,nondirected_pct_increase,"
+        "directed_docs_added,nondirected_docs_added,pct_decrease_in_docs_added\n"
+        "baseline,50.0,60.0,5,6,16.7\n"
+        "hierarchical,20.0,30.0,2,3,33.3\n"
+    )
+    THRESHOLDS_TXT = (
+        "threshold target: 0.950 of reference score\n"
+        "rule: score ratio to reference, rounded half-up to 3 decimals, must reach the target\n"
+        "\n"
+        "pipeline                   directed +%  nondirected +%   directed docs  nondirected docs  % decrease\n"
+        "baseline                         50.0%           60.0%               5                 6       16.7%\n"
+        "hierarchical                     20.0%           30.0%               2                 3       33.3%\n"
+    )
+
+    @staticmethod
+    def read_written(written, out):
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == sorted(written)
+        return {p.relative_to(out).as_posix(): p.read_bytes().decode("utf-8") for p in written}
+
+    def test_scores_reports(self, tmp_path):
+        written = emit_report(self.results(), self.INFO, tmp_path)
+        expected = {"scores.csv": self.SCORES_CSV, "scores.txt": self.SCORES_TXT}
+        for series, rows in self.PLOT_ROWS.items():
+            expected[f"plot/{series}.csv"] = "total_docs,avg_score\n" + rows
+        expected["warnings.txt"] = self.WARNINGS_TXT
+        got = self.read_written(written, tmp_path)
+        assert list(got) == list(expected)
+        assert got == expected
+
+    def test_empty_results(self, tmp_path):
+        written = emit_report([], {}, tmp_path)
+        assert self.read_written(written, tmp_path) == {
+            "scores.csv": "corpus,arm,docs_added,total_docs,pct_increase,pipeline,avg_score,complete\n",
+            "scores.txt": "",
+            "warnings.txt": "no experiment results were provided\n",
+        }
+        assert list((tmp_path / "plot").iterdir()) == []
+
+    def test_threshold_reports(self, tmp_path):
+        B, H = Pipeline.BASELINE, Pipeline.HIERARCHICAL
+        directed = {
+            B: [LadderPoint(0, 0.0, 60.0), LadderPoint(2, 20.0, 70.25), LadderPoint(5, 50.0, 76.5)],
+            H: [LadderPoint(0, 0.0, 60.333), LadderPoint(2, 20.0, 76.0)],
+        }
+        nondirected = {
+            B: [LadderPoint(0, 0.0, 60.0), LadderPoint(3, 30.0, 66.125), LadderPoint(6, 60.0, 76.0)],
+            H: [LadderPoint(0, 0.0, 60.333), LadderPoint(3, 30.0, 76.0)],
+        }
+        report = doc_reduction_report(directed, nondirected, {B: 80.0, H: 80.0})
+        written = emit_threshold_report(report, tmp_path)
+        got = self.read_written(written, tmp_path)
+        assert list(got) == ["thresholds.csv", "thresholds.txt"]
+        assert got == {"thresholds.csv": self.THRESHOLDS_CSV, "thresholds.txt": self.THRESHOLDS_TXT}
