@@ -28,10 +28,11 @@ import csv
 import io
 import json
 import logging
+from itertools import groupby
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document, Query, Split, percent_increase
 from .gateway import JudgeFn, RewriteFn
@@ -359,6 +360,19 @@ def _score_cell(value: float | None) -> str:
     return f"{value:.4f}" if value is not None else ""
 
 
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write_text(path, buffer.getvalue())
+
+
 def emit_report(
     results: Sequence[ExperimentResult],
     corpus_info: Mapping[str, CorpusInfo],
@@ -372,110 +386,72 @@ def emit_report(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    by_cell: dict[tuple[str, Pipeline], ExperimentResult] = {
-        (r.spec.corpus_name, r.spec.pipeline): r for r in results
-    }
+    by_cell = {(r.spec.corpus_name, r.spec.pipeline): r for r in results}
     names = sorted(corpus_info, key=lambda n: (corpus_info[n].arm, corpus_info[n].total_docs, n))
+    # Every (corpus, pipeline) cell in report order, with None for a cell no result names.
+    table = [(name, corpus_info[name], pipeline, by_cell.get((name, pipeline))) for name in names for pipeline in Pipeline]
 
-    warnings: list[str] = []
-    for name in names:
-        for pipeline in Pipeline:
-            cell = by_cell.get((name, pipeline))
-            if cell is None:
-                warnings.append(f"missing cell: {name}/{pipeline.value}")
-            elif not cell.complete:
-                warnings.append(f"incomplete cell: {name}/{pipeline.value}")
-    if not results:
-        warnings.insert(0, "no experiment results were provided")
+    warnings = [] if results else ["no experiment results were provided"]
+    for name, _, pipeline, cell in table:
+        if cell is None:
+            warnings.append(f"missing cell: {name}/{pipeline.value}")
+        elif not cell.complete:
+            warnings.append(f"incomplete cell: {name}/{pipeline.value}")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["corpus", "arm", "docs_added", "total_docs", "pct_increase", "pipeline", "avg_score", "complete"]
+    scores_path = _write_csv(
+        out / "scores.csv",
+        ["corpus", "arm", "docs_added", "total_docs", "pct_increase", "pipeline", "avg_score", "complete"],
+        (
+            [
+                name,
+                info.arm,
+                info.docs_added,
+                info.total_docs,
+                f"{info.pct_increase:.1f}",
+                pipeline.value,
+                _score_cell(cell.avg_score),
+                str(cell.complete).lower(),
+            ]
+            for name, info, pipeline, cell in table
+            if cell is not None
+        ),
     )
-    for name in names:
-        info = corpus_info[name]
-        for pipeline in Pipeline:
-            cell = by_cell.get((name, pipeline))
-            if cell is None:
-                continue
-            writer.writerow(
-                [
-                    name,
-                    info.arm,
-                    info.docs_added,
-                    info.total_docs,
-                    f"{info.pct_increase:.1f}",
-                    pipeline.value,
-                    _score_cell(cell.avg_score),
-                    str(cell.complete).lower(),
-                ]
-            )
-    path = out / "scores.csv"
-    path.write_text(buffer.getvalue(), encoding="utf-8")
-    written.append(path)
+    written = [scores_path]
 
     lines = []
-    arms = sorted({info.arm for info in corpus_info.values()})
-    for arm in arms:
-        arm_names = [n for n in names if corpus_info[n].arm == arm]
-        lines.append(f"== {arm} ==")
-        header = f"{'corpus':<28}{'total':>8}{'+%':>10}" + "".join(
-            f"{p.value:>22}" for p in Pipeline
-        )
-        lines.append(header)
-        for name in arm_names:
-            info = corpus_info[name]
-            cells = "".join(
-                f"{_score_cell(by_cell[(name, p)].avg_score):>22}"
-                if (name, p) in by_cell
-                else f"{'-':>22}"
-                for p in Pipeline
-            )
-            lines.append(
-                f"{name:<28}{info.total_docs:>8}{info.pct_increase:>9.1f}%" + cells
-            )
+    header = f"{'corpus':<28}{'total':>8}{'+%':>10}" + "".join(f"{p.value:>22}" for p in Pipeline)
+    # The table runs arm by arm, then corpus by corpus: one text table per arm, one line per corpus.
+    for arm, arm_cells in groupby(table, key=lambda entry: entry[1].arm):
+        lines += [f"== {arm} ==", header]
+        for (name, info), name_cells in groupby(arm_cells, key=lambda entry: entry[:2]):
+            cells = "".join(f"{'-' if cell is None else _score_cell(cell.avg_score):>22}" for *_, cell in name_cells)
+            lines.append(f"{name:<28}{info.total_docs:>8}{info.pct_increase:>9.1f}%" + cells)
         lines.append("")
-    path = out / "scores.txt"
-    path.write_text("\n".join(lines), encoding="utf-8")
-    written.append(path)
+    written.append(_write_text(out / "scores.txt", "\n".join(lines)))
 
     plot_dir = out / "plot"
     plot_dir.mkdir(exist_ok=True)
+    arms = sorted({info.arm for info in corpus_info.values()})
     for pipeline in Pipeline:
         for arm in arms:
-            series = []
-            for name in names:
-                info = corpus_info[name]
-                cell = by_cell.get((name, pipeline))
-                if info.arm == arm and cell is not None and cell.avg_score is not None:
-                    series.append((info.total_docs, cell.avg_score))
-            series.sort()
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["total_docs", "avg_score"])
-            for total, score in series:
-                writer.writerow([total, f"{score:.4f}"])
-            path = plot_dir / f"{pipeline.value}_{arm}.csv"
-            path.write_text(buffer.getvalue(), encoding="utf-8")
-            written.append(path)
+            series = sorted(
+                (info.total_docs, cell.avg_score)
+                for _, info, p, cell in table
+                if p is pipeline and info.arm == arm and cell is not None and cell.avg_score is not None
+            )
+            rows = [[total, f"{score:.4f}"] for total, score in series]
+            written.append(_write_csv(plot_dir / f"{pipeline.value}_{arm}.csv", ["total_docs", "avg_score"], rows))
 
     if warnings:
-        path = out / "warnings.txt"
-        path.write_text("\n".join(warnings) + "\n", encoding="utf-8")
-        written.append(path)
+        written.append(_write_text(out / "warnings.txt", "\n".join(warnings) + "\n"))
     return written
 
 
 def emit_threshold_report(report: ThresholdReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
+    csv_path = _write_csv(
+        out / "thresholds.csv",
         [
             "pipeline",
             "directed_pct_increase",
@@ -483,10 +459,8 @@ def emit_threshold_report(report: ThresholdReport, out_dir: str | Path) -> list[
             "directed_docs_added",
             "nondirected_docs_added",
             "pct_decrease_in_docs_added",
-        ]
-    )
-    for row in report.rows:
-        writer.writerow(
+        ],
+        (
             [
                 row.pipeline.value,
                 f"{row.directed.percent_increase:.1f}",
@@ -495,10 +469,9 @@ def emit_threshold_report(report: ThresholdReport, out_dir: str | Path) -> list[
                 row.nondirected.docs_added,
                 f"{row.pct_decrease:.1f}",
             ]
-        )
-    csv_path = out / "thresholds.csv"
-    csv_path.write_text(buffer.getvalue(), encoding="utf-8")
-    written.append(csv_path)
+            for row in report.rows
+        ),
+    )
 
     lines = [
         f"threshold target: {report.ratio:.3f} of reference score",
@@ -514,7 +487,4 @@ def emit_threshold_report(report: ThresholdReport, out_dir: str | Path) -> list[
             f"{row.directed.docs_added:>16}{row.nondirected.docs_added:>18}"
             f"{row.pct_decrease:>11.1f}%"
         )
-    txt_path = out / "thresholds.txt"
-    txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(txt_path)
-    return written
+    return [csv_path, _write_text(out / "thresholds.txt", "\n".join(lines) + "\n")]

@@ -10,7 +10,6 @@ corpora take a size-matched seeded random sample.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -19,7 +18,7 @@ from math import fsum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Document, Query, Section, Source, read_records, record_field, write_records
+from .corpus import Corpus, Document, Query, Section, Source, encode_record, read_records, record_field, write_records
 from .gateway import CompletionRequest, Gateway, JudgeFn, ProviderParams
 
 log = logging.getLogger(__name__)
@@ -318,14 +317,12 @@ def generate_synthetic_doc(
     request = CompletionRequest(
         template="generate_article",
         bindings={
-            "metadata": json.dumps(
+            "metadata": encode_record(
                 {
                     "title": metadata.title,
                     "headers": list(metadata.headers),
                     "word_count": metadata.word_count,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
+                }
             )
         },
         params=params or ProviderParams(),

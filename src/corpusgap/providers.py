@@ -214,8 +214,7 @@ class MockProvider:
             lines = []
             for line in subtopics_text.splitlines():
                 if line.strip():
-                    counts = token_counts(line)
-                    lines.append((line, (counts, sum(counts.values()))))
+                    lines.append((line, query_tokens(line)))
             memo = self._subtopics = (subtopics_text, tuple(lines))
         return memo[1]
 

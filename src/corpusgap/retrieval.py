@@ -108,7 +108,8 @@ class CachedEmbedder:
     at load and its vector kept: an older `vector` list, a `vector_b64`
     with other spacing or key order, or one of another length. A vector
     whose length is not `dim`, or a `vector_b64` that is not base64 of
-    whole float64s, found at load is refused with the file and line. A
+    whole float64s, found at load is refused with the file and line, and
+    a computed vector of another shape is refused before it is written. A
     cache without a file keeps its vectors.
     """
 
@@ -203,6 +204,8 @@ class CachedEmbedder:
             # A vector is an array; a line kept in the file is its offset.
             return self._read(key, hit) if type(hit) is int else hit
         vec = self.inner.embed(text)
+        if vec.shape != (self.dim,):
+            raise ValueError(f"embedder {self.id!r} returned a vector of shape {vec.shape}, expected ({self.dim},)")
         vec.flags.writeable = False
         vector_b64 = base64.b64encode(vec.astype("<f8", copy=False).tobytes()).decode("ascii")
         self._store.put(key, vec, f'{self._payload_head(key.hex())}{vector_b64}"}}')
@@ -216,7 +219,7 @@ class _Shared:
 
     masks: np.ndarray
     sizes: np.ndarray
-    prefixes: dict[bytes, tuple[np.ndarray, np.ndarray, int, int]]
+    prefixes: dict[bytes, tuple[np.ndarray, np.ndarray, int]]
 
 
 class SearchIndex:
@@ -233,9 +236,9 @@ class SearchIndex:
     and the memo. Per query vector the memo keeps a prefix of every row's
     (-similarity, key) order, its row ids and similarities only: on the
     vector's first search, the shortest prefix that holds k rows of the
-    index and of each view (all rows of one that has fewer). A search
-    that needs more, because k is larger or a view was made since,
-    computes it again with k at least doubled.
+    index and of each view (all rows of one that has fewer). A new view
+    clears the memo, and a search with a larger k makes the prefix again
+    with k at least doubled.
     """
 
     def __init__(self, keys: Sequence, matrix: Iterable[np.ndarray], embedder: Embedder, name: str, kind: str):
@@ -268,7 +271,7 @@ class SearchIndex:
         self.embedder = embedder
         self.name = name
         self.kind = kind
-        self.rows: np.ndarray | None = None  # boolean mask of the rows searched; None is every row
+        self.rows = np.ones(n, dtype=bool)  # boolean mask of the rows searched
         self._size = n
         by_key = sorted(range(n), key=self.keys.__getitem__)
         self._key_rank = np.empty(n, dtype=np.intp)
@@ -277,7 +280,7 @@ class SearchIndex:
         doc_ids = self.keys if kind == "document" else [key[0] for key in self.keys]
         self._doc_at = {doc_id: i for i, doc_id in enumerate(dict.fromkeys(doc_ids))}
         self._row_doc = np.fromiter(map(self._doc_at.__getitem__, doc_ids), dtype=np.intp, count=n)
-        self._shared = _Shared(np.ones((1, n), dtype=bool), np.array([n]), {})
+        self._shared = _Shared(self.rows[None], np.array([n]), {})
 
     def __len__(self) -> int:
         return self._size
@@ -287,7 +290,7 @@ class SearchIndex:
         if k < 1:
             raise ValueError("k must be at least 1")
         order, sims = self._prefix(query_vec, k)
-        top = slice(k) if self.rows is None else self.rows[order].nonzero()[0][:k]
+        top = self.rows[order].nonzero()[0][:k]
         keys = self.keys
         return [(keys[i], sim) for i, sim in zip(order[top].tolist(), sims[top].tolist())]
 
@@ -298,8 +301,8 @@ class SearchIndex:
         memo_key = query_vec.tobytes()
         memo = shared.prefixes.get(memo_key)
         if memo is not None:
-            order, sims, memo_k, views = memo
-            if (k <= memo_k and views == len(shared.masks)) or len(order) == n:
+            order, sims, memo_k = memo
+            if k <= memo_k or len(order) == n:
                 return order, sims
             k = max(k, 2 * memo_k)
         sims = (self._padded @ query_vec)[:n]
@@ -321,7 +324,7 @@ class SearchIndex:
                 break
             depth *= 2
         order = order[: reach + 1]
-        memo = shared.prefixes[memo_key] = (order, sims[order], k, len(shared.masks))
+        memo = shared.prefixes[memo_key] = (order, sims[order], k)
         return memo[:2]
 
     def subset(self, corpus: Corpus) -> SearchIndex:
@@ -346,6 +349,7 @@ class SearchIndex:
         view._size = int(rows.sum())
         self._shared.masks = np.vstack((self._shared.masks, rows))
         self._shared.sizes = np.append(self._shared.sizes, view._size)
+        self._shared.prefixes.clear()
         return view
 
 

@@ -250,6 +250,24 @@ class TestCachedEmbedderFile:
         with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:1: record lacks field 'provider'$"):
             CachedEmbedder(HashedBagEmbedder(dim=16), path)
 
+    @pytest.mark.parametrize("shape", [(3,), (9,), (2, 4)])
+    def test_computed_vector_of_the_wrong_shape_is_refused_before_it_is_written(self, tmp_path, shape):
+        # One bad reply must not make the file unloadable for every later
+        # run, nor be served from memory: a (2, 4) vector would even load
+        # back as a vector of dim 8.
+        path = tmp_path / "embeddings.jsonl"
+        good = np.arange(8.0)
+        embedder = CachedEmbedder(FixedEmbedder({"good": good, "bad": np.ones(shape)}), path)
+        embedder.embed("good")
+        written = path.read_bytes()
+        refused = f"^embedder 'fixed' returned a vector of shape {re.escape(str(shape))}, expected \\(8,\\)$"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=refused):
+                embedder.embed("bad")
+        assert path.read_bytes() == written
+        loaded = CachedEmbedder(FixedEmbedder({}), path)
+        assert loaded.embed("good").tobytes() == good.tobytes()
+
 
 def vector_b64(vec: np.ndarray) -> str:
     return base64.b64encode(vec.astype("<f8").tobytes()).decode("ascii")
@@ -1364,8 +1382,7 @@ def reference_search(index: SearchIndex, query_vec, k: int) -> list:
     """`SearchIndex.search` as first written, over the brute-force
     ranking: one float() per kept row."""
     order, sims = brute_ranking(index, query_vec)
-    if index.rows is not None:
-        order = order[index.rows[order]]
+    order = order[index.rows[order]]
     return [(index.keys[i], float(sims[i])) for i in order[:k].tolist()]
 
 
